@@ -23,7 +23,7 @@ from . import linalg
 from .algebra import GradedLieAlgebra, StructureError
 from .extremal import ExtremalFamily
 from .poly import Poly, weighted_degree
-from .prolongation import ProlongationStratum, ProlongedAlgebra
+from .prolongation import ProlongationStratum, ProlongedAlgebra, _trivial
 
 
 def _is_exact(value):
@@ -37,26 +37,29 @@ def variety_generators(family, v):
     return [family.polynomial(j, v) for j in family.rows_of_degree_at_most(1)]
 
 
-def membership(family, v, samples, tol=None):
-    """Whether every generator row vanishes on every sample.
+def _rows_vanish(family, rows, v, samples, tol):
+    """Whether the rows P_j^v vanish on every sample.
 
-    Returns ``(ok, max_residual)``.  Exact comparison on all-rational
-    samples (tol defaults to 0 there, 1e-9 otherwise).
+    Returns ``(ok, max_residual)`` with the maximum over all rows and
+    samples.  Exact comparison on all-rational samples (tol defaults to 0
+    there, 1e-9 otherwise).
     """
-    rows = family.rows_of_degree_at_most(1)
     exact = all(_is_exact(c) for x in samples for c in x)
     if tol is None:
         tol = 0 if exact else 1e-9
     worst = Fraction(0) if exact else 0.0
     for x in samples:
         for j in rows:
-            val = family.evaluate(j, v, x)
-            mag = abs(val)
+            mag = abs(family.evaluate(j, v, x))
             if mag > worst:
                 worst = mag
-        if worst > tol and exact:
-            break
     return worst <= tol, worst
+
+
+def membership(family, v, samples, tol=None):
+    """Whether every generator row vanishes on every sample."""
+    return _rows_vanish(family, family.rows_of_degree_at_most(1), v,
+                        samples, tol)
 
 
 def detect_abnormal(family, samples, tol=1e-9):
@@ -196,16 +199,7 @@ def goh_check(family, v, samples, tol=None):
     """Goh test: rows with d(i) in {1, 2} vanish on all samples."""
     rows = [j for j in family.rows()
             if family.algebra.degrees[j] in (1, 2)]
-    exact = all(_is_exact(c) for x in samples for c in x)
-    if tol is None:
-        tol = 0 if exact else 1e-9
-    worst = Fraction(0) if exact else 0.0
-    for x in samples:
-        for j in rows:
-            mag = abs(family.evaluate(j, v, x))
-            if mag > worst:
-                worst = mag
-    return worst <= tol, worst
+    return _rows_vanish(family, rows, v, samples, tol)
 
 
 class ProductAlgebra(ProlongedAlgebra):
@@ -221,18 +215,11 @@ class ProductAlgebra(ProlongedAlgebra):
         self.factor_b = factor_b
 
     def embed_point(self, xa, xb):
+        """Product vector of two factor vectors (points or covectors)."""
         out = [Fraction(0)] * self.base.n
         for i, c in enumerate(xa, start=1):
             out[self.map_a[i] - 1] = c
         for i, c in enumerate(xb, start=1):
-            out[self.map_b[i] - 1] = c
-        return out
-
-    def embed_covector(self, va, vb):
-        out = [Fraction(0)] * self.base.n
-        for i, c in enumerate(va, start=1):
-            out[self.map_a[i] - 1] = c
-        for i, c in enumerate(vb, start=1):
             out[self.map_b[i] - 1] = c
         return out
 
@@ -246,9 +233,9 @@ def product_group(PA, PB):
     full prolongation.
     """
     if isinstance(PA, GradedLieAlgebra):
-        PA = ProlongedAlgebra(base=PA, algebra=PA, strata=[], complete=False)
+        PA = _trivial(PA)
     if isinstance(PB, GradedLieAlgebra):
-        PB = ProlongedAlgebra(base=PB, algebra=PB, strata=[], complete=False)
+        PB = _trivial(PB)
     a, b = PA.algebra, PB.algebra
     s = max(PA.base.s, PB.base.s)
     map_a, map_b = {}, {}

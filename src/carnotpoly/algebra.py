@@ -50,6 +50,7 @@ class GradedLieAlgebra:
         if rank is None:
             rank = sum(1 for i in pos if self.degrees[i] == 1)
         self.r = rank
+        self.weights = tuple(self.degrees[j] for j in range(1, self.n + 1))
         neg = sorted(i for i in self.degrees if i <= 0)
         if neg and neg != list(range(neg[0], 1)):
             raise StructureError("nonpositive indices must be contiguous up to 0")
@@ -87,19 +88,18 @@ class GradedLieAlgebra:
     def stratum(self, d):
         return list(self._strata.get(d, ()))
 
-    def lowest_degree(self):
-        return min(self.degrees.values())
-
     # -- brackets ----------------------------------------------------------
 
     def bracket_indices(self, i, j):
         """Coefficients of ``[X_i, X_j]`` as a sparse map ``k -> c``."""
         if i == j:
             return {}
-        if (i, j) in self.table:
-            return self.table[(i, j)]
-        if (j, i) in self.table:
-            return {k: -c for k, c in self.table[(j, i)].items()}
+        hit = self.table.get((i, j))
+        if hit is not None:
+            return hit
+        hit = self.table.get((j, i))
+        if hit is not None:
+            return {k: -c for k, c in hit.items()}
         if i not in self.degrees or j not in self.degrees:
             raise StructureError(f"unknown basis index in pair ({i}, {j})")
         return {}
@@ -157,7 +157,7 @@ class GradedLieAlgebra:
                     out[(alpha, k)] = c
                 for m in range(max(last, 1), self.n + 1):
                     dm = self.degrees[m]
-                    if di + self._alpha_weight(alpha) + dm > self.s:
+                    if di + self.multi_index_weight(alpha) + dm > self.s:
                         continue
                     new_val = self.bracket(value, {m: Fraction(1)})
                     if not new_val:
@@ -167,11 +167,8 @@ class GradedLieAlgebra:
             frontier = nxt
         return out
 
-    def _alpha_weight(self, alpha):
-        return sum(a * self.degrees[m] for m, a in enumerate(alpha, start=1) if a)
-
     def multi_index_weight(self, alpha):
-        return self._alpha_weight(alpha)
+        return sum(a * w for a, w in zip(alpha, self.weights) if a)
 
     # -- validation ---------------------------------------------------------
 

@@ -7,8 +7,10 @@ are identified by content digest under ``"inputs"``).
 """
 
 import argparse
+import ast
 import json
 import math
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -28,10 +30,15 @@ from .prolongation import prolong
 
 
 def _max_dim():
+    text = os.environ.get("CARNOT_MAX_DIM", "256")
     try:
-        return int(os.environ.get("CARNOT_MAX_DIM", "256"))
+        cap = int(text)
     except ValueError:
-        return 256
+        cap = 0
+    if cap < 1:
+        raise InputError(
+            f"CARNOT_MAX_DIM must be a positive integer, got {text!r}")
+    return cap
 
 
 def _emit(report, as_json, status=0):
@@ -55,10 +62,27 @@ def _print_human(report, indent=""):
             print(f"{indent}{key}: {value}")
 
 
-def _load(path):
-    algebra, overrides = cio.load_algebra(path, max_dim=_max_dim())
-    problems = validate(algebra)
-    return algebra, overrides, problems
+def _load(args):
+    """The algebra argument: ``(algebra, overrides, validation report)``."""
+    algebra, overrides = cio.load_algebra(args.algebra, max_dim=_max_dim())
+    return algebra, overrides, validate(algebra)
+
+
+def _load_valid(args):
+    """The algebra argument and its overrides; a table that fails
+    validation is unusable input."""
+    algebra, overrides, problems = _load(args)
+    if problems:
+        raise InputError("input algebra fails validation:\n  "
+                         + "\n  ".join(problems))
+    return algebra, overrides
+
+
+def _family(algebra, overrides, depth):
+    """Extremal family of the algebra, prolonged first unless depth is None."""
+    if depth is not None:
+        algebra = prolong(algebra, depth, basis_overrides=overrides or None)
+    return build_family(algebra)
 
 
 def _family_rows_text(family, rows=None):
@@ -96,19 +120,8 @@ def cmd_free(args):
     return _emit(report, args.json)
 
 
-def _prolonged(algebra, overrides, depth):
-    if depth is None:
-        return None
-    return prolong(algebra, depth, basis_overrides=overrides or None)
-
-
 def cmd_prolong(args):
-    algebra, overrides, problems = _load(args.algebra)
-    if problems:
-        print("input algebra fails validation:", file=sys.stderr)
-        for line in problems:
-            print("  " + line, file=sys.stderr)
-        return 2
+    algebra, overrides = _load_valid(args)
     P = prolong(algebra, args.max_depth, basis_overrides=overrides or None)
     report = {
         "command": "prolong",
@@ -135,15 +148,7 @@ def cmd_prolong(args):
 
 
 def cmd_polys(args):
-    algebra, overrides, problems = _load(args.algebra)
-    if problems:
-        print("input algebra fails validation", file=sys.stderr)
-        return 2
-    target = algebra
-    if args.max_depth is not None:
-        target = prolong(algebra, args.max_depth,
-                         basis_overrides=overrides or None)
-    family = build_family(target)
+    family = _family(*_load_valid(args), args.max_depth)
     report = {
         "command": "polys",
         "inputs": {args.algebra: cio.file_digest(args.algebra)},
@@ -153,7 +158,7 @@ def cmd_polys(args):
 
 
 def cmd_verify(args):
-    algebra, overrides, problems = _load(args.algebra)
+    algebra, overrides, problems = _load(args)
     report = {
         "command": "verify",
         "inputs": {args.algebra: cio.file_digest(args.algebra)},
@@ -163,11 +168,7 @@ def cmd_verify(args):
         report["status"] = "invalid table"
         _emit(report, args.json)
         return 1
-    target = algebra
-    if args.max_depth is not None:
-        target = prolong(algebra, args.max_depth,
-                         basis_overrides=overrides or None)
-    family = build_family(target)
+    family = _family(algebra, overrides, args.max_depth)
     residuals = verify_structure(family)
     report["residuals"] = [
         f"X_{i} P_{j} row k={k}: {canonical_text(res, family.weights)}"
@@ -178,14 +179,7 @@ def cmd_verify(args):
 
 
 def cmd_minors(args):
-    algebra, overrides, problems = _load(args.algebra)
-    if problems:
-        print("input algebra fails validation", file=sys.stderr)
-        return 2
-    target = prolong(algebra, args.max_depth,
-                     basis_overrides=overrides or None) \
-        if args.max_depth is not None else algebra
-    family = build_family(target)
+    family = _family(*_load_valid(args), args.max_depth)
     system = minor_system(family)
     certs = nonvanishing_certificate(system)
     report = {
@@ -201,15 +195,9 @@ def cmd_minors(args):
 
 
 def cmd_detect(args):
-    algebra, overrides, problems = _load(args.algebra)
-    if problems:
-        print("input algebra fails validation", file=sys.stderr)
-        return 2
-    times, points, lams = cio.load_samples(args.curve, algebra.n)
-    target = prolong(algebra, args.max_depth,
-                     basis_overrides=overrides or None) \
-        if args.max_depth is not None else algebra
-    family = build_family(target)
+    algebra, overrides = _load_valid(args)
+    _, points, _ = cio.load_samples(args.curve, algebra.n)
+    family = _family(algebra, overrides, args.max_depth)
     result = detect_abnormal(family, points, tol=args.tol)
     report = {
         "command": "detect",
@@ -233,59 +221,88 @@ def _parse_vector(text, n):
     return [cio.parse_scalar(p) for p in parts]
 
 
+_CONTROL_FUNCS = {name: getattr(math, name)
+                  for name in ("sin", "cos", "tan", "exp", "log", "sqrt")}
+_CONTROL_CONSTS = {"pi": math.pi, "e": math.e}
+_CONTROL_UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos}
+_CONTROL_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+                   ast.Mult: operator.mul, ast.Div: operator.truediv,
+                   ast.Pow: math.pow}
+
+
+def _control_term(node):
+    """Closure ``t -> float`` for a node of a parsed control expression.
+
+    Accepts numbers (taken as floats), ``t``, ``pi``, ``e``, the binary
+    operators ``+ - * / **``, unary ``-`` and ``+``, and one-argument
+    calls of ``sin cos tan exp log sqrt``; anything else is a ValueError.
+    """
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = float(node.value)
+        return lambda t: value
+    if isinstance(node, ast.Name) and node.id == "t":
+        return lambda t: t
+    if isinstance(node, ast.Name) and node.id in _CONTROL_CONSTS:
+        value = _CONTROL_CONSTS[node.id]
+        return lambda t: value
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _CONTROL_UNARY:
+        op, arg = _CONTROL_UNARY[type(node.op)], _control_term(node.operand)
+        return lambda t: op(arg(t))
+    if isinstance(node, ast.BinOp) and type(node.op) in _CONTROL_BINARY:
+        op = _CONTROL_BINARY[type(node.op)]
+        left, right = _control_term(node.left), _control_term(node.right)
+        return lambda t: op(left(t), right(t))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _CONTROL_FUNCS and len(node.args) == 1
+            and not node.keywords):
+        fn, arg = _CONTROL_FUNCS[node.func.id], _control_term(node.args[0])
+        return lambda t: fn(arg(t))
+    raise ValueError(f"unsupported syntax {ast.unparse(node)!r}")
+
+
 def _parse_controls(text, r):
-    names = {k: getattr(math, k) for k in ("sin", "cos", "tan", "exp", "log",
-                                           "sqrt", "pi", "e")}
     exprs = [p.strip() for p in text.split(";")]
     if len(exprs) != r:
         raise InputError(f"expected {r} semicolon-separated control exprs")
-    codes = [compile(e, "<control>", "eval") for e in exprs]
+    terms = []
+    for expr in exprs:
+        try:
+            terms.append(_control_term(ast.parse(expr, mode="eval").body))
+        except (SyntaxError, ValueError, OverflowError, RecursionError) as exc:
+            raise InputError(f"control {expr!r}: {exc}") from None
 
     def func(t):
-        env = dict(names)
-        env["t"] = t
-        return [eval(code, {"__builtins__": {}}, env) for code in codes]
+        try:
+            return [term(t) for term in terms]
+        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+            raise InputError(f"controls fail at t={t}: {exc}") from None
 
     return ControlPath(r, func=func)
 
 
 def cmd_integrate(args):
-    algebra, overrides, problems = _load(args.algebra)
-    if problems:
-        print("input algebra fails validation", file=sys.stderr)
-        return 2
+    algebra, overrides = _load_valid(args)
     n = algebra.n
     grid = uniform_grid(args.t0, args.t1, args.step)
     x0 = _parse_vector(args.x0, n) if args.x0 else [0.0] * n
-    try:
-        if args.mode == "normal":
-            if not args.lambda0:
-                raise InputError("--lambda0 is required for mode normal")
-            lam0 = _parse_vector(args.lambda0, n)
-            curve = integrate_normal(algebra, lam0, x0, grid)
-            family = build_family(algebra)
-            drift = duality_check(family, curve)
-            extra = {"prime_integral_drift": max(drift.values())}
-        elif args.mode == "horizontal":
-            if not args.controls:
-                raise InputError("--controls is required for mode horizontal")
-            controls = _parse_controls(args.controls, algebra.r)
-            curve = integrate_horizontal(algebra, controls, x0, grid)
-            extra = {}
-        else:
-            if not (args.controls and args.lambda0):
-                raise InputError(
-                    "--controls and --lambda0 are required for mode adjoint")
-            controls = _parse_controls(args.controls, algebra.r)
-            curve = integrate_horizontal(algebra, controls, x0, grid)
-            lam0 = _parse_vector(args.lambda0, n)
-            curve = integrate_adjoint(algebra, curve, lam0)
-            family = build_family(algebra)
-            drift = duality_check(family, curve)
-            extra = {"prime_integral_drift": max(drift.values())}
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.mode == "normal":
+        if not args.lambda0:
+            raise InputError("--lambda0 is required for mode normal")
+        lam0 = _parse_vector(args.lambda0, n)
+        curve = integrate_normal(algebra, lam0, x0, grid)
+    elif args.mode == "horizontal":
+        if not args.controls:
+            raise InputError("--controls is required for mode horizontal")
+        controls = _parse_controls(args.controls, algebra.r)
+        curve = integrate_horizontal(algebra, controls, x0, grid)
+    else:
+        if not (args.controls and args.lambda0):
+            raise InputError(
+                "--controls and --lambda0 are required for mode adjoint")
+        controls = _parse_controls(args.controls, algebra.r)
+        curve = integrate_horizontal(algebra, controls, x0, grid)
+        lam0 = _parse_vector(args.lambda0, n)
+        curve = integrate_adjoint(algebra, curve, lam0)
     report = {
         "command": "integrate",
         "mode": args.mode,
@@ -293,7 +310,9 @@ def cmd_integrate(args):
         "steps": len(grid) - 1,
         "endpoint": [float(c) for c in curve.gamma[-1]],
     }
-    report.update(extra)
+    if curve.lam is not None:
+        drift = duality_check(_family(algebra, overrides, None), curve)
+        report["prime_integral_drift"] = max(drift.values())
     if args.emit:
         with open(args.emit, "w") as fh:
             fh.write(cio.curve_to_csv(curve, n))

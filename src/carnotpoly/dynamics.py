@@ -15,13 +15,14 @@ integrals B_ij with prolongation rows of the family.
 Floating point lives here and nowhere else in the package.
 """
 
+import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .extremal import build_family
 from .group import left_invariant_fields
-from .prolongation import ProlongedAlgebra
+from .prolongation import _algebra_of
 
 
 @dataclass
@@ -42,13 +43,8 @@ class ControlPath:
             return vs[0]
         if t >= ts[-1]:
             return vs[-1]
-        lo, hi = 0, len(ts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ts[mid] <= t:
-                lo = mid
-            else:
-                hi = mid
+        hi = bisect.bisect_right(ts, t)
+        lo = hi - 1
         w = (t - ts[lo]) / (ts[hi] - ts[lo])
         return [a + w * (b - a) for a, b in zip(vs[lo], vs[hi])]
 
@@ -59,9 +55,6 @@ class CurvePath:
     gamma: list                  # one coordinate list per time
     lam: list = None             # optional dual coordinates per time
     controls: ControlPath = None
-
-    def point(self, m):
-        return self.gamma[m]
 
 
 def uniform_grid(t0, t1, step):
@@ -87,14 +80,13 @@ def _rk4(f, y0, times):
     return out
 
 
-def _algebra_of(A):
-    return A.algebra if isinstance(A, ProlongedAlgebra) else A
-
-
 def _compiled_fields(A, fields=None, coords=None):
+    """Float evaluators of the r horizontal fields, optionally restricted
+    to the coordinates ``1..coords``."""
     algebra = _algebra_of(A)
     if fields is None:
         fields = left_invariant_fields(algebra)
+    fields = fields[:algebra.r]
     if coords is not None:
         from .poly import PolyVectorField
         fields = [PolyVectorField(f.n, {l: p for l, p in f.coeffs.items()
@@ -103,23 +95,30 @@ def _compiled_fields(A, fields=None, coords=None):
     return [f.compiled() for f in fields]
 
 
+def _horizontal_rhs(compiled, h, y, size):
+    """``sum_j h_j X_j(y)`` over the first ``size`` coordinates.
+
+    Terms run over j ascending and skip zero controls; the float results
+    of every integrator depend on that order.
+    """
+    out = [0.0] * size
+    for j, field in enumerate(compiled):
+        hj = h[j]
+        if not hj:
+            continue
+        fj = field(y)
+        for l in range(size):
+            out[l] += hj * fj[l]
+    return out
+
+
 def integrate_horizontal(A, controls, x0, grid, fields=None):
     """RK4 solution of ``gamma' = sum_j h_j X_j(gamma)`` on the grid."""
-    algebra = _algebra_of(A)
+    n = _algebra_of(A).n
     compiled = _compiled_fields(A, fields)
-    r = algebra.r
 
     def f(t, y):
-        h = controls(t)
-        out = [0.0] * algebra.n
-        for j in range(r):
-            hj = h[j]
-            if not hj:
-                continue
-            fj = compiled[j](y)
-            for l in range(algebra.n):
-                out[l] += hj * fj[l]
-        return out
+        return _horizontal_rhs(compiled, controls(t), y, n)
 
     gamma = _rk4(f, [float(c) for c in x0], [float(t) for t in grid])
     return CurvePath(list(grid), gamma, controls=controls)
@@ -178,21 +177,13 @@ def integrate_normal(A, lambda0, x0, grid, fields=None):
     def f(t, y):
         gamma, lam = y[:n], y[n:]
         h = [-lam[j] for j in range(r)]
-        out = [0.0] * n
-        for j in range(r):
-            hj = h[j]
-            if not hj:
-                continue
-            fj = compiled[j](gamma)
-            for l in range(n):
-                out[l] += hj * fj[l]
-        return out + _adjoint_rhs(tables, h, lam)
+        return (_horizontal_rhs(compiled, h, gamma, n)
+                + _adjoint_rhs(tables, h, lam))
 
     y0 = [float(c) for c in x0] + [float(c) for c in lambda0]
     ys = _rk4(f, y0, [float(t) for t in grid])
     gamma = [y[:n] for y in ys]
     lam = [y[n:] for y in ys]
-    lam0 = [float(c) for c in lambda0]
     controls = ControlPath(r, times=list(grid),
                            values=[[-l[j] for j in range(r)] for l in lam])
     return CurvePath(list(grid), gamma, lam=lam, controls=controls)
@@ -272,8 +263,10 @@ def iterated_integrals(family, curve, v):
 class _Interpolant:
     """Cubic Hermite interpolation of an integrated curve.
 
-    Endpoint derivatives are rebuilt from the controls and the fields, so
-    midpoint values keep RK4 accuracy.
+    Tangents are Catmull-Rom finite differences: half the difference of
+    the two neighbouring samples, in grid-index units, so the grid is
+    taken as uniform.  The first and last sample use the one-sided secant
+    of their interval.  The controls are not consulted.
     """
 
     def __init__(self, curve):
@@ -285,21 +278,13 @@ class _Interpolant:
             return self.curve.gamma[0]
         if t >= ts[-1]:
             return self.curve.gamma[-1]
-        lo, hi = 0, len(ts) - 1
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if ts[mid] <= t:
-                lo = mid
-            else:
-                hi = mid
+        hi = bisect.bisect_right(ts, t)
+        lo = hi - 1
         t0, t1 = ts[lo], ts[hi]
         if t == t0:
             return self.curve.gamma[lo]
         if t == t1:
             return self.curve.gamma[hi]
-        # velocities are available only through the controls for the first
-        # r coordinates; higher coordinates fall back to a cubic through
-        # the secant with matched second differences (Catmull-Rom style)
         w = (t - t0) / (t1 - t0)
         p0 = self.curve.gamma[lo]
         p1 = self.curve.gamma[hi]
@@ -434,10 +419,7 @@ def spiral_lift(algebra, fields, dcoord, t_end, base_step=1e-3, ratio=64.0,
     """
     n = algebra.n
     cap = coords_cap or n
-    compiled = _compiled_fields(algebra, fields, coords=cap)[:3]
-
-    def controls(t):
-        return (2.0 * t, 1.0, dcoord(t))
+    compiled = _compiled_fields(algebra, fields, coords=cap)
 
     grid = graded_grid(t_end, base_step, ratio, t_min, include)
     f3 = spiral_phi if dcoord is spiral_dphi else spiral_psi
@@ -448,16 +430,7 @@ def spiral_lift(algebra, fields, dcoord, t_end, base_step=1e-3, ratio=64.0,
     seed[2] = f3(t0)
 
     def f(t, y):
-        h = controls(t)
-        out = [0.0] * cap
-        for j in range(3):
-            hj = h[j]
-            if not hj:
-                continue
-            fj = compiled[j](y)
-            for l in range(cap):
-                out[l] += hj * fj[l]
-        return out
+        return _horizontal_rhs(compiled, (2.0 * t, 1.0, dcoord(t)), y, cap)
 
     ys = _rk4(f, seed, grid)
     return grid, [y + [0.0] * (n - cap) for y in ys]
@@ -488,7 +461,7 @@ def spiral_example(samples_per_side=1000, puncture=1e-6, base_step=1e-3,
     else:
         product, product_family, factor_fields, v = context
         factor = product.factor_a.base
-    vG = product.embed_covector(v, v)
+    vG = product.embed_point(v, v)
 
     # factor coordinates of weight <= 3 are enough for every Goh row
     cap = max(j for j in range(1, factor.n + 1) if factor.degrees[j] <= 3)

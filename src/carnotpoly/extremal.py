@@ -25,11 +25,7 @@ from .algebra import (GradedLieAlgebra, StructureError, multi_index_factorial,
                       multi_index_order)
 from .group import left_invariant_fields
 from .poly import Poly, key_from_alpha, weighted_degree
-from .prolongation import ProlongedAlgebra, bracket_decompositions
-
-
-def _algebra_of(A):
-    return A.algebra if isinstance(A, ProlongedAlgebra) else A
+from .prolongation import _algebra_of, bracket_decompositions
 
 
 @dataclass
@@ -43,8 +39,7 @@ class ExtremalFamily:
 
     @property
     def weights(self):
-        n = self.algebra.n
-        return tuple(self.algebra.degrees[j] for j in range(1, n + 1))
+        return self.algebra.weights
 
     def rows(self):
         return sorted(self.algebra.degrees)
@@ -98,7 +93,7 @@ def build_family(A, rows=None):
     """
     algebra = _algebra_of(A)
     n = algebra.n
-    weights = tuple(algebra.degrees[j] for j in range(1, n + 1))
+    weights = algebra.weights
     Q = {}
     row_list = sorted(algebra.degrees) if rows is None else list(rows)
     for j in row_list:
@@ -116,11 +111,7 @@ def build_family(A, rows=None):
                 slot = Poly.zero(n, weights)
             Q[(j, k)] = slot + Poly(n, {key: coeff}, weights)
     Q = {jk: p for jk, p in Q.items() if p}
-    return ExtremalFamily(_algebra_of(A), Q)
-
-
-def eval_P(family, j, v, x):
-    return family.evaluate(j, v, x)
+    return ExtremalFamily(algebra, Q)
 
 
 def verify_structure(family, fields=None, rows=None):
@@ -166,7 +157,7 @@ def reconstruct_by_recursion(A, fields=None):
     """
     algebra = _algebra_of(A)
     n = algebra.n
-    weights = tuple(algebra.degrees[j] for j in range(1, n + 1))
+    weights = algebra.weights
     if fields is None:
         fields = left_invariant_fields(algebra)
     decomp = bracket_decompositions(algebra)

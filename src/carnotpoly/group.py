@@ -229,7 +229,7 @@ def left_invariant_fields(algebra):
     strictly higher weight.
     """
     n = algebra.n
-    weights = tuple(algebra.degrees[j] for j in range(1, n + 1))
+    weights = algebra.weights
     xs = [Poly.variable(n, j, weights) for j in range(1, n + 1)]
     u = from_second_kind(algebra, xs)
     uj = {k: Jet(p) for k, p in u.items()}

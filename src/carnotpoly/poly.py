@@ -329,7 +329,3 @@ class PolyVectorField:
             return out
 
         return run
-
-
-def apply_field(field, p):
-    return field.apply(p)

@@ -66,6 +66,10 @@ def _trivial(base):
     return ProlongedAlgebra(base=base, algebra=base, strata=[], complete=False)
 
 
+def _algebra_of(A):
+    return A.algebra if isinstance(A, ProlongedAlgebra) else A
+
+
 def bracket_decompositions(algebra):
     """For each index m with d(m) >= 2, a combination X_m = sum w [X_p, X_q].
 
@@ -209,45 +213,6 @@ def compute_stratum(P, k):
     return ProlongationStratum(k, maps, blocks)
 
 
-class _TableView:
-    """Live bracket view over mutable degree/table dicts during extension."""
-
-    def __init__(self, n, degrees, table):
-        self.n = n
-        self.degrees = degrees
-        self.table = table
-
-    def base_indices(self):
-        return range(1, self.n + 1)
-
-    def bracket_indices(self, i, j):
-        if i == j:
-            return {}
-        hit = self.table.get((i, j))
-        if hit is not None:
-            return hit
-        hit = self.table.get((j, i))
-        if hit is not None:
-            return {k: -c for k, c in hit.items()}
-        return {}
-
-    def bracket(self, u, w):
-        out = {}
-        for i, ci in u.items():
-            for j, cj in w.items():
-                terms = self.bracket_indices(i, j)
-                if not terms:
-                    continue
-                prod = ci * cj
-                for k, c in terms.items():
-                    v = out.get(k, Fraction(0)) + prod * c
-                    if v:
-                        out[k] = v
-                    else:
-                        out.pop(k, None)
-        return out
-
-
 def _pair_action(A, e1, e2):
     """Action m -> [X_m, [E_1, E_2]] via Jacobi, for nonpositive e1, e2."""
     act = {}
@@ -266,17 +231,18 @@ def _pair_action(A, e1, e2):
     return act
 
 
-def _close_pairs(base, degrees, table, strata_by_deg, pending, terminated):
+def _close_pairs(ext, strata_by_deg, pending, terminated):
     """Decide deferred nonpositive pairs whose result stratum is available.
 
-    Pairs are processed by descending result degree so that the inner
-    brackets a Jacobi expansion needs are always decided first.  Returns
-    the pairs that still cannot be placed (possible only on a truncated
-    prolongation).
+    Brackets are read from the extension ``ext`` and each decided pair is
+    written into ``ext.table``.  Pairs are processed by descending result
+    degree so that the inner brackets a Jacobi expansion needs are always
+    decided first.  Returns the pairs that still cannot be placed
+    (possible only on a truncated prolongation).
     """
+    degrees = ext.degrees
     lowest_computed = min(strata_by_deg)
     still = []
-    ext = _TableView(base.n, degrees, table)
     for e1, e2 in sorted(pending, key=lambda p: degrees[p[0]] + degrees[p[1]],
                          reverse=True):
         res_deg = degrees[e1] + degrees[e2]
@@ -292,7 +258,7 @@ def _close_pairs(base, degrees, table, strata_by_deg, pending, terminated):
         coords = _match_in_stratum(strata_by_deg, res_deg, act,
                                    f"[E_{e1}, E_{e2}]")
         if coords:
-            table[(e1, e2)] = coords
+            ext.table[(e1, e2)] = coords
     return still
 
 
@@ -334,20 +300,8 @@ def extend_structure_constants(P, stratum, chosen_basis=None):
     """
     if isinstance(P, GradedLieAlgebra):
         P = _trivial(P)
-    k = stratum.degree
     terminated = stratum.dim == 0 or any(st.dim == 0 for st in P.strata)
-    if stratum.dim == 0:
-        pending = list(P.deferred)
-        degrees = dict(P.algebra.degrees)
-        table = dict(P.algebra.table)
-        strata_by_deg = {st.degree: st for st in P.strata}
-        strata_by_deg[k] = stratum
-        left = _close_pairs(P.base, degrees, table, strata_by_deg, pending,
-                            terminated) if pending else []
-        closed = GradedLieAlgebra(degrees, table, rank=P.base.r)
-        return ProlongedAlgebra(P.base, closed, P.strata + [stratum],
-                                P.complete, left)
-    if chosen_basis is not None:
+    if chosen_basis is not None and stratum.dim:
         stratum = _rebase_stratum(P, stratum, chosen_basis)
     D = stratum.dim
     lowest = min(P.algebra.degrees)
@@ -356,14 +310,15 @@ def extend_structure_constants(P, stratum, chosen_basis=None):
 
     degrees = dict(P.algebra.degrees)
     for e in new_ids:
-        degrees[e] = k
+        degrees[e] = stratum.degree
     table = dict(P.algebra.table)
     for e, phi in zip(new_ids, stratum.maps):
         for m, img in phi.items():
-            table[(m, e)] = dict(img)
+            table[(m, e)] = img
+    ext = GradedLieAlgebra(degrees, table, rank=P.base.r)
 
     strata_by_deg = {st.degree: st for st in P.strata}
-    strata_by_deg[k] = stratum
+    strata_by_deg[stratum.degree] = stratum
 
     pending = list(P.deferred)
     for st in P.strata:
@@ -373,12 +328,9 @@ def extend_structure_constants(P, stratum, chosen_basis=None):
     for i in range(len(new_ids)):
         for j in range(i):
             pending.append((new_ids[i], new_ids[j]))
-    left = _close_pairs(P.base, degrees, table, strata_by_deg, pending,
-                        terminated)
-
-    new_algebra = GradedLieAlgebra(degrees, table, rank=P.base.r)
-    return ProlongedAlgebra(P.base, new_algebra, P.strata + [stratum],
-                            P.complete, left)
+    left = _close_pairs(ext, strata_by_deg, pending, terminated)
+    return ProlongedAlgebra(P.base, ext, P.strata + [stratum], P.complete,
+                            left)
 
 
 def _rebase_stratum(P, stratum, chosen_basis):

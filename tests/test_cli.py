@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 from carnotpoly import io as cio
@@ -31,6 +32,11 @@ def test_free_respects_dimension_cap(monkeypatch, capsys):
     code, _, err = run(capsys, "free", "--rank", "3", "--step", "4")
     assert code == 2
     assert "cap" in err
+    for bad in ("abc", "0", "-3", "2.5", ""):
+        monkeypatch.setenv("CARNOT_MAX_DIM", bad)
+        code, _, err = run(capsys, "free", "--rank", "2", "--step", "4")
+        assert code == 2, bad
+        assert "CARNOT_MAX_DIM" in err
 
 
 def test_prolong_report(tmp_path, capsys):
@@ -138,6 +144,20 @@ def test_integrate_horizontal_with_expressions(tmp_path, capsys):
     assert abs(doc["endpoint"][0] - 0.8414709848) < 1e-8
 
 
+def test_integrate_rejects_bad_controls(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    run(capsys, "free", "--rank", "2", "--step", "3", "--emit", str(path))
+    for controls in (
+            "cos(t) + 0*().__class__.__base__.__subclasses__().__len__();sin(t)",
+            "log(t-5);1", "1/(t-t);1", "exp(1000*t);1", "9**9**9;1",
+            "t if t else 1;1", "abs(t);1", "sin(t, t);1", "cos(t;1", ";1"):
+        code, out, err = run(capsys, "integrate", str(path), "--mode",
+                             "horizontal", "--controls", controls,
+                             "--step", "0.1", "--json")
+        assert code == 2, controls
+        assert out == "" and err.startswith("error: "), controls
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     path = tmp_path / "a.json"
     run(capsys, "free", "--rank", "2", "--step", "4", "--emit", str(path))
@@ -180,6 +200,41 @@ def test_prolong_emit_basis_roundtrip(tmp_path, capsys):
     P1 = prolong(algebra, 3)
     P2 = prolong(algebra, 3, basis_overrides=overrides)
     assert P1.algebra.table == P2.algebra.table
+
+
+# SHA-256 of the --json report of each run on free(2,4), from a working
+# directory holding free24.json and line.csv (the exact line of
+# test_detect_from_csv); a refactor must leave every byte unchanged
+GOLDEN_REPORTS = [
+    (["prolong", "free24.json"],
+     "0c859039757ee22974251e52a39d45d5ef309b41c241c89add84cf24423bccfd"),
+    (["polys", "free24.json", "--max-depth", "3"],
+     "14fac1d4bd731e38a2f29a49b7cfb347b71d526251ac9d4d7a5190271ceaf339"),
+    (["verify", "free24.json"],
+     "1ed7e8c9bd7f92ba4cdb0f00ffffe6a64531c73c6668751d90a03b9e0fd73bb8"),
+    (["minors", "free24.json"],
+     "b0a0069ba80bf1d7cd617d0a129927f5d77f40b49f8544bdeae4ea872c40ed03"),
+    (["detect", "free24.json", "line.csv"],
+     "b432dd4a47fe2cc6a8b01a0698f44f023267dc8e626644eb0535b5875bdc1d83"),
+    (["integrate", "free24.json", "--mode", "horizontal",
+      "--controls", "cos(t);sin(t)", "--step", "0.01"],
+     "6752df4760c29334ef82904835d95494f62760abb8eb3bc798101c8b5a326653"),
+    (["spiral", "--samples", "60", "--puncture", "1e-4"],
+     "69a33be846986b56b4f9252289bcdde832a25a8dddca0e666dc5c8489ef6a983"),
+]
+
+
+def test_golden_reports(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    run(capsys, "free", "--rank", "2", "--step", "4", "--emit", "free24.json")
+    lines = ["t,x1,x2,x3,x4,x5,x6,x7,x8"]
+    for t in ("0", "1/2", "1", "2"):
+        lines.append(",".join([t, "0", t] + ["0"] * 6))
+    (tmp_path / "line.csv").write_text("\n".join(lines) + "\n")
+    for argv, digest in GOLDEN_REPORTS:
+        code, out, _ = run(capsys, *argv, "--json")
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
 
 
 def test_spiral_cli_small(capsys):

@@ -5,7 +5,7 @@ import pytest
 
 from carnotpoly import linalg
 from carnotpoly.algebra import GradedLieAlgebra, validate
-from carnotpoly.extremal import (build_family, degree_bound_report, eval_P,
+from carnotpoly.extremal import (build_family, degree_bound_report,
                                  reconstruct_by_recursion, verify_structure)
 from carnotpoly.freelie import build_free
 from carnotpoly.poly import Poly, is_homogeneous, weighted_degree
@@ -117,16 +117,16 @@ def test_eval_at_origin(free24_family):
     rng = random.Random(4)
     v = [Fraction(rng.randint(-5, 5)) for _ in range(8)]
     for j in range(1, 9):
-        assert eval_P(free24_family, j, v, [Fraction(0)] * 8) == v[j - 1]
+        assert free24_family.evaluate(j, v, [Fraction(0)] * 8) == v[j - 1]
     for j in range(-3, 1):
-        assert eval_P(free24_family, j, v, [Fraction(0)] * 8) == 0
+        assert free24_family.evaluate(j, v, [Fraction(0)] * 8) == 0
 
 
 def test_eval_zero_covector(free24_family):
     rng = random.Random(8)
     x = [Fraction(rng.randint(-3, 3)) for _ in range(8)]
     for j in free24_family.rows():
-        assert eval_P(free24_family, j, [0] * 8, x) == 0
+        assert free24_family.evaluate(j, [0] * 8, x) == 0
 
 
 def test_linearity_in_covector(free24_family):
