@@ -232,20 +232,30 @@ def validate(algebra):
         if not target:
             report.append(f"stratum {m} is empty below the step")
             continue
-        pos = {k: t for t, k in enumerate(target)}
-        rows = []
-        for p in A.stratum(m - 1):
-            for q in A.stratum(1):
-                terms = A.bracket_indices(p, q)
-                if terms:
-                    row = [Fraction(0)] * len(target)
-                    for k, c in terms.items():
-                        # components outside the stratum are grading
-                        # violations reported above
-                        if k in pos:
-                            row[pos[k]] = c
-                    rows.append(row)
-        if linalg.rank(rows, len(target)) < len(target):
+        _, cols = generation_columns(A, m)
+        if linalg.rank(cols, len(target)) < len(target):
             report.append(
                 f"stratum {m} not spanned by brackets [g_{m-1}, g_1]")
     return report
+
+
+def generation_columns(algebra, m):
+    """The generating map [g_{m-1}, g_1] -> g_m as ``(pairs, columns)``.
+
+    One column per pair ``(p, q)`` of stratum m-1 by stratum 1: the
+    coordinates of ``[X_p, X_q]`` over stratum m.  Components outside
+    stratum m are grading violations, which :func:`validate` reports
+    separately, and are skipped here.
+    """
+    target = algebra.stratum(m)
+    pos = {k: t for t, k in enumerate(target)}
+    pairs = [(p, q) for p in algebra.stratum(m - 1)
+             for q in algebra.stratum(1)]
+    cols = []
+    for p, q in pairs:
+        col = [Fraction(0)] * len(target)
+        for k, c in algebra.bracket_indices(p, q).items():
+            if k in pos:
+                col[pos[k]] = c
+        cols.append(col)
+    return pairs, cols

@@ -41,6 +41,14 @@ def _max_dim():
     return cap
 
 
+def _depth(text):
+    """A ``--max-depth`` value: a nonnegative integer."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"must be a nonnegative integer, got {text!r}")
+    return int(text)
+
+
 def _emit(report, as_json, status=0):
     if as_json:
         print(json.dumps(report, indent=2, sort_keys=True, default=str))
@@ -99,11 +107,7 @@ def _family_rows_text(family, rows=None):
 
 
 def cmd_free(args):
-    try:
-        algebra, words = build_free(args.rank, args.step, max_dim=_max_dim())
-    except (StructureError, DimensionCapError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    algebra, words = build_free(args.rank, args.step, max_dim=_max_dim())
     report = {
         "command": "free",
         "rank": args.rank,
@@ -218,7 +222,18 @@ def _parse_vector(text, n):
     parts = [p for p in text.split(",") if p.strip()]
     if len(parts) != n:
         raise InputError(f"expected {n} comma-separated entries")
-    return [cio.parse_scalar(p) for p in parts]
+    values = [cio.parse_scalar(p) for p in parts]
+    if not _finite(values):
+        raise InputError(f"entries of {text!r} must be finite floats")
+    return values
+
+
+def _finite(values):
+    """Whether every value converts to a finite float."""
+    try:
+        return all(math.isfinite(v) for v in values)
+    except OverflowError:
+        return False
 
 
 _CONTROL_FUNCS = {name: getattr(math, name)
@@ -283,7 +298,10 @@ def _parse_controls(text, r):
 def cmd_integrate(args):
     algebra, overrides = _load_valid(args)
     n = algebra.n
-    grid = uniform_grid(args.t0, args.t1, args.step)
+    try:
+        grid = uniform_grid(args.t0, args.t1, args.step)
+    except ValueError as exc:
+        raise InputError(str(exc)) from None
     x0 = _parse_vector(args.x0, n) if args.x0 else [0.0] * n
     if args.mode == "normal":
         if not args.lambda0:
@@ -313,6 +331,9 @@ def cmd_integrate(args):
     if curve.lam is not None:
         drift = duality_check(_family(algebra, overrides, None), curve)
         report["prime_integral_drift"] = max(drift.values())
+    if not _finite(report["endpoint"] + [report.get("prime_integral_drift", 0)]):
+        raise InputError("integration overflowed: the report has "
+                         "non-finite values")
     if args.emit:
         with open(args.emit, "w") as fh:
             fh.write(cio.curve_to_csv(curve, n))
@@ -348,7 +369,7 @@ def main(argv=None):
 
     p = sub.add_parser("prolong", help="compute the graded prolongation")
     p.add_argument("algebra")
-    p.add_argument("--max-depth", type=int, default=8)
+    p.add_argument("--max-depth", type=_depth, default=8)
     p.add_argument("--emit-basis",
                    help="write the algebra plus the stratum bases "
                         "(prolongation_basis section) here")
@@ -357,27 +378,27 @@ def main(argv=None):
 
     p = sub.add_parser("polys", help="print the extremal polynomial family")
     p.add_argument("algebra")
-    p.add_argument("--max-depth", type=int, default=None,
+    p.add_argument("--max-depth", type=_depth, default=None,
                    help="prolong to this depth first (default: base only)")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_polys)
 
     p = sub.add_parser("verify", help="check the structure formulas exactly")
     p.add_argument("algebra")
-    p.add_argument("--max-depth", type=int, default=8)
+    p.add_argument("--max-depth", type=_depth, default=8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("minors", help="minor determinants and certificates")
     p.add_argument("algebra")
-    p.add_argument("--max-depth", type=int, default=8)
+    p.add_argument("--max-depth", type=_depth, default=8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_minors)
 
     p = sub.add_parser("detect", help="abnormal detection on curve samples")
     p.add_argument("algebra")
     p.add_argument("curve", help="CSV with header t,x1..xn")
-    p.add_argument("--max-depth", type=int, default=8)
+    p.add_argument("--max-depth", type=_depth, default=8)
     p.add_argument("--tol", type=float, default=1e-9)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_detect)
@@ -407,7 +428,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
+    except (InputError, StructureError, DimensionCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -57,8 +57,21 @@ class CurvePath:
     controls: ControlPath = None
 
 
+MAX_GRID_STEPS = 10 ** 6
+
+
 def uniform_grid(t0, t1, step):
-    count = max(1, round(abs(t1 - t0) / step))
+    """Equally spaced times from t0 to t1, spaced as close to ``step`` as
+    fits.  Non-finite bounds, a step that is not positive and grids of more
+    than MAX_GRID_STEPS steps raise ValueError."""
+    if not all(math.isfinite(v) for v in (t0, t1, step)) or step <= 0:
+        raise ValueError("the time grid needs finite bounds and a positive "
+                         f"finite step, got t0={t0}, t1={t1}, step={step}")
+    steps = abs(t1 - t0) / step
+    if steps > MAX_GRID_STEPS:
+        raise ValueError(f"the time grid would take {steps:.3g} steps, "
+                         f"more than the cap of {MAX_GRID_STEPS}")
+    count = max(1, round(steps))
     return [t0 + (t1 - t0) * m / count for m in range(count + 1)]
 
 

@@ -11,21 +11,23 @@ through g_m = [g_{m-1}, g_1]), so the solver parameterizes phi by the g_1
 block alone, expresses every other block as exact linear forms in those
 unknowns, and takes the rational null space of the full pair-constraint
 system.  The canonical stratum basis is the null-space basis in primitive
-integer form; an explicit basis of the caller's choosing can be
-substituted as long as it spans the same space.
+integer form; an explicit basis of the caller's choosing, given as dense
+g_1 blocks, can be substituted as long as it spans the same space.
 
 New basis elements receive consecutive indices below the lowest stored
 index, so the first computed stratum of dimension D occupies -D+1 .. 0.
 Brackets of two nonpositive elements are recovered from the Jacobi
-identity  [X, [E, F]] = [[X, E], F] - [[X, F], E]  and re-expressed in the
-stored stratum bases.
+identity  [X, [E, F]] = [[X, E], F] - [[X, F], E].  For the same reason
+as above, the coordinates of a derivation in a stratum basis are solved
+on its g_1 block alone; a bracket is then checked against the whole
+recombined map.
 """
 
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import linalg
-from .algebra import GradedLieAlgebra, StructureError
+from .algebra import GradedLieAlgebra, StructureError, generation_columns
 
 
 @dataclass
@@ -84,17 +86,8 @@ def bracket_decompositions(algebra):
         target = algebra.stratum(d)
         if not target:
             continue
-        pos = {k: t for t, k in enumerate(target)}
-        pairs = [(p, q) for p in algebra.stratum(d - 1)
-                 for q in algebra.stratum(1)]
-        cols = []
-        for p, q in pairs:
-            col = [Fraction(0)] * len(target)
-            for k, c in algebra.bracket_indices(p, q).items():
-                col[pos[k]] = c
-            cols.append(col)
-        rows = [[cols[j][i] for j in range(len(pairs))]
-                for i in range(len(target))]
+        pairs, cols = generation_columns(algebra, d)
+        rows = [[col[i] for col in cols] for i in range(len(target))]
         for m in target:
             rhs = [Fraction(1) if k == m else Fraction(0) for k in target]
             sol = linalg.solve(rows, rhs, len(pairs))
@@ -118,15 +111,23 @@ def _phi_expressions(P, k, unknown_pos, g1_targets):
         for m in base.stratum(d):
             acc = {}
             for w, p, q in decomp[m]:
-                # w * ([phi(X_p), X_q] + [X_p, phi(X_q)])
-                for t, form in expr[p].items():
-                    for res, c in A.bracket_indices(t, q).items():
-                        _form_add(acc, res, form, w * c)
-                for t, form in expr[q].items():
-                    for res, c in A.bracket_indices(t, p).items():
-                        _form_add(acc, res, form, -w * c)
+                _leibniz(acc, A, expr, p, q, w)
             expr[m] = {res: f for res, f in acc.items() if f}
     return expr
+
+
+def _leibniz(acc, A, expr, a, b, scale):
+    """Add scale * ([phi(X_a), X_b] + [X_a, phi(X_b)]) to ``acc``.
+
+    ``expr`` holds the blocks of phi as maps ``target -> form``; the result
+    collects, per index of A, the same kind of form.
+    """
+    for t, form in expr[a].items():
+        for res, c in A.bracket_indices(t, b).items():
+            _form_add(acc, res, form, scale * c)
+    for t, form in expr[b].items():
+        for res, c in A.bracket_indices(t, a).items():
+            _form_add(acc, res, form, -scale * c)
 
 
 def _form_add(acc, res, form, scale):
@@ -174,13 +175,7 @@ def compute_stratum(P, k):
             for c, w in base.bracket_indices(a, b).items():
                 for res, form in expr[c].items():
                     _form_add(acc, res, form, w)
-            # minus ([phi(X_a), X_b] + [X_a, phi(X_b)])
-            for t, form in expr[a].items():
-                for res, c in A.bracket_indices(t, b).items():
-                    _form_add(acc, res, form, -c)
-            for t, form in expr[b].items():
-                for res, c in A.bracket_indices(t, a).items():
-                    _form_add(acc, res, form, c)
+            _leibniz(acc, A, expr, a, b, -1)
             for slot in acc.values():
                 if slot:
                     row = [Fraction(0)] * len(unknowns)
@@ -190,45 +185,36 @@ def compute_stratum(P, k):
     basis = linalg.nullspace([list(r) for r in rows], len(unknowns))
 
     maps = []
-    blocks = []
     for vec in basis:
         phi = {}
-        for q in base.stratum(1):
-            img = {t: vec[unknown_pos[(q, t)]] for t in g1_targets
-                   if vec[unknown_pos[(q, t)]]}
+        for m, block in expr.items():   # ascending m: expr is built by degree
+            img = {}
+            for res, form in block.items():
+                v = sum((c * vec[u] for u, c in form.items()), Fraction(0))
+                if v:
+                    img[res] = v
             if img:
-                phi[q] = img
-        for d in range(2, base.s + 1):
-            for m in base.stratum(d):
-                img = {}
-                for res, form in expr[m].items():
-                    v = sum((c * vec[u] for u, c in form.items()),
-                            Fraction(0))
-                    if v:
-                        img[res] = v
-                if img:
-                    phi[m] = img
+                phi[m] = img
         maps.append(phi)
-        blocks.append({q: dict(phi.get(q, {})) for q in base.stratum(1)})
+    blocks = [{q: dict(phi.get(q, {})) for q in base.stratum(1)}
+              for phi in maps]
     return ProlongationStratum(k, maps, blocks)
+
+
+def _combine(coeffs, maps):
+    """The linear combination sum_i coeffs[i] * maps[i] of sparse maps."""
+    out = {}
+    for c, phi in zip(coeffs, maps):
+        for m, img in phi.items():
+            _form_add(out, m, img, c)
+    return {m: img for m, img in out.items() if img}
 
 
 def _pair_action(A, e1, e2):
     """Action m -> [X_m, [E_1, E_2]] via Jacobi, for nonpositive e1, e2."""
-    act = {}
-    for m in A.base_indices():
-        first = A.bracket(A.bracket_indices(m, e1), {e2: Fraction(1)})
-        second = A.bracket(A.bracket_indices(m, e2), {e1: Fraction(1)})
-        val = dict(first)
-        for kk, c in second.items():
-            v = val.get(kk, Fraction(0)) - c
-            if v:
-                val[kk] = v
-            else:
-                val.pop(kk, None)
-        if val:
-            act[m] = val
-    return act
+    halves = [{m: A.bracket(A.bracket_indices(m, u), {v: Fraction(1)})
+               for m in A.base_indices()} for u, v in ((e1, e2), (e2, e1))]
+    return _combine((1, -1), halves)
 
 
 def _close_pairs(ext, strata_by_deg, pending, terminated):
@@ -255,48 +241,53 @@ def _close_pairs(ext, strata_by_deg, pending, terminated):
                 raise StructureError(
                     "bracket escapes a terminated prolongation")
             continue
-        coords = _match_in_stratum(strata_by_deg, res_deg, act,
-                                   f"[E_{e1}, E_{e2}]")
+        coords = _match_in_stratum(strata_by_deg.get(res_deg), act,
+                                   ext.stratum(1),
+                                   f"[E_{e1}, E_{e2}] in degree {res_deg}")
         if coords:
             ext.table[(e1, e2)] = coords
     return still
 
 
-def _match_in_stratum(strata_by_deg, deg, act, context):
-    """Coordinates of an action map in the basis of the given stratum."""
-    st = strata_by_deg.get(deg)
+def _match_in_stratum(st, act, g1, context):
+    """Coordinates of an action map in the basis of the stratum ``st``."""
     if st is None or st.dim == 0:
         if act:
             raise StructureError(
-                f"{context}: nonzero bracket lands in an empty stratum {deg}")
+                f"{context}: nonzero bracket lands in an empty stratum")
         return {}
-    coords = sorted({(m, t) for phi in st.maps
-                     for m, img in phi.items() for t in img}
-                    | {(m, t) for m, img in act.items() for t in img})
-    cpos = {c: i for i, c in enumerate(coords)}
-    vectors = []
-    for phi in st.maps:
-        v = [Fraction(0)] * len(coords)
-        for m, img in phi.items():
-            for t, c in img.items():
-                v[cpos[(m, t)]] = c
-        vectors.append(v)
-    target = [Fraction(0)] * len(coords)
-    for m, img in act.items():
-        for t, c in img.items():
-            target[cpos[(m, t)]] = c
-    sol = linalg.solve_in_span(vectors, target)
-    if sol is None:
+    sol = _coordinates(st, {q: act.get(q, {}) for q in g1})
+    if sol is None or _combine(sol, st.maps) != act:
         raise StructureError(f"{context}: bracket outside the computed stratum")
     return {st_id: c for st_id, c in zip(st.ids, sol) if c}
+
+
+def _coordinates(stratum, g1_block):
+    """Coordinates of a g_1 block in the span of the stratum's g_1 blocks.
+
+    Returns None outside the span.  The coordinates run over the (q, target)
+    entries that any of the blocks touches, at most r * dim g_{1+k}.
+    """
+    blocks = stratum.g1_blocks
+    keys = sorted({(q, t) for blk in blocks + [g1_block]
+                   for q, img in blk.items() for t in img})
+
+    def vector(blk):
+        return [blk.get(q, {}).get(t, Fraction(0)) for q, t in keys]
+
+    return linalg.solve_in_span([vector(blk) for blk in blocks],
+                                vector(g1_block))
 
 
 def extend_structure_constants(P, stratum, chosen_basis=None):
     """Adjoin a computed stratum to the bracket table.
 
     ``chosen_basis`` optionally replaces the canonical basis by explicit
-    g_1 blocks (a list, ascending index order, of maps ``q -> {target ->
-    coefficient}`` or dense matrices); it must span the same space.
+    g_1 blocks: a list, in ascending index order, of dense
+    dim g_{1+k} x r matrices, rows over the targets of stratum 1 + k in
+    ascending index order and columns over X_1..X_r.  Each must be the g_1
+    block of a derivation in the stratum and together they must span it;
+    otherwise :class:`StructureError` is raised.
     """
     if isinstance(P, GradedLieAlgebra):
         P = _trivial(P)
@@ -334,71 +325,24 @@ def extend_structure_constants(P, stratum, chosen_basis=None):
 
 
 def _rebase_stratum(P, stratum, chosen_basis):
-    base = P.base
-    g1 = base.stratum(1)
-    canon_vecs = []
-    coords = sorted({(q, t) for blk in stratum.g1_blocks
-                     for q, img in blk.items() for t in img})
-    chosen_blocks = []
-    for entry in chosen_basis:
-        if isinstance(entry, dict):
-            blk = {q: {t: Fraction(c) for t, c in img.items() if Fraction(c)}
-                   for q, img in entry.items()}
-        else:
-            # dense matrix: rows indexed by target order, columns by g_1 order
-            targets = sorted({t for blk2 in stratum.g1_blocks
-                              for img in blk2.values() for t in img})
-            if not targets:
-                targets = P.algebra.stratum(1 + stratum.degree)
-            blk = {}
-            for ci, q in enumerate(g1):
-                img = {}
-                for ri, t in enumerate(targets):
-                    c = Fraction(entry[ri][ci])
-                    if c:
-                        img[t] = c
-                blk[q] = img
-        chosen_blocks.append(blk)
-        for q, img in blk.items():
-            for t in img:
-                if (q, t) not in coords:
-                    coords.append((q, t))
-    coords = sorted(coords)
-    cpos = {c: i for i, c in enumerate(coords)}
-    for blk in stratum.g1_blocks:
-        v = [Fraction(0)] * len(coords)
-        for q, img in blk.items():
-            for t, c in img.items():
-                v[cpos[(q, t)]] = c
-        canon_vecs.append(v)
-    trans = []
-    for blk in chosen_blocks:
-        v = [Fraction(0)] * len(coords)
-        for q, img in blk.items():
-            for t, c in img.items():
-                v[cpos[(q, t)]] = c
-        sol = linalg.solve_in_span(canon_vecs, v)
-        if sol is None:
-            raise StructureError("chosen basis leaves the computed stratum")
-        trans.append(sol)
+    g1 = P.base.stratum(1)
+    targets = P.algebra.stratum(1 + stratum.degree)
+    blocks = []
+    for mat in chosen_basis:
+        if len(mat) != len(targets) or any(len(row) != len(g1) for row in mat):
+            raise StructureError(
+                f"chosen basis of stratum {stratum.degree}: each matrix must "
+                f"be {len(targets)} x {len(g1)} (dim g_{1 + stratum.degree} "
+                f"rows by r columns)")
+        blocks.append({q: {t: Fraction(row[ci]) for t, row in zip(targets, mat)
+                           if row[ci]} for ci, q in enumerate(g1)})
+    trans = [_coordinates(stratum, blk) for blk in blocks]
+    if None in trans:
+        raise StructureError("chosen basis leaves the computed stratum")
     if len(trans) != stratum.dim or linalg.rank(trans, stratum.dim) != stratum.dim:
         raise StructureError("chosen basis does not span the stratum")
-    maps = []
-    for sol in trans:
-        phi = {}
-        for c, old in zip(sol, stratum.maps):
-            if not c:
-                continue
-            for m, img in old.items():
-                slot = phi.setdefault(m, {})
-                for t, cc in img.items():
-                    v = slot.get(t, Fraction(0)) + c * cc
-                    if v:
-                        slot[t] = v
-                    else:
-                        slot.pop(t, None)
-        maps.append({m: img for m, img in phi.items() if img})
-    return ProlongationStratum(stratum.degree, maps, chosen_blocks)
+    maps = [_combine(sol, stratum.maps) for sol in trans]
+    return ProlongationStratum(stratum.degree, maps, blocks)
 
 
 def prolong(A, max_depth=8, basis_overrides=None):

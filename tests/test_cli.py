@@ -1,6 +1,8 @@
 import hashlib
 import json
 
+import pytest
+
 from carnotpoly import io as cio
 from carnotpoly.cli import main
 from carnotpoly.freelie import build_free
@@ -156,6 +158,61 @@ def test_integrate_rejects_bad_controls(tmp_path, capsys):
                              "--step", "0.1", "--json")
         assert code == 2, controls
         assert out == "" and err.startswith("error: "), controls
+
+
+def test_integrate_rejects_bad_grid(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    run(capsys, "free", "--rank", "2", "--step", "3", "--emit", str(path))
+    for flag, value in (("--step", "0"), ("--step", "nan"), ("--t1", "inf"),
+                        ("--step", "-0.5"), ("--step", "1e-9")):
+        code, out, err = run(capsys, "integrate", str(path), "--mode",
+                             "horizontal", "--controls", "1;1",
+                             flag, value, "--json")
+        assert code == 2, (flag, value)
+        assert out == "" and "time grid" in err, (flag, value)
+
+
+def test_integrate_rejects_non_finite_values(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    run(capsys, "free", "--rank", "2", "--step", "3", "--emit", str(path))
+    cases = (
+        ["--mode", "horizontal", "--controls", "t*1e308*1e308;1"],
+        ["--mode", "adjoint", "--controls", "t*1e308*1e308;1",
+         "--lambda0", "1,0,0,0,0"],
+        ["--mode", "horizontal", "--controls", "1;1", "--x0", "0,nan,0,0,0"],
+        ["--mode", "normal", "--lambda0", "1,0,0,inf,0"],
+        ["--mode", "normal", "--lambda0", "1,0,0,0," + "9" * 400])
+    for extra in cases:
+        code, out, err = run(capsys, "integrate", str(path), *extra,
+                             "--step", "0.5", "--json")
+        assert code == 2, extra
+        assert out == "" and err.startswith("error: "), extra
+
+
+def test_negative_max_depth_rejected(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    run(capsys, "free", "--rank", "2", "--step", "3", "--emit", str(path))
+    for argv in (["prolong", str(path)], ["polys", str(path)],
+                 ["verify", str(path)], ["minors", str(path)],
+                 ["detect", str(path), "curve.csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--max-depth", "-2"])
+        assert exc.value.code == 2, argv
+        assert "--max-depth" in capsys.readouterr().err, argv
+
+
+def test_bad_prolongation_basis_exits_2(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    run(capsys, "free", "--rank", "2", "--step", "4", "--emit", str(path))
+    algebra, _ = cio.load_algebra(path)
+    for maps, message in (([[[0, 1]]] * 4, "must be 2 x 2"),
+                          ([[[0, 1, 0], [0, 0, 0]]] * 4, "must be 2 x 2"),
+                          ([[[0, 1], [0, 0]]] * 4, "does not span")):
+        bad = tmp_path / "bad.json"
+        cio.save_algebra(bad, algebra, overrides={0: maps})
+        code, out, err = run(capsys, "prolong", str(bad), "--json")
+        assert code == 2, maps
+        assert out == "" and message in err, maps
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

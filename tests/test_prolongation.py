@@ -1,10 +1,18 @@
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from carnotpoly import build_free
+from carnotpoly import io as cio
 from carnotpoly.algebra import GradedLieAlgebra, StructureError
-from carnotpoly.prolongation import (ProlongedAlgebra, compute_stratum,
+from carnotpoly.cli import main
+from carnotpoly.prolongation import (ProlongedAlgebra, _match_in_stratum,
+                                     compute_stratum,
                                      extend_structure_constants, prolong)
 
 from conftest import ELEMENTARY_G0
@@ -176,6 +184,70 @@ def test_non_spanning_override_rejected(free24):
     bad = [[[0, 1], [0, 0]]] * 4
     with pytest.raises(StructureError):
         extend_structure_constants(free24, st, chosen_basis=bad)
+
+
+def test_non_derivation_override_rejected(heisenberg):
+    # degree -1 of the Heisenberg prolongation: 6 derivations inside the
+    # 8-dimensional space of 4 x 2 blocks; X_1 -> E_-3 extends to none
+    P = prolong(heisenberg, 0)
+    st = compute_stratum(P, -1)
+    targets = P.algebra.stratum(0)
+    dense = [[[blk[q].get(t, 0) for q in (1, 2)] for t in targets]
+             for blk in st.g1_blocks]
+    dense[0] = [[1, 0], [0, 0], [0, 0], [0, 0]]
+    with pytest.raises(StructureError, match="leaves the computed stratum"):
+        extend_structure_constants(P, st, chosen_basis=dense)
+
+
+def test_match_checks_the_whole_action(free24_prolonged):
+    st = free24_prolonged.strata[0]
+    act = {m: dict(img) for m, img in st.maps[0].items()}
+    assert _match_in_stratum(st, act, [1, 2], "E") == {st.ids[0]: 1}
+    # same g_1 block, so the solve succeeds, but a higher block is off
+    act[3] = {3: act.get(3, {}).get(3, Fraction(0)) + 1}
+    with pytest.raises(StructureError, match="outside the computed stratum"):
+        _match_in_stratum(st, act, [1, 2], "E")
+
+
+@st.composite
+def unimodular(draw, size=4):
+    """An integer matrix of determinant +-1: row additions, a row
+    permutation and row signs applied to the identity."""
+    U = [[int(i == j) for j in range(size)] for i in range(size)]
+    for i, j, c in draw(st.lists(st.tuples(
+            st.integers(0, size - 1), st.integers(0, size - 1),
+            st.integers(-2, 2)), max_size=6)):
+        if i != j:
+            U[i] = [a + c * b for a, b in zip(U[i], U[j])]
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=size,
+                          max_size=size))
+    return [[s * a for a in U[i]]
+            for s, i in zip(signs, draw(st.permutations(range(size))))]
+
+
+@pytest.mark.parametrize("step", [3, 4])
+@settings(max_examples=15, deadline=None)
+@given(U=unimodular())
+def test_recombined_g0_basis_prolongs_alike(step, U):
+    A = build_free(2, step)[0]
+    canon = prolong(A, 3)
+    g1 = A.stratum(1)
+    blocks = canon.strata[0].g1_blocks
+    maps = [[[sum((c * blk[q].get(t, 0) for c, blk in zip(row, blocks)),
+                  Fraction(0)) for q in g1] for t in g1] for row in U]
+    P = prolong(A, 3, basis_overrides={0: maps})
+    assert P.stratum_dims == canon.stratum_dims
+    assert P.algebra.validate() == []
+    assert P.deferred == canon.deferred
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out = Path(tmp) / "a.json", Path(tmp) / "b.json"
+        cio.save_algebra(src, A, overrides={0: maps})
+        assert main(["prolong", str(src), "--max-depth", "3",
+                     "--emit-basis", str(out)]) == 0
+        algebra, overrides = cio.load_algebra(out)
+    assert overrides[0] == maps
+    assert prolong(algebra, 3, basis_overrides=overrides).algebra.table \
+        == P.algebra.table
 
 
 def test_zero_stratum_leaves_table_unchanged(free24):
