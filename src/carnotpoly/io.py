@@ -113,6 +113,9 @@ def algebra_from_json(doc, max_dim=None):
                     for mat in block["maps"]]
         except (KeyError, TypeError, ValueError) as exc:
             raise InputError(f"bad prolongation basis: {exc}") from None
+        if deg in overrides:
+            raise InputError(
+                f"duplicate prolongation basis for degree {deg}")
         overrides[deg] = maps
     return algebra, overrides
 

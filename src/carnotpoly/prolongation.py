@@ -20,7 +20,9 @@ Brackets of two nonpositive elements are recovered from the Jacobi
 identity  [X, [E, F]] = [[X, E], F] - [[X, F], E].  For the same reason
 as above, the coordinates of a derivation in a stratum basis are solved
 on its g_1 block alone; a bracket is then checked against the whole
-recombined map.
+recombined map.  Each stratum factors its g_1 blocks once, on the first
+such solve, so every further bracket or chosen basis vector costs one
+back-substitution.
 """
 
 from dataclasses import dataclass, field
@@ -32,14 +34,46 @@ from .algebra import GradedLieAlgebra, StructureError, generation_columns
 
 @dataclass
 class ProlongationStratum:
+    """One nonpositive stratum: its basis maps and their g_1 blocks.
+
+    The g_1 blocks are factored once, on the first call of
+    :meth:`coordinates`, over the (q, target) entries they touch.
+    """
     degree: int
     maps: list          # per basis element: {m (1..n) -> {target id -> Fraction}}
     g1_blocks: list     # per basis element: {q (1..r) -> {target id -> Fraction}}
     ids: list = field(default_factory=list)  # assigned when adjoined
+    _span: tuple = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self):
         return len(self.maps)
+
+    def coordinates(self, g1_block):
+        """Coordinates of a g_1 block in the span of the stratum's g_1
+        blocks, or None outside it.
+
+        The coordinates run over the (q, target) entries that the blocks
+        touch, at most r * dim g_{1+k}; a block with a nonzero entry
+        elsewhere is outside the span.
+        """
+        if self._span is None:
+            keys = sorted({(q, t) for blk in self.g1_blocks
+                           for q, img in blk.items() for t in img})
+            vectors = [[blk.get(q, {}).get(t, Fraction(0)) for q, t in keys]
+                       for blk in self.g1_blocks]
+            self._span = ({key: i for i, key in enumerate(keys)},
+                          linalg.SpanFactor(vectors, len(keys)))
+        pos, factor = self._span
+        vec = [Fraction(0)] * factor.ncols
+        for q, img in g1_block.items():
+            for t, c in img.items():
+                i = pos.get((q, t))
+                if i is not None:
+                    vec[i] = c
+                elif c:
+                    return None
+        return factor.solve(vec)
 
 
 @dataclass
@@ -87,14 +121,19 @@ def bracket_decompositions(algebra):
         if not target:
             continue
         pairs, cols = generation_columns(algebra, d)
-        rows = [[col[i] for col in cols] for i in range(len(target))]
-        for m in target:
-            rhs = [Fraction(1) if k == m else Fraction(0) for k in target]
-            sol = linalg.solve(rows, rhs, len(pairs))
-            if sol is None:
-                raise StructureError(
-                    f"stratum {d} not generated by [g_{d-1}, g_1]")
-            out[m] = [(w, p, q) for w, (p, q) in zip(sol, pairs) if w]
+        npairs, size = len(pairs), len(target)
+        # one rref of [M | I]: the particular solution of M x = e_m with
+        # free variables zero is column m of the transform on the pivots
+        aug = [[col[i] for col in cols] + [int(i == j) for j in range(size)]
+               for i in range(size)]
+        reduced, pivots = linalg.rref(aug, npairs)
+        if len(pivots) < size:
+            raise StructureError(
+                f"stratum {d} not generated by [g_{d-1}, g_1]")
+        for j, m in enumerate(target):
+            sol = dict(zip(pivots, (row[npairs + j] for row in reduced)))
+            out[m] = [(sol[c], p, q) for c, (p, q) in enumerate(pairs)
+                      if sol.get(c)]
     algebra._gen_decomp = out
     return out
 
@@ -256,27 +295,10 @@ def _match_in_stratum(st, act, g1, context):
             raise StructureError(
                 f"{context}: nonzero bracket lands in an empty stratum")
         return {}
-    sol = _coordinates(st, {q: act.get(q, {}) for q in g1})
+    sol = st.coordinates({q: act.get(q, {}) for q in g1})
     if sol is None or _combine(sol, st.maps) != act:
         raise StructureError(f"{context}: bracket outside the computed stratum")
     return {st_id: c for st_id, c in zip(st.ids, sol) if c}
-
-
-def _coordinates(stratum, g1_block):
-    """Coordinates of a g_1 block in the span of the stratum's g_1 blocks.
-
-    Returns None outside the span.  The coordinates run over the (q, target)
-    entries that any of the blocks touches, at most r * dim g_{1+k}.
-    """
-    blocks = stratum.g1_blocks
-    keys = sorted({(q, t) for blk in blocks + [g1_block]
-                   for q, img in blk.items() for t in img})
-
-    def vector(blk):
-        return [blk.get(q, {}).get(t, Fraction(0)) for q, t in keys]
-
-    return linalg.solve_in_span([vector(blk) for blk in blocks],
-                                vector(g1_block))
 
 
 def extend_structure_constants(P, stratum, chosen_basis=None):
@@ -336,7 +358,7 @@ def _rebase_stratum(P, stratum, chosen_basis):
                 f"rows by r columns)")
         blocks.append({q: {t: Fraction(row[ci]) for t, row in zip(targets, mat)
                            if row[ci]} for ci, q in enumerate(g1)})
-    trans = [_coordinates(stratum, blk) for blk in blocks]
+    trans = [stratum.coordinates(blk) for blk in blocks]
     if None in trans:
         raise StructureError("chosen basis leaves the computed stratum")
     if len(trans) != stratum.dim or linalg.rank(trans, stratum.dim) != stratum.dim:
@@ -349,16 +371,23 @@ def prolong(A, max_depth=8, basis_overrides=None):
     """Iterate stratum computation until a zero stratum or the cutoff.
 
     ``basis_overrides`` maps a stratum degree to an explicit basis for
-    :func:`extend_structure_constants`.  The result is flagged complete
-    only if a zero stratum was reached; otherwise the prolongation may
-    continue below the cutoff.
+    :func:`extend_structure_constants`; an override that no nonzero
+    computed stratum uses raises :class:`StructureError`.  The result is
+    flagged complete only if a zero stratum was reached; otherwise the
+    prolongation may continue below the cutoff.
     """
     P = _trivial(A) if isinstance(A, GradedLieAlgebra) else A
+    unused = dict(basis_overrides or {})
     for k in range(0, -max_depth - 1, -1):
         st = compute_stratum(P, k)
-        override = (basis_overrides or {}).get(k)
+        override = unused.pop(k, None) if st.dim else None
         P = extend_structure_constants(P, st, chosen_basis=override)
         if st.dim == 0:
             P.complete = True
             break
+    if unused:
+        raise StructureError(
+            f"prolongation basis for degrees {sorted(unused)} not used: the "
+            "run computed no nonzero stratum there (stratum dims from "
+            f"degree 0 down: {P.stratum_dims})")
     return P

@@ -1,12 +1,17 @@
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from carnotpoly import build_free
 from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
                                 multi_index_factorial, validate)
+from carnotpoly.prolongation import prolong
 
-from conftest import heisenberg_algebra
+from conftest import ELEMENTARY_G0, heisenberg_algebra
 
 
 def e(n, *positions):
@@ -139,6 +144,68 @@ def test_validate_jacobi_violation(free24):
     assert any("Jacobi" in line for line in report)
     assert not any("antisymmetry" in line for line in report)
     assert not any("grading" in line for line in report)
+
+
+def jacobi_full_scan(A):
+    """Reference: the Jacobi report line of every basis triple that fails,
+    with no triple skipped."""
+    out = []
+    for i, j, k in combinations(A.indices(), 3):
+        acc = {}
+        for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+            term = A.bracket(A.bracket_indices(u, v), {w: Fraction(1)})
+            for m, c in term.items():
+                acc[m] = acc.get(m, Fraction(0)) + c
+        if any(acc.values()):
+            out.append(f"Jacobi violated on triple ({i}, {j}, {k})")
+    return out
+
+
+def _in_grade_constants(A):
+    return [(pair, k) for pair, terms in sorted(A.table.items())
+            for k in sorted(terms)
+            if A.degrees[k] == A.degrees[pair[0]] + A.degrees[pair[1]]]
+
+
+GRADED_CASES = {
+    "free24": build_free(2, 4)[0],
+    "free34": build_free(3, 4)[0],
+    "free24_prolonged": prolong(build_free(2, 4)[0], 3,
+                                basis_overrides={0: ELEMENTARY_G0}).algebra,
+}
+
+
+@pytest.mark.parametrize("name", sorted(GRADED_CASES))
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_graded_jacobi_skip_misses_no_perturbation(name, data):
+    # a single perturbed in-grade constant keeps the grading, so validate
+    # skips the triples whose degree sum is not stored; it must still
+    # report exactly the Jacobi failures of the full scan (none when the
+    # perturbation leaves a Lie algebra, as [X_2, X_1] = 2 X_3 on free(2,4))
+    A = GRADED_CASES[name]
+    pair, k = data.draw(st.sampled_from(_in_grade_constants(A)))
+    delta = data.draw(st.fractions(-3, 3, max_denominator=2).filter(bool))
+    table = {p: dict(terms) for p, terms in A.table.items()}
+    table[pair][k] += delta
+    bad = GradedLieAlgebra(A.degrees, table, rank=A.r)
+    report = validate(bad)
+    assert not any("grading" in line for line in report)
+    assert [line for line in report if "Jacobi" in line] \
+        == jacobi_full_scan(bad)
+
+
+def test_grading_violation_gets_full_triple_scan(free24):
+    # [X_8, X_1] = X_1 breaks the grading; the triple (1, 2, 8) has degree
+    # sum 6, stored nowhere, yet its Jacobi sum is [X_1, X_2] = -X_3
+    table = {p: dict(terms) for p, terms in free24.table.items()}
+    table[(8, 1)] = {1: Fraction(1)}
+    bad = GradedLieAlgebra(dict(free24.degrees), table)
+    report = validate(bad)
+    assert any("grading" in line for line in report)
+    assert "Jacobi violated on triple (1, 2, 8)" in report
+    assert [line for line in report if "Jacobi" in line] \
+        == jacobi_full_scan(bad)
 
 
 def test_validate_hand_entered_heisenberg():

@@ -215,6 +215,28 @@ def test_bad_prolongation_basis_exits_2(tmp_path, capsys):
         assert out == "" and message in err, maps
 
 
+def test_unused_or_duplicate_prolongation_basis_exits_2(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    run(capsys, "free", "--rank", "2", "--step", "4", "--emit", str(path))
+    algebra, _ = cio.load_algebra(path)
+    # free(2,4) prolongs to dims [4, 0]: degree 5 is positive, -1 is the
+    # zero stratum and -7 lies below where the run stops
+    for deg in (5, -1, -7):
+        bad = tmp_path / f"unused{deg}.json"
+        cio.save_algebra(bad, algebra, overrides={deg: [[[1, 0], [0, 1]]]})
+        code, out, err = run(capsys, "prolong", str(bad), "--json")
+        assert code == 2, deg
+        assert out == "" and f"degrees [{deg}] not used" in err, deg
+    dup = tmp_path / "dup.json"
+    cio.save_algebra(dup, algebra, overrides={0: [[[1, 0], [0, 1]]]})
+    doc = json.loads(dup.read_text())
+    doc["prolongation_basis"].append(doc["prolongation_basis"][0])
+    dup.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "prolong", str(dup), "--json")
+    assert code == 2
+    assert out == "" and "duplicate prolongation basis for degree 0" in err
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     path = tmp_path / "a.json"
     run(capsys, "free", "--rank", "2", "--step", "4", "--emit", str(path))

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from carnotpoly import build_free
 from carnotpoly import io as cio
-from carnotpoly.algebra import GradedLieAlgebra, StructureError
+from carnotpoly import linalg
+from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
+                                generation_columns)
 from carnotpoly.cli import main
 from carnotpoly.prolongation import (ProlongedAlgebra, _match_in_stratum,
-                                     compute_stratum,
+                                     bracket_decompositions, compute_stratum,
                                      extend_structure_constants, prolong)
 
 from conftest import ELEMENTARY_G0
@@ -263,7 +265,6 @@ def test_zero_stratum_leaves_table_unchanged(free24):
 def test_determined_by_g1_restriction(free24, heisenberg):
     # rebuild every derivation map from its g_1 block alone through the
     # generativity decompositions; it must reproduce the stored blocks
-    from carnotpoly.prolongation import bracket_decompositions
     for A, depth in ((free24, 3), (heisenberg, 2)):
         P = prolong(A, depth)
         decomp = bracket_decompositions(A)
@@ -290,3 +291,41 @@ def test_determined_by_g1_restriction(free24, heisenberg):
 def test_compute_stratum_requires_previous(free24):
     with pytest.raises(StructureError):
         compute_stratum(free24, -1)
+
+
+@pytest.mark.parametrize("rank, step", [(2, 5), (3, 4)])
+def test_decompositions_are_canonical_particular_solutions(rank, step):
+    # one elimination per degree gives, for each generator, the solution
+    # with free variables zero that a separate solve per target gives
+    A = build_free(rank, step)[0]
+    decomp = bracket_decompositions(A)
+    for d in range(2, A.s + 1):
+        target = A.stratum(d)
+        pairs, cols = generation_columns(A, d)
+        rows = [[col[i] for col in cols] for i in range(len(target))]
+        for m in target:
+            rhs = [Fraction(int(k == m)) for k in target]
+            sol = linalg.solve(rows, rhs, len(pairs))
+            assert decomp[m] == [(w, p, q) for w, (p, q) in zip(sol, pairs)
+                                 if w]
+
+
+def test_decompositions_reject_an_ungenerated_stratum():
+    with pytest.raises(StructureError, match="stratum 2 not generated"):
+        bracket_decompositions(GradedLieAlgebra({1: 1, 2: 1, 3: 2}, {}))
+
+
+def test_each_stratum_is_factored_once(heisenberg, monkeypatch):
+    # each of the 1,069 brackets matched is back-substituted in its
+    # stratum's one factorisation: row reductions scale with the strata
+    calls = []
+    rref = linalg.rref
+
+    def counting(rows, ncols):
+        calls.append(ncols)
+        return rref(rows, ncols)
+
+    monkeypatch.setattr(linalg, "rref", counting)
+    P = prolong(heisenberg, 6)
+    assert len(P.strata) == 7
+    assert len(calls) <= 3 * len(P.strata)
