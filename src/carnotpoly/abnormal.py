@@ -91,7 +91,8 @@ def detect_abnormal(family, samples, tol=1e-9):
                 "warnings": warnings}
     import numpy as np
     M = np.array([[float(c) for c in row] for row in matrix], dtype=float)
-    u, sing, vt = np.linalg.svd(M)
+    # kernel rows of vt beyond len(sing) exist only with fewer rows than n
+    _, sing, vt = np.linalg.svd(M, full_matrices=len(M) < n)
     cutoff = tol * (sing[0] if len(sing) and sing[0] > 0 else 1.0)
     ker = [vt[i] for i in range(len(vt)) if i >= len(sing) or sing[i] <= cutoff]
     return {"exact": False, "basis": [list(map(float, b)) for b in ker],

@@ -176,15 +176,34 @@ class GradedLieAlgebra:
         return validate(self)
 
 
-def multi_index_order(alpha):
-    return sum(alpha)
-
-
 def multi_index_factorial(alpha):
     out = 1
     for a in alpha:
         out *= factorial(a)
     return out
+
+
+def exp_ad(algebra, m, xm, Z):
+    """Replace the Poly-valued map ``Z``, in place, by ``exp(xm ad X_m) Z``.
+
+    Each ad X_m raises the degree by d(m) >= 1 and no degree exceeds s, so
+    on a graded table the series has at most ``s - (lowest degree in Z)``
+    terms; a term past that bound raises :class:`StructureError`.
+    """
+    bound = algebra.s - min(map(algebra.degree, Z), default=algebra.s)
+    term = Z
+    for p in range(1, bound + 2):
+        term = algebra.bracket({m: Fraction(1)}, term)
+        if not term:
+            break
+        if p > bound:
+            raise StructureError(f"ad X_{m} outlasts the grading bound {bound}")
+        scale = xm * Fraction(1, p)
+        for k, c in term.items():
+            term[k] = c = c * scale
+            Z[k] = Z[k] + c if k in Z else c
+    for k in [k for k, c in Z.items() if not c]:
+        del Z[k]
 
 
 def validate(algebra):
@@ -229,9 +248,9 @@ def validate(algebra):
                     continue
                 acc = {}
                 for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
-                    term = A.bracket(A.bracket_indices(u, v), {w: Fraction(1)})
-                    for m, cc in term.items():
-                        acc[m] = acc.get(m, Fraction(0)) + cc
+                    for p, cp in A.bracket_indices(u, v).items():
+                        for m, cc in A.bracket_indices(p, w).items():
+                            acc[m] = acc.get(m, 0) + cp * cc
                 if _clean(acc):
                     report.append(f"Jacobi violated on triple ({i}, {j}, {k})")
     for m in range(2, A.s + 1):

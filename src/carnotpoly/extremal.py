@@ -21,10 +21,9 @@ antidifferentiation, top stratum down.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (GradedLieAlgebra, StructureError, multi_index_factorial,
-                      multi_index_order)
+from .algebra import GradedLieAlgebra, StructureError, exp_ad
 from .group import left_invariant_fields
-from .poly import Poly, key_from_alpha, weighted_degree
+from .poly import Poly, weighted_degree
 from .prolongation import _algebra_of, bracket_decompositions
 
 
@@ -88,29 +87,22 @@ def build_family(A, rows=None):
     """The full matrix Q of the extremal family of ``A``.
 
     ``rows`` restricts the computed row indices (default: all stored).
-    Generalized structure constants are enumerated once per row by the
-    ascending-generator bracketing, so every coefficient is exact.
+    Row j is the adjoint action of the point x on X_j: with generators
+    applied in ascending order, ``exp(x_n ad X_n) ... exp(x_1 ad X_1) X_j``
+    has X_k coefficient exactly
+    ``sum_alpha ((-1)^|alpha|/alpha!) c_j,alpha^k x^alpha = Q_jk``.
     """
     algebra = _algebra_of(A)
     n = algebra.n
     weights = algebra.weights
+    xs = [Poly.variable(n, m, weights) for m in range(1, n + 1)]
     Q = {}
     row_list = sorted(algebra.degrees) if rows is None else list(rows)
     for j in row_list:
-        gsc = algebra.generalized_structure_constants(j)
-        for (alpha, k), c in gsc.items():
-            if k < 1:
-                continue
-            coeff = Fraction((-1) ** multi_index_order(alpha),
-                             multi_index_factorial(alpha)) * c
-            if not coeff:
-                continue
-            key = key_from_alpha(alpha)
-            slot = Q.get((j, k))
-            if slot is None:
-                slot = Poly.zero(n, weights)
-            Q[(j, k)] = slot + Poly(n, {key: coeff}, weights)
-    Q = {jk: p for jk, p in Q.items() if p}
+        Z = {j: Poly.const(n, 1, weights)}
+        for m in range(1, n + 1):
+            exp_ad(algebra, m, xs[m - 1], Z)
+        Q.update(((j, k), p) for k, p in Z.items() if k >= 1)
     return ExtremalFamily(algebra, Q)
 
 
@@ -118,22 +110,27 @@ def verify_structure(family, fields=None, rows=None):
     """Residuals of X_i Q_j. - sum_k c_ij^k Q_k. for all i, stored j.
 
     Returns a list of violation records ``(i, j, k, residual_poly)``;
-    empty means the structure formulas hold exactly.
+    empty means the structure formulas hold exactly.  Each (i, j) visits,
+    ascending, only the k where Q_jk or a Q_mk with c_ij^m != 0 is nonzero.
     """
     A = family.algebra
     n = A.n
     if fields is None:
         fields = left_invariant_fields(A)
+    support = {}
+    for j, k in family.Q:
+        if 1 <= k <= n:
+            support.setdefault(j, set()).add(k)
     report = []
     row_list = family.rows() if rows is None else list(rows)
     for i in range(1, n + 1):
         field = fields[i - 1]
         for j in row_list:
             cij = A.bracket_indices(i, j)
-            for k in range(1, n + 1):
-                qjk = family.Q.get((j, k))
-                lhs = field.apply(qjk) if qjk is not None \
-                    else Poly.zero(n, family.weights)
+            ks = support.get(j, set()).union(
+                *(support.get(m, ()) for m in cij))
+            for k in sorted(ks):
+                lhs = field.apply(family.q(j, k))
                 rhs = Poly.zero(n, family.weights)
                 for m, c in cij.items():
                     qmk = family.Q.get((m, k))

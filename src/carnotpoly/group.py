@@ -1,13 +1,14 @@
 """The group in exponential coordinates of the second kind.
 
 A point ``x = (x_1, ..., x_n)`` stands for ``exp(x_n X_n) ... exp(x_1 X_1)``,
-so the group law, conversions between first- and second-kind coordinates,
-flows of basis fields, and the left-invariant vector fields themselves all
-reduce to the Baker-Campbell-Hausdorff series, which terminates at bracket
-word length s by nilpotency.  BCH is evaluated through Dynkin's formula
-with exact rational coefficients; the scalar entries of coefficient maps
-may be rationals, floats, polynomials, or first-order jets, and the same
-code path serves all of them.
+so the group law, conversions between first- and second-kind coordinates
+and flows of basis fields reduce to the Baker-Campbell-Hausdorff series,
+which terminates at bracket word length s by nilpotency.  BCH is
+evaluated through Dynkin's formula with exact rational coefficients; the
+scalar entries of coefficient maps may be rationals, floats or
+polynomials (any ring elements), and the same code path serves all of
+them.  The left-invariant fields come from the adjoint recursion
+:func:`carnotpoly.algebra.exp_ad`, the one that builds the extremal family.
 
 Second-kind coordinates are extracted by peeling: the X_j coefficient of
 ``log`` is unchanged by the BCH corrections of the factors still to the
@@ -20,74 +21,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .algebra import StructureError
+from .algebra import StructureError, exp_ad
 from .poly import Poly, PolyVectorField
-
-
-class Jet:
-    """First-order jet ``re + sum_i eps_i * parts[i]`` with nilpotent eps."""
-
-    __slots__ = ("re", "parts")
-
-    def __init__(self, re, parts=None):
-        self.re = re
-        self.parts = {i: p for i, p in (parts or {}).items() if p}
-
-    def _lift(self, other):
-        return other if isinstance(other, Jet) else Jet(other)
-
-    def __add__(self, other):
-        other = self._lift(other)
-        parts = dict(self.parts)
-        for i, p in other.parts.items():
-            cur = parts.get(i)
-            val = p if cur is None else cur + p
-            if val:
-                parts[i] = val
-            else:
-                parts.pop(i, None)
-        return Jet(self.re + other.re, parts)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return Jet(-self.re, {i: -p for i, p in self.parts.items()})
-
-    def __sub__(self, other):
-        return self + (-self._lift(other))
-
-    def __mul__(self, other):
-        if isinstance(other, Jet):
-            parts = {}
-            if other.parts and self.re:
-                for i, p in other.parts.items():
-                    v = self.re * p
-                    if v:
-                        parts[i] = v
-            if self.parts and other.re:
-                for i, p in self.parts.items():
-                    v = p * other.re
-                    cur = parts.get(i)
-                    v = v if cur is None else cur + v
-                    if v:
-                        parts[i] = v
-                    else:
-                        parts.pop(i, None)
-            return Jet(self.re * other.re, parts)
-        parts = {}
-        for i, p in self.parts.items():
-            v = p * other
-            if v:
-                parts[i] = v
-        return Jet(self.re * other, parts)
-
-    __rmul__ = __mul__
-
-    def __bool__(self):
-        return bool(self.re) or bool(self.parts)
-
-    def __repr__(self):
-        return f"Jet({self.re!r}, {self.parts!r})"
 
 
 @lru_cache(maxsize=None)
@@ -223,34 +158,20 @@ def flow(algebra, i, t, x):
 def left_invariant_fields(algebra):
     """The fields X_1..X_n as polynomial vector fields in the coordinates.
 
-    Differentiates ``x . exp(sum_i eps_i X_i)`` at eps = 0 with one jet
-    computation for all directions at once.  The degree-d(i) field comes
-    out as d/dx_i plus weighted-homogeneous corrections on coordinates of
-    strictly higher weight.
+    ``x . exp(t X_i)`` moves ``exp(t Z)``, from ``Z = X_i``, left through
+    ``exp(x_1 X_1)``, ``exp(x_2 X_2)``, ...: to first order in t the X_m
+    component of Z merges into x_m (it is the d/dx_m coefficient) and the
+    rest passes the factor as ``exp(x_m ad X_m)`` of itself.
     """
     n = algebra.n
     weights = algebra.weights
     xs = [Poly.variable(n, j, weights) for j in range(1, n + 1)]
-    u = from_second_kind(algebra, xs)
-    uj = {k: Jet(p) for k, p in u.items()}
-    one = Poly.const(n, 1, weights)
-    zero = Poly.zero(n, weights)
-    w = {i: Jet(zero, {i: one}) for i in range(1, n + 1)}
-    z = bch(algebra, uj, w)
-    coords = to_second_kind(algebra, z)
     fields = []
     for i in range(1, n + 1):
+        Z = {i: Poly.const(n, 1, weights)}
         coeffs = {}
-        for l in range(1, n + 1):
-            c = coords[l - 1]
-            if isinstance(c, Jet):
-                if c.re != xs[l - 1]:
-                    raise StructureError(
-                        "unperturbed part of the multiplication jet is off")
-                part = c.parts.get(i)
-                if part:
-                    coeffs[l] = part
-            elif c != 0:
-                raise StructureError("unexpected scalar coordinate in jet run")
+        for m in range(1, n + 1):
+            coeffs[m] = Z.pop(m, 0)
+            exp_ad(algebra, m, xs[m - 1], Z)
         fields.append(PolyVectorField(n, coeffs))
     return fields

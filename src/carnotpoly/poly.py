@@ -8,8 +8,7 @@ the canonical term order (weighted degree, then lexicographic exponent)
 used by :func:`canonical_text`.
 
 Coefficients are :class:`fractions.Fraction` in all exact workflows, but
-the arithmetic is generic: evaluation and scaling accept floats, and the
-group-model module multiplies polynomials by its own jet scalars.
+the arithmetic is generic: evaluation and scaling accept floats.
 """
 
 from fractions import Fraction

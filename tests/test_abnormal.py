@@ -292,3 +292,13 @@ def test_goh_spiral_wrong_covector(free34):
     x[1] = Fraction(1, 2)
     val = fam.evaluate(4, v, x)
     assert val != 0
+
+
+def test_detect_origin_only_float(free24_family):
+    # 6 rows and 8 columns: the two rows of vt past the singular values
+    # are kernel vectors too, so the full V factor is needed
+    res = detect_abnormal(free24_family, [[0.0] * 8])
+    assert not res["exact"]
+    assert res["corank_lower_bound"] == 6
+    for vec in res["basis"]:
+        assert vec[0] == vec[1] == 0

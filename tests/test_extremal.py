@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from carnotpoly import linalg
-from carnotpoly.algebra import GradedLieAlgebra, validate
+from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
+                                multi_index_factorial, validate)
 from carnotpoly.extremal import (build_family, degree_bound_report,
                                  reconstruct_by_recursion, verify_structure)
 from carnotpoly.freelie import build_free
+from carnotpoly.group import left_invariant_fields
 from carnotpoly.poly import Poly, is_homogeneous, weighted_degree
 from carnotpoly.prolongation import prolong
 
@@ -172,11 +174,33 @@ def test_verify_structure_abelian():
     assert verify_structure(fam) == []
 
 
+def _dense_residuals(family, fields):
+    # every (i, j, k), with no support pruning
+    A, n = family.algebra, family.n
+    out = []
+    for i in range(1, n + 1):
+        for j in family.rows():
+            cij = A.bracket_indices(i, j)
+            for k in range(1, n + 1):
+                res = fields[i - 1].apply(family.q(j, k))
+                for m, c in cij.items():
+                    res = res - family.q(m, k) * c
+                if res:
+                    out.append((i, j, k, res))
+    return out
+
+
 def test_verify_structure_detects_damage(free24_prolonged):
     fam = build_family(free24_prolonged)
-    # corrupt one matrix entry
+    fields = left_invariant_fields(fam.algebra)
+    # scale one entry, delete one, and add one outside its row's support
+    assert (4, 3) not in fam.Q and not any(j == 4 and k < 4 for j, k in fam.Q)
     fam.Q[(3, 4)] = fam.Q[(3, 4)] * 2
-    assert verify_structure(fam)
+    del fam.Q[(-1, 6)]
+    fam.Q[(4, 3)] = Poly.variable(8, 1, W24)
+    report = verify_structure(fam, fields)
+    assert {(3, 4), (-1, 6), (4, 3)} <= {(j, k) for _, j, k, _ in report}
+    assert report == _dense_residuals(fam, fields)
 
 
 def quotient_by_top_stratum_subspace(algebra, kill):
@@ -290,3 +314,47 @@ def test_degree_one_rows_pin_the_covector(free24_family):
                            else Fraction(0))
             rows.append(row)
     assert linalg.nullspace(rows, n) == []
+
+
+def _gsc_family(A):
+    """Reference Q: sum ((-1)^|alpha|/alpha!) c_j,alpha^k x^alpha by terms."""
+    algebra = getattr(A, "algebra", A)
+    n, weights = algebra.n, algebra.weights
+    Q = {}
+    for j in sorted(algebra.degrees):
+        for (alpha, k), c in algebra.generalized_structure_constants(j).items():
+            if k < 1:
+                continue
+            coeff = Fraction((-1) ** sum(alpha),
+                             multi_index_factorial(alpha)) * c
+            Q[(j, k)] = Q.get((j, k), Poly.zero(n, weights)) + \
+                Poly.monomial(n, alpha, coeff, weights)
+    return {jk: p for jk, p in Q.items() if p}
+
+
+@pytest.mark.parametrize("case", ["heisenberg", "free23", "free24", (2, 5),
+                                  (3, 3), "free34", "free24_prolonged",
+                                  "free24_canonical_prolonged",
+                                  "heisenberg_prolonged"], ids=str)
+def test_family_matches_generalized_structure_constants(request, case):
+    if isinstance(case, tuple):
+        A = build_free(*case)[0]
+    elif case == "free24_canonical_prolonged":
+        A = prolong(request.getfixturevalue("free24"), 3)
+    elif case == "heisenberg_prolonged":
+        A = prolong(request.getfixturevalue("heisenberg"), 3)
+    else:
+        A = request.getfixturevalue(case)
+    assert build_family(A).Q == _gsc_family(A)
+
+
+@pytest.mark.parametrize("degrees, table", [
+    ({1: 1, 2: 1}, {(1, 2): {2: 1}}),           # [X_1, X_2] = X_2
+    ({1: 1, 2: 1, 3: 2}, {(3, 1): {2: 1}}),     # [X_3, X_1] = X_2
+], ids=["non_nilpotent", "ungraded_heisenberg"])
+def test_adjoint_recursion_refuses_tables_off_the_grading(degrees, table):
+    A = GradedLieAlgebra(degrees, table)
+    with pytest.raises(StructureError, match="grading bound"):
+        left_invariant_fields(A)
+    with pytest.raises(StructureError, match="grading bound"):
+        build_family(A)

@@ -3,13 +3,80 @@ from fractions import Fraction
 
 import pytest
 
+from carnotpoly import build_free
 from carnotpoly.algebra import StructureError
-from carnotpoly.group import (Jet, bch, flow, from_second_kind, group_mul,
+from carnotpoly.group import (bch, flow, from_second_kind, group_mul,
                               identity, inverse, left_invariant_fields,
                               to_second_kind)
-from carnotpoly.poly import Poly, weighted_degree
+from carnotpoly.poly import Poly, PolyVectorField, weighted_degree
 
 W24 = (1, 1, 2, 3, 3, 4, 4, 4)
+
+
+class Jet:
+    """First-order jet ``re + sum_i eps_i * parts[i]`` with nilpotent eps."""
+
+    __slots__ = ("re", "parts")
+
+    def __init__(self, re, parts=None):
+        self.re = re
+        self.parts = {i: p for i, p in (parts or {}).items() if p}
+
+    def _lift(self, other):
+        return other if isinstance(other, Jet) else Jet(other)
+
+    def __add__(self, other):
+        other = self._lift(other)
+        parts = dict(self.parts)
+        for i, p in other.parts.items():
+            cur = parts.get(i)
+            val = p if cur is None else cur + p
+            if val:
+                parts[i] = val
+            else:
+                parts.pop(i, None)
+        return Jet(self.re + other.re, parts)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return Jet(-self.re, {i: -p for i, p in self.parts.items()})
+
+    def __sub__(self, other):
+        return self + (-self._lift(other))
+
+    def __mul__(self, other):
+        if isinstance(other, Jet):
+            parts = {}
+            if other.parts and self.re:
+                for i, p in other.parts.items():
+                    v = self.re * p
+                    if v:
+                        parts[i] = v
+            if self.parts and other.re:
+                for i, p in self.parts.items():
+                    v = p * other.re
+                    cur = parts.get(i)
+                    v = v if cur is None else cur + v
+                    if v:
+                        parts[i] = v
+                    else:
+                        parts.pop(i, None)
+            return Jet(self.re * other.re, parts)
+        parts = {}
+        for i, p in self.parts.items():
+            v = p * other
+            if v:
+                parts[i] = v
+        return Jet(self.re * other, parts)
+
+    __rmul__ = __mul__
+
+    def __bool__(self):
+        return bool(self.re) or bool(self.parts)
+
+    def __repr__(self):
+        return f"Jet({self.re!r}, {self.parts!r})"
 
 
 # -- an independent oracle: 3x3 unipotent matrices model the Heisenberg
@@ -251,3 +318,38 @@ def test_left_invariance_via_jets(heisenberg, free24):
                    for c in z] for i in range(1, A.n + 1)]
         direct = [f.evaluate(xy) for f in fields]
         assert pushed == direct
+
+
+def _jet_fields(algebra):
+    """Reference fields: differentiate ``x . exp(sum_i eps_i X_i)`` at
+    eps = 0 with one first-order jet run through the BCH group law."""
+    n = algebra.n
+    weights = algebra.weights
+    xs = [Poly.variable(n, j, weights) for j in range(1, n + 1)]
+    u = from_second_kind(algebra, xs)
+    uj = {k: Jet(p) for k, p in u.items()}
+    one = Poly.const(n, 1, weights)
+    zero = Poly.zero(n, weights)
+    w = {i: Jet(zero, {i: one}) for i in range(1, n + 1)}
+    z = bch(algebra, uj, w)
+    coords = to_second_kind(algebra, z)
+    fields = []
+    for i in range(1, n + 1):
+        coeffs = {}
+        for l in range(1, n + 1):
+            c = coords[l - 1]
+            assert isinstance(c, Jet) and c.re == xs[l - 1]
+            coeffs[l] = c.parts.get(i, 0)
+        fields.append(PolyVectorField(n, coeffs))
+    return fields
+
+
+@pytest.mark.parametrize("case", ["heisenberg", "free23", "free24", (2, 5),
+                                  (3, 3), "free34", "free24_prolonged"],
+                         ids=str)
+def test_fields_match_jet_derivation(request, case):
+    A = build_free(*case)[0] if isinstance(case, tuple) \
+        else request.getfixturevalue(case)
+    A = getattr(A, "algebra", A)
+    assert [f.coeffs for f in left_invariant_fields(A)] == \
+        [f.coeffs for f in _jet_fields(A)]
