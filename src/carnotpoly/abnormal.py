@@ -10,9 +10,11 @@ dimension is a sound lower bound for the corank.
 The minor construction stacks the generator rows of the Q matrix against
 the columns a curve through the origin can load (d(k) >= 2, minus the
 single degree-2 column in rank 2, where the adjoint equations force
-lambda_3 = 0 on nonconstant curves) and takes all maximal minors; each
-nonzero determinant is a covector-independent polynomial vanishing on
-every abnormal curve, certified by one explicit monomial.
+lambda_3 = 0 on nonconstant curves).  With rows >= columns it takes all
+maximal minors; each nonzero determinant is a covector-independent
+polynomial vanishing on every abnormal curve, certified by one explicit
+monomial.  With fewer rows the rank is below the column count everywhere,
+so no minor constrains anything.
 """
 
 from dataclasses import dataclass
@@ -21,13 +23,9 @@ from itertools import combinations
 
 from . import linalg
 from .algebra import GradedLieAlgebra, StructureError
-from .extremal import ExtremalFamily
-from .poly import Poly, weighted_degree
+from .extremal import ExtremalFamily, all_exact
+from .poly import Poly, compile_polys, weighted_degree
 from .prolongation import ProlongationStratum, ProlongedAlgebra, _trivial
-
-
-def _is_exact(value):
-    return isinstance(value, (int, Fraction))
 
 
 def variety_generators(family, v):
@@ -44,13 +42,14 @@ def _rows_vanish(family, rows, v, samples, tol):
     samples.  Exact comparison on all-rational samples (tol defaults to 0
     there, 1e-9 otherwise).
     """
-    exact = all(_is_exact(c) for x in samples for c in x)
+    exact = all_exact(samples)
     if tol is None:
         tol = 0 if exact else 1e-9
     worst = Fraction(0) if exact else 0.0
+    values = family.evaluator(rows, v, exact)
     for x in samples:
-        for j in rows:
-            mag = abs(family.evaluate(j, v, x))
+        for val in values(x):
+            mag = abs(val)
             if mag > worst:
                 worst = mag
     return worst <= tol, worst
@@ -78,19 +77,16 @@ def detect_abnormal(family, samples, tol=1e-9):
         warnings.append("samples do not include the origin")
     if len(samples) < 2:
         warnings.append("very few samples: null space is an over-approximation")
-    exact = all(_is_exact(c) for x in samples for c in x)
-    matrix = []
-    for x in samples:
-        for j in rows:
-            matrix.append([family.q(j, k).evaluate(x)
-                           for k in range(1, n + 1)])
-    if exact:
-        basis = linalg.nullspace(
-            [[Fraction(c) for c in row] for row in matrix], n)
+    if all_exact(samples):
+        matrix = [[Fraction(family.q(j, k).evaluate(x))
+                   for k in range(1, n + 1)] for x in samples for j in rows]
+        basis = linalg.nullspace(matrix, n)
         return {"exact": True, "basis": basis, "corank_lower_bound": len(basis),
                 "warnings": warnings}
     import numpy as np
-    M = np.array([[float(c) for c in row] for row in matrix], dtype=float)
+    entries = compile_polys([family.q(j, k) for j in rows
+                             for k in range(1, n + 1)])
+    M = np.array([entries(x) for x in samples], dtype=float).reshape(-1, n)
     # kernel rows of vt beyond len(sing) exist only with fewer rows than n
     _, sing, vt = np.linalg.svd(M, full_matrices=len(M) < n)
     cutoff = tol * (sing[0] if len(sing) and sing[0] > 0 else 1.0)
@@ -113,7 +109,6 @@ class MinorSystem:
 def _det(matrix):
     """Exact determinant of a square Poly matrix by memoized expansion."""
     size = len(matrix)
-    n = matrix[0][0].n if size else 0
     cache = {}
 
     def minor(rows, cols):
@@ -141,8 +136,6 @@ def _det(matrix):
         cache[key] = out
         return out
 
-    if size == 0:
-        return Poly.const(n, 1)
     return minor(tuple(range(size)), tuple(range(size)))
 
 
@@ -151,7 +144,7 @@ def minor_system(family, columns=None):
 
     Rows: stored j with d(j) <= 1, ascending.  Columns default to the
     curve-through-origin reduction: k with d(k) >= 2, and in rank 2 the
-    degree-2 column is dropped as well.
+    degree-2 column is dropped as well.  Fewer rows than columns: no minors.
     """
     A = family.algebra
     n = A.n
@@ -166,15 +159,9 @@ def minor_system(family, columns=None):
             columns = [k for k in columns if A.degrees[k] != 2]
     matrix = [[family.q(j, k) for k in columns] for j in rows]
     minors = []
-    if not rows or not columns:
-        return MinorSystem(family, rows, columns, matrix, minors)
-    if len(rows) >= len(columns):
+    if columns and len(rows) >= len(columns):
         for subset in combinations(range(len(rows)), len(columns)):
             det = _det([matrix[i] for i in subset])
-            minors.append((subset, det))
-    else:
-        for subset in combinations(range(len(columns)), len(rows)):
-            det = _det([[row[c] for c in subset] for row in matrix])
             minors.append((subset, det))
     return MinorSystem(family, rows, columns, matrix, minors)
 
@@ -297,9 +284,7 @@ def certificate_text(system, certificates):
     """Human-readable lines for a minor report."""
     lines = []
     for (subset, det), cert in zip(system.minors, certificates):
-        rows = ",".join(str(system.row_indices[i]) for i in subset) \
-            if len(system.row_indices) >= len(system.col_indices) \
-            else ",".join(str(system.col_indices[i]) for i in subset)
+        rows = ",".join(str(system.row_indices[i]) for i in subset)
         if cert is None:
             lines.append(f"minor rows({rows}): zero determinant")
         else:

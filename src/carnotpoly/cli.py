@@ -19,9 +19,9 @@ from . import io as cio
 from .abnormal import (certificate_text, detect_abnormal, minor_system,
                        nonvanishing_certificate)
 from .algebra import StructureError, validate
-from .dynamics import (ControlPath, duality_check, integrate_adjoint,
-                       integrate_horizontal, integrate_normal,
-                       spiral_example, uniform_grid)
+from .dynamics import (MAX_GRID_STEPS, ControlPath, duality_check,
+                       integrate_adjoint, integrate_horizontal,
+                       integrate_normal, spiral_example, uniform_grid)
 from .extremal import build_family, verify_structure
 from .freelie import DimensionCapError, build_free
 from .io import InputError
@@ -195,6 +195,12 @@ def cmd_minors(args):
         "nonzero_minors": sum(1 for c in certs if c is not None),
         "certificates": certificate_text(system, certs),
     }
+    rows, cols = len(system.row_indices), len(system.col_indices)
+    if rows < cols:
+        report["note"] = (
+            f"{rows} rows < {cols} columns: the rank is below {cols} at every "
+            "point, so pointwise minors give no constraint; 'carnotpoly "
+            "detect' asks for one covector common to all curve samples")
     return _emit(report, args.json)
 
 
@@ -223,17 +229,9 @@ def _parse_vector(text, n):
     if len(parts) != n:
         raise InputError(f"expected {n} comma-separated entries")
     values = [cio.parse_scalar(p) for p in parts]
-    if not _finite(values):
+    if not cio.finite(values):
         raise InputError(f"entries of {text!r} must be finite floats")
     return values
-
-
-def _finite(values):
-    """Whether every value converts to a finite float."""
-    try:
-        return all(math.isfinite(v) for v in values)
-    except OverflowError:
-        return False
 
 
 _CONTROL_FUNCS = {name: getattr(math, name)
@@ -331,7 +329,7 @@ def cmd_integrate(args):
     if curve.lam is not None:
         drift = duality_check(_family(algebra, overrides, None), curve)
         report["prime_integral_drift"] = max(drift.values())
-    if not _finite(report["endpoint"] + [report.get("prime_integral_drift", 0)]):
+    if not cio.finite(report["endpoint"] + [report.get("prime_integral_drift", 0)]):
         raise InputError("integration overflowed: the report has "
                          "non-finite values")
     if args.emit:
@@ -342,6 +340,12 @@ def cmd_integrate(args):
 
 
 def cmd_spiral(args):
+    if not 0 < args.puncture < 1:
+        raise InputError("--puncture must be a finite number strictly "
+                         f"between 0 and 1, got {args.puncture}")
+    if not 0 < args.samples <= MAX_GRID_STEPS:
+        raise InputError(f"--samples must be a positive integer of at most "
+                         f"{MAX_GRID_STEPS}, got {args.samples}")
     report = spiral_example(samples_per_side=args.samples // 2,
                             puncture=args.puncture, tol=args.tol)
     report = {"command": "spiral", **report}

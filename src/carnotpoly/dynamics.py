@@ -12,7 +12,8 @@ of prime integrals.  :func:`duality_check` measures that drift, and
 :func:`iterated_integrals` runs the quadrature algorithm pairing the
 integrals B_ij with prolongation rows of the family.
 
-Floating point lives here and nowhere else in the package.
+Floating point lives here, in the float kernel :func:`poly.compile_polys`
+and in the float branches of :mod:`abnormal`.
 """
 
 import bisect
@@ -20,8 +21,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .extremal import build_family
+from .extremal import all_exact, build_family
 from .group import left_invariant_fields
+from .poly import PolyVectorField
 from .prolongation import _algebra_of
 
 
@@ -33,7 +35,6 @@ class ControlPath:
     func: object = None          # t -> sequence of r values
     times: list = None
     values: list = None          # aligned with times, each of length r
-    bound: float = None
 
     def __call__(self, t):
         if self.func is not None:
@@ -99,13 +100,10 @@ def _compiled_fields(A, fields=None, coords=None):
     algebra = _algebra_of(A)
     if fields is None:
         fields = left_invariant_fields(algebra)
-    fields = fields[:algebra.r]
-    if coords is not None:
-        from .poly import PolyVectorField
-        fields = [PolyVectorField(f.n, {l: p for l, p in f.coeffs.items()
-                                        if l <= coords})
-                  for f in fields]
-    return [f.compiled() for f in fields]
+    cap = coords or algebra.n
+    return [PolyVectorField(f.n, {l: p for l, p in f.coeffs.items()
+                                  if l <= cap}).compiled()
+            for f in fields[:algebra.r]]
 
 
 def _horizontal_rhs(compiled, h, y, size):
@@ -203,116 +201,72 @@ def integrate_normal(A, lambda0, x0, grid, fields=None):
 
 
 def duality_check(family, curve):
-    """Max drift ``|lambda_i(t) - P_i^v(gamma(t))|`` per index, v = lambda(0)."""
+    """Max drift ``|lambda_i(t) - P_i^v(gamma(t))|`` per index, v = lambda(0).
+
+    Exact on a curve of rational points, float otherwise."""
     if curve.lam is None:
         raise ValueError("curve carries no dual coordinates")
-    v = list(curve.lam[0])
     n = family.n
-    drift = {}
-    for i in range(1, n + 1):
-        worst = 0
-        for x, lam in zip(curve.gamma, curve.lam):
-            val = family.evaluate(i, v, x)
-            err = abs(lam[i - 1] - val)
-            if err > worst:
-                worst = err
-        drift[i] = worst
-    return drift
+    values = family.evaluator(range(1, n + 1), list(curve.lam[0]),
+                              all_exact(curve.gamma))
+    worst = [0] * n
+    for x, lam in zip(curve.gamma, curve.lam):
+        for i, val in enumerate(values(x)):
+            err = abs(lam[i] - val)
+            if err > worst[i]:
+                worst[i] = err
+    return dict(enumerate(worst, start=1))
 
 
 def iterated_integrals(family, curve, v):
     """Quadrature table ``B_ij(t) = int P_i^v(gamma) gamma_j' ds`` and
     its pairing with degree-0 prolongation rows.
 
-    B is integrated by RK4 on the curve's grid alongside nothing else;
-    the pairing matches a row p with ``[X_j, E_p] = X_i`` and
+    B is integrated by RK4 alongside gamma, restarted from
+    ``curve.gamma[0]`` under the curve's controls, so P_i^v is read at the
+    true stage states; B does not feed gamma's right-hand side.  The
+    pairing matches a row p with ``[X_j, E_p] = X_i`` and
     ``[X_j', E_p] = 0`` for the other horizontal indices, for which
     ``B_ij = P_p^v`` along any horizontal curve through the origin.
     Returns ``(table, pairings)`` where table maps (i, j) to the sampled
     B values and pairings is a list of ``(i, j, p, drift)``.
     """
     A = family.algebra
-    r = A.r
+    n, r = A.n, A.r
     if curve.controls is None:
         raise ValueError("iterated integrals need the curve's controls")
-    controls = curve.controls
-    gamma_at = _Interpolant(curve)
-    polys = {i: family.polynomial(i, v) for i in range(1, r + 1)}
+    compiled = _compiled_fields(A)
+    horizontal = family.evaluator(range(1, r + 1), v, False)
     pairs = [(i, j) for i in range(1, r + 1) for j in range(1, r + 1)]
 
     def f(t, y):
-        x = gamma_at(t)
-        h = controls(t)
-        vals = {i: float(polys[i].evaluate(x)) for i in range(1, r + 1)}
-        return [vals[i] * h[j - 1] for (i, j) in pairs]
+        x = y[:n]
+        h = curve.controls(t)
+        vals = horizontal(x)
+        return (_horizontal_rhs(compiled, h, x, n)
+                + [vals[i - 1] * h[j - 1] for i, j in pairs])
 
-    ys = _rk4(f, [0.0] * len(pairs), [float(t) for t in curve.times])
-    table = {pair: [y[idx] for y in ys] for idx, pair in enumerate(pairs)}
+    y0 = [float(c) for c in curve.gamma[0]] + [0.0] * len(pairs)
+    ys = _rk4(f, y0, [float(t) for t in curve.times])
+    table = {pair: [y[n + idx] for y in ys] for idx, pair in enumerate(pairs)}
 
-    pairings = []
+    hits = []
     for p in A.stratum(0):
         if p > 0:
             continue
         images = {j: A.bracket_indices(j, p) for j in range(1, r + 1)}
-        hit = None
         for (i, j) in pairs:
             if images[j] == {i: Fraction(1)} and \
                     all(not images[jj] for jj in range(1, r + 1) if jj != j):
-                hit = (i, j)
+                hits.append((i, j, p))
                 break
-        if hit is None:
-            continue
-        i, j = hit
-        drift = 0.0
-        for m, x in enumerate(curve.gamma):
-            val = float(family.evaluate(p, v, x))
-            err = abs(table[(i, j)][m] - val)
-            if err > drift:
-                drift = err
+    paired = family.evaluator([p for _, _, p in hits], v, False)
+    along = [paired(y[:n]) for y in ys]
+    pairings = []
+    for col, (i, j, p) in enumerate(hits):
+        drift = max(abs(b - row[col]) for b, row in zip(table[(i, j)], along))
         pairings.append((i, j, p, drift))
     return table, pairings
-
-
-class _Interpolant:
-    """Cubic Hermite interpolation of an integrated curve.
-
-    Tangents are Catmull-Rom finite differences: half the difference of
-    the two neighbouring samples, in grid-index units, so the grid is
-    taken as uniform.  The first and last sample use the one-sided secant
-    of their interval.  The controls are not consulted.
-    """
-
-    def __init__(self, curve):
-        self.curve = curve
-
-    def __call__(self, t):
-        ts = self.curve.times
-        if t <= ts[0]:
-            return self.curve.gamma[0]
-        if t >= ts[-1]:
-            return self.curve.gamma[-1]
-        hi = bisect.bisect_right(ts, t)
-        lo = hi - 1
-        t0, t1 = ts[lo], ts[hi]
-        if t == t0:
-            return self.curve.gamma[lo]
-        if t == t1:
-            return self.curve.gamma[hi]
-        w = (t - t0) / (t1 - t0)
-        p0 = self.curve.gamma[lo]
-        p1 = self.curve.gamma[hi]
-        pm = self.curve.gamma[max(lo - 1, 0)]
-        pp = self.curve.gamma[min(hi + 1, len(ts) - 1)]
-        out = []
-        for a_m, a0, a1, a_p in zip(pm, p0, p1, pp):
-            m0 = (a1 - a_m) / 2 if lo > 0 else a1 - a0
-            m1 = (a_p - a0) / 2 if hi < len(ts) - 1 else a1 - a0
-            h00 = (1 + 2 * w) * (1 - w) ** 2
-            h10 = w * (1 - w) ** 2
-            h01 = w * w * (3 - 2 * w)
-            h11 = w * w * (w - 1)
-            out.append(h00 * a0 + h10 * m0 + h01 * a1 + h11 * m1)
-        return out
 
 
 def convergence_order(drifts):
@@ -500,7 +454,6 @@ def spiral_example(samples_per_side=1000, puncture=1e-6, base_step=1e-3,
         side[sign] = (wanted, lifts)
 
     points = []
-    ts = []
     osc_err = 0.0
     for sign in (1.0, -1.0):
         wanted, lifts = side[sign]
@@ -513,7 +466,6 @@ def spiral_example(samples_per_side=1000, puncture=1e-6, base_step=1e-3,
                           abs(lz[2] - spiral_psi(t)))
             pt = product.embed_point(ly, lz)
             points.append([float(c) for c in pt])
-            ts.append(t)
     ok, worst = goh_check(product_family, [float(c) for c in vG], points,
                           tol=tol)
 

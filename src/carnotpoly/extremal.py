@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .algebra import GradedLieAlgebra, StructureError, exp_ad
 from .group import left_invariant_fields
-from .poly import Poly, weighted_degree
+from .poly import Poly, compile_polys, weighted_degree
 from .prolongation import _algebra_of, bracket_decompositions
 
 
@@ -82,6 +82,34 @@ class ExtremalFamily:
             return Fraction(0)
         return total
 
+    def evaluator(self, rows, v, exact):
+        """Map ``x -> [P_j^v(x) for j in rows]``.
+
+        Exact points go through :meth:`evaluate`; float points give the
+        same bits through :func:`compile_polys`.
+        """
+        if exact:
+            return lambda x: [self.evaluate(j, v, x) for j in rows]
+        polys, sums = [], []
+        for j in rows:
+            terms = {}
+            for k in range(1, self.n + 1):
+                q = self.Q.get((j, k))
+                if v[k - 1] and q is not None:
+                    polys.append(q)
+                    terms[((len(polys), 1),)] = v[k - 1]
+            sums.append(Poly(len(polys), terms))
+        # row j is linear in the values Q_jk(x): a second kernel sums
+        # Q_jk(x) * v_k over ascending k with v_k != 0, as evaluate does
+        inner = compile_polys(polys)
+        outer = compile_polys(sums)
+        return lambda x: outer(inner(x))
+
+
+def all_exact(points):
+    """Whether every coordinate of every point is an int or a Fraction."""
+    return all(isinstance(c, (int, Fraction)) for x in points for c in x)
+
 
 def build_family(A, rows=None):
     """The full matrix Q of the extremal family of ``A``.
@@ -130,15 +158,20 @@ def verify_structure(family, fields=None, rows=None):
             ks = support.get(j, set()).union(
                 *(support.get(m, ()) for m in cij))
             for k in sorted(ks):
-                lhs = field.apply(family.q(j, k))
-                rhs = Poly.zero(n, family.weights)
+                q = family.Q.get((j, k))
+                res = dict(field.apply(q).terms) if q is not None else {}
                 for m, c in cij.items():
                     qmk = family.Q.get((m, k))
-                    if qmk is not None:
-                        rhs = rhs + qmk * c
-                res = lhs - rhs
+                    if qmk is None:
+                        continue
+                    for key, a in qmk.terms.items():
+                        cur = res.get(key, 0) - a * c
+                        if cur:
+                            res[key] = cur
+                        else:
+                            res.pop(key, None)
                 if res:
-                    report.append((i, j, k, res))
+                    report.append((i, j, k, Poly(n, res, family.weights)))
     return report
 
 

@@ -4,6 +4,7 @@ Rationals travel as strings ``"p/q"`` (plain integers allowed) so that no
 precision is lost in JSON.  Curve CSV has the header ``t,x1..xn`` with
 optional ``l1..ln`` dual columns; entries containing ``/`` or parsing as
 integers are read back exactly, anything with a decimal point as float.
+A curve with any float entry must have every entry finite as a float.
 Reports carry no timestamps, so identical inputs give identical bytes.
 """
 
@@ -11,6 +12,7 @@ import csv
 import hashlib
 import io as _io
 import json
+import math
 from fractions import Fraction
 
 from .algebra import GradedLieAlgebra, StructureError
@@ -29,6 +31,14 @@ def parse_rational(text):
         return Fraction(str(text))
     except (ValueError, ZeroDivisionError) as exc:
         raise InputError(f"bad rational {text!r}: {exc}") from None
+
+
+def finite(values):
+    """Whether every value converts to a finite float."""
+    try:
+        return all(math.isfinite(v) for v in values)
+    except OverflowError:
+        return False
 
 
 def format_rational(q):
@@ -170,21 +180,25 @@ def samples_from_csv(text, n):
     want = ["t"] + [f"x{i}" for i in range(1, n + 1)]
     if [h.strip() for h in header[:n + 1]] != want:
         raise InputError(f"curve header must start with {','.join(want)}")
-    has_lam = len(header) == 2 * n + 1
-    times, points, lams = [], [], [] if has_lam else None
+    rows = []
     for lineno, row in enumerate(reader, start=2):
         if not row:
             continue
         if len(row) != len(header):
             raise InputError(f"line {lineno}: expected {len(header)} columns")
         try:
-            values = [parse_scalar(c) for c in row]
+            rows.append((lineno, [parse_scalar(c) for c in row]))
         except InputError as exc:
             raise InputError(f"line {lineno}: {exc}") from None
-        times.append(values[0])
-        points.append(values[1:n + 1])
-        if has_lam:
-            lams.append(values[n + 1:])
+    if any(isinstance(c, float) for _, values in rows for c in values):
+        for lineno, values in rows:
+            if not finite(values):
+                raise InputError(f"line {lineno}: a curve with float entries "
+                                 "needs every entry finite as a float")
+    times = [values[0] for _, values in rows]
+    points = [values[1:n + 1] for _, values in rows]
+    has_lam = len(header) == 2 * n + 1
+    lams = [values[n + 1:] for _, values in rows] if has_lam else None
     return times, points, lams
 
 

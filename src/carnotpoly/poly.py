@@ -209,7 +209,7 @@ class Poly:
                     term = term * x
             total = term if total is None else total + term
         if total is None:
-            return _ZERO if not point or isinstance(point[0], (int, Fraction)) else 0.0
+            return _ZERO
         return total
 
     def coefficient(self, alpha):
@@ -305,26 +305,37 @@ class PolyVectorField:
                 for l in range(1, self.n + 1)]
 
     def compiled(self):
-        """Fast float evaluator ``point -> list`` (0-based point sequence)."""
-        items = []
-        for l, f in sorted(self.coeffs.items()):
-            terms = [(float(c), tuple((v - 1, e) for v, e in k))
-                     for k, c in f.terms.items()]
-            items.append((l - 1, terms))
-        n = self.n
+        """Float evaluator ``point -> list`` of all n coefficients."""
+        return compile_polys([self.coefficient(l) for l in range(1, self.n + 1)])
 
-        def run(point):
-            out = [0.0] * n
-            for l0, terms in items:
-                acc = 0.0
-                for c, vs in terms:
-                    t = c
-                    for v0, e in vs:
-                        x = point[v0]
-                        for _ in range(e):
-                            t *= x
-                    acc += t
-                out[l0] = acc
-            return out
 
-        return run
+def compile_polys(polys):
+    """Float evaluator ``point -> [p(point) for p in polys]``.
+
+    Each polynomial runs its terms in ``terms`` order, one power at a time,
+    and sums from its first term, as :meth:`Poly.evaluate` does; since
+    ``Fraction * float`` computes ``float(c) * x``, float points give the
+    same bits.  A zero polynomial gives 0.0.
+    """
+    plans = []
+    for pos, p in enumerate(polys):
+        terms = [(float(c), tuple(v - 1 for v, e in k for _ in range(e)))
+                 for k, c in p.terms.items()]
+        if terms:
+            plans.append((pos, terms[0], terms[1:]))
+    size = len(polys)
+
+    def run(point):
+        out = [0.0] * size
+        for pos, (total, idx), rest in plans:
+            for i in idx:
+                total *= point[i]
+            for c, idx in rest:
+                term = c
+                for i in idx:
+                    term *= point[i]
+                total += term
+            out[pos] = total
+        return out
+
+    return run

@@ -283,7 +283,9 @@ def test_prolong_emit_basis_roundtrip(tmp_path, capsys):
 
 # SHA-256 of the --json report of each run on free(2,4), from a working
 # directory holding free24.json and line.csv (the exact line of
-# test_detect_from_csv); a refactor must leave every byte unchanged
+# test_detect_from_csv); a refactor must leave every byte unchanged.  The
+# float reports pin prime-integral drifts, endpoints and singular values
+# bit for bit; runs go in order, so the emitted curve.csv feeds detect.
 GOLDEN_REPORTS = [
     (["prolong", "free24.json"],
      "0c859039757ee22974251e52a39d45d5ef309b41c241c89add84cf24423bccfd"),
@@ -300,6 +302,19 @@ GOLDEN_REPORTS = [
      "6752df4760c29334ef82904835d95494f62760abb8eb3bc798101c8b5a326653"),
     (["spiral", "--samples", "60", "--puncture", "1e-4"],
      "69a33be846986b56b4f9252289bcdde832a25a8dddca0e666dc5c8489ef6a983"),
+    (["integrate", "free24.json", "--mode", "normal",
+      "--lambda0=-1,0.5,1,-0.25,0.25,0.2,-0.125,1", "--step", "0.01"],
+     "5b9565a223c3209f1f8f452951a16d00d073814d21e6b17ff85872b10ee764df"),
+    (["integrate", "free24.json", "--mode", "adjoint",
+      "--controls", "cos(t);sin(t)",
+      "--lambda0=0.5,-1,0.25,1,-0.5,0.125,2,-1", "--step", "0.01"],
+     "f85f21f911229f083c0c9f0b774aa0f59b9a76cc85c06b66e3e1009daf7da46d"),
+    (["integrate", "free24.json", "--mode", "horizontal",
+      "--controls", "1+cos(t);t+sin(2*t)", "--step", "0.01",
+      "--emit", "curve.csv"],
+     "40720e92d327cd52953392e8791569d75c8b6e428cd617432fa87476bafbfaf4"),
+    (["detect", "free24.json", "curve.csv"],
+     "ad50091ee117628263ed98861a3644790d61a24e64d4393749577e924534701a"),
 ]
 
 
@@ -314,6 +329,51 @@ def test_golden_reports(tmp_path, monkeypatch, capsys):
         code, out, _ = run(capsys, *argv, "--json")
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def test_minors_without_enough_rows_expand_nothing(tmp_path, capsys):
+    # free(2,5) prolongs to 7 rows against 11 columns: every point already
+    # has rank below 11, so no pointwise minor constrains abnormal curves
+    path = tmp_path / "a.json"
+    run(capsys, "free", "--rank", "2", "--step", "5", "--emit", str(path))
+    code, out, _ = run(capsys, "minors", str(path), "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (len(doc["rows"]), len(doc["columns"])) == (7, 11)
+    assert doc["minor_count"] == 0 and doc["certificates"] == []
+    assert doc["note"].startswith("7 rows < 11 columns") \
+        and "detect" in doc["note"]
+
+
+def test_spiral_rejects_unusable_arguments(capsys):
+    for extra in (["--puncture", "0"], ["--puncture", "-0.5"],
+                  ["--puncture", "nan"], ["--puncture", "inf"],
+                  ["--puncture", "1"], ["--puncture", "2"],
+                  ["--samples", "0"], ["--samples", "-4"],
+                  ["--samples", "1000001"]):
+        code, out, err = run(capsys, "spiral", *extra, "--json")
+        assert code == 2, extra
+        assert out == "" and err.startswith("error: "), extra
+
+
+def test_detect_rejects_non_finite_float_samples(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    run(capsys, "free", "--rank", "2", "--step", "4", "--emit", str(path))
+    header = "t,x1,x2,x3,x4,x5,x6,x7,x8"
+    origin = ",".join(["0"] * 9)
+    # a rational beyond the float range is fine on an exact curve only
+    big = "1" + "0" * 400
+    for bad in ("0.5,0.1,nan,0,0,0,0,0,0", "0.5,0.1,0.2,0,0,0,inf,0,0",
+                "0.5,0.1,0.2,-inf,0,0,0,0,0", f"0.5,0.1,0.2,{big},0,0,0,0,0"):
+        curve = tmp_path / "bad.csv"
+        curve.write_text("\n".join([header, origin, bad]) + "\n")
+        code, out, err = run(capsys, "detect", str(path), str(curve), "--json")
+        assert code == 2, bad
+        assert out == "" and err.startswith("error: line 3: "), bad
+    curve.write_text("\n".join([header, origin, f"1,0,1,{big},0,0,0,0,0"])
+                     + "\n")
+    code, out, _ = run(capsys, "detect", str(path), str(curve), "--json")
+    assert code == 0 and json.loads(out)["exact"] is True
 
 
 def test_spiral_cli_small(capsys):

@@ -185,6 +185,21 @@ def test_iterated_integrals_pairings(free24, free24_family, free24_fields):
         assert drift <= 1e-7
 
 
+def test_iterated_integrals_read_the_true_stage_states(free24, free24_family,
+                                                      free24_fields):
+    # B rides the RK4 state next to gamma, so no interpolation error enters
+    # and B_ij = P_p^v holds to rounding on a curve that is not a line
+    controls = ControlPath(2, func=lambda t: (1 + math.cos(3 * t),
+                                              t + math.sin(2 * t)))
+    curve = integrate_horizontal(free24, controls, [0.0] * 8, GRID,
+                                 fields=free24_fields)
+    rng = random.Random(31)
+    v = [0, 0, 0] + [rng.uniform(-1, 1) for _ in range(5)]
+    _, pairings = iterated_integrals(free24_family, curve, v)
+    assert len(pairings) == 4
+    assert max(drift for *_, drift in pairings) <= 1e-12
+
+
 def test_iterated_integral_on_line_closed_form(free24, free24_family):
     # v = e_8, straight line gamma = (0, t, ...): B_12 = t^4/24
     controls = ControlPath(2, func=lambda t: (0.0, 1.0))

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carnotpoly import linalg
 from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
@@ -143,6 +145,18 @@ def test_linearity_in_covector(free24_family):
             rhs = free24_family.polynomial(j, v) * aa + \
                 free24_family.polynomial(j, w) * bb
             assert lhs == rhs
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=st.lists(st.one_of(st.just(0.0), st.floats(-2, 2)), min_size=8,
+                  max_size=8),
+       x=st.lists(st.floats(-3, 3), min_size=8, max_size=8))
+def test_float_evaluator_equals_evaluate(free24_family, v, x):
+    # zero covector entries are skipped by both; every row, prolongation
+    # rows included, must come out as the same float
+    rows = free24_family.rows()
+    got = free24_family.evaluator(rows, v, False)(x)
+    assert got == [float(free24_family.evaluate(j, v, x)) for j in rows]
 
 
 def test_q_matrix_homogeneity_and_origin(free24_family):

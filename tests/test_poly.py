@@ -2,9 +2,12 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carnotpoly.poly import (Poly, PolyVectorField, canonical_text,
-                             is_homogeneous, weighted_degree)
+                             compile_polys, is_homogeneous, key_from_alpha,
+                             weighted_degree)
 
 W24 = (1, 1, 2, 3, 3, 4, 4, 4)
 
@@ -163,3 +166,26 @@ def test_compiled_matches_exact():
         quick = fast(point)
         for a, b in zip(slow, quick):
             assert abs(float(a) - b) < 1e-12
+
+
+COEFFS = st.fractions(-8, 8, max_denominator=12)
+# bounded coordinates: degree 9 at most, so no term overflows
+COORDS = st.floats(-4, 4, allow_nan=False)
+
+
+def random_polys(n):
+    """Fraction polynomials whose terms arrive in any order."""
+    alphas = st.tuples(*[st.integers(0, 3)] * n).map(key_from_alpha)
+    return st.dictionaries(alphas, COEFFS, max_size=6).map(
+        lambda terms: Poly(n, terms))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polys=st.lists(random_polys(3), max_size=4), c=COEFFS,
+       point=st.lists(COORDS, min_size=3, max_size=3))
+def test_compiled_kernel_equals_evaluate_on_float_points(polys, c, point):
+    # same term order, same products, same first-term sum: equal floats,
+    # for the zero and constant polynomials as well
+    polys = polys + [Poly.zero(3), Poly.const(3, c)]
+    assert compile_polys(polys)(point) \
+        == [float(p.evaluate(point)) for p in polys]
