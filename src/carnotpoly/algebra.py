@@ -21,6 +21,13 @@ consistently.
 A table entry is canonically keyed by ``(i, j)`` with ``i > j``, but the
 constructor accepts arbitrary orientations so that hand-entered tables can
 be checked by :func:`validate` before use.
+
+Structure constants are exact and integer-first: the constructor stores an
+integral constant as an ``int`` and any other as a ``Fraction``
+(:func:`linalg.scalar`), so brackets, :func:`validate` and the
+prolongation run on int arithmetic wherever the table allows.  ``str``,
+``hash`` and ``==`` agree between ``3`` and ``Fraction(3)``, so canonical
+text and digests do not depend on the form.
 """
 
 from fractions import Fraction
@@ -62,7 +69,7 @@ class GradedLieAlgebra:
         for (i, j), terms in table.items():
             if i not in self.degrees or j not in self.degrees:
                 raise StructureError(f"bracket entry for unknown pair ({i}, {j})")
-            terms = _clean({k: Fraction(c) for k, c in terms.items()})
+            terms = _clean({k: linalg.scalar(c) for k, c in terms.items()})
             if terms:
                 self.table[(i, j)] = terms
         self._strata = {}
@@ -225,7 +232,7 @@ def validate(algebra):
         if mirror is not None and i != j:
             total = dict(terms)
             for k, c in mirror.items():
-                total[k] = total.get(k, Fraction(0)) + c
+                total[k] = total.get(k, 0) + c
             if _clean(total):
                 report.append(f"antisymmetry violated on pair ({i}, {j})")
         want = A.degrees[i] + A.degrees[j]
@@ -279,7 +286,7 @@ def generation_columns(algebra, m):
              for q in algebra.stratum(1)]
     cols = []
     for p, q in pairs:
-        col = [Fraction(0)] * len(target)
+        col = [0] * len(target)
         for k, c in algebra.bracket_indices(p, q).items():
             if k in pos:
                 col[pos[k]] = c

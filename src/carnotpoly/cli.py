@@ -89,7 +89,8 @@ def _load_valid(args):
 def _family(algebra, overrides, depth):
     """Extremal family of the algebra, prolonged first unless depth is None."""
     if depth is not None:
-        algebra = prolong(algebra, depth, basis_overrides=overrides or None)
+        algebra = prolong(algebra, depth, basis_overrides=overrides or None,
+                          max_dim=_max_dim())
     return build_family(algebra)
 
 
@@ -126,7 +127,8 @@ def cmd_free(args):
 
 def cmd_prolong(args):
     algebra, overrides = _load_valid(args)
-    P = prolong(algebra, args.max_depth, basis_overrides=overrides or None)
+    P = prolong(algebra, args.max_depth, basis_overrides=overrides or None,
+                max_dim=_max_dim())
     report = {
         "command": "prolong",
         "inputs": {args.algebra: cio.file_digest(args.algebra)},

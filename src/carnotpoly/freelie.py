@@ -21,7 +21,7 @@ from .algebra import GradedLieAlgebra, StructureError
 
 
 class DimensionCapError(RuntimeError):
-    """Requested free algebra exceeds the configured dimension cap."""
+    """A free algebra or a prolongation exceeds the dimension cap."""
 
 
 @dataclass(frozen=True)

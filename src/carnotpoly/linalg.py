@@ -1,50 +1,93 @@
 """Exact linear algebra over the rationals.
 
-Dense row-reduction on small matrices of ``Fraction`` entries.  Everything
-here is deterministic: pivots are chosen left-to-right, rows in the order
-given, and null-space bases come out of the reduced row echelon form with
-free variables in ascending column order.  Basis vectors are normalized to
-primitive integer form with the first nonzero entry positive, so repeated
-runs produce byte-identical output.
+One sparse eliminator, :func:`rref`, serves every routine here.  It keeps
+rows as ``{column: value}`` dicts and builds the reduced row echelon form
+incrementally: each row in turn is cleared on the pivot columns found so
+far, then either becomes a new pivot row, which clears its pivot column
+from the earlier pivot rows, or is dropped as dependent.  Elimination
+stops once every pivoted column holds a pivot.  The reduced row echelon
+form is unique, so pivots, null-space bases and particular solutions do
+not depend on this order.  Null-space bases set one free variable to 1 in
+ascending column order and are normalized to primitive integer form with
+the first nonzero entry positive, so repeated runs produce byte-identical
+output.
+
+Exact scalars are integer-first: an integral value is an ``int`` and any
+other rational a ``Fraction``.  :func:`scalar` gives that form, every
+result of this module has it, and division always goes through
+``Fraction``, never ``int / int``.
 """
 
 from fractions import Fraction
 from math import gcd
 
+_ONE = Fraction(1)
 
-def _as_fraction_rows(rows):
-    return [[Fraction(x) for x in row] for row in rows]
+
+def scalar(x):
+    """The exact scalar ``x``: an int when integral, a Fraction otherwise."""
+    if type(x) is not Fraction:
+        if type(x) is int:
+            return x
+        x = Fraction(x)
+    return x.numerator if x.denominator == 1 else x
+
+
+def _add_multiple(row, f, other):
+    """``row += f * other`` on sparse rows, dropping zeros."""
+    for c, x in other.items():
+        v = row.get(c, 0) + f * x
+        if v:
+            row[c] = scalar(v)
+        else:
+            del row[c]
 
 
 def rref(rows, ncols):
-    """Reduced row echelon form.
+    """Reduced row echelon form, pivoting on the first ``ncols`` columns.
 
-    Returns ``(reduced_rows, pivot_columns)``.  The input is not modified.
+    Rows are sequences or sparse ``{column: value}`` dicts; columns past
+    ``ncols`` (an augmented part) ride along unpivoted.  Returns
+    ``(reduced_rows, pivot_columns)`` with pivots ascending and each
+    reduced row a dense list as wide as the widest input row.  The input
+    is not modified.
+
+    A row that depends on the rows before it within the first ``ncols``
+    columns is dropped, augmented part included, so the reduced rows are
+    those of the earliest independent rows.  When no row is dependent
+    there, as for ``[B | I]`` with B of full row rank, this is the unique
+    reduced form of the whole matrix.
     """
-    m = _as_fraction_rows(rows)
-    pivots = []
-    lead = 0
-    for col in range(ncols):
-        pivot_row = None
-        for i in range(lead, len(m)):
-            if m[i][col] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        m[lead], m[pivot_row] = m[pivot_row], m[lead]
-        pv = m[lead][col]
-        if pv != 1:
-            m[lead] = [x / pv for x in m[lead]]
-        for i in range(len(m)):
-            if i != lead and m[i][col] != 0:
-                f = m[i][col]
-                m[i] = [a - f * b for a, b in zip(m[i], m[lead])]
-        pivots.append(col)
-        lead += 1
-        if lead == len(m):
+    width = max([ncols] + [max(row, default=-1) + 1 if isinstance(row, dict)
+                           else len(row) for row in rows])
+    pivot_rows = {}     # pivot column -> sparse row holding 1 there
+    for row in rows:
+        if len(pivot_rows) == ncols:
             break
-    return m[:lead], pivots
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        new = {c: scalar(x) for c, x in items if x}
+        for c in [c for c in new if c in pivot_rows]:
+            _add_multiple(new, -new[c], pivot_rows[c])
+        lead = min((c for c in new if c < ncols), default=None)
+        if lead is None:
+            continue
+        pv = new[lead]
+        if pv != 1:
+            inv = _ONE / pv
+            new = {c: scalar(x * inv) for c, x in new.items()}
+        for prow in pivot_rows.values():
+            f = prow.get(lead)
+            if f:
+                _add_multiple(prow, -f, new)
+        pivot_rows[lead] = new
+    pivots = sorted(pivot_rows)
+    reduced = []
+    for p in pivots:
+        dense = [0] * width
+        for c, x in pivot_rows[p].items():
+            dense[c] = x
+        reduced.append(dense)
+    return reduced, pivots
 
 
 def rank(rows, ncols):
@@ -69,25 +112,25 @@ def primitive(vec):
             if x < 0:
                 ints = [-y for y in ints]
             break
-    return [Fraction(x) for x in ints]
+    return ints
 
 
 def nullspace(rows, ncols):
     """Canonical basis of the right null space of the given matrix.
 
-    Each basis vector sets one free variable to 1 (ascending column order)
-    and is then normalized with :func:`primitive`.
+    Rows are sequences or sparse dicts, as for :func:`rref`.  Each basis
+    vector sets one free variable to 1 (ascending column order) and is
+    then normalized with :func:`primitive`.
     """
     if not rows:
-        return [[Fraction(1 if i == j else 0) for i in range(ncols)]
-                for j in range(ncols)]
+        return [[int(i == j) for i in range(ncols)] for j in range(ncols)]
     reduced, pivots = rref(rows, ncols)
     pivot_set = set(pivots)
     free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
     for fc in free_cols:
-        v = [Fraction(0)] * ncols
-        v[fc] = Fraction(1)
+        v = [0] * ncols
+        v[fc] = 1
         for prow, pcol in zip(reduced, pivots):
             v[pcol] = -prow[fc]
         basis.append(primitive(v))
@@ -104,7 +147,7 @@ def solve(rows, rhs, ncols):
     reduced, pivots = rref(aug, ncols + 1)
     if ncols in pivots:
         return None
-    x = [Fraction(0)] * ncols
+    x = [0] * ncols
     for prow, pcol in zip(reduced, pivots):
         x[pcol] = prow[ncols]
     return x
@@ -123,7 +166,7 @@ class SpanFactor:
 
     def __init__(self, basis_vectors, ncols):
         dim = len(basis_vectors)
-        aug = [list(v) + [1 if j == i else 0 for j in range(dim)]
+        aug = [{**{c: x for c, x in enumerate(v) if x}, ncols + i: 1}
                for i, v in enumerate(basis_vectors)]
         reduced, self.pivots = rref(aug, ncols)
         if len(self.pivots) < dim:
@@ -138,8 +181,8 @@ class SpanFactor:
     def solve(self, target):
         """Coordinates of ``target`` (``ncols`` entries), or None."""
         y = [target[p] for p in self.pivots]
-        image = [Fraction(0)] * self.ncols
-        x = [Fraction(0)] * self.dim
+        image = [0] * self.ncols
+        x = [0] * self.dim
         for yi, row, trow in zip(y, self.rows, self.transform):
             if yi:
                 for c, v in row:
@@ -148,7 +191,7 @@ class SpanFactor:
                     x[i] += yi * v
         if any(a != b for a, b in zip(image, target)):
             return None
-        return x
+        return [scalar(v) for v in x]
 
 
 def solve_in_span(basis_vectors, target):

@@ -175,7 +175,8 @@ class Poly:
             for pos, (v, e) in enumerate(k):
                 if v == j:
                     nk = k[:pos] + ((v, e + 1),) + k[pos + 1:]
-                    out[nk] = c / (e + 1)
+                    exact = isinstance(c, (int, Fraction))
+                    out[nk] = Fraction(c, e + 1) if exact else c / (e + 1)
                     done = True
                     break
                 if v > j:

@@ -26,10 +26,10 @@ back-substitution.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from . import linalg
 from .algebra import GradedLieAlgebra, StructureError, generation_columns
+from .freelie import DimensionCapError
 
 
 @dataclass
@@ -40,8 +40,8 @@ class ProlongationStratum:
     :meth:`coordinates`, over the (q, target) entries they touch.
     """
     degree: int
-    maps: list          # per basis element: {m (1..n) -> {target id -> Fraction}}
-    g1_blocks: list     # per basis element: {q (1..r) -> {target id -> Fraction}}
+    maps: list          # per basis element: {m (1..n) -> {target id -> scalar}}
+    g1_blocks: list     # per basis element: {q (1..r) -> {target id -> scalar}}
     ids: list = field(default_factory=list)  # assigned when adjoined
     _span: tuple = field(default=None, init=False, repr=False, compare=False)
 
@@ -60,12 +60,12 @@ class ProlongationStratum:
         if self._span is None:
             keys = sorted({(q, t) for blk in self.g1_blocks
                            for q, img in blk.items() for t in img})
-            vectors = [[blk.get(q, {}).get(t, Fraction(0)) for q, t in keys]
+            vectors = [[blk.get(q, {}).get(t, 0) for q, t in keys]
                        for blk in self.g1_blocks]
             self._span = ({key: i for i, key in enumerate(keys)},
                           linalg.SpanFactor(vectors, len(keys)))
         pos, factor = self._span
-        vec = [Fraction(0)] * factor.ncols
+        vec = [0] * factor.ncols
         for q, img in g1_block.items():
             for t, c in img.items():
                 i = pos.get((q, t))
@@ -124,8 +124,8 @@ def bracket_decompositions(algebra):
         npairs, size = len(pairs), len(target)
         # one rref of [M | I]: the particular solution of M x = e_m with
         # free variables zero is column m of the transform on the pivots
-        aug = [[col[i] for col in cols] + [int(i == j) for j in range(size)]
-               for i in range(size)]
+        aug = [{**{c: col[i] for c, col in enumerate(cols) if col[i]},
+                npairs + i: 1} for i in range(size)]
         reduced, pivots = linalg.rref(aug, npairs)
         if len(pivots) < size:
             raise StructureError(
@@ -139,13 +139,13 @@ def bracket_decompositions(algebra):
 
 
 def _phi_expressions(P, k, unknown_pos, g1_targets):
-    """Blocks of phi as linear forms {unknown -> Fraction} in the g_1 unknowns."""
+    """Blocks of phi as linear forms {unknown -> scalar} in the g_1 unknowns."""
     A = P.algebra
     base = P.base
     decomp = bracket_decompositions(base)
     expr = {}
     for q in base.stratum(1):
-        expr[q] = {t: {unknown_pos[(q, t)]: Fraction(1)} for t in g1_targets}
+        expr[q] = {t: {unknown_pos[(q, t)]: 1} for t in g1_targets}
     for d in range(2, base.s + 1):
         for m in base.stratum(d):
             acc = {}
@@ -174,9 +174,9 @@ def _form_add(acc, res, form, scale):
         return
     slot = acc.setdefault(res, {})
     for u, c in form.items():
-        v = slot.get(u, Fraction(0)) + c * scale
+        v = slot.get(u, 0) + c * scale
         if v:
-            slot[u] = v
+            slot[u] = linalg.scalar(v)
         else:
             slot.pop(u, None)
 
@@ -201,7 +201,7 @@ def compute_stratum(P, k):
     unknown_pos = {ut: i for i, ut in enumerate(unknowns)}
     expr = _phi_expressions(P, k, unknown_pos, g1_targets)
 
-    rows = {}
+    rows = []
     idx = base.indices()
     pos_idx = [i for i in idx if i >= 1]
     for ai in range(len(pos_idx)):
@@ -215,13 +215,8 @@ def compute_stratum(P, k):
                 for res, form in expr[c].items():
                     _form_add(acc, res, form, w)
             _leibniz(acc, A, expr, a, b, -1)
-            for slot in acc.values():
-                if slot:
-                    row = [Fraction(0)] * len(unknowns)
-                    for u, c in slot.items():
-                        row[u] = c
-                    rows[tuple(row)] = None
-    basis = linalg.nullspace([list(r) for r in rows], len(unknowns))
+            rows.extend(slot for slot in acc.values() if slot)
+    basis = linalg.nullspace(rows, len(unknowns))
 
     maps = []
     for vec in basis:
@@ -229,7 +224,7 @@ def compute_stratum(P, k):
         for m, block in expr.items():   # ascending m: expr is built by degree
             img = {}
             for res, form in block.items():
-                v = sum((c * vec[u] for u, c in form.items()), Fraction(0))
+                v = linalg.scalar(sum(c * vec[u] for u, c in form.items()))
                 if v:
                     img[res] = v
             if img:
@@ -251,7 +246,7 @@ def _combine(coeffs, maps):
 
 def _pair_action(A, e1, e2):
     """Action m -> [X_m, [E_1, E_2]] via Jacobi, for nonpositive e1, e2."""
-    halves = [{m: A.bracket(A.bracket_indices(m, u), {v: Fraction(1)})
+    halves = [{m: A.bracket(A.bracket_indices(m, u), {v: 1})
                for m in A.base_indices()} for u, v in ((e1, e2), (e2, e1))]
     return _combine((1, -1), halves)
 
@@ -356,8 +351,9 @@ def _rebase_stratum(P, stratum, chosen_basis):
                 f"chosen basis of stratum {stratum.degree}: each matrix must "
                 f"be {len(targets)} x {len(g1)} (dim g_{1 + stratum.degree} "
                 f"rows by r columns)")
-        blocks.append({q: {t: Fraction(row[ci]) for t, row in zip(targets, mat)
-                           if row[ci]} for ci, q in enumerate(g1)})
+        blocks.append({q: {t: linalg.scalar(row[ci])
+                           for t, row in zip(targets, mat) if row[ci]}
+                       for ci, q in enumerate(g1)})
     trans = [stratum.coordinates(blk) for blk in blocks]
     if None in trans:
         raise StructureError("chosen basis leaves the computed stratum")
@@ -367,19 +363,26 @@ def _rebase_stratum(P, stratum, chosen_basis):
     return ProlongationStratum(stratum.degree, maps, blocks)
 
 
-def prolong(A, max_depth=8, basis_overrides=None):
+def prolong(A, max_depth=8, basis_overrides=None, max_dim=None):
     """Iterate stratum computation until a zero stratum or the cutoff.
 
     ``basis_overrides`` maps a stratum degree to an explicit basis for
     :func:`extend_structure_constants`; an override that no nonzero
     computed stratum uses raises :class:`StructureError`.  The result is
     flagged complete only if a zero stratum was reached; otherwise the
-    prolongation may continue below the cutoff.
+    prolongation may continue below the cutoff.  Raises
+    :class:`DimensionCapError` when a stratum would take the extended
+    dimension past ``max_dim``.
     """
     P = _trivial(A) if isinstance(A, GradedLieAlgebra) else A
     unused = dict(basis_overrides or {})
     for k in range(0, -max_depth - 1, -1):
         st = compute_stratum(P, k)
+        dim = len(P.algebra.degrees) + st.dim
+        if max_dim is not None and dim > max_dim:
+            raise DimensionCapError(
+                f"prolongation reaches dimension {dim} > cap {max_dim} at "
+                f"depth {-k} (stratum {k})")
         override = unused.pop(k, None) if st.dim else None
         P = extend_structure_constants(P, st, chosen_basis=override)
         if st.dim == 0:

@@ -18,6 +18,30 @@ ELEMENTARY_G0 = [
 ]
 
 
+def dense_rref(rows, ncols):
+    """Reference for ``linalg.rref``: column-by-column dense elimination
+    on Fraction rows."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    lead = 0
+    for col in range(ncols):
+        pivot_row = next((i for i in range(lead, len(m)) if m[i][col]), None)
+        if pivot_row is None:
+            continue
+        m[lead], m[pivot_row] = m[pivot_row], m[lead]
+        pv = m[lead][col]
+        m[lead] = [x / pv for x in m[lead]]
+        for i in range(len(m)):
+            if i != lead and m[i][col]:
+                f = m[i][col]
+                m[i] = [a - f * b for a, b in zip(m[i], m[lead])]
+        pivots.append(col)
+        lead += 1
+        if lead == len(m):
+            break
+    return m[:lead], pivots
+
+
 def heisenberg_algebra():
     return GradedLieAlgebra({1: 1, 2: 1, 3: 2}, {(2, 1): {3: Fraction(1)}})
 

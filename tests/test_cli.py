@@ -6,6 +6,7 @@ import pytest
 from carnotpoly import io as cio
 from carnotpoly.cli import main
 from carnotpoly.freelie import build_free
+from conftest import heisenberg_algebra
 
 
 def run(capsys, *argv):
@@ -40,6 +41,24 @@ def test_free_respects_dimension_cap(monkeypatch, capsys):
         assert code == 2, bad
         assert "CARNOT_MAX_DIM" in err
 
+
+def test_prolong_respects_dimension_cap(tmp_path, monkeypatch, capsys):
+    # Heisenberg prolongs without end: 3 + 4 + 6 + 9 = 22 indices at
+    # depth 2, and 203 at depth 9
+    path = tmp_path / "heis.json"
+    cio.save_algebra(path, heisenberg_algebra())
+    monkeypatch.setenv("CARNOT_MAX_DIM", "20")
+    for argv in (["prolong", str(path), "--max-depth", "9"],
+                 ["polys", str(path), "--max-depth", "9"]):
+        code, out, err = run(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "22 > cap 20 at depth 2" in err
+    monkeypatch.setenv("CARNOT_MAX_DIM", "22")
+    code, out, _ = run(capsys, "prolong", str(path), "--max-depth", "2",
+                       "--json")
+    assert code == 0
+    assert json.loads(out)["extended_dim"] == 22
 
 def test_prolong_report(tmp_path, capsys):
     path = tmp_path / "a.json"

@@ -6,6 +6,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from carnotpoly import linalg
+from conftest import dense_rref
 
 
 def F(x):
@@ -111,3 +112,104 @@ def test_empty_span_accepts_only_zero():
     assert factor.solve([F(0), F(1), F(0)]) is None
     assert linalg.solve_in_span([], [0, 0]) == []
     assert linalg.solve_in_span([], [0, Fraction(1, 2)]) is None
+
+
+def integer_first(values):
+    """Whether no value is a Fraction with denominator 1."""
+    return all(type(x) is int or x.denominator != 1 for x in values)
+
+
+sparse_entries = st.one_of(st.just(Fraction(0)), rationals)
+
+
+@st.composite
+def singular_matrices(draw):
+    """Sparse rational matrices, wide or tall, with rows repeated, zeroed
+    or combined from others in a shuffled order."""
+    ncols = draw(st.integers(1, 7))
+    base = draw(st.lists(st.lists(sparse_entries, min_size=ncols,
+                                  max_size=ncols), min_size=1, max_size=6))
+    rows = list(base)
+    for kind in draw(st.lists(st.sampled_from(("dup", "zero", "combo")),
+                              max_size=3)):
+        if kind == "zero":
+            rows.append([Fraction(0)] * ncols)
+        else:
+            a = draw(st.sampled_from(base))
+            b = draw(st.sampled_from(base))
+            f = draw(rationals) if kind == "combo" else Fraction(0)
+            rows.append([x + f * y for x, y in zip(a, b)])
+    return draw(st.permutations(rows)), ncols
+
+
+def _from_sympy(value):
+    return Fraction(int(value.p), int(value.q))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=singular_matrices(), data=st.data())
+def test_eliminator_matches_sympy(case, data):
+    import sympy
+    rows, ncols = case
+    M = sympy.Matrix(rows)
+    R, sym_pivots = M.rref()
+    reduced, pivots = linalg.rref(rows, ncols)
+    assert pivots == list(sym_pivots)
+    assert reduced == [[_from_sympy(R[i, j]) for j in range(ncols)]
+                       for i in range(len(pivots))]
+    assert integer_first(x for row in reduced for x in row)
+    assert linalg.rank(rows, ncols) == M.rank()
+    want = [linalg.primitive([_from_sympy(x) for x in vec])
+            for vec in M.nullspace()]
+    basis = linalg.nullspace(rows, ncols)
+    assert basis == want
+    assert all(type(x) is int for vec in basis for x in vec)
+    # sparse dict rows are the same matrix
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    assert linalg.rref(sparse, ncols) == (reduced, pivots)
+    # solve against SymPy's reduced form of [A | b]
+    rhs = data.draw(st.lists(sparse_entries, min_size=len(rows),
+                             max_size=len(rows)))
+    Ra, aug_pivots = M.row_join(sympy.Matrix(rhs)).rref()
+    x = linalg.solve(rows, rhs, ncols)
+    if ncols in aug_pivots:
+        assert x is None
+    else:
+        want_x = [Fraction(0)] * ncols
+        for i, p in enumerate(aug_pivots):
+            want_x[p] = _from_sympy(Ra[i, ncols])
+        assert x == want_x
+        assert integer_first(x)
+
+
+@settings(max_examples=80, deadline=None)
+@given(basis=independent_basis())
+def test_span_factor_matches_dense_reference(basis):
+    # the [B | I] that SpanFactor reduces: independent rows, so the
+    # incremental and the dense elimination agree on every column
+    ncols, dim = len(basis[0]), len(basis)
+    aug = [list(v) + [Fraction(int(i == j)) for j in range(dim)]
+           for i, v in enumerate(basis)]
+    reduced, pivots = dense_rref(aug, ncols)
+    assert linalg.rref(aug, ncols) == (reduced, pivots)
+    factor = linalg.SpanFactor(basis, ncols)
+    assert factor.pivots == pivots
+    assert factor.rows == [[(c, x) for c, x in enumerate(row[:ncols]) if x]
+                           for row in reduced]
+    assert factor.transform == [[(i, x) for i, x in enumerate(row[ncols:])
+                                 if x] for row in reduced]
+
+
+def test_dependent_rows_keep_the_earliest_independent_ones():
+    # [0,1|1] and [0,1|2] agree on the pivoted columns but not on the
+    # augmented one: the later row is dropped as dependent, so the result
+    # is the reduced form of the earliest independent rows, where the
+    # dense reference's row swaps would keep [0,1|2] instead
+    rows = [[0, 1, 1], [0, 1, 2], [1, 1, 0]]
+    reduced, pivots = linalg.rref(rows, 2)
+    assert (reduced, pivots) == dense_rref([rows[0], rows[2]], 2)
+    assert (reduced, pivots) == ([[1, 0, -1], [0, 1, 1]], [0, 1])
+    dense, dense_pivots = dense_rref(rows, 2)
+    assert dense_pivots == pivots
+    assert [row[:2] for row in dense] == [row[:2] for row in reduced]
+    assert dense == [[1, 0, -2], [0, 1, 2]]

@@ -189,3 +189,15 @@ def test_compiled_kernel_equals_evaluate_on_float_points(polys, c, point):
     polys = polys + [Poly.zero(3), Poly.const(3, c)]
     assert compile_polys(polys)(point) \
         == [float(p.evaluate(point)) for p in polys]
+
+
+def test_integrate_divides_exactly_on_exact_coefficients():
+    # int coefficients divide to a Fraction, not a float; floats stay float
+    p = Poly(2, {((1, 1),): 3, ((2, 1),): Fraction(1, 2)})
+    q = p.integrate(1)
+    assert q.terms == {((1, 2),): Fraction(3, 2),
+                       ((1, 1), (2, 1)): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in q.terms.values())
+    f = Poly(2, {((1, 1),): 3.0}).integrate(1)
+    assert f.terms == {((1, 2),): 1.5}
+    assert type(f.terms[((1, 2),)]) is float

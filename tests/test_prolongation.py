@@ -17,7 +17,7 @@ from carnotpoly.prolongation import (ProlongedAlgebra, _match_in_stratum,
                                      bracket_decompositions, compute_stratum,
                                      extend_structure_constants, prolong)
 
-from conftest import ELEMENTARY_G0
+from conftest import ELEMENTARY_G0, dense_rref
 
 
 def brute_force_stratum_dim(P, k):
@@ -329,3 +329,57 @@ def test_each_stratum_is_factored_once(heisenberg, monkeypatch):
     P = prolong(heisenberg, 6)
     assert len(P.strata) == 7
     assert len(calls) <= 3 * len(P.strata)
+
+
+@settings(max_examples=25, deadline=None)
+@given(shape=st.sampled_from([(2, 4), (3, 3), (2, 5)]), data=st.data())
+def test_decompositions_match_dense_reference(shape, data):
+    # a rescaled free basis gives Fraction constants; the [M | I] of each
+    # degree has independent rows, so the dense reference agrees with the
+    # sparse eliminator on every column
+    A = build_free(*shape)[0]
+    scale = {i: data.draw(st.fractions(-3, 3, max_denominator=3).filter(bool))
+             for i in A.base_indices()}
+    B = GradedLieAlgebra(A.degrees, {
+        (i, j): {k: c * scale[i] * scale[j] / scale[k]
+                 for k, c in terms.items()}
+        for (i, j), terms in A.table.items()})
+    decomp = bracket_decompositions(B)
+    for d in range(2, B.s + 1):
+        target = B.stratum(d)
+        pairs, cols = generation_columns(B, d)
+        npairs = len(pairs)
+        aug = [[col[i] for col in cols] + [int(i == j) for j in
+                                           range(len(target))]
+               for i in range(len(target))]
+        reduced, pivots = dense_rref(aug, npairs)
+        assert linalg.rref(aug, npairs) == (reduced, pivots)
+        for j, m in enumerate(target):
+            sol = dict(zip(pivots, (row[npairs + j] for row in reduced)))
+            assert decomp[m] == [(sol[c], p, q) for c, (p, q) in
+                                 enumerate(pairs) if sol.get(c)]
+
+
+@pytest.mark.parametrize("case", ["free35", "heisenberg6"])
+def test_prolongation_scalars_are_integer_first(case, heisenberg, monkeypatch):
+    bases = []
+    nullspace = linalg.nullspace
+
+    def recording(rows, ncols):
+        basis = nullspace(rows, ncols)
+        bases.extend(basis)
+        return basis
+
+    monkeypatch.setattr(linalg, "nullspace", recording)
+    if case == "free35":
+        P = prolong(build_free(3, 5)[0])
+    else:
+        P = prolong(heisenberg, 6)
+    assert bases
+    assert all(type(x) is int for vec in bases for x in vec)
+    constants = [c for terms in P.algebra.table.values()
+                 for c in terms.values()]
+    assert all(type(c) is int for c in constants if c.denominator == 1)
+    assert all(type(c) is int for st in P.strata for phi in st.maps
+               for img in phi.values() for c in img.values()
+               if c.denominator == 1)
