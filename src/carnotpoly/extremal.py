@@ -23,7 +23,8 @@ from fractions import Fraction
 
 from .algebra import GradedLieAlgebra, StructureError, exp_ad
 from .group import left_invariant_fields
-from .poly import Poly, compile_polys, weighted_degree
+from .linalg import scalar
+from .poly import Poly, _key_mul, compile_polys, weighted_degree
 from .prolongation import _algebra_of, bracket_decompositions
 
 
@@ -134,44 +135,68 @@ def build_family(A, rows=None):
     return ExtremalFamily(algebra, Q)
 
 
+def _exact_terms(p):
+    """The terms of ``p`` as ``(key, coefficient)`` pairs, integer-first."""
+    return [(key, scalar(c)) for key, c in p.terms.items()]
+
+
 def verify_structure(family, fields=None, rows=None):
     """Residuals of X_i Q_j. - sum_k c_ij^k Q_k. for all i, stored j.
 
-    Returns a list of violation records ``(i, j, k, residual_poly)``;
-    empty means the structure formulas hold exactly.  Each (i, j) visits,
-    ascending, only the k where Q_jk or a Q_mk with c_ij^m != 0 is nonzero.
+    Returns a list of violation records ``(i, j, k, residual_poly)``,
+    ordered by i, then j in ``rows`` order (default: all stored rows),
+    then ascending k; empty means the structure formulas hold exactly.
+
+    Each Q_jk is differentiated once per call, along the variables it
+    contains, into a derivative index ``j -> l -> [(k, dQ_jk/dx_l)]``.
+    Since ``X_i Q = sum_l f_il dQ/dx_l``, the residuals of (i, j) gather
+    in one dict keyed by k: f_il dQ_jk/dx_l for each l that both X_i and
+    row j's index carry (no shared l means a zero product, so the skip is
+    exact), less c_ij^m Q_mk for each m in ``bracket_indices(i, j)``.
+    Coefficients are integer-first, so most products are ``int * int``.
     """
     A = family.algebra
     n = A.n
     if fields is None:
         fields = left_invariant_fields(A)
-    support = {}
-    for j, k in family.Q:
-        if 1 <= k <= n:
-            support.setdefault(j, set()).add(k)
-    report = []
     row_list = family.rows() if rows is None else list(rows)
+    stored = {}  # row j -> [(k, terms of Q_jk)]
+    index = {}  # row j -> l -> [(k, terms of dQ_jk/dx_l)]
+    wanted = set(row_list)
+    for (j, k), q in family.Q.items():
+        if not 1 <= k <= n:
+            continue
+        stored.setdefault(j, []).append((k, _exact_terms(q)))
+        if j in wanted:
+            by_var = index.setdefault(j, {})
+            for l in q.var_support():
+                by_var.setdefault(l, []).append((k, _exact_terms(q.diff(l))))
+    report = []
     for i in range(1, n + 1):
-        field = fields[i - 1]
+        coeffs = [(l, _exact_terms(f)) for l, f in fields[i - 1].coeffs.items()]
         for j in row_list:
-            cij = A.bracket_indices(i, j)
-            ks = support.get(j, set()).union(
-                *(support.get(m, ()) for m in cij))
-            for k in sorted(ks):
-                q = family.Q.get((j, k))
-                res = dict(field.apply(q).terms) if q is not None else {}
-                for m, c in cij.items():
-                    qmk = family.Q.get((m, k))
-                    if qmk is None:
-                        continue
-                    for key, a in qmk.terms.items():
-                        cur = res.get(key, 0) - a * c
-                        if cur:
-                            res[key] = cur
-                        else:
-                            res.pop(key, None)
-                if res:
-                    report.append((i, j, k, Poly(n, res, family.weights)))
+            res = {}  # k -> residual terms
+            by_var = index.get(j, {})
+            for l, f_terms in coeffs:
+                for k, d_terms in by_var.get(l, ()):
+                    acc = res.get(k)
+                    if acc is None:
+                        acc = res[k] = {}
+                    for ka, ca in f_terms:
+                        for kb, cb in d_terms:
+                            key = _key_mul(ka, kb)
+                            acc[key] = acc.get(key, 0) + ca * cb
+            for m, c in A.bracket_indices(i, j).items():
+                for k, q_terms in stored.get(m, ()):
+                    acc = res.get(k)
+                    if acc is None:
+                        acc = res[k] = {}
+                    for key, a in q_terms:
+                        acc[key] = acc.get(key, 0) - a * c
+            for k in sorted(res):
+                terms = {key: c for key, c in res[k].items() if c}
+                if terms:
+                    report.append((i, j, k, Poly(n, terms, family.weights)))
     return report
 
 

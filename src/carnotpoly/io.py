@@ -1,7 +1,12 @@
 """File formats: algebra JSON, curve CSV, deterministic reports.
 
 Rationals travel as strings ``"p/q"`` (plain integers allowed) so that no
-precision is lost in JSON.  Curve CSV has the header ``t,x1..xn`` with
+precision is lost in JSON; an exact number whose numerator or denominator,
+as written, would have more than ``MAX_DIGITS`` decimal digits, or whose
+text is longer than ``3 * MAX_DIGITS`` characters, is rejected before it
+is built.  Counts and indices (``dim``, ``rank``, ``step``,
+``degrees``, bracket and basis indices) must be JSON integers, and every
+degree at least 1.  Curve CSV has the header ``t,x1..xn`` with
 optional ``l1..ln`` dual columns; entries containing ``/`` or parsing as
 integers are read back exactly, anything with a decimal point as float.
 A curve with any float entry must have every entry finite as a float.
@@ -13,6 +18,7 @@ import hashlib
 import io as _io
 import json
 import math
+import re
 from fractions import Fraction
 
 from .algebra import GradedLieAlgebra, StructureError
@@ -22,15 +28,67 @@ class InputError(ValueError):
     """Unusable input file or malformed field."""
 
 
+MAX_DIGITS = 1000
+_DIGIT_CAP = 10 ** MAX_DIGITS
+_EXACT_TEXT = re.compile(r"\s*[-+]?(?P<int>[\d_]*)(?:\.(?P<frac>[\d_]*))?"
+                         r"(?:[eE](?P<exp>[-+]?[\d_]+))?"
+                         r"(?:\s*/\s*(?P<den>[\d_]+))?\s*")
+
+
+def _too_many_digits(text):
+    """Whether ``Fraction(text)`` would build a numerator or denominator of
+    more than ``MAX_DIGITS`` decimal digits before reducing (text it
+    rejects anyway passes), or the text is longer than two such parts
+    need.  An exponent past ``MAX_DIGITS`` is too many whatever the
+    mantissa, since ``Fraction`` raises 10 to it even for zero."""
+    if len(text) > 3 * MAX_DIGITS:
+        return True
+    if len(text) <= MAX_DIGITS and "e" not in text and "E" not in text:
+        return False  # without an exponent no part outgrows the text
+    m = _EXACT_TEXT.fullmatch(text)
+    if m is None:
+        return False
+    whole, frac, exp, den = ((m.group(g) or "").replace("_", "")
+                             for g in ("int", "frac", "exp", "den"))
+    if len(exp.lstrip("+-").lstrip("0")) > len(str(MAX_DIGITS)):
+        return True
+    e = int(exp or 0)
+    num = len((whole + frac).lstrip("0")) + max(e, 0)
+    den = len(den.lstrip("0")) if den else max(len(frac) - e, 0) + 1
+    return max(num, den) > MAX_DIGITS
+
+
 def parse_rational(text):
+    if isinstance(text, (bool, float)):
+        raise InputError(f"{text!r} where an exact rational is required")
     if isinstance(text, int):
+        if abs(text) >= _DIGIT_CAP:
+            raise InputError(f"integer with more than {MAX_DIGITS} digits")
         return Fraction(text)
-    if isinstance(text, float):
-        raise InputError(f"float {text!r} where an exact rational is required")
+    text = str(text)
+    if _too_many_digits(text):
+        raise InputError(f"rational {text[:40]!r} is too large: more than "
+                         f"{MAX_DIGITS} digits in its numerator or "
+                         f"denominator, or {3 * MAX_DIGITS} characters")
     try:
-        return Fraction(str(text))
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {text!r}: {exc}") from None
+        raise InputError(f"bad rational {text[:40]!r}: {exc}") from None
+
+
+def _integer(value, what, least=None):
+    """``value`` when it is a JSON integer (not a bool) of at least ``least``."""
+    if type(value) is not int:
+        raise InputError(f"{what} must be an integer, not {value!r}")
+    if least is not None and value < least:
+        raise InputError(f"{what} must be at least {least}, not {value}")
+    return value
+
+
+def _list(value, what):
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a list, not {value!r}")
+    return value
 
 
 def finite(values):
@@ -51,9 +109,11 @@ def parse_scalar(text):
     if "/" in s:
         return parse_rational(s)
     try:
-        return Fraction(int(s))
+        value = int(s)
     except ValueError:
         pass
+    else:
+        return parse_rational(value)
     try:
         return float(s)
     except ValueError:
@@ -82,46 +142,50 @@ def algebra_from_json(doc, max_dim=None):
     """Parse an AlgebraFile; ``prolongation_basis`` comes back separately.
 
     Returns ``(algebra, overrides)`` where overrides maps a stratum degree
-    to the list of explicit g_1 blocks (dense matrices).
+    to the list of explicit g_1 blocks (dense matrices).  A declared
+    ``rank`` or ``step`` must agree with the degree list.
     """
+    if not isinstance(doc, dict):
+        raise InputError("an algebra file holds one JSON object")
     try:
-        n = int(doc["dim"])
-        degrees_list = list(doc["degrees"])
-        brackets = doc.get("brackets", [])
-    except (KeyError, TypeError) as exc:
+        n = _integer(doc["dim"], "dim", 1)
+        degrees_list = _list(doc["degrees"], "degrees")
+    except KeyError as exc:
         raise InputError(f"missing algebra field: {exc}") from None
     if max_dim is not None and n > max_dim:
         raise InputError(f"dimension {n} exceeds cap {max_dim}")
     if len(degrees_list) != n:
         raise InputError("degrees list length differs from dim")
-    degrees = {i + 1: int(d) for i, d in enumerate(degrees_list)}
+    degrees = {i + 1: _integer(d, f"degree of index {i + 1}", 1)
+               for i, d in enumerate(degrees_list)}
     table = {}
-    for entry in brackets:
+    for entry in _list(doc.get("brackets", []), "brackets"):
         try:
-            i, j = int(entry["i"]), int(entry["j"])
-            terms = {int(t["k"]): parse_rational(t["c"])
-                     for t in entry["terms"]}
-        except (KeyError, TypeError, ValueError) as exc:
+            i, j = _integer(entry["i"], "i"), _integer(entry["j"], "j")
+            terms = {_integer(t["k"], "k"): parse_rational(t["c"])
+                     for t in _list(entry["terms"], "terms")}
+        except (KeyError, TypeError, InputError) as exc:
             raise InputError(f"bad bracket entry {entry!r}: {exc}") from None
         key = (i, j)
         if key in table:
             raise InputError(f"duplicate bracket entry for pair {key}")
         table[key] = terms
     try:
-        algebra = GradedLieAlgebra(degrees, table,
-                                   rank=int(doc["rank"]) if "rank" in doc
-                                   else None)
+        algebra = GradedLieAlgebra(degrees, table)
     except StructureError as exc:
         raise InputError(str(exc)) from None
-    if "step" in doc and int(doc["step"]) != algebra.s:
+    if "rank" in doc and _integer(doc["rank"], "rank") != algebra.r:
+        raise InputError("declared rank differs from the degree list")
+    if "step" in doc and _integer(doc["step"], "step") != algebra.s:
         raise InputError("declared step differs from the degree list")
     overrides = {}
-    for block in doc.get("prolongation_basis", []):
+    for block in _list(doc.get("prolongation_basis", []),
+                       "prolongation_basis"):
         try:
-            deg = int(block["degree"])
+            deg = _integer(block["degree"], "degree")
             maps = [[[parse_rational(c) for c in row] for row in mat]
-                    for mat in block["maps"]]
-        except (KeyError, TypeError, ValueError) as exc:
+                    for mat in _list(block["maps"], "maps")]
+        except (KeyError, TypeError, InputError) as exc:
             raise InputError(f"bad prolongation basis: {exc}") from None
         if deg in overrides:
             raise InputError(
@@ -139,6 +203,10 @@ def load_algebra(path, max_dim=None):
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno} column {exc.colno}: "
                          f"{exc.msg}") from None
+    except (ValueError, RecursionError) as exc:
+        # integers past the interpreter's digit limit, nesting past its
+        # recursion limit
+        raise InputError(f"{path}: {exc}") from None
     return algebra_from_json(doc, max_dim=max_dim)
 
 

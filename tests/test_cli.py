@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 
@@ -254,6 +255,49 @@ def test_unused_or_duplicate_prolongation_basis_exits_2(tmp_path, capsys):
     code, out, err = run(capsys, "prolong", str(dup), "--json")
     assert code == 2
     assert out == "" and "duplicate prolongation basis for degree 0" in err
+
+
+HEIS_DOC = cio.algebra_to_json(heisenberg_algebra())
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("dim", "x", "dim must be an integer"),
+    ("dim", True, "dim must be an integer"),
+    ("degrees", ["a", 1, 2], "must be an integer"),
+    ("degrees", [1.5, 1, 2], "must be an integer"),
+    ("degrees", [0, 1, 1], "must be at least 1"),
+    ("degrees", [-1, 1, 1], "must be at least 1"),
+    ("rank", "two", "rank must be an integer"),
+    ("rank", 3, "declared rank differs"),
+    ("step", "one", "step must be an integer"),
+    ("brackets", 5, "brackets must be a list"),
+    ("brackets", [{"i": 2, "j": 1, "terms": [{"k": 3, "c": "1e999999"}]}],
+     "is too large: more than 1000 digits"),
+    ("prolongation_basis", 3, "prolongation_basis must be a list"),
+])
+def test_malformed_algebra_field_exits_2(tmp_path, capsys, field, value,
+                                         message):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**HEIS_DOC, field: value}))
+    for command in ("verify", "polys", "prolong"):
+        start = time.perf_counter()
+        code, out, err = run(capsys, command, str(path))
+        assert time.perf_counter() - start < 1, command
+        assert code == 2, command
+        assert out == "" and err.startswith("error:"), command
+        assert message in err and "Traceback" not in err, command
+
+
+def test_rational_digit_bound():
+    # numerator and denominator as written, up to 1000 digits each, in
+    # text of at most 3000 characters
+    for text in ("1e999", "1" * 1000, "1/" + "9" * 1000, "0.5e-998",
+                 "1e-999", "-" + "0" * 2000 + "7", 10 ** 1000 - 1):
+        assert cio.parse_rational(text) is not None, text
+    for text in ("1e1000", "1" * 1001, "1/" + "9" * 1001, "1e-1000",
+                 "0e99999", "1e" + "9" * 5000, " " * 3000 + "1", 10 ** 1000):
+        with pytest.raises(cio.InputError):
+            cio.parse_rational(text)
 
 
 def test_reports_are_deterministic(tmp_path, capsys):

@@ -12,7 +12,8 @@ from carnotpoly.extremal import (build_family, degree_bound_report,
                                  reconstruct_by_recursion, verify_structure)
 from carnotpoly.freelie import build_free
 from carnotpoly.group import left_invariant_fields
-from carnotpoly.poly import Poly, is_homogeneous, weighted_degree
+from carnotpoly.poly import (Poly, canonical_text, is_homogeneous,
+                             weighted_degree)
 from carnotpoly.prolongation import prolong
 
 W24 = (1, 1, 2, 3, 3, 4, 4, 4)
@@ -188,12 +189,12 @@ def test_verify_structure_abelian():
     assert verify_structure(fam) == []
 
 
-def _dense_residuals(family, fields):
+def _dense_residuals(family, fields, rows=None):
     # every (i, j, k), with no support pruning
     A, n = family.algebra, family.n
     out = []
     for i in range(1, n + 1):
-        for j in family.rows():
+        for j in family.rows() if rows is None else rows:
             cij = A.bracket_indices(i, j)
             for k in range(1, n + 1):
                 res = fields[i - 1].apply(family.q(j, k))
@@ -215,6 +216,47 @@ def test_verify_structure_detects_damage(free24_prolonged):
     report = verify_structure(fam, fields)
     assert {(3, 4), (-1, 6), (4, 3)} <= {(j, k) for _, j, k, _ in report}
     assert report == _dense_residuals(fam, fields)
+
+
+def _damage(family, rng):
+    """Scale one entry, delete one, and add one outside its row's support
+    in a g_0 row and in a positive row; returns the damaged keys (j, k),
+    the added ones last."""
+    Q, n, weights = family.Q, family.n, family.weights
+    keys = sorted(Q)
+    scaled, deleted = rng.sample(keys, 2)
+    Q[scaled] = Q[scaled] * rng.choice((2, -1, Fraction(1, 3)))
+    del Q[deleted]
+    added = []
+    for rows in ([j for j in family.rows() if j <= 0],
+                 [j for j in family.rows() if j >= 1]):
+        j = rng.choice(rows)
+        k = rng.choice([k for k in range(1, n + 1) if (j, k) not in Q])
+        alpha = [0] * n
+        for _ in range(rng.randint(1, 2)):
+            alpha[rng.randrange(n)] += 1
+        Q[(j, k)] = Poly.monomial(n, alpha, rng.choice((1, -2, Fraction(1, 2))),
+                                  weights)
+        added.append((j, k))
+    return [scaled, deleted, *added]
+
+
+@pytest.mark.parametrize("rank,step,seed",
+                         [(2, 6, 0), (2, 6, 1), (3, 4, 0)])
+def test_verify_structure_matches_dense_check_on_damage(rank, step, seed):
+    rng = random.Random(seed)
+    fam = build_family(prolong(build_free(rank, step)[0], 2))
+    assert any(j <= 0 for j in fam.rows())
+    fields = left_invariant_fields(fam.algebra)
+    damaged = _damage(fam, rng)
+    rows = list(dict.fromkeys(rng.sample(fam.rows(), 6)
+                              + [j for j, _ in damaged[2:]]))
+    for subset in (None, rows):
+        report = verify_structure(fam, fields, rows=subset)
+        dense = _dense_residuals(fam, fields, rows=subset)
+        assert report and report == dense
+        assert [canonical_text(r, fam.weights) for *_, r in report] == \
+            [canonical_text(r, fam.weights) for *_, r in dense]
 
 
 def quotient_by_top_stratum_subspace(algebra, kill):
