@@ -49,6 +49,18 @@ def _depth(text):
     return int(text)
 
 
+def _tolerance(text):
+    """A ``--tol`` value: a finite number >= 0."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol >= 0):
+        raise argparse.ArgumentTypeError(
+            f"must be a finite number >= 0, got {text!r}")
+    return tol
+
+
 def _emit(report, as_json, status=0):
     if as_json:
         print(json.dumps(report, indent=2, sort_keys=True, default=str))
@@ -405,7 +417,7 @@ def main(argv=None):
     p.add_argument("algebra")
     p.add_argument("curve", help="CSV with header t,x1..xn")
     p.add_argument("--max-depth", type=_depth, default=8)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_detect)
 
@@ -427,7 +439,7 @@ def main(argv=None):
     p = sub.add_parser("spiral", help="the 64-dimensional spiral Goh example")
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--puncture", type=float, default=1e-6)
-    p.add_argument("--tol", type=float, default=1e-8)
+    p.add_argument("--tol", type=_tolerance, default=1e-8)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=cmd_spiral)
 

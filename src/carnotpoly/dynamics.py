@@ -12,8 +12,12 @@ of prime integrals.  :func:`duality_check` measures that drift, and
 :func:`iterated_integrals` runs the quadrature algorithm pairing the
 integrals B_ij with prolongation rows of the family.
 
-Floating point lives here, in the float kernel :func:`poly.compile_polys`
-and in the float branches of :mod:`abnormal`.
+Every RK4 system moves its curve by one kernel,
+:func:`poly.compile_field_sum`, which evaluates ``sum_j h_j X_j(y)``
+coordinate by coordinate over the nonzero field coefficients only.
+Floating point lives here, in the float kernels :func:`poly.compile_polys`
+and :func:`poly.compile_field_sum`, and in the float branches of
+:mod:`abnormal`.
 """
 
 import bisect
@@ -23,7 +27,7 @@ from fractions import Fraction
 
 from .extremal import all_exact, build_family
 from .group import left_invariant_fields
-from .poly import PolyVectorField
+from .poly import compile_field_sum
 from .prolongation import _algebra_of
 
 
@@ -76,62 +80,46 @@ def uniform_grid(t0, t1, step):
     return [t0 + (t1 - t0) * m / count for m in range(count + 1)]
 
 
-def _rk4(f, y0, times):
+def _rk4(f, y0, times, controls=None):
+    """Fixed-step RK4 of ``y' = f(u, y)`` on the time grid.
+
+    u is ``controls(t)`` when time-only controls are given, read once per
+    distinct stage time (k2 and k3 share ``t + h/2``), and t otherwise.
+    """
     out = [list(y0)]
     y = list(y0)
     for m in range(len(times) - 1):
         t, h = times[m], times[m + 1] - times[m]
-        k1 = f(t, y)
-        y2 = [a + 0.5 * h * b for a, b in zip(y, k1)]
-        k2 = f(t + 0.5 * h, y2)
-        y3 = [a + 0.5 * h * b for a, b in zip(y, k2)]
-        k3 = f(t + 0.5 * h, y3)
+        half, sixth = 0.5 * h, h / 6.0
+        u1, u2, u4 = t, t + half, t + h
+        if controls is not None:
+            u1, u2, u4 = controls(u1), controls(u2), controls(u4)
+        k1 = f(u1, y)
+        y2 = [a + half * b for a, b in zip(y, k1)]
+        k2 = f(u2, y2)
+        y3 = [a + half * b for a, b in zip(y, k2)]
+        k3 = f(u2, y3)
         y4 = [a + h * b for a, b in zip(y, k3)]
-        k4 = f(t + h, y4)
-        y = [a + h / 6.0 * (b1 + 2 * b2 + 2 * b3 + b4)
+        k4 = f(u4, y4)
+        y = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         out.append(y)
     return out
 
 
-def _compiled_fields(A, fields=None, coords=None):
-    """Float evaluators of the r horizontal fields, optionally restricted
-    to the coordinates ``1..coords``."""
+def _field_sum(A, fields=None, coords=None):
+    """The kernel ``(h, y) -> sum_j h_j X_j(y)`` of the r horizontal
+    fields, optionally restricted to the coordinates ``1..coords``."""
     algebra = _algebra_of(A)
     if fields is None:
         fields = left_invariant_fields(algebra)
-    cap = coords or algebra.n
-    return [PolyVectorField(f.n, {l: p for l, p in f.coeffs.items()
-                                  if l <= cap}).compiled()
-            for f in fields[:algebra.r]]
-
-
-def _horizontal_rhs(compiled, h, y, size):
-    """``sum_j h_j X_j(y)`` over the first ``size`` coordinates.
-
-    Terms run over j ascending and skip zero controls; the float results
-    of every integrator depend on that order.
-    """
-    out = [0.0] * size
-    for j, field in enumerate(compiled):
-        hj = h[j]
-        if not hj:
-            continue
-        fj = field(y)
-        for l in range(size):
-            out[l] += hj * fj[l]
-    return out
+    return compile_field_sum(fields[:algebra.r], coords or algebra.n)
 
 
 def integrate_horizontal(A, controls, x0, grid, fields=None):
     """RK4 solution of ``gamma' = sum_j h_j X_j(gamma)`` on the grid."""
-    n = _algebra_of(A).n
-    compiled = _compiled_fields(A, fields)
-
-    def f(t, y):
-        return _horizontal_rhs(compiled, controls(t), y, n)
-
-    gamma = _rk4(f, [float(c) for c in x0], [float(t) for t in grid])
+    gamma = _rk4(_field_sum(A, fields), [float(c) for c in x0],
+                 [float(t) for t in grid], controls)
     return CurvePath(list(grid), gamma, controls=controls)
 
 
@@ -171,25 +159,26 @@ def integrate_adjoint(A, curve, lambda0):
     tables = _adjoint_tables(algebra)
     controls = curve.controls
 
-    def f(t, lam):
-        return _adjoint_rhs(tables, controls(t), lam)
+    def f(h, lam):
+        return _adjoint_rhs(tables, h, lam)
 
-    lam = _rk4(f, [float(c) for c in lambda0], [float(t) for t in curve.times])
+    lam = _rk4(f, [float(c) for c in lambda0], [float(t) for t in curve.times],
+               controls)
     return CurvePath(curve.times, curve.gamma, lam=lam, controls=controls)
 
 
 def integrate_normal(A, lambda0, x0, grid, fields=None):
     """Normal extremal: controls ``h_j = -lambda_j`` coupled to the adjoint."""
     algebra = _algebra_of(A)
-    compiled = _compiled_fields(A, fields)
+    field_sum = _field_sum(A, fields)
     tables = _adjoint_tables(algebra)
     n, r = algebra.n, algebra.r
 
     def f(t, y):
-        gamma, lam = y[:n], y[n:]
+        # the kernel reads gamma = y[:n] only
+        lam = y[n:]
         h = [-lam[j] for j in range(r)]
-        return (_horizontal_rhs(compiled, h, gamma, n)
-                + _adjoint_rhs(tables, h, lam))
+        return field_sum(h, y) + _adjoint_rhs(tables, h, lam)
 
     y0 = [float(c) for c in x0] + [float(c) for c in lambda0]
     ys = _rk4(f, y0, [float(t) for t in grid])
@@ -235,19 +224,18 @@ def iterated_integrals(family, curve, v):
     n, r = A.n, A.r
     if curve.controls is None:
         raise ValueError("iterated integrals need the curve's controls")
-    compiled = _compiled_fields(A)
+    field_sum = _field_sum(A)
     horizontal = family.evaluator(range(1, r + 1), v, False)
     pairs = [(i, j) for i in range(1, r + 1) for j in range(1, r + 1)]
 
-    def f(t, y):
+    def f(h, y):
         x = y[:n]
-        h = curve.controls(t)
         vals = horizontal(x)
-        return (_horizontal_rhs(compiled, h, x, n)
+        return (field_sum(h, x)
                 + [vals[i - 1] * h[j - 1] for i, j in pairs])
 
     y0 = [float(c) for c in curve.gamma[0]] + [0.0] * len(pairs)
-    ys = _rk4(f, y0, [float(t) for t in curve.times])
+    ys = _rk4(f, y0, [float(t) for t in curve.times], curve.controls)
     table = {pair: [y[n + idx] for y in ys] for idx, pair in enumerate(pairs)}
 
     hits = []
@@ -273,7 +261,7 @@ def convergence_order(drifts):
     """Observed order from drifts at successively halved steps."""
     orders = []
     for a, b in zip(drifts, drifts[1:]):
-        if b == 0:
+        if a == 0 or b == 0:
             continue
         orders.append(math.log2(a / b))
     return min(orders) if orders else float("inf")
@@ -386,7 +374,7 @@ def spiral_lift(algebra, fields, dcoord, t_end, base_step=1e-3, ratio=64.0,
     """
     n = algebra.n
     cap = coords_cap or n
-    compiled = _compiled_fields(algebra, fields, coords=cap)
+    field_sum = _field_sum(algebra, fields, coords=cap)
 
     grid = graded_grid(t_end, base_step, ratio, t_min, include)
     f3 = spiral_phi if dcoord is spiral_dphi else spiral_psi
@@ -396,10 +384,10 @@ def spiral_lift(algebra, fields, dcoord, t_end, base_step=1e-3, ratio=64.0,
     seed[1] = t0
     seed[2] = f3(t0)
 
-    def f(t, y):
-        return _horizontal_rhs(compiled, (2.0 * t, 1.0, dcoord(t)), y, cap)
+    def controls(t):
+        return (2.0 * t, 1.0, dcoord(t))
 
-    ys = _rk4(f, seed, grid)
+    ys = _rk4(field_sum, seed, grid, controls)
     return grid, [y + [0.0] * (n - cap) for y in ys]
 
 

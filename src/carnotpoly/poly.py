@@ -310,20 +310,28 @@ class PolyVectorField:
         return compile_polys([self.coefficient(l) for l in range(1, self.n + 1)])
 
 
+def _term_plan(p):
+    """Float plan of a nonzero Poly: ``(first, rest)``, one ``(c, idx)``
+    per term in ``terms`` order, where c is the float coefficient and idx
+    names the 0-based variable of each power, one power at a time.
+
+    Running a term as ``c * point[i] * ...`` and summing from the first
+    term gives the bits of :meth:`Poly.evaluate` on float points, since
+    ``Fraction * float`` computes ``float(c) * x``.  Both float kernels,
+    :func:`compile_polys` and :func:`compile_field_sum`, run this plan.
+    """
+    terms = [(float(c), tuple(v - 1 for v, e in k for _ in range(e)))
+             for k, c in p.terms.items()]
+    return terms[0], terms[1:]
+
+
 def compile_polys(polys):
     """Float evaluator ``point -> [p(point) for p in polys]``.
 
-    Each polynomial runs its terms in ``terms`` order, one power at a time,
-    and sums from its first term, as :meth:`Poly.evaluate` does; since
-    ``Fraction * float`` computes ``float(c) * x``, float points give the
-    same bits.  A zero polynomial gives 0.0.
+    Each polynomial runs its :func:`_term_plan`, so float points give the
+    bits of :meth:`Poly.evaluate`.  A zero polynomial gives 0.0.
     """
-    plans = []
-    for pos, p in enumerate(polys):
-        terms = [(float(c), tuple(v - 1 for v, e in k for _ in range(e)))
-                 for k, c in p.terms.items()]
-        if terms:
-            plans.append((pos, terms[0], terms[1:]))
+    plans = [(pos, *_term_plan(p)) for pos, p in enumerate(polys) if p]
     size = len(polys)
 
     def run(point):
@@ -337,6 +345,44 @@ def compile_polys(polys):
                     term *= point[i]
                 total += term
             out[pos] = total
+        return out
+
+    return run
+
+
+def compile_field_sum(fields, size):
+    """Float kernel ``(h, point) -> sum_j h_j fields[j](point)`` on the
+    coordinates ``1..size`` of the PolyVectorFields ``fields``.
+
+    Coordinate l starts from 0.0 and adds ``h_j * f_jl(point)`` over j
+    ascending, each nonzero coefficient f_jl running its
+    :func:`_term_plan`; zero coefficients and zero controls are skipped.
+    For finite controls the bits are those of evaluating every field in
+    full and adding every term: a skipped term is ``h_j * 0.0 = +-0.0``,
+    and an accumulator that starts at +0.0 never holds -0.0, so adding
+    +-0.0 changes nothing.
+    """
+    rows = [[(j, *_term_plan(f.coeffs[l]))
+             for j, f in enumerate(fields) if l in f.coeffs]
+            for l in range(1, size + 1)]
+
+    def run(h, point):
+        out = []
+        for entries in rows:
+            acc = 0.0
+            for j, (total, idx), rest in entries:
+                hj = h[j]
+                if not hj:
+                    continue
+                for i in idx:
+                    total *= point[i]
+                for c, idx in rest:
+                    term = c
+                    for i in idx:
+                        term *= point[i]
+                    total += term
+                acc += hj * total
+            out.append(acc)
         return out
 
     return run

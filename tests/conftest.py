@@ -42,6 +42,26 @@ def dense_rref(rows, ncols):
     return m[:lead], pivots
 
 
+def reference_field_sum(fields, size):
+    """Reference for ``poly.compile_field_sum``: every field evaluated in
+    full by ``PolyVectorField.compiled``, then ``h_j * value`` added
+    coordinate by coordinate over j ascending, zero controls skipped."""
+    compiled = [field.compiled() for field in fields]
+
+    def run(h, point):
+        out = [0.0] * size
+        for j, field in enumerate(compiled):
+            hj = h[j]
+            if not hj:
+                continue
+            fj = field(point)
+            for l in range(size):
+                out[l] += hj * fj[l]
+        return out
+
+    return run
+
+
 def heisenberg_algebra():
     return GradedLieAlgebra({1: 1, 2: 1, 3: 2}, {(2, 1): {3: Fraction(1)}})
 

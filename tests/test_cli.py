@@ -221,6 +221,35 @@ def test_negative_max_depth_rejected(tmp_path, capsys):
         assert "--max-depth" in capsys.readouterr().err, argv
 
 
+@pytest.mark.parametrize("tol", ["inf", "-inf", "nan", "-1", "-1e-300",
+                                 "abc"])
+@pytest.mark.parametrize("command", ["detect", "spiral"])
+def test_tolerance_must_be_finite_and_nonnegative(tmp_path, capsys, command,
+                                                  tol):
+    # every value passes a threshold of inf and none passes nan, so a
+    # report under either tolerance would mean nothing
+    path = tmp_path / "a.json"
+    run(capsys, "free", "--rank", "2", "--step", "4", "--emit", str(path))
+    argv = {"detect": ["detect", str(path), "curve.csv"],
+            "spiral": ["spiral", "--samples", "4"]}[command]
+    with pytest.raises(SystemExit) as exc:
+        main(argv + [f"--tol={tol}", "--json"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tol" in captured.err
+
+
+def test_tolerance_zero_is_accepted(tmp_path, capsys):
+    path = tmp_path / "a.json"
+    run(capsys, "free", "--rank", "2", "--step", "4", "--emit", str(path))
+    curve = tmp_path / "line.csv"
+    curve.write_text("t,x1,x2,x3,x4,x5,x6,x7,x8\n0,0,0,0,0,0,0,0,0\n"
+                     "1,0,1,0,0,0,0,0,0\n")
+    code, out, _ = run(capsys, "detect", str(path), str(curve), "--tol=0",
+                       "--json")
+    assert code == 0 and json.loads(out)["exact"] is True
+
+
 def test_bad_prolongation_basis_exits_2(tmp_path, capsys):
     path = tmp_path / "a.json"
     run(capsys, "free", "--rank", "2", "--step", "4", "--emit", str(path))
@@ -378,12 +407,24 @@ GOLDEN_REPORTS = [
      "40720e92d327cd52953392e8791569d75c8b6e428cd617432fa87476bafbfaf4"),
     (["detect", "free24.json", "curve.csv"],
      "ad50091ee117628263ed98861a3644790d61a24e64d4393749577e924534701a"),
+    # sparse fields: free(3,4) has 32 nonzero field coefficients of 96
+    (["integrate", "free34.json", "--mode", "normal",
+      "--lambda0=" + ",".join(["-1", "0.5", "1", "-0.25", "0.25", "0.2",
+                               "-0.125", "1"] * 4), "--step", "0.01"],
+     "6060c27b4eb236552fb1cb65c7b2b35f4715e33244476bab1e54464d1be1a9b3"),
+    (["integrate", "free26.json", "--mode", "adjoint",
+      "--controls", "1+cos(t);t+sin(2*t)",
+      "--lambda0=" + ",".join((["0.5", "-1", "0.25", "1", "-0.5", "0.125",
+                                "2", "-1"] * 3)[:23]), "--step", "0.01"],
+     "d4057af9d8ad1b21d16da7b5af58d2d532cae541a14947d2b2de28759409ad92"),
 ]
 
 
 def test_golden_reports(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     run(capsys, "free", "--rank", "2", "--step", "4", "--emit", "free24.json")
+    run(capsys, "free", "--rank", "3", "--step", "4", "--emit", "free34.json")
+    run(capsys, "free", "--rank", "2", "--step", "6", "--emit", "free26.json")
     lines = ["t,x1,x2,x3,x4,x5,x6,x7,x8"]
     for t in ("0", "1/2", "1", "2"):
         lines.append(",".join([t, "0", t] + ["0"] * 6))

@@ -3,6 +3,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from carnotpoly.dynamics import (ControlPath, CurvePath, convergence_order,
                                  duality_check, graded_grid,
@@ -12,7 +14,11 @@ from carnotpoly.dynamics import (ControlPath, CurvePath, convergence_order,
                                  spiral_example, spiral_phi, spiral_psi,
                                  uniform_grid)
 from carnotpoly.extremal import build_family
-from carnotpoly.group import flow, identity, to_second_kind
+from carnotpoly.freelie import build_free
+from carnotpoly.group import (flow, identity, left_invariant_fields,
+                              to_second_kind)
+from carnotpoly.poly import Poly, PolyVectorField, compile_field_sum
+from conftest import reference_field_sum
 
 
 GRID = uniform_grid(0.0, 1.0, 1e-3)
@@ -131,6 +137,71 @@ def test_normal_prime_integral_drift(free24, free24_fields):
                              fields=free24_fields)
     drift = duality_check(fam, curve)
     assert max(drift.values()) <= 1e-8
+
+
+def test_convergence_order_skips_pairs_without_an_order():
+    # a zero drift at either step of a pair gives no order
+    assert convergence_order([0.0, 1e-9]) == float("inf")
+    assert convergence_order([1e-9, 0.0]) == float("inf")
+    assert convergence_order([0.0, 1e-9, 0.5e-9]) == 1.0
+    assert convergence_order([8e-9, 1e-9]) == 3.0
+
+
+def _kernel_case(fields, n, size):
+    """(kernel, reference, r, n) for the fields on the coordinates
+    1..size of an n-dimensional space."""
+    return (compile_field_sum(fields, size), reference_field_sum(fields, size),
+            len(fields), n)
+
+
+def _free_case(rank, step, cap=None):
+    algebra, _ = build_free(rank, step)
+    fields = left_invariant_fields(algebra)[:rank]
+    return _kernel_case(fields, algebra.n, cap or algebra.n)
+
+
+# in free algebras every coordinate has one nonzero field coefficient; three
+# fields that all move both coordinates make the order of the sum show
+DENSE = [PolyVectorField(2, {l: Poly(2, {(): Fraction(j + 1, l + 2),
+                                         ((1, 1),): Fraction(l - j - 2, 3),
+                                         ((2, 2),): Fraction(1, 7)})
+                             for l in (1, 2)})
+         for j in range(3)]
+KERNEL_CASES = {
+    "free(2,4)": _free_case(2, 4),
+    "free(2,6)": _free_case(2, 6),
+    "free(3,4)": _free_case(3, 4),
+    # the spiral lifts free(3,4) on its 14 coordinates of weight <= 3
+    "free(3,4) capped": _free_case(3, 4, 14),
+    "dense": _kernel_case(DENSE, 2, 2),
+}
+SIGNED_ZEROS = st.sampled_from([0.0, -0.0])
+# bounded values: no coefficient of these fields overflows on them
+VALUES = st.floats(-4, 4, allow_nan=False)
+
+
+@pytest.mark.parametrize("case", list(KERNEL_CASES))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_field_sum_kernel_has_the_reference_bits(case, data):
+    kernel, reference, r, n = KERNEL_CASES[case]
+    h = data.draw(st.lists(SIGNED_ZEROS | VALUES, min_size=r, max_size=r))
+    point = data.draw(st.lists(SIGNED_ZEROS | VALUES, min_size=n,
+                               max_size=n))
+    fast, slow = kernel(h, point), reference(h, point)
+    # float.hex tells -0.0 from 0.0, which == does not
+    assert [x.hex() for x in fast] == [x.hex() for x in slow]
+
+
+def test_field_sum_kernel_adds_fields_in_ascending_order():
+    # hypothesis favours values whose three-term sums are exact in any
+    # order; generic floats show a reordered sum about every second time
+    kernel, reference, r, n = KERNEL_CASES["dense"]
+    rng = random.Random(17)
+    for _ in range(50):
+        h = [rng.uniform(-4, 4) for _ in range(r)]
+        point = [rng.uniform(-4, 4) for _ in range(n)]
+        assert kernel(h, point) == reference(h, point)
 
 
 def test_normal_rk4_convergence_order(free24, free24_fields):
