@@ -22,6 +22,12 @@ A table entry is canonically keyed by ``(i, j)`` with ``i > j``, but the
 constructor accepts arbitrary orientations so that hand-entered tables can
 be checked by :func:`validate` before use.
 
+Every bracket reads the sparse adjoint rows ``ad[i] = {j: {k: c}}``,
+``[X_i, X_j] = sum_k c X_k``, which hold the keyed ``table`` in both
+orientations: a stored ``(i, j)`` entry wins over the negated mirror of a
+stored ``(j, i)``, and ``[X_i, X_i]`` has no row entry.  The one write
+after construction, :meth:`GradedLieAlgebra.set_bracket`, updates both.
+
 Structure constants are exact and integer-first: the constructor stores an
 integral constant as an ``int`` and any other as a ``Fraction``
 (:func:`linalg.scalar`), so brackets, :func:`validate` and the
@@ -31,6 +37,7 @@ text and digests do not depend on the form.
 """
 
 from fractions import Fraction
+from itertools import combinations
 from math import factorial
 
 from . import linalg
@@ -66,12 +73,15 @@ class GradedLieAlgebra:
             if self.degrees[a] > self.degrees[b]:
                 raise StructureError("basis order is not adapted to the grading")
         self.table = {}
+        self.ad = {i: {} for i in self.degrees}
         for (i, j), terms in table.items():
-            if i not in self.degrees or j not in self.degrees:
-                raise StructureError(f"bracket entry for unknown pair ({i}, {j})")
+            unknown = {i, j, *terms} - self.degrees.keys()
+            if unknown:
+                raise StructureError(f"bracket [X_{i}, X_{j}] names unknown "
+                                     f"index {min(unknown)}")
             terms = _clean({k: linalg.scalar(c) for k, c in terms.items()})
             if terms:
-                self.table[(i, j)] = terms
+                self.set_bracket(i, j, terms)
         self._strata = {}
         for i, d in self.degrees.items():
             self._strata.setdefault(d, []).append(i)
@@ -97,31 +107,30 @@ class GradedLieAlgebra:
 
     # -- brackets ----------------------------------------------------------
 
+    def set_bracket(self, i, j, terms):
+        """Store ``[X_i, X_j] = terms`` in the table and the adjoint rows."""
+        self.table[(i, j)] = terms
+        if i != j:
+            self.ad[i][j] = terms
+            if (j, i) not in self.table:
+                self.ad[j][i] = {k: -c for k, c in terms.items()}
+
     def bracket_indices(self, i, j):
         """Coefficients of ``[X_i, X_j]`` as a sparse map ``k -> c``."""
-        if i == j:
-            return {}
-        hit = self.table.get((i, j))
-        if hit is not None:
-            return hit
-        hit = self.table.get((j, i))
-        if hit is not None:
-            return {k: -c for k, c in hit.items()}
-        if i not in self.degrees or j not in self.degrees:
-            raise StructureError(f"unknown basis index in pair ({i}, {j})")
-        return {}
+        if i in self.ad and j in self.ad:
+            return self.ad[i].get(j, {})
+        raise StructureError(f"unknown basis index in pair ({i}, {j})")
 
     def bracket(self, u, w):
         """Bilinear extension of the bracket to coefficient maps."""
+        if not u.keys() | w.keys() <= self.ad.keys():
+            raise StructureError("unknown basis index in a bracket")
         out = {}
         for i, ci in u.items():
-            if not ci:
-                continue
+            row = self.ad[i]
             for j, cj in w.items():
-                if not cj:
-                    continue
-                terms = self.bracket_indices(i, j)
-                if not terms:
+                terms = row.get(j)
+                if not terms or not ci or not cj:
                     continue
                 prod = ci * cj
                 for k, c in terms.items():
@@ -144,7 +153,7 @@ class GradedLieAlgebra:
             for _ in range(mult):
                 if not value:
                     return {}
-                value = self.bracket(value, {m: Fraction(1)})
+                value = self.bracket(value, {m: 1})
         return value
 
     def generalized_structure_constants(self, i):
@@ -166,7 +175,7 @@ class GradedLieAlgebra:
                     dm = self.degrees[m]
                     if di + self.multi_index_weight(alpha) + dm > self.s:
                         continue
-                    new_val = self.bracket(value, {m: Fraction(1)})
+                    new_val = self.bracket(value, {m: 1})
                     if not new_val:
                         continue
                     new_alpha = alpha[:m - 1] + (alpha[m - 1] + 1,) + alpha[m:]
@@ -197,10 +206,18 @@ def exp_ad(algebra, m, xm, Z):
     on a graded table the series has at most ``s - (lowest degree in Z)``
     terms; a term past that bound raises :class:`StructureError`.
     """
+    row = algebra.ad[m]
+    if not any(j in row for j in Z):
+        return
     bound = algebra.s - min(map(algebra.degree, Z), default=algebra.s)
     term = Z
     for p in range(1, bound + 2):
-        term = algebra.bracket({m: Fraction(1)}, term)
+        nxt = {}  # ad X_m term, read off row m
+        for j, cj in term.items():
+            for k, c in row.get(j, {}).items():
+                cur = nxt.get(k)
+                nxt[k] = cj * c if cur is None else cur + cj * c
+        term = _clean(nxt)
         if not term:
             break
         if p > bound:
@@ -221,7 +238,9 @@ def validate(algebra):
     on every basis triple, and generativity of the stratification
     ``g_m = [g_{m-1}, g_1]`` for ``m = 2..s``.  When those table checks
     pass, a triple whose degree sum is not a stored degree has every
-    Jacobi term zero by the grading, and is skipped.
+    Jacobi term zero by the grading, so for each pair i < j only the k > j
+    of degree D - d(i) - d(j), D a stored degree, are visited, ascending
+    (the strata ascend with the index).  Otherwise every triple is.
     """
     report = []
     A = algebra
@@ -237,29 +256,23 @@ def validate(algebra):
                 report.append(f"antisymmetry violated on pair ({i}, {j})")
         want = A.degrees[i] + A.degrees[j]
         for k, c in terms.items():
-            if k not in A.degrees:
-                report.append(f"bracket [X_{i}, X_{j}] hits unknown index {k}")
-            elif c and A.degrees[k] != want:
+            if c and A.degrees[k] != want:
                 report.append(
                     f"grading violated: c_({i},{j})^{k} nonzero with "
                     f"d={A.degrees[k]} != {want}")
     graded = not report
-    stored = set(A.degrees.values())
-    idx = A.indices()
-    for a in range(len(idx)):
-        for b in range(a + 1, len(idx)):
-            for c in range(b + 1, len(idx)):
-                i, j, k = idx[a], idx[b], idx[c]
-                if graded and (A.degrees[i] + A.degrees[j] + A.degrees[k]
-                               not in stored):
-                    continue
-                acc = {}
-                for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
-                    for p, cp in A.bracket_indices(u, v).items():
-                        for m, cc in A.bracket_indices(p, w).items():
-                            acc[m] = acc.get(m, 0) + cp * cc
-                if _clean(acc):
-                    report.append(f"Jacobi violated on triple ({i}, {j}, {k})")
+    stored = sorted(A._strata)
+    for i, j in combinations(A.indices(), 2):
+        shift = A.degrees[i] + A.degrees[j] if graded else 0
+        for k in [k for d in stored for k in A._strata.get(d - shift, ())
+                  if k > j]:
+            acc = {}
+            for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+                for p, cp in A.ad[u].get(v, {}).items():
+                    for m, cc in A.ad[p].get(w, {}).items():
+                        acc[m] = acc.get(m, 0) + cp * cc
+            if _clean(acc):
+                report.append(f"Jacobi violated on triple ({i}, {j}, {k})")
     for m in range(2, A.s + 1):
         target = A.stratum(m)
         if not target:

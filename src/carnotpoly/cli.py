@@ -449,7 +449,3 @@ def main(argv=None):
     except (InputError, StructureError, DimensionCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -255,9 +255,9 @@ def _close_pairs(ext, strata_by_deg, pending, terminated):
     """Decide deferred nonpositive pairs whose result stratum is available.
 
     Brackets are read from the extension ``ext`` and each decided pair is
-    written into ``ext.table``.  Pairs are processed by descending result
-    degree so that the inner brackets a Jacobi expansion needs are always
-    decided first.  Returns the pairs that still cannot be placed
+    written into it by ``set_bracket``.  Pairs are processed by descending
+    result degree so that the inner brackets a Jacobi expansion needs are
+    always decided first.  Returns the pairs that still cannot be placed
     (possible only on a truncated prolongation).
     """
     degrees = ext.degrees
@@ -279,7 +279,7 @@ def _close_pairs(ext, strata_by_deg, pending, terminated):
                                    ext.stratum(1),
                                    f"[E_{e1}, E_{e2}] in degree {res_deg}")
         if coords:
-            ext.table[(e1, e2)] = coords
+            ext.set_bracket(e1, e2, coords)
     return still
 
 

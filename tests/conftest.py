@@ -1,12 +1,16 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from carnotpoly import build_free
-from carnotpoly.algebra import GradedLieAlgebra
-from carnotpoly.extremal import build_family
+from carnotpoly import linalg
+from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
+                                generation_columns)
+from carnotpoly.extremal import ExtremalFamily, build_family
 from carnotpoly.group import left_invariant_fields
-from carnotpoly.prolongation import prolong
+from carnotpoly.poly import Poly
+from carnotpoly.prolongation import _algebra_of, prolong
 
 # the elementary-matrix g_0 basis of free(2,4): maps sending (X_1, X_2) to
 # (0, X_1), (0, X_2), (X_1, 0), (X_2, 0), in ascending index order -3..0
@@ -61,6 +65,104 @@ def reference_field_sum(fields, size):
 
     return run
 
+
+
+def reference_bracket_indices(A, i, j):
+    """Reference for ``GradedLieAlgebra.bracket_indices``: the table-only
+    lookup, a direct ``(i, j)`` entry first, then the negated mirror."""
+    if i == j:
+        return {}
+    hit = A.table.get((i, j))
+    if hit is not None:
+        return hit
+    hit = A.table.get((j, i))
+    if hit is not None:
+        return {k: -c for k, c in hit.items()}
+    if i not in A.degrees or j not in A.degrees:
+        raise StructureError(f"unknown basis index in pair ({i}, {j})")
+    return {}
+
+
+def reference_bracket(A, u, w):
+    """Reference for ``GradedLieAlgebra.bracket``: every pair of keys
+    through :func:`reference_bracket_indices`."""
+    out = {}
+    for i, ci in u.items():
+        for j, cj in w.items():
+            if not ci or not cj:
+                continue
+            for k, c in reference_bracket_indices(A, i, j).items():
+                out[k] = out.get(k, 0) + ci * cj * c
+    return {k: c for k, c in out.items() if c}
+
+
+def reference_exp_ad(A, m, xm, Z):
+    """Reference for ``algebra.exp_ad``: each ad X_m as a generic bracket
+    with the unit map ``{m: 1}``."""
+    bound = A.s - min(map(A.degree, Z), default=A.s)
+    term = Z
+    for p in range(1, bound + 2):
+        term = reference_bracket(A, {m: Fraction(1)}, term)
+        if not term:
+            break
+        if p > bound:
+            raise StructureError(
+                f"ad X_{m} outlasts the grading bound {bound}")
+        term = {k: c * xm * Fraction(1, p) for k, c in term.items()}
+        for k, c in term.items():
+            Z[k] = Z[k] + c if k in Z else c
+    for k in [k for k, c in Z.items() if not c]:
+        del Z[k]
+
+
+def reference_family(A):
+    """Reference for ``extremal.build_family`` on :func:`reference_exp_ad`."""
+    algebra = _algebra_of(A)
+    n, weights = algebra.n, algebra.weights
+    xs = [Poly.variable(n, m, weights) for m in range(1, n + 1)]
+    Q = {}
+    for j in sorted(algebra.degrees):
+        Z = {j: Poly.const(n, 1, weights)}
+        for m in range(1, n + 1):
+            reference_exp_ad(algebra, m, xs[m - 1], Z)
+        Q.update(((j, k), p) for k, p in Z.items() if k >= 1)
+    return ExtremalFamily(algebra, Q)
+
+
+def reference_validate(A):
+    """Reference for ``algebra.validate``: the same table and generativity
+    checks, and the Jacobi identity on every index triple, none skipped."""
+    report = []
+    for (i, j), terms in A.table.items():
+        if i == j:
+            report.append(f"nonzero bracket [X_{i}, X_{i}]")
+        mirror = A.table.get((j, i))
+        if mirror is not None and i != j and any(
+                terms.get(k, 0) + mirror.get(k, 0) for k in {*terms, *mirror}):
+            report.append(f"antisymmetry violated on pair ({i}, {j})")
+        want = A.degrees[i] + A.degrees[j]
+        for k in terms:
+            if A.degrees[k] != want:
+                report.append(
+                    f"grading violated: c_({i},{j})^{k} nonzero with "
+                    f"d={A.degrees[k]} != {want}")
+    for i, j, k in combinations(A.indices(), 3):
+        acc = {}
+        for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
+            for p, cp in reference_bracket_indices(A, u, v).items():
+                for m, cc in reference_bracket_indices(A, p, w).items():
+                    acc[m] = acc.get(m, 0) + cp * cc
+        if any(acc.values()):
+            report.append(f"Jacobi violated on triple ({i}, {j}, {k})")
+    for m in range(2, A.s + 1):
+        target = A.stratum(m)
+        if not target:
+            report.append(f"stratum {m} is empty below the step")
+        elif linalg.rank(generation_columns(A, m)[1], len(target)) \
+                < len(target):
+            report.append(
+                f"stratum {m} not spanned by brackets [g_{m-1}, g_1]")
+    return report
 
 def heisenberg_algebra():
     return GradedLieAlgebra({1: 1, 2: 1, 3: 2}, {(2, 1): {3: Fraction(1)}})

@@ -1,6 +1,10 @@
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -303,12 +307,17 @@ HEIS_DOC = cio.algebra_to_json(heisenberg_algebra())
     ("brackets", [{"i": 2, "j": 1, "terms": [{"k": 3, "c": "1e999999"}]}],
      "is too large: more than 1000 digits"),
     ("prolongation_basis", 3, "prolongation_basis must be a list"),
+] + [
+    # [X_2, X_1] = X_3 + X_k, where the basis has no index k
+    ("brackets", [{"i": 2, "j": 1, "terms": [{"k": 3, "c": "1"},
+                                             {"k": k, "c": "1"}]}],
+     f"bracket [X_2, X_1] names unknown index {k}") for k in (7, 0, -1)
 ])
 def test_malformed_algebra_field_exits_2(tmp_path, capsys, field, value,
                                          message):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({**HEIS_DOC, field: value}))
-    for command in ("verify", "polys", "prolong"):
+    for command in ("verify", "polys", "prolong", "minors"):
         start = time.perf_counter()
         code, out, err = run(capsys, command, str(path))
         assert time.perf_counter() - start < 1, command
@@ -316,6 +325,15 @@ def test_malformed_algebra_field_exits_2(tmp_path, capsys, field, value,
         assert out == "" and err.startswith("error:"), command
         assert message in err and "Traceback" not in err, command
 
+
+def test_module_entry_point(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-m", "carnotpoly", "free", "--rank", "2", "--step",
+         "2", "--json"], cwd=tmp_path, env=env, capture_output=True,
+        text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["dim"] == 3
 
 def test_rational_digit_bound():
     # numerator and denominator as written, up to 1000 digits each, in
