@@ -139,24 +139,21 @@ def _det(matrix):
     return minor(tuple(range(size)), tuple(range(size)))
 
 
-def minor_system(family, columns=None):
+def minor_system(family):
     """All maximal square minors of the generator-row Q submatrix.
 
-    Rows: stored j with d(j) <= 1, ascending.  Columns default to the
-    curve-through-origin reduction: k with d(k) >= 2, and in rank 2 the
-    degree-2 column is dropped as well.  Fewer rows than columns: no minors.
+    The curve-through-origin reduction: rows are the stored j with
+    d(j) <= 1, ascending, and columns the k with d(k) >= 2; in rank 2 the
+    degree-2 index moves from the columns to the rows.  Fewer rows than
+    columns: no minors.
     """
     A = family.algebra
     n = A.n
-    rows = family.rows_of_degree_at_most(1)
-    if A.r == 2:
-        # nonconstant rank-2 abnormals also satisfy lambda = 0 on the
-        # degree-2 row, so it joins the rows and leaves the columns
-        rows = family.rows_of_degree_at_most(2)
-    if columns is None:
-        columns = [k for k in range(1, n + 1) if A.degrees[k] >= 2]
-        if A.r == 2:
-            columns = [k for k in columns if A.degrees[k] != 2]
+    # nonconstant rank-2 abnormals also satisfy lambda = 0 on the
+    # degree-2 row, so it joins the rows and leaves the columns
+    low = 2 if A.r == 2 else 1
+    rows = family.rows_of_degree_at_most(low)
+    columns = [k for k in range(1, n + 1) if A.degrees[k] > low]
     matrix = [[family.q(j, k) for k in columns] for j in rows]
     minors = []
     if columns and len(rows) >= len(columns):

@@ -61,8 +61,19 @@ def _tolerance(text):
     return tol
 
 
-def _emit(report, as_json, status=0):
-    if as_json:
+def _emit(args, report, status=0):
+    """Print ``report`` under its header and return ``status``.
+
+    The header names the command, the mode of ``integrate`` and the
+    content digest of each input file, taken before the command ran.
+    """
+    head = {"command": args.cmd}
+    if "mode" in args:
+        head["mode"] = args.mode
+    if args.inputs:
+        head["inputs"] = args.inputs
+    report = {**head, **report}
+    if args.json:
         print(json.dumps(report, indent=2, sort_keys=True, default=str))
     else:
         _print_human(report)
@@ -106,9 +117,9 @@ def _family(algebra, overrides, depth):
     return build_family(algebra)
 
 
-def _family_rows_text(family, rows=None):
+def _family_rows_text(family):
     lines = []
-    for j in (rows if rows is not None else family.rows()):
+    for j in family.rows():
         parts = []
         for k in range(1, family.n + 1):
             q = family.Q.get((j, k))
@@ -122,7 +133,6 @@ def _family_rows_text(family, rows=None):
 def cmd_free(args):
     algebra, words = build_free(args.rank, args.step, max_dim=_max_dim())
     report = {
-        "command": "free",
         "rank": args.rank,
         "step": args.step,
         "dim": algebra.n,
@@ -134,7 +144,7 @@ def cmd_free(args):
     if args.emit:
         cio.save_algebra(args.emit, algebra)
         report["emitted"] = args.emit
-    return _emit(report, args.json)
+    return _emit(args, report)
 
 
 def cmd_prolong(args):
@@ -142,8 +152,6 @@ def cmd_prolong(args):
     P = prolong(algebra, args.max_depth, basis_overrides=overrides or None,
                 max_dim=_max_dim())
     report = {
-        "command": "prolong",
-        "inputs": {args.algebra: cio.file_digest(args.algebra)},
         "stratum_dims": P.stratum_dims,
         "terminated": P.complete,
         "extended_dim": len(P.algebra.indices()),
@@ -162,30 +170,20 @@ def cmd_prolong(args):
         cio.save_algebra(args.emit_basis, algebra, overrides=exported)
         report["emitted"] = args.emit_basis
     status = 1 if report["validation"] and P.complete else 0
-    return _emit(report, args.json, status)
+    return _emit(args, report, status)
 
 
 def cmd_polys(args):
     family = _family(*_load_valid(args), args.max_depth)
-    report = {
-        "command": "polys",
-        "inputs": {args.algebra: cio.file_digest(args.algebra)},
-        "rows": _family_rows_text(family),
-    }
-    return _emit(report, args.json)
+    return _emit(args, {"rows": _family_rows_text(family)})
 
 
 def cmd_verify(args):
     algebra, overrides, problems = _load(args)
-    report = {
-        "command": "verify",
-        "inputs": {args.algebra: cio.file_digest(args.algebra)},
-        "table_validation": problems,
-    }
+    report = {"table_validation": problems}
     if problems:
         report["status"] = "invalid table"
-        _emit(report, args.json)
-        return 1
+        return _emit(args, report, 1)
     family = _family(algebra, overrides, args.max_depth)
     residuals = verify_structure(family)
     report["residuals"] = [
@@ -193,7 +191,7 @@ def cmd_verify(args):
         for i, j, k, res in residuals]
     report["residual_count"] = len(residuals)
     report["status"] = "ok" if not residuals else "violations"
-    return _emit(report, args.json, 0 if not residuals else 1)
+    return _emit(args, report, 0 if not residuals else 1)
 
 
 def cmd_minors(args):
@@ -201,8 +199,6 @@ def cmd_minors(args):
     system = minor_system(family)
     certs = nonvanishing_certificate(system)
     report = {
-        "command": "minors",
-        "inputs": {args.algebra: cio.file_digest(args.algebra)},
         "rows": system.row_indices,
         "columns": system.col_indices,
         "minor_count": len(system.minors),
@@ -215,7 +211,7 @@ def cmd_minors(args):
             f"{rows} rows < {cols} columns: the rank is below {cols} at every "
             "point, so pointwise minors give no constraint; 'carnotpoly "
             "detect' asks for one covector common to all curve samples")
-    return _emit(report, args.json)
+    return _emit(args, report)
 
 
 def cmd_detect(args):
@@ -224,9 +220,6 @@ def cmd_detect(args):
     family = _family(algebra, overrides, args.max_depth)
     result = detect_abnormal(family, points, tol=args.tol)
     report = {
-        "command": "detect",
-        "inputs": {args.algebra: cio.file_digest(args.algebra),
-                   args.curve: cio.file_digest(args.curve)},
         "exact": result["exact"],
         "corank_lower_bound": result["corank_lower_bound"],
         "basis": [[cio.format_rational(c) if result["exact"] else float(c)
@@ -235,16 +228,18 @@ def cmd_detect(args):
     }
     if "singular_values" in result:
         report["singular_values"] = result["singular_values"]
-    return _emit(report, args.json)
+    return _emit(args, report)
 
 
-def _parse_vector(text, n):
-    parts = [p for p in text.split(",") if p.strip()]
-    if len(parts) != n:
-        raise InputError(f"expected {n} comma-separated entries")
+def _parse_vector(flag, text, n):
+    """The value of ``flag``: n comma-separated finite numbers."""
+    parts = text.split(",")
+    if len(parts) != n or not all(p.strip() for p in parts):
+        raise InputError(f"{flag} needs {n} nonempty comma-separated "
+                         f"entries, got {text!r}")
     values = [cio.parse_scalar(p) for p in parts]
     if not cio.finite(values):
-        raise InputError(f"entries of {text!r} must be finite floats")
+        raise InputError(f"{flag}: entries of {text!r} must be finite floats")
     return values
 
 
@@ -314,11 +309,11 @@ def cmd_integrate(args):
         grid = uniform_grid(args.t0, args.t1, args.step)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    x0 = _parse_vector(args.x0, n) if args.x0 else [0.0] * n
+    x0 = _parse_vector("--x0", args.x0, n) if args.x0 else [0.0] * n
     if args.mode == "normal":
         if not args.lambda0:
             raise InputError("--lambda0 is required for mode normal")
-        lam0 = _parse_vector(args.lambda0, n)
+        lam0 = _parse_vector("--lambda0", args.lambda0, n)
         curve = integrate_normal(algebra, lam0, x0, grid)
     elif args.mode == "horizontal":
         if not args.controls:
@@ -331,12 +326,9 @@ def cmd_integrate(args):
                 "--controls and --lambda0 are required for mode adjoint")
         controls = _parse_controls(args.controls, algebra.r)
         curve = integrate_horizontal(algebra, controls, x0, grid)
-        lam0 = _parse_vector(args.lambda0, n)
+        lam0 = _parse_vector("--lambda0", args.lambda0, n)
         curve = integrate_adjoint(algebra, curve, lam0)
     report = {
-        "command": "integrate",
-        "mode": args.mode,
-        "inputs": {args.algebra: cio.file_digest(args.algebra)},
         "steps": len(grid) - 1,
         "endpoint": [float(c) for c in curve.gamma[-1]],
     }
@@ -350,7 +342,7 @@ def cmd_integrate(args):
         with open(args.emit, "w") as fh:
             fh.write(cio.curve_to_csv(curve, n))
         report["emitted"] = args.emit
-    return _emit(report, args.json)
+    return _emit(args, report)
 
 
 def cmd_spiral(args):
@@ -362,13 +354,12 @@ def cmd_spiral(args):
                          f"{MAX_GRID_STEPS}, got {args.samples}")
     report = spiral_example(samples_per_side=args.samples // 2,
                             puncture=args.puncture, tol=args.tol)
-    report = {"command": "spiral", **report}
     report["covector_support"] = {
         str(k): cio.format_rational(c)
         for k, c in report["covector_support"].items()}
     ok = report["goh_ok"] and report["origin_exact_zero"] \
         and report["control_bound_ok"]
-    return _emit(report, args.json, 0 if ok else 1)
+    return _emit(args, report, 0 if ok else 1)
 
 
 def main(argv=None):
@@ -445,6 +436,9 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
+        # digests come first: a command may overwrite its own input file
+        paths = [getattr(args, name, None) for name in ("algebra", "curve")]
+        args.inputs = {path: cio.file_digest(path) for path in paths if path}
         return args.func(args)
     except (InputError, StructureError, DimensionCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -20,7 +20,6 @@ and :func:`poly.compile_field_sum`, and in the float branches of
 :mod:`abnormal`.
 """
 
-import bisect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -33,25 +32,13 @@ from .prolongation import _algebra_of
 
 @dataclass
 class ControlPath:
-    """Bounded measurable controls as a callback or samples on a grid."""
+    """Bounded measurable controls as a callback."""
 
     r: int
-    func: object = None          # t -> sequence of r values
-    times: list = None
-    values: list = None          # aligned with times, each of length r
+    func: object                 # t -> sequence of r values
 
     def __call__(self, t):
-        if self.func is not None:
-            return self.func(t)
-        ts, vs = self.times, self.values
-        if t <= ts[0]:
-            return vs[0]
-        if t >= ts[-1]:
-            return vs[-1]
-        hi = bisect.bisect_right(ts, t)
-        lo = hi - 1
-        w = (t - ts[lo]) / (ts[hi] - ts[lo])
-        return [a + w * (b - a) for a, b in zip(vs[lo], vs[hi])]
+        return self.func(t)
 
 
 @dataclass
@@ -184,9 +171,7 @@ def integrate_normal(A, lambda0, x0, grid, fields=None):
     ys = _rk4(f, y0, [float(t) for t in grid])
     gamma = [y[:n] for y in ys]
     lam = [y[n:] for y in ys]
-    controls = ControlPath(r, times=list(grid),
-                           values=[[-l[j] for j in range(r)] for l in lam])
-    return CurvePath(list(grid), gamma, lam=lam, controls=controls)
+    return CurvePath(list(grid), gamma, lam=lam)
 
 
 def duality_check(family, curve):
@@ -291,22 +276,27 @@ def spiral_dpsi(t):
     return math.sin(L) - math.cos(L) / (1.0 - math.log(abs(t)))
 
 
-def graded_grid(t_end, base_step=1e-3, ratio=64.0, t_min=1e-9,
-                include=()):
-    """Grid from ``t_min`` to ``|t_end|`` with steps capped by ``|t|/ratio``.
+GRID_BASE_STEP = 1e-3       # largest step of a graded grid
+GRID_RATIO = 64.0           # a graded step is at most |t| / GRID_RATIO
+GRID_T_MIN = 1e-9           # a graded grid starts at +-GRID_T_MIN
+
+
+def graded_grid(t_end, include=()):
+    """Grid from ``GRID_T_MIN`` to ``|t_end|``; the step at t is
+    ``min(GRID_BASE_STEP, max(t / GRID_RATIO, GRID_T_MIN))``.
 
     Signed: the grid runs toward ``t_end`` of either sign and contains
     every requested ``include`` time.
     """
     sign = 1.0 if t_end > 0 else -1.0
     T = abs(t_end)
-    pts = {t_min, T}
+    pts = {GRID_T_MIN, T}
     for t in include:
-        if t_min <= abs(t) <= T:
+        if GRID_T_MIN <= abs(t) <= T:
             pts.add(abs(t))
-    t = t_min
+    t = GRID_T_MIN
     while t < T:
-        t = min(T, t + min(base_step, max(t / ratio, t_min)))
+        t = min(T, t + min(GRID_BASE_STEP, max(t / GRID_RATIO, GRID_T_MIN)))
         pts.add(t)
     return [sign * t for t in sorted(pts)]
 
@@ -326,13 +316,11 @@ def solve_goh_covector(factor_family):
     deg2 = A.stratum(2)
     if len(deg2) < 1:
         raise ValueError("need a stratum of degree 2")
-    weights = factor_family.weights
     target = {
-        deg2[0]: Poly(n, {((2, 2),): Fraction(1), ((1, 1),): Fraction(-1)},
-                      weights),
+        deg2[0]: Poly(n, {((2, 2),): Fraction(1), ((1, 1),): Fraction(-1)}),
     }
     for j in deg2[1:]:
-        target[j] = Poly.zero(n, weights)
+        target[j] = Poly.zero(n)
     unknowns = [k for k in range(1, n + 1) if A.degrees[k] >= 3]
     upos = {k: i for i, k in enumerate(unknowns)}
     rows = {}
@@ -364,20 +352,20 @@ def solve_goh_covector(factor_family):
     return v
 
 
-def spiral_lift(algebra, fields, dcoord, t_end, base_step=1e-3, ratio=64.0,
-                t_min=1e-9, include=(), coords_cap=None):
+def spiral_lift(algebra, fields, coord, t_end, include=(), coords_cap=None):
     """Horizontal lift of ``(t^2, t, f(t), *, ...)`` in a rank-3 factor.
 
-    ``dcoord`` is the derivative callback of the third coordinate.  The
-    run starts at ``+-t_min`` from the analytic seed; coordinates above
-    ``coords_cap`` (an index bound) are dropped from the state.
+    ``coord`` is the pair ``(f, df/dt)`` of the third coordinate.  The run
+    follows :func:`graded_grid` and starts at ``+-GRID_T_MIN`` from the
+    analytic seed; coordinates above ``coords_cap`` (an index bound) are
+    dropped from the state.  Returns ``(grid, ys)``.
     """
     n = algebra.n
     cap = coords_cap or n
     field_sum = _field_sum(algebra, fields, coords=cap)
 
-    grid = graded_grid(t_end, base_step, ratio, t_min, include)
-    f3 = spiral_phi if dcoord is spiral_dphi else spiral_psi
+    grid = graded_grid(t_end, include)
+    f3, dcoord = coord
     seed = [0.0] * cap
     t0 = grid[0]
     seed[0] = t0 * t0
@@ -391,36 +379,29 @@ def spiral_lift(algebra, fields, dcoord, t_end, base_step=1e-3, ratio=64.0,
     return grid, [y + [0.0] * (n - cap) for y in ys]
 
 
-def spiral_example(samples_per_side=1000, puncture=1e-6, base_step=1e-3,
-                   tol=1e-8, context=None):
+def spiral_example(samples_per_side=1000, puncture=1e-6, tol=1e-8):
     """Reproduce the 64-dimensional spiral Goh extremal end to end.
 
     Builds the rank-6 step-4 product, solves the exact covector with
     degree-2 rows ``(y_2^2 - y_1, 0, 0)`` in each factor, lifts the
     spiral horizontally on a graded grid, and reports the Goh residuals
-    together with the control bound.  ``context`` may carry a prebuilt
-    ``(product, product_family, factor_fields, covector)`` tuple.
+    together with the control bound.
     """
     from .abnormal import goh_check, product_group
     from .freelie import build_free
 
-    if context is None:
-        factor, _ = build_free(3, 4)
-        factor_fields = left_invariant_fields(factor)
-        factor_family = build_family(factor, rows=factor.stratum(2))
-        v = solve_goh_covector(factor_family)
-        product = product_group(factor, factor)
-        goh_rows = [j for j in range(1, product.base.n + 1)
-                    if product.base.degrees[j] in (1, 2)]
-        product_family = build_family(product.base, rows=goh_rows)
-    else:
-        product, product_family, factor_fields, v = context
-        factor = product.factor_a.base
+    factor, _ = build_free(3, 4)
+    factor_fields = left_invariant_fields(factor)
+    factor_family = build_family(factor, rows=factor.stratum(2))
+    v = solve_goh_covector(factor_family)
+    product = product_group(factor, factor)
+    goh_rows = [j for j in range(1, product.base.n + 1)
+                if product.base.degrees[j] in (1, 2)]
+    product_family = build_family(product.base, rows=goh_rows)
     vG = product.embed_point(v, v)
 
     # factor coordinates of weight <= 3 are enough for every Goh row
     cap = max(j for j in range(1, factor.n + 1) if factor.degrees[j] <= 3)
-    side = {}
     half = max(samples_per_side, 4)
     n_geo = half // 2
     n_uni = half - n_geo
@@ -430,41 +411,27 @@ def spiral_example(samples_per_side=1000, puncture=1e-6, base_step=1e-3,
     uni = [knee + (1.0 - knee) * m / (n_uni - 1) for m in range(n_uni)]
     sample_ts = sorted(set(geo + uni))
     sample_ts = [min(t, 1.0) for t in sample_ts]
-    for sign in (1.0, -1.0):
-        wanted = [sign * t for t in sample_ts]
-        lifts = {}
-        for name, d in (("y", spiral_dphi), ("z", spiral_dpsi)):
-            grid, ys = spiral_lift(factor, factor_fields, d, sign,
-                                   base_step=base_step,
-                                   include=[abs(t) for t in wanted],
-                                   coords_cap=cap)
-            lifts[name] = dict(zip(grid, ys))
-        side[sign] = (wanted, lifts)
-
     points = []
-    osc_err = 0.0
+    osc_err = bound = 0.0
     for sign in (1.0, -1.0):
-        wanted, lifts = side[sign]
-        for t in wanted:
+        ly, lz = [dict(zip(*spiral_lift(factor, factor_fields, coord, sign,
+                                        include=sample_ts, coords_cap=cap)))
+                  for coord in ((spiral_phi, spiral_dphi),
+                                (spiral_psi, spiral_dpsi))]
+        for t in [sign * s for s in sample_ts]:
+            bound = max(bound, abs(spiral_dphi(t)), abs(spiral_dpsi(t)))
             if abs(t) < puncture:
                 continue
-            ly, lz = lifts["y"][t], lifts["z"][t]
             # accuracy witness on the oscillatory third coordinate
-            osc_err = max(osc_err, abs(ly[2] - spiral_phi(t)),
-                          abs(lz[2] - spiral_psi(t)))
-            pt = product.embed_point(ly, lz)
+            osc_err = max(osc_err, abs(ly[t][2] - spiral_phi(t)),
+                          abs(lz[t][2] - spiral_psi(t)))
+            pt = product.embed_point(ly[t], lz[t])
             points.append([float(c) for c in pt])
     ok, worst = goh_check(product_family, [float(c) for c in vG], points,
                           tol=tol)
 
     origin = [Fraction(0)] * product.base.n
     ok0, worst0 = goh_check(product_family, vG, [origin], tol=0)
-
-    bound = 0.0
-    for sign in (1.0, -1.0):
-        wanted, _ = side[sign]
-        for t in wanted:
-            bound = max(bound, abs(spiral_dphi(t)), abs(spiral_dpsi(t)))
 
     return {
         "dimension": product.base.n,

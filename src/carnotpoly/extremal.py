@@ -51,13 +51,13 @@ class ExtremalFamily:
         hit = self.Q.get((j, k))
         if hit is not None:
             return hit
-        return Poly.zero(self.n, self.weights)
+        return Poly.zero(self.n)
 
     def polynomial(self, j, v):
         """P_j^v as a polynomial; float covector entries are taken exactly."""
         if len(v) != self.n:
             raise StructureError("covector length must equal the dimension")
-        out = Poly.zero(self.n, self.weights)
+        out = Poly.zero(self.n)
         for k in range(1, self.n + 1):
             c = v[k - 1]
             if not c:
@@ -123,12 +123,11 @@ def build_family(A, rows=None):
     """
     algebra = _algebra_of(A)
     n = algebra.n
-    weights = algebra.weights
-    xs = [Poly.variable(n, m, weights) for m in range(1, n + 1)]
+    xs = [Poly.variable(n, m) for m in range(1, n + 1)]
     Q = {}
     row_list = sorted(algebra.degrees) if rows is None else list(rows)
     for j in row_list:
-        Z = {j: Poly.const(n, 1, weights)}
+        Z = {j: Poly.const(n, 1)}
         for m in range(1, n + 1):
             exp_ad(algebra, m, xs[m - 1], Z)
         Q.update(((j, k), p) for k, p in Z.items() if k >= 1)
@@ -196,11 +195,11 @@ def verify_structure(family, fields=None, rows=None):
             for k in sorted(res):
                 terms = {key: c for key, c in res[k].items() if c}
                 if terms:
-                    report.append((i, j, k, Poly(n, terms, family.weights)))
+                    report.append((i, j, k, Poly(n, terms)))
     return report
 
 
-def reconstruct_by_recursion(A, fields=None):
+def reconstruct_by_recursion(A):
     """Rebuild the family from the structure formulas alone.
 
     Start from the top stratum (constant rows) and descend: each lower row
@@ -212,9 +211,7 @@ def reconstruct_by_recursion(A, fields=None):
     """
     algebra = _algebra_of(A)
     n = algebra.n
-    weights = algebra.weights
-    if fields is None:
-        fields = left_invariant_fields(algebra)
+    fields = left_invariant_fields(algebra)
     decomp = bracket_decompositions(algebra)
     rows = sorted(algebra.degrees)
     degrees_present = sorted({algebra.degrees[j] for j in rows}, reverse=True)
@@ -225,7 +222,7 @@ def reconstruct_by_recursion(A, fields=None):
                 continue
             if deg == algebra.s:
                 if j >= 1:
-                    Q[(j, j)] = Poly.const(n, 1, weights)
+                    Q[(j, j)] = Poly.const(n, 1)
                 continue
             # Known coordinate-field derivatives of the row vector Q_j.
             deriv = {}
@@ -256,7 +253,7 @@ def reconstruct_by_recursion(A, fields=None):
             # Integrate along coordinates, outermost first.
             acc = {}
             if j >= 1:
-                acc[j] = Poly.const(n, 1, weights)
+                acc[j] = Poly.const(n, 1)
             for ell in range(n, 0, -1):
                 for k, poly in deriv[ell].items():
                     piece = poly.subs_zero(range(1, ell)).integrate(ell)
@@ -265,8 +262,8 @@ def reconstruct_by_recursion(A, fields=None):
                         acc[k] = piece if cur is None else cur + piece
             for q in algebra.stratum(1):
                 for k in range(1, n + 1):
-                    got = fields[q - 1].apply(acc.get(k, Poly.zero(n, weights)))
-                    want = deriv[q].get(k, Poly.zero(n, weights))
+                    got = fields[q - 1].apply(acc.get(k, Poly.zero(n)))
+                    want = deriv[q].get(k, Poly.zero(n))
                     if got != want:
                         raise StructureError(
                             f"row {j}: integrated polynomial does not satisfy "

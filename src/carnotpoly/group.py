@@ -65,14 +65,12 @@ def _dynkin_terms(depth):
     return out
 
 
-def bch(algebra, u, w, depth=None):
+def bch(algebra, u, w):
     """``log(exp(u) exp(w))`` truncated at the nilpotency step.
 
     ``u`` and ``w`` are coefficient maps over stored basis indices; the
     result is exact whenever the scalars are.
     """
-    if depth is None:
-        depth = algebra.s
     args = (u, w)
     memo = {}
 
@@ -88,7 +86,7 @@ def bch(algebra, u, w, depth=None):
         return val
 
     acc = {}
-    for word, coeff in _dynkin_terms(depth):
+    for word, coeff in _dynkin_terms(algebra.s):
         val = suffix(word)
         for k, c in val.items():
             add = c * coeff
@@ -164,11 +162,10 @@ def left_invariant_fields(algebra):
     rest passes the factor as ``exp(x_m ad X_m)`` of itself.
     """
     n = algebra.n
-    weights = algebra.weights
-    xs = [Poly.variable(n, j, weights) for j in range(1, n + 1)]
+    xs = [Poly.variable(n, j) for j in range(1, n + 1)]
     fields = []
     for i in range(1, n + 1):
-        Z = {i: Poly.const(n, 1, weights)}
+        Z = {i: Poly.const(n, 1)}
         coeffs = {}
         for m in range(1, n + 1):
             coeffs[m] = Z.pop(m, 0)

@@ -279,7 +279,8 @@ def load_samples(path, n):
 
 
 def file_digest(path):
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        h.update(fh.read())
-    return h.hexdigest()
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None

@@ -2,10 +2,11 @@
 
 Terms are keyed by packed exponent tuples ``((var, exp), ...)`` with
 1-based variable numbers sorted ascending; zero coefficients are never
-stored.  A polynomial may carry the weight vector ``d(1)..d(n)`` of the
-ambient graded algebra, which defines the weighted homogeneous degree and
-the canonical term order (weighted degree, then lexicographic exponent)
-used by :func:`canonical_text`.
+stored.  A polynomial carries no grading: the weight vector
+``d(1)..d(n)`` belongs to the ambient graded algebra and is passed in to
+:func:`weighted_degree`, :func:`is_homogeneous` and :func:`canonical_text`,
+where it defines the weighted homogeneous degree and the canonical term
+order (weighted degree, then lexicographic exponent).
 
 Coefficients are :class:`fractions.Fraction` in all exact workflows, but
 the arithmetic is generic: evaluation and scaling accept floats.
@@ -40,44 +41,38 @@ def alpha_from_key(key, n):
 
 
 class Poly:
-    __slots__ = ("n", "terms", "weights")
+    __slots__ = ("n", "terms")
 
-    def __init__(self, n, terms=None, weights=None):
+    def __init__(self, n, terms=None):
         self.n = n
         self.terms = {k: c for k, c in (terms or {}).items() if c}
-        self.weights = weights
 
     # -- constructors -------------------------------------------------------
 
     @classmethod
-    def zero(cls, n, weights=None):
-        return cls(n, {}, weights)
+    def zero(cls, n):
+        return cls(n, {})
 
     @classmethod
-    def const(cls, n, c, weights=None):
-        return cls(n, {(): Fraction(c)}, weights)
+    def const(cls, n, c):
+        return cls(n, {(): Fraction(c)})
 
     @classmethod
-    def variable(cls, n, j, weights=None):
+    def variable(cls, n, j):
         if not 1 <= j <= n:
             raise ValueError(f"variable x{j} out of range 1..{n}")
-        return cls(n, {((j, 1),): Fraction(1)}, weights)
+        return cls(n, {((j, 1),): Fraction(1)})
 
     @classmethod
-    def monomial(cls, n, alpha, c, weights=None):
-        return cls(n, {key_from_alpha(alpha): Fraction(c)}, weights)
+    def monomial(cls, n, alpha, c):
+        return cls(n, {key_from_alpha(alpha): Fraction(c)})
 
     # -- ring structure ------------------------------------------------------
-
-    def _merge_weights(self, other):
-        if self.weights is not None:
-            return self.weights
-        return other.weights
 
     def __add__(self, other):
         if not isinstance(other, Poly):
             if isinstance(other, (int, Fraction)):
-                other = Poly.const(self.n, other, self.weights)
+                other = Poly.const(self.n, other)
             else:
                 return NotImplemented
         if other.n != self.n:
@@ -89,12 +84,12 @@ class Poly:
                 out[k] = cur
             else:
                 out.pop(k, None)
-        return Poly(self.n, out, self._merge_weights(other))
+        return Poly(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.n, {k: -c for k, c in self.terms.items()}, self.weights)
+        return Poly(self.n, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
@@ -107,7 +102,7 @@ class Poly:
             if other.n != self.n:
                 raise ValueError("ambient dimensions differ")
             if not self.terms or not other.terms:
-                return Poly(self.n, {}, self._merge_weights(other))
+                return Poly(self.n, {})
             out = {}
             for ka, ca in self.terms.items():
                 for kb, cb in other.terms.items():
@@ -117,12 +112,11 @@ class Poly:
                         out[k] = cur
                     else:
                         out.pop(k, None)
-            return Poly(self.n, out, self._merge_weights(other))
+            return Poly(self.n, out)
         if isinstance(other, (int, Fraction)):
             if not other:
-                return Poly(self.n, {}, self.weights)
-            return Poly(self.n, {k: c * other for k, c in self.terms.items()},
-                        self.weights)
+                return Poly(self.n, {})
+            return Poly(self.n, {k: c * other for k, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -133,7 +127,7 @@ class Poly:
     def __pow__(self, e):
         if not isinstance(e, int) or e < 0:
             raise ValueError("only nonnegative integer powers")
-        out = Poly.const(self.n, 1, self.weights)
+        out = Poly.const(self.n, 1)
         for _ in range(e):
             out = out * self
         return out
@@ -165,7 +159,7 @@ class Poly:
                         else k[:pos] + k[pos + 1:]
                     out[nk] = out.get(nk, _ZERO) + c * e
                     break
-        return Poly(self.n, out, self.weights)
+        return Poly(self.n, out)
 
     def integrate(self, j):
         """Antiderivative in x_j vanishing at x_j = 0."""
@@ -186,7 +180,7 @@ class Poly:
                     break
             if not done:
                 out[k + ((j, 1),)] = c
-        return Poly(self.n, out, self.weights)
+        return Poly(self.n, out)
 
     def subs_zero(self, vars_to_zero):
         vz = set(vars_to_zero)
@@ -195,7 +189,7 @@ class Poly:
             if any(v in vz for v, _ in k):
                 continue
             out[k] = out.get(k, _ZERO) + c
-        return Poly(self.n, out, self.weights)
+        return Poly(self.n, out)
 
     def evaluate(self, point):
         """Value at a point given as a sequence of n coordinates."""
@@ -230,29 +224,22 @@ def _key_weight(key, weights):
     return sum(e * weights[v - 1] for v, e in key)
 
 
-def weighted_degree(p, weights=None):
+def weighted_degree(p, weights):
     """Max weighted degree over nonzero terms; -inf for the zero polynomial."""
-    w = weights if weights is not None else p.weights
-    if w is None:
-        w = (1,) * p.n
     if not p.terms:
         return float("-inf")
-    return max(_key_weight(k, w) for k in p.terms)
+    return max(_key_weight(k, weights) for k in p.terms)
 
 
-def is_homogeneous(p, weights=None):
-    w = weights if weights is not None else p.weights
-    if w is None:
-        w = (1,) * p.n
-    degs = {_key_weight(k, w) for k in p.terms}
+def is_homogeneous(p, weights):
+    degs = {_key_weight(k, weights) for k in p.terms}
     return len(degs) <= 1
 
 
 def canonical_text(p, weights=None):
-    """Byte-stable text form: terms by (weighted degree, lex exponents)."""
-    w = weights if weights is not None else p.weights
-    if w is None:
-        w = (1,) * p.n
+    """Byte-stable text form: terms by (weighted degree, lex exponents);
+    unit weights when none are given."""
+    w = weights if weights is not None else (1,) * p.n
     if not p.terms:
         return "0"
     def sort_key(k):
@@ -295,7 +282,7 @@ class PolyVectorField:
         if p.n != self.n:
             raise ValueError("ambient dimensions differ")
         support = p.var_support()
-        out = Poly.zero(self.n, p.weights)
+        out = Poly.zero(self.n)
         for l, f in self.coeffs.items():
             if l in support:
                 out = out + f * p.diff(l)

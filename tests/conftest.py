@@ -118,11 +118,11 @@ def reference_exp_ad(A, m, xm, Z):
 def reference_family(A):
     """Reference for ``extremal.build_family`` on :func:`reference_exp_ad`."""
     algebra = _algebra_of(A)
-    n, weights = algebra.n, algebra.weights
-    xs = [Poly.variable(n, m, weights) for m in range(1, n + 1)]
+    n = algebra.n
+    xs = [Poly.variable(n, m) for m in range(1, n + 1)]
     Q = {}
     for j in sorted(algebra.degrees):
-        Z = {j: Poly.const(n, 1, weights)}
+        Z = {j: Poly.const(n, 1)}
         for m in range(1, n + 1):
             reference_exp_ad(algebra, m, xs[m - 1], Z)
         Q.update(((j, k), p) for k, p in Z.items() if k >= 1)

@@ -9,6 +9,7 @@ from carnotpoly.abnormal import (detect_abnormal, goh_check, membership,
                                  product_group, variety_generators)
 from carnotpoly.algebra import StructureError
 from carnotpoly.extremal import build_family
+from carnotpoly.freelie import build_free
 from carnotpoly.group import flow, identity
 from carnotpoly.poly import canonical_text, is_homogeneous, weighted_degree
 from carnotpoly.prolongation import prolong
@@ -163,6 +164,9 @@ def test_minor_shape_and_certificate(free24_family):
         cols_deg = sum(free24_family.algebra.degrees[k]
                        for k in system.col_indices)
         assert weighted_degree(det, W24) == cols_deg - rows_deg
+    # rank 3 keeps the degree-2 columns that rank 2 drops
+    free32 = minor_system(build_family(build_free(3, 2)[0]))
+    assert (free32.row_indices, free32.col_indices) == ([1, 2, 3], [4, 5, 6])
 
 
 def test_least_degree_minor_certificate(free24_family):

@@ -205,12 +205,18 @@ def test_integrate_rejects_non_finite_values(tmp_path, capsys):
          "--lambda0", "1,0,0,0,0"],
         ["--mode", "horizontal", "--controls", "1;1", "--x0", "0,nan,0,0,0"],
         ["--mode", "normal", "--lambda0", "1,0,0,inf,0"],
-        ["--mode", "normal", "--lambda0", "1,0,0,0," + "9" * 400])
+        ["--mode", "normal", "--lambda0", "1,0,0,0," + "9" * 400],
+        # an empty entry is rejected and its flag named
+        ["--mode", "normal", "--lambda0=1,,0,0,0,0"],
+        ["--mode", "horizontal", "--controls", "1;1", "--x0=,0,0,0,0,0"],
+        ["--mode", "normal", "--lambda0=1,0,,0,0"])
     for extra in cases:
         code, out, err = run(capsys, "integrate", str(path), *extra,
                              "--step", "0.5", "--json")
         assert code == 2, extra
         assert out == "" and err.startswith("error: "), extra
+        if extra[-1].startswith("--"):
+            assert extra[-1].split("=")[0] in err, extra
 
 
 def test_negative_max_depth_rejected(tmp_path, capsys):
@@ -391,50 +397,64 @@ def test_prolong_emit_basis_roundtrip(tmp_path, capsys):
     assert P1.algebra.table == P2.algebra.table
 
 
-# SHA-256 of the --json report of each run on free(2,4), from a working
-# directory holding free24.json and line.csv (the exact line of
-# test_detect_from_csv); a refactor must leave every byte unchanged.  The
-# float reports pin prime-integral drifts, endpoints and singular values
-# bit for bit; runs go in order, so the emitted curve.csv feeds detect.
+# SHA-256 of the --json report, then of the human report, of each run on
+# free(2,4), from a working directory holding free24.json and line.csv
+# (the exact line of test_detect_from_csv); a refactor must leave every
+# byte of both unchanged.  The float reports pin prime-integral drifts,
+# endpoints and singular values bit for bit; runs go in order, so the
+# emitted curve.csv feeds detect.
 GOLDEN_REPORTS = [
     (["prolong", "free24.json"],
-     "0c859039757ee22974251e52a39d45d5ef309b41c241c89add84cf24423bccfd"),
+     "0c859039757ee22974251e52a39d45d5ef309b41c241c89add84cf24423bccfd",
+     "39b4a9222ecbca988b8b1960e83f078f05ef6c6e308e4237471b5b0953e8fb55"),
     (["polys", "free24.json", "--max-depth", "3"],
-     "14fac1d4bd731e38a2f29a49b7cfb347b71d526251ac9d4d7a5190271ceaf339"),
+     "14fac1d4bd731e38a2f29a49b7cfb347b71d526251ac9d4d7a5190271ceaf339",
+     "b966a8ba0ec8cfbff325e50b93a1ec55ee88c628a31e9c0e387f1f8a9623012d"),
     (["verify", "free24.json"],
-     "1ed7e8c9bd7f92ba4cdb0f00ffffe6a64531c73c6668751d90a03b9e0fd73bb8"),
+     "1ed7e8c9bd7f92ba4cdb0f00ffffe6a64531c73c6668751d90a03b9e0fd73bb8",
+     "366e2c788dba7bc70d5aeb61e4789abe0395318d91ae90cafbc63425974037a3"),
     (["minors", "free24.json"],
-     "b0a0069ba80bf1d7cd617d0a129927f5d77f40b49f8544bdeae4ea872c40ed03"),
+     "b0a0069ba80bf1d7cd617d0a129927f5d77f40b49f8544bdeae4ea872c40ed03",
+     "0d09dfb991a02aa2f30a50d226e18799502cfdd8cca5c68ce7a2c910afea4e4d"),
     (["detect", "free24.json", "line.csv"],
-     "b432dd4a47fe2cc6a8b01a0698f44f023267dc8e626644eb0535b5875bdc1d83"),
+     "b432dd4a47fe2cc6a8b01a0698f44f023267dc8e626644eb0535b5875bdc1d83",
+     "f48213b67ec4a5774d2deb3100000f0bbab76a6f5c2150c199f575f39714a13b"),
     (["integrate", "free24.json", "--mode", "horizontal",
       "--controls", "cos(t);sin(t)", "--step", "0.01"],
-     "6752df4760c29334ef82904835d95494f62760abb8eb3bc798101c8b5a326653"),
+     "6752df4760c29334ef82904835d95494f62760abb8eb3bc798101c8b5a326653",
+     "2b0a19c8e8ceab3eb2993526252545d977674cec4091f00d9f082ca016a31659"),
     (["spiral", "--samples", "60", "--puncture", "1e-4"],
-     "69a33be846986b56b4f9252289bcdde832a25a8dddca0e666dc5c8489ef6a983"),
+     "69a33be846986b56b4f9252289bcdde832a25a8dddca0e666dc5c8489ef6a983",
+     "619408aaa796cb695870d44cab74b5f39d71defdd0f486d9c65564ba79716b03"),
     (["integrate", "free24.json", "--mode", "normal",
       "--lambda0=-1,0.5,1,-0.25,0.25,0.2,-0.125,1", "--step", "0.01"],
-     "5b9565a223c3209f1f8f452951a16d00d073814d21e6b17ff85872b10ee764df"),
+     "5b9565a223c3209f1f8f452951a16d00d073814d21e6b17ff85872b10ee764df",
+     "f653fdefc28f7a0038d6a86de2e5bf340d157d2c74e9f158e9dca7d52b74875c"),
     (["integrate", "free24.json", "--mode", "adjoint",
       "--controls", "cos(t);sin(t)",
       "--lambda0=0.5,-1,0.25,1,-0.5,0.125,2,-1", "--step", "0.01"],
-     "f85f21f911229f083c0c9f0b774aa0f59b9a76cc85c06b66e3e1009daf7da46d"),
+     "f85f21f911229f083c0c9f0b774aa0f59b9a76cc85c06b66e3e1009daf7da46d",
+     "d4fa8935db280e429f75e8e8e2aec1ca86b4653b99034836c6f420146d326cd8"),
     (["integrate", "free24.json", "--mode", "horizontal",
       "--controls", "1+cos(t);t+sin(2*t)", "--step", "0.01",
       "--emit", "curve.csv"],
-     "40720e92d327cd52953392e8791569d75c8b6e428cd617432fa87476bafbfaf4"),
+     "40720e92d327cd52953392e8791569d75c8b6e428cd617432fa87476bafbfaf4",
+     "04ee7a36eae8327aface5b739338542683354d97c93785348438c6f45ee1b223"),
     (["detect", "free24.json", "curve.csv"],
-     "ad50091ee117628263ed98861a3644790d61a24e64d4393749577e924534701a"),
+     "ad50091ee117628263ed98861a3644790d61a24e64d4393749577e924534701a",
+     "dc4fdbbd49d1eece91f39016bcdd6eb7bcf80842d066ac75c6c1127c01697b5f"),
     # sparse fields: free(3,4) has 32 nonzero field coefficients of 96
     (["integrate", "free34.json", "--mode", "normal",
       "--lambda0=" + ",".join(["-1", "0.5", "1", "-0.25", "0.25", "0.2",
                                "-0.125", "1"] * 4), "--step", "0.01"],
-     "6060c27b4eb236552fb1cb65c7b2b35f4715e33244476bab1e54464d1be1a9b3"),
+     "6060c27b4eb236552fb1cb65c7b2b35f4715e33244476bab1e54464d1be1a9b3",
+     "a4d9d88290dab8914e1ebb94c18602c60f71a649d3a47f7fdee7784ae293aff3"),
     (["integrate", "free26.json", "--mode", "adjoint",
       "--controls", "1+cos(t);t+sin(2*t)",
       "--lambda0=" + ",".join((["0.5", "-1", "0.25", "1", "-0.5", "0.125",
                                 "2", "-1"] * 3)[:23]), "--step", "0.01"],
-     "d4057af9d8ad1b21d16da7b5af58d2d532cae541a14947d2b2de28759409ad92"),
+     "d4057af9d8ad1b21d16da7b5af58d2d532cae541a14947d2b2de28759409ad92",
+     "d8ccd0fc484fe5f345471125738c0931109c754c0de5e13415c7342d742d56ab"),
 ]
 
 
@@ -447,10 +467,12 @@ def test_golden_reports(tmp_path, monkeypatch, capsys):
     for t in ("0", "1/2", "1", "2"):
         lines.append(",".join([t, "0", t] + ["0"] * 6))
     (tmp_path / "line.csv").write_text("\n".join(lines) + "\n")
-    for argv, digest in GOLDEN_REPORTS:
-        code, out, _ = run(capsys, *argv, "--json")
-        assert code == 0, argv
-        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+    for argv, *digests in GOLDEN_REPORTS:
+        for extra, digest in zip((["--json"], []), digests):
+            code, out, _ = run(capsys, *argv, *extra)
+            assert code == 0, argv + extra
+            assert hashlib.sha256(out.encode()).hexdigest() == digest, \
+                argv + extra
 
 
 def test_minors_without_enough_rows_expand_nothing(tmp_path, capsys):

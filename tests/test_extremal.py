@@ -20,10 +20,10 @@ W24 = (1, 1, 2, 3, 3, 4, 4, 4)
 
 
 def P24(terms):
-    out = Poly.zero(8, W24)
+    out = Poly.zero(8)
     for alpha, c in terms.items():
         out = out + Poly.monomial(8, alpha, Fraction(*c) if isinstance(c, tuple)
-                                  else Fraction(c), W24)
+                                  else Fraction(c))
     return out
 
 
@@ -101,12 +101,11 @@ def test_gsc_matches_iterated_on_prolongation_rows(free24_prolonged):
 def test_heisenberg_family_by_direct_expansion(heis_family):
     # oracle: expand the definition by hand from the three constants
     n = 3
-    w = (1, 1, 2)
 
     def HP(terms):
-        out = Poly.zero(n, w)
+        out = Poly.zero(n)
         for alpha, c in terms.items():
-            out = out + Poly.monomial(n, alpha, c, w)
+            out = out + Poly.monomial(n, alpha, c)
         return out
 
     assert heis_family.q(1, 1) == HP({(0, 0, 0): 1})
@@ -212,7 +211,7 @@ def test_verify_structure_detects_damage(free24_prolonged):
     assert (4, 3) not in fam.Q and not any(j == 4 and k < 4 for j, k in fam.Q)
     fam.Q[(3, 4)] = fam.Q[(3, 4)] * 2
     del fam.Q[(-1, 6)]
-    fam.Q[(4, 3)] = Poly.variable(8, 1, W24)
+    fam.Q[(4, 3)] = Poly.variable(8, 1)
     report = verify_structure(fam, fields)
     assert {(3, 4), (-1, 6), (4, 3)} <= {(j, k) for _, j, k, _ in report}
     assert report == _dense_residuals(fam, fields)
@@ -222,7 +221,7 @@ def _damage(family, rng):
     """Scale one entry, delete one, and add one outside its row's support
     in a g_0 row and in a positive row; returns the damaged keys (j, k),
     the added ones last."""
-    Q, n, weights = family.Q, family.n, family.weights
+    Q, n = family.Q, family.n
     keys = sorted(Q)
     scaled, deleted = rng.sample(keys, 2)
     Q[scaled] = Q[scaled] * rng.choice((2, -1, Fraction(1, 3)))
@@ -235,8 +234,8 @@ def _damage(family, rng):
         alpha = [0] * n
         for _ in range(rng.randint(1, 2)):
             alpha[rng.randrange(n)] += 1
-        Q[(j, k)] = Poly.monomial(n, alpha, rng.choice((1, -2, Fraction(1, 2))),
-                                  weights)
+        Q[(j, k)] = Poly.monomial(n, alpha,
+                                  rng.choice((1, -2, Fraction(1, 2))))
         added.append((j, k))
     return [scaled, deleted, *added]
 
@@ -344,7 +343,7 @@ def test_top_stratum_rows_are_constants(free24_family):
     for k in range(1, 9):
         q = free24_family.q(8, k)
         if k == 8:
-            assert q == Poly.const(8, 1, W24)
+            assert q == Poly.const(8, 1)
         else:
             assert not q
 
@@ -375,7 +374,7 @@ def test_degree_one_rows_pin_the_covector(free24_family):
 def _gsc_family(A):
     """Reference Q: sum ((-1)^|alpha|/alpha!) c_j,alpha^k x^alpha by terms."""
     algebra = getattr(A, "algebra", A)
-    n, weights = algebra.n, algebra.weights
+    n = algebra.n
     Q = {}
     for j in sorted(algebra.degrees):
         for (alpha, k), c in algebra.generalized_structure_constants(j).items():
@@ -383,8 +382,8 @@ def _gsc_family(A):
                 continue
             coeff = Fraction((-1) ** sum(alpha),
                              multi_index_factorial(alpha)) * c
-            Q[(j, k)] = Q.get((j, k), Poly.zero(n, weights)) + \
-                Poly.monomial(n, alpha, coeff, weights)
+            Q[(j, k)] = Q.get((j, k), Poly.zero(n)) + \
+                Poly.monomial(n, alpha, coeff)
     return {jk: p for jk, p in Q.items() if p}
 
 

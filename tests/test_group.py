@@ -10,8 +10,6 @@ from carnotpoly.group import (bch, flow, from_second_kind, group_mul,
                               to_second_kind)
 from carnotpoly.poly import Poly, PolyVectorField, weighted_degree
 
-W24 = (1, 1, 2, 3, 3, 4, 4, 4)
-
 
 class Jet:
     """First-order jet ``re + sum_i eps_i * parts[i]`` with nilpotent eps."""
@@ -228,13 +226,13 @@ def test_fields_free24_match_grayson_grossman(free24_fields):
     n = 8
 
     def P(terms):
-        out = Poly.zero(n, W24)
+        out = Poly.zero(n)
         for alpha, c in terms.items():
-            out = out + Poly.monomial(n, alpha, Fraction(*c), W24)
+            out = out + Poly.monomial(n, alpha, Fraction(*c))
         return out
 
     X1 = free24_fields[0]
-    assert X1.coeffs == {1: Poly.const(n, 1, W24)}
+    assert X1.coeffs == {1: Poly.const(n, 1)}
     X2 = free24_fields[1]
     expect = {
         2: P({(0, 0, 0, 0, 0, 0, 0, 0): (1, 1)}),
@@ -279,11 +277,12 @@ def test_fields_lemma_shape(free24, free24_fields, free23):
         n = A.n
         for i in range(1, n + 1):
             f = fields[i - 1]
-            assert f.coeffs[i] == Poly.const(n, 1, f.coeffs[i].weights)
+            assert f.coeffs[i] == Poly.const(n, 1)
             for l, p in f.coeffs.items():
                 if l != i:
                     assert A.degrees[l] > A.degrees[i]
-                    assert weighted_degree(p) == A.degrees[l] - A.degrees[i]
+                    assert weighted_degree(p, A.weights) == \
+                        A.degrees[l] - A.degrees[i]
                 # restriction to x_1 = ... = x_{i-1} = 0 kills corrections
                 if l != i:
                     assert not p.subs_zero(range(1, i))
@@ -324,12 +323,11 @@ def _jet_fields(algebra):
     """Reference fields: differentiate ``x . exp(sum_i eps_i X_i)`` at
     eps = 0 with one first-order jet run through the BCH group law."""
     n = algebra.n
-    weights = algebra.weights
-    xs = [Poly.variable(n, j, weights) for j in range(1, n + 1)]
+    xs = [Poly.variable(n, j) for j in range(1, n + 1)]
     u = from_second_kind(algebra, xs)
     uj = {k: Jet(p) for k, p in u.items()}
-    one = Poly.const(n, 1, weights)
-    zero = Poly.zero(n, weights)
+    one = Poly.const(n, 1)
+    zero = Poly.zero(n)
     w = {i: Jet(zero, {i: one}) for i in range(1, n + 1)}
     z = bch(algebra, uj, w)
     coords = to_second_kind(algebra, z)

@@ -12,12 +12,12 @@ from carnotpoly.poly import (Poly, PolyVectorField, canonical_text,
 W24 = (1, 1, 2, 3, 3, 4, 4, 4)
 
 
-def mono(n, alpha, c=1, weights=None):
-    return Poly.monomial(n, alpha, Fraction(c), weights)
+def mono(n, alpha, c=1):
+    return Poly.monomial(n, alpha, Fraction(c))
 
 
-def x(n, j, weights=None):
-    return Poly.variable(n, j, weights)
+def x(n, j):
+    return Poly.variable(n, j)
 
 
 def random_poly(rng, n, max_terms=4, max_deg=3):
@@ -85,7 +85,7 @@ def test_apply_field_heisenberg_row():
 def test_apply_field_camp_row(free24_fields):
     # the degree-2 Grayson-Grossman coefficient: X_2 x_3 = -x_1 in free(2,4)
     X2 = free24_fields[1]
-    assert X2.apply(Poly.variable(8, 3, W24)) == -Poly.variable(8, 1, W24)
+    assert X2.apply(Poly.variable(8, 3)) == -Poly.variable(8, 1)
 
 
 def test_apply_field_is_derivation():
@@ -102,7 +102,7 @@ def test_apply_field_is_derivation():
 def test_evaluate_linear_row_polynomial():
     # P_3 for v = e_4 is -x_1; at the first coordinate vector it is -1
     n = 8
-    p = -x(n, 1, W24)
+    p = -x(n, 1)
     point = [Fraction(1)] + [Fraction(0)] * 7
     assert p.evaluate(point) == -1
 
@@ -121,27 +121,26 @@ def test_evaluate_on_parabola():
 
 
 def test_weighted_degree_certificate_monomial():
-    p = mono(8, (1, 0, 1, 1, 0, 1, 0, 1), 1, W24)
-    assert weighted_degree(p) == 14
-    assert is_homogeneous(p)
+    p = mono(8, (1, 0, 1, 1, 0, 1, 0, 1), 1)
+    assert weighted_degree(p, W24) == 14
+    assert is_homogeneous(p, W24)
 
 
 def test_weighted_degree_trivia():
     n = 8
-    assert weighted_degree(Poly.const(n, 1, W24)) == 0
-    assert is_homogeneous(Poly.const(n, 1, W24))
-    p = x(n, 1, W24) + x(n, 3, W24)
-    assert weighted_degree(p) == 2
-    assert not is_homogeneous(p)
-    assert weighted_degree(Poly.zero(n, W24)) == float("-inf")
+    assert weighted_degree(Poly.const(n, 1), W24) == 0
+    assert is_homogeneous(Poly.const(n, 1), W24)
+    p = x(n, 1) + x(n, 3)
+    assert weighted_degree(p, W24) == 2
+    assert not is_homogeneous(p, W24)
+    assert weighted_degree(Poly.zero(n), W24) == float("-inf")
 
 
 def test_canonical_text_stable():
     n = 8
-    p = mono(n, (0, 2, 0, 0, 0, 0, 0, 0), Fraction(-1, 2), W24) + \
-        x(n, 3, W24) + mono(n, (1, 1), Fraction(3), W24) + \
-        Poly.const(n, 2, W24)
-    assert canonical_text(p) == "2 + x3 - 1/2*x2^2 + 3*x1*x2"
+    p = mono(n, (0, 2, 0, 0, 0, 0, 0, 0), Fraction(-1, 2)) + \
+        x(n, 3) + mono(n, (1, 1), Fraction(3)) + Poly.const(n, 2)
+    assert canonical_text(p, W24) == "2 + x3 - 1/2*x2^2 + 3*x1*x2"
     assert canonical_text(Poly.zero(n)) == "0"
 
 
