@@ -25,7 +25,6 @@ from . import linalg
 from .algebra import GradedLieAlgebra, StructureError
 from .extremal import ExtremalFamily, all_exact
 from .poly import Poly, compile_polys, weighted_degree
-from .prolongation import ProlongationStratum, ProlongedAlgebra, _trivial
 
 
 def variety_generators(family, v):
@@ -39,8 +38,9 @@ def _rows_vanish(family, rows, v, samples, tol):
     """Whether the rows P_j^v vanish on every sample.
 
     Returns ``(ok, max_residual)`` with the maximum over all rows and
-    samples.  Exact comparison on all-rational samples (tol defaults to 0
-    there, 1e-9 otherwise).
+    samples; a NaN value makes the maximum NaN and ``ok`` False.  Exact
+    comparison on all-rational samples (tol defaults to 0 there, 1e-9
+    otherwise).
     """
     exact = all_exact(samples)
     if tol is None:
@@ -50,7 +50,7 @@ def _rows_vanish(family, rows, v, samples, tol):
     for x in samples:
         for val in values(x):
             mag = abs(val)
-            if mag > worst:
+            if mag > worst or mag != mag:  # a NaN stays the maximum
                 worst = mag
     return worst <= tol, worst
 
@@ -68,7 +68,7 @@ def detect_abnormal(family, samples, tol=1e-9):
     bound, and (numeric path) the singular value spectrum.  Samples must
     include the origin for the corank reading to be sound; too few
     samples only make the result an over-approximation, flagged in
-    ``warnings``.
+    ``warnings``.  Float rows that overflow raise OverflowError.
     """
     n = family.n
     rows = family.rows_of_degree_at_most(1)
@@ -87,6 +87,9 @@ def detect_abnormal(family, samples, tol=1e-9):
     entries = compile_polys([family.q(j, k) for j in rows
                              for k in range(1, n + 1)])
     M = np.array([entries(x) for x in samples], dtype=float).reshape(-1, n)
+    if not np.isfinite(M).all():
+        raise OverflowError("the generator rows overflow to non-finite "
+                            "values on the curve samples")
     # kernel rows of vt beyond len(sing) exist only with fewer rows than n
     _, sing, vt = np.linalg.svd(M, full_matrices=len(M) < n)
     cutoff = tol * (sing[0] if len(sing) and sing[0] > 0 else 1.0)
@@ -187,21 +190,16 @@ def goh_check(family, v, samples, tol=None):
     return _rows_vanish(family, rows, v, samples, tol)
 
 
-class ProductAlgebra(ProlongedAlgebra):
+@dataclass
+class ProductAlgebra:
     """Direct product with the factor-to-product index embeddings."""
-
-    def __init__(self, base, algebra, strata, complete, map_a, map_b,
-                 factor_a, factor_b):
-        super().__init__(base=base, algebra=algebra, strata=strata,
-                         complete=complete)
-        self.map_a = map_a
-        self.map_b = map_b
-        self.factor_a = factor_a
-        self.factor_b = factor_b
+    algebra: GradedLieAlgebra
+    map_a: dict
+    map_b: dict
 
     def embed_point(self, xa, xb):
         """Product vector of two factor vectors (points or covectors)."""
-        out = [Fraction(0)] * self.base.n
+        out = [Fraction(0)] * self.algebra.n
         for i, c in enumerate(xa, start=1):
             out[self.map_a[i] - 1] = c
         for i, c in enumerate(xb, start=1):
@@ -209,72 +207,26 @@ class ProductAlgebra(ProlongedAlgebra):
         return out
 
 
-def product_group(PA, PB):
-    """Direct product of two (prolonged) algebras, brackets across = 0.
+def product_group(a, b):
+    """Direct product of two graded algebras, brackets across = 0.
 
-    The positive part interleaves strata degree by degree (factor A
-    first); nonpositive strata are adjoined the same way, acting block
-    diagonally, which is a graded extension of the product but not its
-    full prolongation.
+    The strata interleave degree by degree, factor a first.  Only positive
+    parts multiply: a factor with nonpositive indices (a prolongation)
+    raises :class:`StructureError`.
     """
-    if isinstance(PA, GradedLieAlgebra):
-        PA = _trivial(PA)
-    if isinstance(PB, GradedLieAlgebra):
-        PB = _trivial(PB)
-    a, b = PA.algebra, PB.algebra
-    s = max(PA.base.s, PB.base.s)
-    map_a, map_b = {}, {}
-    degrees = {}
-    nxt = 1
-    for d in range(1, s + 1):
-        for i in PA.base.stratum(d):
-            map_a[i] = nxt
-            degrees[nxt] = d
-            nxt += 1
-        for i in PB.base.stratum(d):
-            map_b[i] = nxt
-            degrees[nxt] = d
-            nxt += 1
-    lowest_a = min(a.degrees.values())
-    lowest_b = min(b.degrees.values())
-    nxt = 0
-    for d in range(0, min(lowest_a, lowest_b) - 1, -1):
-        layer = [(map_a, i) for i in a.stratum(d) if i <= 0] + \
-                [(map_b, i) for i in b.stratum(d) if i <= 0]
-        for mapping, i in reversed(layer):
-            mapping[i] = nxt
-            degrees[nxt] = d
-            nxt -= 1
-    table = {}
-    for (i, j), terms in a.table.items():
-        table[(map_a[i], map_a[j])] = {map_a[k]: c for k, c in terms.items()}
-    for (i, j), terms in b.table.items():
-        table[(map_b[i], map_b[j])] = {map_b[k]: c for k, c in terms.items()}
-    algebra = GradedLieAlgebra(degrees, table, rank=PA.base.r + PB.base.r)
-    base = GradedLieAlgebra({i: d for i, d in degrees.items() if i >= 1},
-                            {(i, j): t for (i, j), t in table.items()
-                             if i >= 1 and j >= 1},
-                            rank=PA.base.r + PB.base.r)
-    strata = []
-    for d in range(0, min(lowest_a, lowest_b) - 1, -1):
-        maps, blocks, ids = [], [], []
-        for P, mapping in ((PA, map_a), (PB, map_b)):
-            for st in P.strata:
-                if st.degree != d:
-                    continue
-                for phi, blk, old_id in zip(st.maps, st.g1_blocks, st.ids):
-                    maps.append({mapping[m]: {mapping[t]: c
-                                              for t, c in img.items()}
-                                 for m, img in phi.items()})
-                    blocks.append({mapping[q]: {mapping[t]: c
-                                                for t, c in img.items()}
-                                   for q, img in blk.items()})
-                    ids.append(mapping[old_id])
-        if maps:
-            strata.append(ProlongationStratum(d, maps, blocks, ids))
-    return ProductAlgebra(base, algebra, strata,
-                          PA.complete and PB.complete,
-                          map_a, map_b, PA, PB)
+    if min(a.degrees) < 1 or min(b.degrees) < 1:
+        raise StructureError("product_group takes algebras without "
+                             "nonpositive strata")
+    map_a, map_b, degrees = {}, {}, {}
+    for d in range(1, max(a.s, b.s) + 1):
+        for factor, mapping in ((a, map_a), (b, map_b)):
+            for i in factor.stratum(d):
+                mapping[i] = len(degrees) + 1
+                degrees[mapping[i]] = d
+    table = {(m[i], m[j]): {m[k]: c for k, c in terms.items()}
+             for factor, m in ((a, map_a), (b, map_b))
+             for (i, j), terms in factor.table.items()}
+    return ProductAlgebra(GradedLieAlgebra(degrees, table), map_a, map_b)
 
 
 def certificate_text(system, certificates):

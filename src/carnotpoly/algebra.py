@@ -54,16 +54,14 @@ def _clean(coeffs):
 class GradedLieAlgebra:
     """Immutable container for degrees and the exact bracket table."""
 
-    def __init__(self, degrees, table, rank=None):
+    def __init__(self, degrees, table):
         self.degrees = dict(degrees)
         pos = sorted(i for i in self.degrees if i >= 1)
         if not pos or pos != list(range(1, len(pos) + 1)):
             raise StructureError("positive indices must be exactly 1..n")
         self.n = len(pos)
         self.s = max(self.degrees[i] for i in pos)
-        if rank is None:
-            rank = sum(1 for i in pos if self.degrees[i] == 1)
-        self.r = rank
+        self.r = sum(1 for i in pos if self.degrees[i] == 1)
         self.weights = tuple(self.degrees[j] for j in range(1, self.n + 1))
         neg = sorted(i for i in self.degrees if i <= 0)
         if neg and neg != list(range(neg[0], 1)):

@@ -19,9 +19,9 @@ from . import io as cio
 from .abnormal import (certificate_text, detect_abnormal, minor_system,
                        nonvanishing_certificate)
 from .algebra import StructureError, validate
-from .dynamics import (MAX_GRID_STEPS, ControlPath, duality_check,
-                       integrate_adjoint, integrate_horizontal,
-                       integrate_normal, spiral_example, uniform_grid)
+from .dynamics import (MAX_GRID_STEPS, duality_check, integrate_adjoint,
+                       integrate_horizontal, integrate_normal, spiral_example,
+                       uniform_grid)
 from .extremal import build_family, verify_structure
 from .freelie import DimensionCapError, build_free
 from .io import InputError
@@ -109,11 +109,16 @@ def _load_valid(args):
     return algebra, overrides
 
 
+def _prolonged(algebra, overrides, depth):
+    """The algebra prolonged to ``depth`` under its basis overrides."""
+    return prolong(algebra, depth, basis_overrides=overrides or None,
+                   max_dim=_max_dim())
+
+
 def _family(algebra, overrides, depth):
     """Extremal family of the algebra, prolonged first unless depth is None."""
     if depth is not None:
-        algebra = prolong(algebra, depth, basis_overrides=overrides or None,
-                          max_dim=_max_dim())
+        algebra = _prolonged(algebra, overrides, depth)
     return build_family(algebra)
 
 
@@ -148,9 +153,7 @@ def cmd_free(args):
 
 
 def cmd_prolong(args):
-    algebra, overrides = _load_valid(args)
-    P = prolong(algebra, args.max_depth, basis_overrides=overrides or None,
-                max_dim=_max_dim())
+    P = _prolonged(*_load_valid(args), args.max_depth)
     report = {
         "stratum_dims": P.stratum_dims,
         "terminated": P.complete,
@@ -159,15 +162,15 @@ def cmd_prolong(args):
     }
     if args.emit_basis:
         exported = {}
+        g1 = P.base.stratum(1)
         for st in P.strata:
             if st.dim == 0:
                 continue
-            g1 = P.base.stratum(1)
             targets = P.algebra.stratum(st.degree + 1)
             exported[st.degree] = [
                 [[blk.get(q, {}).get(t, Fraction(0)) for q in g1]
                  for t in targets] for blk in st.g1_blocks]
-        cio.save_algebra(args.emit_basis, algebra, overrides=exported)
+        cio.save_algebra(args.emit_basis, P.base, overrides=exported)
         report["emitted"] = args.emit_basis
     status = 1 if report["validation"] and P.complete else 0
     return _emit(args, report, status)
@@ -218,7 +221,10 @@ def cmd_detect(args):
     algebra, overrides = _load_valid(args)
     _, points, _ = cio.load_samples(args.curve, algebra.n)
     family = _family(algebra, overrides, args.max_depth)
-    result = detect_abnormal(family, points, tol=args.tol)
+    try:
+        result = detect_abnormal(family, points, tol=args.tol)
+    except OverflowError as exc:
+        raise InputError(str(exc)) from None
     report = {
         "exact": result["exact"],
         "corank_lower_bound": result["corank_lower_bound"],
@@ -283,6 +289,7 @@ def _control_term(node):
 
 
 def _parse_controls(text, r):
+    """The ``--controls`` value as a callable ``t -> list of r floats``."""
     exprs = [p.strip() for p in text.split(";")]
     if len(exprs) != r:
         raise InputError(f"expected {r} semicolon-separated control exprs")
@@ -299,7 +306,7 @@ def _parse_controls(text, r):
         except (ValueError, ZeroDivisionError, OverflowError) as exc:
             raise InputError(f"controls fail at t={t}: {exc}") from None
 
-    return ControlPath(r, func=func)
+    return func
 
 
 def cmd_integrate(args):

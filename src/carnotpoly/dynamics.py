@@ -31,22 +31,13 @@ from .prolongation import _algebra_of
 
 
 @dataclass
-class ControlPath:
-    """Bounded measurable controls as a callback."""
-
-    r: int
-    func: object                 # t -> sequence of r values
-
-    def __call__(self, t):
-        return self.func(t)
-
-
-@dataclass
 class CurvePath:
+    """A curve sampled on its time grid.  ``controls`` is the callable
+    ``t -> (h_1, ..., h_r)`` that drove it, or None (a normal extremal)."""
     times: list
     gamma: list                  # one coordinate list per time
     lam: list = None             # optional dual coordinates per time
-    controls: ControlPath = None
+    controls: object = None
 
 
 MAX_GRID_STEPS = 10 ** 6
@@ -94,18 +85,18 @@ def _rk4(f, y0, times, controls=None):
     return out
 
 
-def _field_sum(A, fields=None, coords=None):
+def _field_sum(A):
     """The kernel ``(h, y) -> sum_j h_j X_j(y)`` of the r horizontal
-    fields, optionally restricted to the coordinates ``1..coords``."""
+    fields."""
     algebra = _algebra_of(A)
-    if fields is None:
-        fields = left_invariant_fields(algebra)
-    return compile_field_sum(fields[:algebra.r], coords or algebra.n)
+    fields = left_invariant_fields(algebra)
+    return compile_field_sum(fields[:algebra.r], algebra.n)
 
 
-def integrate_horizontal(A, controls, x0, grid, fields=None):
-    """RK4 solution of ``gamma' = sum_j h_j X_j(gamma)`` on the grid."""
-    gamma = _rk4(_field_sum(A, fields), [float(c) for c in x0],
+def integrate_horizontal(A, controls, x0, grid):
+    """RK4 solution of ``gamma' = sum_j h_j X_j(gamma)`` on the grid,
+    with controls any callable ``t -> (h_1, ..., h_r)``."""
+    gamma = _rk4(_field_sum(A), [float(c) for c in x0],
                  [float(t) for t in grid], controls)
     return CurvePath(list(grid), gamma, controls=controls)
 
@@ -154,10 +145,10 @@ def integrate_adjoint(A, curve, lambda0):
     return CurvePath(curve.times, curve.gamma, lam=lam, controls=controls)
 
 
-def integrate_normal(A, lambda0, x0, grid, fields=None):
+def integrate_normal(A, lambda0, x0, grid):
     """Normal extremal: controls ``h_j = -lambda_j`` coupled to the adjoint."""
     algebra = _algebra_of(A)
-    field_sum = _field_sum(A, fields)
+    field_sum = _field_sum(A)
     tables = _adjoint_tables(algebra)
     n, r = algebra.n, algebra.r
 
@@ -177,7 +168,8 @@ def integrate_normal(A, lambda0, x0, grid, fields=None):
 def duality_check(family, curve):
     """Max drift ``|lambda_i(t) - P_i^v(gamma(t))|`` per index, v = lambda(0).
 
-    Exact on a curve of rational points, float otherwise."""
+    Exact on a curve of rational points, float otherwise; a NaN drift
+    stays the maximum of its index."""
     if curve.lam is None:
         raise ValueError("curve carries no dual coordinates")
     n = family.n
@@ -187,7 +179,7 @@ def duality_check(family, curve):
     for x, lam in zip(curve.gamma, curve.lam):
         for i, val in enumerate(values(x)):
             err = abs(lam[i] - val)
-            if err > worst[i]:
+            if err > worst[i] or err != err:
                 worst[i] = err
     return dict(enumerate(worst, start=1))
 
@@ -352,17 +344,16 @@ def solve_goh_covector(factor_family):
     return v
 
 
-def spiral_lift(algebra, fields, coord, t_end, include=(), coords_cap=None):
+def spiral_lift(algebra, fields, coord, t_end, include, cap):
     """Horizontal lift of ``(t^2, t, f(t), *, ...)`` in a rank-3 factor.
 
     ``coord`` is the pair ``(f, df/dt)`` of the third coordinate.  The run
-    follows :func:`graded_grid` and starts at ``+-GRID_T_MIN`` from the
-    analytic seed; coordinates above ``coords_cap`` (an index bound) are
-    dropped from the state.  Returns ``(grid, ys)``.
+    follows :func:`graded_grid` with the ``include`` times and starts at
+    ``+-GRID_T_MIN`` from the analytic seed; coordinates above the index
+    bound ``cap`` are dropped from the state.  Returns ``(grid, ys)``.
     """
     n = algebra.n
-    cap = coords_cap or n
-    field_sum = _field_sum(algebra, fields, coords=cap)
+    field_sum = compile_field_sum(fields[:algebra.r], cap)
 
     grid = graded_grid(t_end, include)
     f3, dcoord = coord
@@ -395,9 +386,9 @@ def spiral_example(samples_per_side=1000, puncture=1e-6, tol=1e-8):
     factor_family = build_family(factor, rows=factor.stratum(2))
     v = solve_goh_covector(factor_family)
     product = product_group(factor, factor)
-    goh_rows = [j for j in range(1, product.base.n + 1)
-                if product.base.degrees[j] in (1, 2)]
-    product_family = build_family(product.base, rows=goh_rows)
+    goh_rows = [j for j in range(1, product.algebra.n + 1)
+                if product.algebra.degrees[j] in (1, 2)]
+    product_family = build_family(product.algebra, rows=goh_rows)
     vG = product.embed_point(v, v)
 
     # factor coordinates of weight <= 3 are enough for every Goh row
@@ -415,7 +406,7 @@ def spiral_example(samples_per_side=1000, puncture=1e-6, tol=1e-8):
     osc_err = bound = 0.0
     for sign in (1.0, -1.0):
         ly, lz = [dict(zip(*spiral_lift(factor, factor_fields, coord, sign,
-                                        include=sample_ts, coords_cap=cap)))
+                                        sample_ts, cap)))
                   for coord in ((spiral_phi, spiral_dphi),
                                 (spiral_psi, spiral_dpsi))]
         for t in [sign * s for s in sample_ts]:
@@ -430,13 +421,13 @@ def spiral_example(samples_per_side=1000, puncture=1e-6, tol=1e-8):
     ok, worst = goh_check(product_family, [float(c) for c in vG], points,
                           tol=tol)
 
-    origin = [Fraction(0)] * product.base.n
+    origin = [Fraction(0)] * product.algebra.n
     ok0, worst0 = goh_check(product_family, vG, [origin], tol=0)
 
     return {
-        "dimension": product.base.n,
-        "rank": product.base.r,
-        "step": product.base.s,
+        "dimension": product.algebra.n,
+        "rank": product.algebra.r,
+        "step": product.algebra.s,
         "covector_support": {k + 1: v[k] for k in range(len(v)) if v[k]},
         "samples": len(points),
         "puncture": puncture,

@@ -139,7 +139,7 @@ def _exact_terms(p):
     return [(key, scalar(c)) for key, c in p.terms.items()]
 
 
-def verify_structure(family, fields=None, rows=None):
+def verify_structure(family, rows=None):
     """Residuals of X_i Q_j. - sum_k c_ij^k Q_k. for all i, stored j.
 
     Returns a list of violation records ``(i, j, k, residual_poly)``,
@@ -156,8 +156,7 @@ def verify_structure(family, fields=None, rows=None):
     """
     A = family.algebra
     n = A.n
-    if fields is None:
-        fields = left_invariant_fields(A)
+    fields = left_invariant_fields(A)
     row_list = family.rows() if rows is None else list(rows)
     stored = {}  # row j -> [(k, terms of Q_jk)]
     index = {}  # row j -> l -> [(k, terms of dQ_jk/dx_l)]

@@ -160,7 +160,7 @@ def build_free(r, s, max_dim=None):
             terms = reducer.pair(i, j)
             if terms:
                 table[(i, j)] = terms
-    algebra = GradedLieAlgebra(degrees, table, rank=r)
+    algebra = GradedLieAlgebra(degrees, table)
     algebra._hall_reducer = reducer
     return algebra, words
 

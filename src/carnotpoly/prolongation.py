@@ -323,7 +323,7 @@ def extend_structure_constants(P, stratum, chosen_basis=None):
     for e, phi in zip(new_ids, stratum.maps):
         for m, img in phi.items():
             table[(m, e)] = img
-    ext = GradedLieAlgebra(degrees, table, rank=P.base.r)
+    ext = GradedLieAlgebra(degrees, table)
 
     strata_by_deg = {st.degree: st for st in P.strata}
     strata_by_deg[stratum.degree] = stratum

@@ -2,6 +2,7 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import strategies as st
 
 from carnotpoly import build_free
 from carnotpoly import linalg
@@ -163,6 +164,45 @@ def reference_validate(A):
             report.append(
                 f"stratum {m} not spanned by brackets [g_{m-1}, g_1]")
     return report
+
+
+@st.composite
+def recombined_free(draw):
+    """free(r, s) with r * s <= 9 in a basis recombined, stratum by
+    stratum, by an integer matrix of determinant +-1."""
+    A = build_free(*draw(st.sampled_from(
+        [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])))[0]
+    new_of, old_of = {}, {}  # new index -> old combination, and back
+    for d in range(1, A.s + 1):
+        idx = A.stratum(d)
+        size = len(idx)
+        U = [[int(a == b) for b in range(size)] for a in range(size)]
+        for a, b, c in draw(st.lists(st.tuples(
+                st.integers(0, size - 1), st.integers(0, size - 1),
+                st.integers(-2, 2)), max_size=4)):
+            if a != b:
+                U[a] = [x + c * y for x, y in zip(U[a], U[b])]
+        order = draw(st.permutations(range(size)))
+        U = [[draw(st.sampled_from((1, -1))) * x for x in U[a]]
+             for a in order]
+        inv = dense_rref([row + [int(a == b) for b in range(size)]
+                          for a, row in enumerate(U)], size)[0]
+        for a, i in enumerate(idx):
+            new_of[i] = {idx[b]: c for b, c in enumerate(U[a]) if c}
+            old_of[i] = {idx[b]: inv[a][size + b] for b in range(size)
+                         if inv[a][size + b]}
+    table = {}
+    for i in A.base_indices():
+        for j in range(1, i):
+            acc = {}
+            for a, ca in new_of[i].items():
+                for b, cb in new_of[j].items():
+                    for k, c in A.bracket_indices(a, b).items():
+                        for m, cm in old_of[k].items():
+                            acc[m] = acc.get(m, 0) + ca * cb * c * cm
+            table[(i, j)] = acc
+    return GradedLieAlgebra(A.degrees, table)
+
 
 def heisenberg_algebra():
     return GradedLieAlgebra({1: 1, 2: 1, 3: 2}, {(2, 1): {3: Fraction(1)}})

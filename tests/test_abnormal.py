@@ -1,8 +1,10 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
 
 from carnotpoly.abnormal import (detect_abnormal, goh_check, membership,
                                  minor_system, nonvanishing_certificate,
@@ -13,6 +15,8 @@ from carnotpoly.freelie import build_free
 from carnotpoly.group import flow, identity
 from carnotpoly.poly import canonical_text, is_homogeneous, weighted_degree
 from carnotpoly.prolongation import prolong
+
+from conftest import recombined_free
 
 W24 = (1, 1, 2, 3, 3, 4, 4, 4)
 
@@ -77,6 +81,12 @@ def test_membership_float_path_uses_tolerance(free24_family):
     assert not ok and abs(worst - 5e-9) < 1e-12
     ok2, _ = membership(free24_family, v, [x], tol=1e-8)
     assert ok2
+
+
+def test_membership_nan_sample_fails(free24_family):
+    # a NaN residual must not read as zero: it enters the maximum
+    ok, worst = membership(free24_family, E4, [[math.nan] * 8])
+    assert not ok and math.isnan(worst)
 
 
 def sympy_null_space(family, samples):
@@ -238,7 +248,7 @@ def test_minor_system_without_eligible_columns():
 
 def test_product_heisenberg_squared(heisenberg):
     prod = product_group(heisenberg, heisenberg)
-    A = prod.base
+    A = prod.algebra
     assert A.n == 6 and A.r == 4 and A.s == 2
     # cross brackets vanish; factor brackets survive under the embedding
     a1, a2 = prod.map_a[1], prod.map_a[2]
@@ -253,7 +263,7 @@ def test_product_heisenberg_squared(heisenberg):
 def test_product_field_block_structure(heisenberg):
     from carnotpoly.group import left_invariant_fields
     prod = product_group(heisenberg, heisenberg)
-    fields = left_invariant_fields(prod.base)
+    fields = left_invariant_fields(prod.algebra)
     factor_fields = left_invariant_fields(heisenberg)
     for i in range(1, 4):
         fi = fields[prod.map_a[i] - 1]
@@ -268,22 +278,53 @@ def test_product_field_block_structure(heisenberg):
         assert got == expect
 
 
-def test_product_polynomials_split(heisenberg):
-    prod = product_group(prolong(heisenberg, 0), prolong(heisenberg, 0))
-    fam = build_family(prod)
-    a_coords = {prod.map_a[m] for m in range(1, 4)}
-    a_rows = {prod.map_a[m] for m in range(1, 4)} | \
-        {prod.map_a[e] for st in prod.factor_a.strata for e in st.ids}
+def _assert_rows_split(prod, factor, mapping):
+    """The family rows of one factor read only that factor's coordinates."""
+    coords = {mapping[m] for m in factor.base_indices()}
+    fam = build_family(prod.algebra, rows=sorted(coords))
     for (j, k), q in fam.Q.items():
-        if j in a_rows:
-            assert q.var_support() <= a_coords
-            assert k in a_coords
+        assert q.var_support() <= coords
+        assert k in coords
+
+
+def test_product_polynomials_split(heisenberg):
+    prod = product_group(heisenberg, heisenberg)
+    _assert_rows_split(prod, heisenberg, prod.map_a)
+    _assert_rows_split(prod, heisenberg, prod.map_b)
+
+
+def test_product_refuses_prolonged_factor(heisenberg):
+    with pytest.raises(StructureError):
+        product_group(prolong(heisenberg, 0).algebra, heisenberg)
+    with pytest.raises(StructureError):
+        product_group(heisenberg, prolong(heisenberg, 0).algebra)
+
+
+@settings(max_examples=10, deadline=None)
+@given(a=recombined_free(), b=recombined_free())
+def test_product_of_random_graded_pairs(a, b):
+    prod = product_group(a, b)
+    P = prod.algebra
+    assert P.validate() == []
+    assert (P.n, P.r, P.s) == (a.n + b.n, a.r + b.r, max(a.s, b.s))
+    for factor, mapping in ((a, prod.map_a), (b, prod.map_b)):
+        for i in factor.base_indices():
+            assert P.degrees[mapping[i]] == factor.degrees[i]
+            for j in factor.base_indices():
+                assert P.bracket_indices(mapping[i], mapping[j]) == {
+                    mapping[k]: c
+                    for k, c in factor.bracket_indices(i, j).items()}
+    for i in a.base_indices():
+        for j in b.base_indices():
+            assert P.bracket_indices(prod.map_a[i], prod.map_b[j]) == {}
+    _assert_rows_split(prod, a, prod.map_a)
 
 
 def test_product_free34_squared(free34):
     prod = product_group(free34, free34)
-    assert prod.base.n == 64 and prod.base.r == 6 and prod.base.s == 4
-    assert prod.base.validate() == []
+    A = prod.algebra
+    assert A.n == 64 and A.r == 6 and A.s == 4
+    assert A.validate() == []
 
 
 def test_goh_spiral_wrong_covector(free34):

@@ -17,8 +17,8 @@ import sympy
 
 from carnotpoly.abnormal import minor_system
 from carnotpoly.algebra import validate
-from carnotpoly.dynamics import (ControlPath, convergence_order,
-                                 duality_check, integrate_horizontal,
+from carnotpoly.dynamics import (convergence_order, duality_check,
+                                 integrate_horizontal,
                                  integrate_normal, iterated_integrals,
                                  uniform_grid)
 from carnotpoly.extremal import build_family, verify_structure
@@ -181,23 +181,22 @@ def test_criterion_07_detection(free24_family):
 def test_criterion_08_prime_integrals():
     with _Timer() as t:
         A, _ = build_free(2, 4)
-        fields = left_invariant_fields(A)
         family = build_family(A)
         lam0 = [-1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
         curve = integrate_normal(A, lam0, [0.0] * 8,
-                                 uniform_grid(0, 1, 1e-3), fields=fields)
+                                 uniform_grid(0, 1, 1e-3))
         drift = max(duality_check(family, curve).values())
         ok = drift <= 1e-8
         generic = [-1.0, 0.5, 1.0, -1 / 3, 0.25, 0.2, -1 / 7, 1.0]
         drifts = []
         for h in (0.04, 0.02, 0.01):
             c = integrate_normal(A, generic, [0.0] * 8,
-                                 uniform_grid(0, 1, h), fields=fields)
+                                 uniform_grid(0, 1, h))
             drifts.append(max(duality_check(family, c).values()))
         order = convergence_order(drifts)
         ok &= order >= 3.5
         cg = integrate_normal(A, generic, [0.0] * 8,
-                              uniform_grid(0, 1, 1e-3), fields=fields)
+                              uniform_grid(0, 1, 1e-3))
         ok &= max(duality_check(family, cg).values()) <= 1e-8
     _report(8, f"prime-integral drift <= 1e-8 at step 1e-3, RK4 order "
             f">= 3.5 (got {order:.2f})", ok, t.elapsed, 30.0)
@@ -206,10 +205,9 @@ def test_criterion_08_prime_integrals():
 def test_criterion_09_iterated_integrals(free24_family):
     with _Timer() as t:
         A, _ = build_free(2, 4)
-        fields = left_invariant_fields(A)
-        controls = ControlPath(2, func=lambda s: (math.cos(s), math.sin(s)))
+        controls = lambda s: (math.cos(s), math.sin(s))
         curve = integrate_horizontal(A, controls, [0.0] * 8,
-                                     uniform_grid(0, 1, 1e-3), fields=fields)
+                                     uniform_grid(0, 1, 1e-3))
         rng = random.Random(101)
         v = [0, 0, 0] + [rng.uniform(-1, 1) for _ in range(5)]
         table, pairings = iterated_integrals(free24_family, curve, v)

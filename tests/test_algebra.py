@@ -11,7 +11,7 @@ from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
 from carnotpoly.extremal import build_family
 from carnotpoly.prolongation import prolong
 
-from conftest import (ELEMENTARY_G0, dense_rref, heisenberg_algebra,
+from conftest import (ELEMENTARY_G0, heisenberg_algebra, recombined_free,
                       reference_bracket_indices, reference_family,
                       reference_validate)
 
@@ -175,7 +175,7 @@ def test_graded_jacobi_skip_misses_no_perturbation(name, data):
     delta = data.draw(st.fractions(-3, 3, max_denominator=2).filter(bool))
     table = {p: dict(terms) for p, terms in A.table.items()}
     table[pair][k] += delta
-    bad = GradedLieAlgebra(A.degrees, table, rank=A.r)
+    bad = GradedLieAlgebra(A.degrees, table)
     report = validate(bad)
     assert not any("grading" in line for line in report)
     assert report == reference_validate(bad)
@@ -219,44 +219,6 @@ def test_adapted_order_enforced():
         GradedLieAlgebra({1: 1, 3: 2}, {})
 
 
-@st.composite
-def recombined_free(draw):
-    """free(r, s) with r * s <= 9 in a basis recombined, stratum by
-    stratum, by an integer matrix of determinant +-1."""
-    A = build_free(*draw(st.sampled_from(
-        [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (4, 2)])))[0]
-    new_of, old_of = {}, {}  # new index -> old combination, and back
-    for d in range(1, A.s + 1):
-        idx = A.stratum(d)
-        size = len(idx)
-        U = [[int(a == b) for b in range(size)] for a in range(size)]
-        for a, b, c in draw(st.lists(st.tuples(
-                st.integers(0, size - 1), st.integers(0, size - 1),
-                st.integers(-2, 2)), max_size=4)):
-            if a != b:
-                U[a] = [x + c * y for x, y in zip(U[a], U[b])]
-        order = draw(st.permutations(range(size)))
-        U = [[draw(st.sampled_from((1, -1))) * x for x in U[a]]
-             for a in order]
-        inv = dense_rref([row + [int(a == b) for b in range(size)]
-                          for a, row in enumerate(U)], size)[0]
-        for a, i in enumerate(idx):
-            new_of[i] = {idx[b]: c for b, c in enumerate(U[a]) if c}
-            old_of[i] = {idx[b]: inv[a][size + b] for b in range(size)
-                         if inv[a][size + b]}
-    table = {}
-    for i in A.base_indices():
-        for j in range(1, i):
-            acc = {}
-            for a, ca in new_of[i].items():
-                for b, cb in new_of[j].items():
-                    for k, c in A.bracket_indices(a, b).items():
-                        for m, cm in old_of[k].items():
-                            acc[m] = acc.get(m, 0) + ca * cb * c * cm
-            table[(i, j)] = acc
-    return GradedLieAlgebra(A.degrees, table)
-
-
 def _family_or_error(build, A):
     try:
         return build(A).Q
@@ -282,7 +244,7 @@ def test_adjoint_rows_match_table_reference(base, prolonged, data):
         table = {pair: dict(terms) for pair, terms in A.table.items()}
         terms = table.setdefault((i, j), {})
         terms[k] = terms.get(k, 0) + data.draw(st.integers(-2, 2).filter(bool))
-        cases.append(GradedLieAlgebra(A.degrees, table, rank=A.r))
+        cases.append(GradedLieAlgebra(A.degrees, table))
     for B in cases:
         for i in B.indices():
             for j in B.indices():

@@ -520,6 +520,31 @@ def test_detect_rejects_non_finite_float_samples(tmp_path, capsys):
     assert code == 0 and json.loads(out)["exact"] is True
 
 
+def test_integrate_nan_drift_exits_2(tmp_path, capsys):
+    # lambda runs off to +-inf, so the drift is NaN; it must not read as 0
+    path = tmp_path / "free23.json"
+    run(capsys, "free", "--rank", "2", "--step", "3", "--emit", str(path))
+    code, out, err = run(
+        capsys, "integrate", str(path), "--mode", "adjoint",
+        "--controls", "1;1",
+        "--lambda0=1.7e308,-1.7e308,1.7e308,1.7e308,-1.7e308",
+        "--step", "0.1", "--t1", "5", "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: integration overflowed")
+
+
+def test_detect_rejects_overflowing_generator_rows(tmp_path, capsys):
+    # every entry is finite, but the generator rows overflow on row 2
+    path = tmp_path / "a.json"
+    run(capsys, "free", "--rank", "2", "--step", "4", "--emit", str(path))
+    curve = tmp_path / "big.csv"
+    curve.write_text("t,x1,x2,x3,x4,x5,x6,x7,x8\n" + ",".join(["0"] * 9)
+                     + "\n1.0,1e200,-1e200,1e200,1.0,1.0,1.0,1.0,1.0\n")
+    code, out, err = run(capsys, "detect", str(path), str(curve), "--json")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "overflow" in err
+
+
 def test_spiral_cli_small(capsys):
     code, out, _ = run(capsys, "spiral", "--samples", "60",
                        "--puncture", "1e-4", "--json")

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnotpoly.dynamics import (ControlPath, CurvePath, convergence_order,
-                                 duality_check, graded_grid,
+from carnotpoly.dynamics import (CurvePath, convergence_order, duality_check,
+                                 graded_grid,
                                  integrate_adjoint, integrate_horizontal,
                                  integrate_normal, iterated_integrals,
                                  solve_goh_covector, spiral_dphi, spiral_dpsi,
@@ -25,7 +25,7 @@ GRID = uniform_grid(0.0, 1.0, 1e-3)
 
 
 def test_zero_controls_constant_curve(free24):
-    controls = ControlPath(2, func=lambda t: (0.0, 0.0))
+    controls = lambda t: (0.0, 0.0)
     curve = integrate_horizontal(free24, controls, [0.0] * 8,
                                  uniform_grid(0, 1, 0.01))
     for x in curve.gamma:
@@ -33,7 +33,7 @@ def test_zero_controls_constant_curve(free24):
 
 
 def test_flow_line_matches_exact_flow(free24):
-    controls = ControlPath(2, func=lambda t: (0.0, 1.0))
+    controls = lambda t: (0.0, 1.0)
     curve = integrate_horizontal(free24, controls, [0.0] * 8, GRID)
     # oracle: the exact group flow at rational times
     for m in (250, 500, 1000):
@@ -45,7 +45,7 @@ def test_flow_line_matches_exact_flow(free24):
 
 def test_constant_controls_match_single_field_flow(free24):
     # constant controls (1,1) follow exp(t(X_1+X_2)): compare endpoints
-    controls = ControlPath(2, func=lambda t: (1.0, 1.0))
+    controls = lambda t: (1.0, 1.0)
     curve = integrate_horizontal(free24, controls, [0.0] * 8, GRID)
     exact = to_second_kind(free24, {1: Fraction(1), 2: Fraction(1)})
     err = max(abs(a - float(b)) for a, b in zip(curve.gamma[-1], exact))
@@ -53,7 +53,7 @@ def test_constant_controls_match_single_field_flow(free24):
 
 
 def test_horizontal_consistency(free24):
-    controls = ControlPath(2, func=lambda t: (math.cos(t), math.sin(t)))
+    controls = lambda t: (math.cos(t), math.sin(t))
     curve = integrate_horizontal(free24, controls, [0.0] * 8, GRID)
     for m in (200, 700, 1000):
         t = curve.times[m]
@@ -62,7 +62,7 @@ def test_horizontal_consistency(free24):
 
 
 def test_adjoint_constant_curve(heisenberg):
-    controls = ControlPath(2, func=lambda t: (0.0, 0.0))
+    controls = lambda t: (0.0, 0.0)
     curve = integrate_horizontal(heisenberg, controls, [0.0] * 3,
                                  uniform_grid(0, 1, 0.01))
     out = integrate_adjoint(heisenberg, curve, [1.0, -2.0, 3.0])
@@ -71,7 +71,7 @@ def test_adjoint_constant_curve(heisenberg):
 
 
 def test_adjoint_heisenberg_closed_form(heisenberg):
-    controls = ControlPath(2, func=lambda t: (1.0, 0.0))
+    controls = lambda t: (1.0, 0.0)
     curve = integrate_horizontal(heisenberg, controls, [0.0] * 3, GRID)
     out = integrate_adjoint(heisenberg, curve, [0.0, 0.0, 1.0])
     for m in (0, 500, 1000):
@@ -82,11 +82,10 @@ def test_adjoint_heisenberg_closed_form(heisenberg):
         assert abs(lam[2] - 1.0) <= 1e-12
 
 
-def test_adjoint_solutions_are_prime_integrals(free24, free24_fields):
+def test_adjoint_solutions_are_prime_integrals(free24):
     fam = build_family(free24)
-    controls = ControlPath(2, func=lambda t: (math.cos(t), math.sin(t)))
-    curve = integrate_horizontal(free24, controls, [0.0] * 8, GRID,
-                                 fields=free24_fields)
+    controls = lambda t: (math.cos(t), math.sin(t))
+    curve = integrate_horizontal(free24, controls, [0.0] * 8, GRID)
     rng = random.Random(19)
     lam0 = [rng.uniform(-1, 1) for _ in range(8)]
     out = integrate_adjoint(free24, curve, lam0)
@@ -94,11 +93,10 @@ def test_adjoint_solutions_are_prime_integrals(free24, free24_fields):
     assert max(drift.values()) <= 1e-8
 
 
-def test_adjoint_linear_in_initial_condition(free24, free24_fields):
-    controls = ControlPath(2, func=lambda t: (math.cos(t), math.sin(t)))
+def test_adjoint_linear_in_initial_condition(free24):
+    controls = lambda t: (math.cos(t), math.sin(t))
     curve = integrate_horizontal(free24, controls, [0.0] * 8,
-                                 uniform_grid(0, 1, 0.01),
-                                 fields=free24_fields)
+                                 uniform_grid(0, 1, 0.01))
     rng = random.Random(23)
     a, b = rng.uniform(-2, 2), rng.uniform(-2, 2)
     l1 = [rng.uniform(-1, 1) for _ in range(8)]
@@ -130,11 +128,10 @@ def test_normal_heisenberg_straight_line(heisenberg):
                    zip(curve.lam[m], [0.0, -1.0, 0.0])) <= 1e-12
 
 
-def test_normal_prime_integral_drift(free24, free24_fields):
+def test_normal_prime_integral_drift(free24):
     fam = build_family(free24)
     lam0 = [-1.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 0.0]
-    curve = integrate_normal(free24, lam0, [0.0] * 8, GRID,
-                             fields=free24_fields)
+    curve = integrate_normal(free24, lam0, [0.0] * 8, GRID)
     drift = duality_check(fam, curve)
     assert max(drift.values()) <= 1e-8
 
@@ -204,13 +201,13 @@ def test_field_sum_kernel_adds_fields_in_ascending_order():
         assert kernel(h, point) == reference(h, point)
 
 
-def test_normal_rk4_convergence_order(free24, free24_fields):
+def test_normal_rk4_convergence_order(free24):
     fam = build_family(free24)
     lam0 = [-1.0, 0.5, 1.0, -1 / 3, 0.25, 0.2, -1 / 7, 1.0]
     drifts = []
     for h in (0.04, 0.02, 0.01):
         curve = integrate_normal(free24, lam0, [0.0] * 8,
-                                 uniform_grid(0, 1, h), fields=free24_fields)
+                                 uniform_grid(0, 1, h))
         drifts.append(max(duality_check(fam, curve).values()))
     assert convergence_order(drifts) >= 3.5
 
@@ -234,7 +231,7 @@ def test_duality_check_exact_on_abnormal_line(free24_family):
 
 
 def test_iterated_integrals_constant_curve(free24_family):
-    controls = ControlPath(2, func=lambda t: (0.0, 0.0))
+    controls = lambda t: (0.0, 0.0)
     ts = uniform_grid(0, 1, 0.01)
     curve = CurvePath(ts, [[0.0] * 8 for _ in ts], controls=controls)
     table, pairings = iterated_integrals(
@@ -242,10 +239,9 @@ def test_iterated_integrals_constant_curve(free24_family):
     assert all(all(v == 0 for v in vals) for vals in table.values())
 
 
-def test_iterated_integrals_pairings(free24, free24_family, free24_fields):
-    controls = ControlPath(2, func=lambda t: (math.cos(t), math.sin(t)))
-    curve = integrate_horizontal(free24, controls, [0.0] * 8, GRID,
-                                 fields=free24_fields)
+def test_iterated_integrals_pairings(free24, free24_family):
+    controls = lambda t: (math.cos(t), math.sin(t))
+    curve = integrate_horizontal(free24, controls, [0.0] * 8, GRID)
     rng = random.Random(29)
     v = [0, 0, 0] + [rng.uniform(-1, 1) for _ in range(5)]
     table, pairings = iterated_integrals(free24_family, curve, v)
@@ -256,14 +252,11 @@ def test_iterated_integrals_pairings(free24, free24_family, free24_fields):
         assert drift <= 1e-7
 
 
-def test_iterated_integrals_read_the_true_stage_states(free24, free24_family,
-                                                      free24_fields):
+def test_iterated_integrals_read_the_true_stage_states(free24, free24_family):
     # B rides the RK4 state next to gamma, so no interpolation error enters
     # and B_ij = P_p^v holds to rounding on a curve that is not a line
-    controls = ControlPath(2, func=lambda t: (1 + math.cos(3 * t),
-                                              t + math.sin(2 * t)))
-    curve = integrate_horizontal(free24, controls, [0.0] * 8, GRID,
-                                 fields=free24_fields)
+    controls = lambda t: (1 + math.cos(3 * t), t + math.sin(2 * t))
+    curve = integrate_horizontal(free24, controls, [0.0] * 8, GRID)
     rng = random.Random(31)
     v = [0, 0, 0] + [rng.uniform(-1, 1) for _ in range(5)]
     _, pairings = iterated_integrals(free24_family, curve, v)
@@ -273,7 +266,7 @@ def test_iterated_integrals_read_the_true_stage_states(free24, free24_family,
 
 def test_iterated_integral_on_line_closed_form(free24, free24_family):
     # v = e_8, straight line gamma = (0, t, ...): B_12 = t^4/24
-    controls = ControlPath(2, func=lambda t: (0.0, 1.0))
+    controls = lambda t: (0.0, 1.0)
     curve = integrate_horizontal(free24, controls, [0.0] * 8, GRID)
     v = [0.0] * 8
     v[7] = 1.0

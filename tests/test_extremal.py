@@ -212,7 +212,7 @@ def test_verify_structure_detects_damage(free24_prolonged):
     fam.Q[(3, 4)] = fam.Q[(3, 4)] * 2
     del fam.Q[(-1, 6)]
     fam.Q[(4, 3)] = Poly.variable(8, 1)
-    report = verify_structure(fam, fields)
+    report = verify_structure(fam)
     assert {(3, 4), (-1, 6), (4, 3)} <= {(j, k) for _, j, k, _ in report}
     assert report == _dense_residuals(fam, fields)
 
@@ -251,7 +251,7 @@ def test_verify_structure_matches_dense_check_on_damage(rank, step, seed):
     rows = list(dict.fromkeys(rng.sample(fam.rows(), 6)
                               + [j for j, _ in damaged[2:]]))
     for subset in (None, rows):
-        report = verify_structure(fam, fields, rows=subset)
+        report = verify_structure(fam, rows=subset)
         dense = _dense_residuals(fam, fields, rows=subset)
         assert report and report == dense
         assert [canonical_text(r, fam.weights) for *_, r in report] == \
