@@ -11,10 +11,11 @@ The minor construction stacks the generator rows of the Q matrix against
 the columns a curve through the origin can load (d(k) >= 2, minus the
 single degree-2 column in rank 2, where the adjoint equations force
 lambda_3 = 0 on nonconstant curves).  With rows >= columns it takes all
-maximal minors; each nonzero determinant is a covector-independent
-polynomial vanishing on every abnormal curve, certified by one explicit
-monomial.  With fewer rows the rank is below the column count everywhere,
-so no minor constrains anything.
+maximal minors from one shared Laplace expansion, each sub-determinant
+computed once and keyed by its row subset; each nonzero determinant is a
+covector-independent polynomial vanishing on every abnormal curve,
+certified by one explicit monomial.  With fewer rows the rank is below
+the column count everywhere, so no minor constrains anything.
 """
 
 from dataclasses import dataclass
@@ -109,37 +110,31 @@ class MinorSystem:
     minors: list        # (subset of row positions, determinant Poly)
 
 
-def _det(matrix):
-    """Exact determinant of a square Poly matrix by memoized expansion."""
-    size = len(matrix)
-    cache = {}
+def _maximal_minors(matrix):
+    """Every maximal minor of a Poly matrix with at least one column and
+    at least as many rows as columns.
 
-    def minor(rows, cols):
-        if len(rows) == 1:
-            return matrix[rows[0]][cols[0]]
-        key = (rows, cols)
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
-        out = None
-        r = rows[0]
-        for pos, c in enumerate(cols):
-            entry = matrix[r][c]
-            if not entry:
-                continue
-            sub = minor(rows[1:], cols[:pos] + cols[pos + 1:])
-            if not sub:
-                continue
-            term = entry * sub
-            if pos % 2:
-                term = -term
-            out = term if out is None else out + term
-        if out is None:
-            out = Poly.zero(matrix[r][0].n)
-        cache[key] = out
-        return out
-
-    return minor(tuple(range(size)), tuple(range(size)))
+    The determinant of a row subset S on the first |S| columns expands
+    along column |S| - 1 into the subsets S minus one row, so every
+    sub-determinant is keyed by its row subset alone and computed once
+    for all minors.  Returns ``(subset, determinant)`` pairs with the
+    subsets in lexicographic order.
+    """
+    subsets = [(i,) for i in range(len(matrix))]
+    dets = {s: matrix[s[0]][0] for s in subsets}
+    for col in range(1, len(matrix[0])):
+        subsets = list(combinations(range(len(matrix)), col + 1))
+        level = {}
+        for s in subsets:
+            out = Poly.zero(matrix[0][0].n)
+            for pos, i in enumerate(s):
+                entry, sub = matrix[i][col], dets[s[:pos] + s[pos + 1:]]
+                if entry and sub:
+                    term = entry * sub
+                    out = out - term if (col - pos) % 2 else out + term
+            level[s] = out
+        dets = level
+    return [(s, dets[s]) for s in subsets]
 
 
 def minor_system(family):
@@ -160,9 +155,7 @@ def minor_system(family):
     matrix = [[family.q(j, k) for k in columns] for j in rows]
     minors = []
     if columns and len(rows) >= len(columns):
-        for subset in combinations(range(len(rows)), len(columns)):
-            det = _det([matrix[i] for i in subset])
-            minors.append((subset, det))
+        minors = _maximal_minors(matrix)
     return MinorSystem(family, rows, columns, matrix, minors)
 
 

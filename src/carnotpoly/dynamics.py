@@ -27,7 +27,6 @@ from fractions import Fraction
 from .extremal import all_exact, build_family
 from .group import left_invariant_fields
 from .poly import compile_field_sum
-from .prolongation import _algebra_of
 
 
 @dataclass
@@ -85,18 +84,17 @@ def _rk4(f, y0, times, controls=None):
     return out
 
 
-def _field_sum(A):
+def _field_sum(algebra):
     """The kernel ``(h, y) -> sum_j h_j X_j(y)`` of the r horizontal
     fields."""
-    algebra = _algebra_of(A)
     fields = left_invariant_fields(algebra)
     return compile_field_sum(fields[:algebra.r], algebra.n)
 
 
-def integrate_horizontal(A, controls, x0, grid):
+def integrate_horizontal(algebra, controls, x0, grid):
     """RK4 solution of ``gamma' = sum_j h_j X_j(gamma)`` on the grid,
     with controls any callable ``t -> (h_1, ..., h_r)``."""
-    gamma = _rk4(_field_sum(A), [float(c) for c in x0],
+    gamma = _rk4(_field_sum(algebra), [float(c) for c in x0],
                  [float(t) for t in grid], controls)
     return CurvePath(list(grid), gamma, controls=controls)
 
@@ -125,13 +123,12 @@ def _adjoint_rhs(tables, h, lam):
     return out
 
 
-def integrate_adjoint(A, curve, lambda0):
+def integrate_adjoint(algebra, curve, lambda0):
     """Dual coordinates along an integrated curve, same grid, RK4.
 
     The curve must carry controls (the adjoint system only reads the
     horizontal velocities).
     """
-    algebra = _algebra_of(A)
     if curve.controls is None:
         raise ValueError("adjoint integration needs the curve's controls")
     tables = _adjoint_tables(algebra)
@@ -145,10 +142,9 @@ def integrate_adjoint(A, curve, lambda0):
     return CurvePath(curve.times, curve.gamma, lam=lam, controls=controls)
 
 
-def integrate_normal(A, lambda0, x0, grid):
+def integrate_normal(algebra, lambda0, x0, grid):
     """Normal extremal: controls ``h_j = -lambda_j`` coupled to the adjoint."""
-    algebra = _algebra_of(A)
-    field_sum = _field_sum(A)
+    field_sum = _field_sum(algebra)
     tables = _adjoint_tables(algebra)
     n, r = algebra.n, algebra.r
 

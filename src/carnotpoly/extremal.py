@@ -139,12 +139,12 @@ def _exact_terms(p):
     return [(key, scalar(c)) for key, c in p.terms.items()]
 
 
-def verify_structure(family, rows=None):
+def verify_structure(family):
     """Residuals of X_i Q_j. - sum_k c_ij^k Q_k. for all i, stored j.
 
     Returns a list of violation records ``(i, j, k, residual_poly)``,
-    ordered by i, then j in ``rows`` order (default: all stored rows),
-    then ascending k; empty means the structure formulas hold exactly.
+    ordered by i, then j in stored-row order, then ascending k; empty
+    means the structure formulas hold exactly.
 
     Each Q_jk is differentiated once per call, along the variables it
     contains, into a derivative index ``j -> l -> [(k, dQ_jk/dx_l)]``.
@@ -157,22 +157,20 @@ def verify_structure(family, rows=None):
     A = family.algebra
     n = A.n
     fields = left_invariant_fields(A)
-    row_list = family.rows() if rows is None else list(rows)
+    rows = family.rows()
     stored = {}  # row j -> [(k, terms of Q_jk)]
     index = {}  # row j -> l -> [(k, terms of dQ_jk/dx_l)]
-    wanted = set(row_list)
     for (j, k), q in family.Q.items():
         if not 1 <= k <= n:
             continue
         stored.setdefault(j, []).append((k, _exact_terms(q)))
-        if j in wanted:
-            by_var = index.setdefault(j, {})
-            for l in q.var_support():
-                by_var.setdefault(l, []).append((k, _exact_terms(q.diff(l))))
+        by_var = index.setdefault(j, {})
+        for l in q.var_support():
+            by_var.setdefault(l, []).append((k, _exact_terms(q.diff(l))))
     report = []
     for i in range(1, n + 1):
         coeffs = [(l, _exact_terms(f)) for l, f in fields[i - 1].coeffs.items()]
-        for j in row_list:
+        for j in rows:
             res = {}  # k -> residual terms
             by_var = index.get(j, {})
             for l, f_terms in coeffs:

@@ -33,7 +33,7 @@ def scalar(x):
     return x.numerator if x.denominator == 1 else x
 
 
-def _add_multiple(row, f, other):
+def add_multiple(row, f, other):
     """``row += f * other`` on sparse rows, dropping zeros."""
     for c, x in other.items():
         v = row.get(c, 0) + f * x
@@ -67,7 +67,7 @@ def rref(rows, ncols):
         items = row.items() if isinstance(row, dict) else enumerate(row)
         new = {c: scalar(x) for c, x in items if x}
         for c in [c for c in new if c in pivot_rows]:
-            _add_multiple(new, -new[c], pivot_rows[c])
+            add_multiple(new, -new[c], pivot_rows[c])
         lead = min((c for c in new if c < ncols), default=None)
         if lead is None:
             continue
@@ -78,7 +78,7 @@ def rref(rows, ncols):
         for prow in pivot_rows.values():
             f = prow.get(lead)
             if f:
-                _add_multiple(prow, -f, new)
+                add_multiple(prow, -f, new)
         pivot_rows[lead] = new
     pivots = sorted(pivot_rows)
     reduced = []

@@ -25,7 +25,7 @@ such solve, so every further bracket or chosen basis vector costs one
 back-substitution.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import linalg
 from .algebra import GradedLieAlgebra, StructureError, generation_columns
@@ -84,6 +84,8 @@ class ProlongedAlgebra:
     complete: bool = False
     deferred: list = field(default_factory=list)  # nonpositive pairs whose
     # bracket lands below the deepest computed stratum (truncated runs only)
+    # cap on the extended dimension, checked per stratum; set by prolong
+    max_dim: int = field(default=None, repr=False)
 
     @property
     def stratum_dims(self):
@@ -138,7 +140,7 @@ def bracket_decompositions(algebra):
     return out
 
 
-def _phi_expressions(P, k, unknown_pos, g1_targets):
+def _phi_expressions(P, unknown_pos, g1_targets):
     """Blocks of phi as linear forms {unknown -> scalar} in the g_1 unknowns."""
     A = P.algebra
     base = P.base
@@ -163,28 +165,20 @@ def _leibniz(acc, A, expr, a, b, scale):
     """
     for t, form in expr[a].items():
         for res, c in A.bracket_indices(t, b).items():
-            _form_add(acc, res, form, scale * c)
+            linalg.add_multiple(acc.setdefault(res, {}), scale * c, form)
     for t, form in expr[b].items():
         for res, c in A.bracket_indices(t, a).items():
-            _form_add(acc, res, form, -scale * c)
-
-
-def _form_add(acc, res, form, scale):
-    if not scale:
-        return
-    slot = acc.setdefault(res, {})
-    for u, c in form.items():
-        v = slot.get(u, 0) + c * scale
-        if v:
-            slot[u] = linalg.scalar(v)
-        else:
-            slot.pop(u, None)
+            linalg.add_multiple(acc.setdefault(res, {}), -scale * c, form)
 
 
 def compute_stratum(P, k):
     """Canonical basis of the degree-k stratum of the prolongation of P.
 
     Requires every stratum of degree in (k, 0] to be present already.
+    Raises :class:`DimensionCapError` as soon as the stratum would take
+    the extended dimension past ``P.max_dim``, before any of its maps is
+    built; its nullspace basis is skipped too when the count of unknowns
+    minus equations already passes the cap.
     """
     if isinstance(P, GradedLieAlgebra):
         P = _trivial(P)
@@ -199,7 +193,7 @@ def compute_stratum(P, k):
         return ProlongationStratum(k, [], [])
     unknowns = [(q, t) for q in base.stratum(1) for t in g1_targets]
     unknown_pos = {ut: i for i, ut in enumerate(unknowns)}
-    expr = _phi_expressions(P, k, unknown_pos, g1_targets)
+    expr = _phi_expressions(P, unknown_pos, g1_targets)
 
     rows = []
     idx = base.indices()
@@ -213,10 +207,21 @@ def compute_stratum(P, k):
             acc = {}
             for c, w in base.bracket_indices(a, b).items():
                 for res, form in expr[c].items():
-                    _form_add(acc, res, form, w)
+                    linalg.add_multiple(acc.setdefault(res, {}), w, form)
             _leibniz(acc, A, expr, a, b, -1)
             rows.extend(slot for slot in acc.values() if slot)
-    basis = linalg.nullspace(rows, len(unknowns))
+    # len(unknowns) - len(rows) bounds the nullity from below; a bound past
+    # the cap takes the exact rank instead of the basis, and always raises
+    cap, nullity = P.max_dim, len(unknowns) - len(rows)
+    if cap is None or len(A.degrees) + nullity <= cap:
+        basis = linalg.nullspace(rows, len(unknowns))
+        nullity = len(basis)
+    else:
+        nullity = len(unknowns) - linalg.rank(rows, len(unknowns))
+    if cap is not None and len(A.degrees) + nullity > cap:
+        raise DimensionCapError(
+            f"prolongation reaches dimension {len(A.degrees) + nullity} > cap "
+            f"{cap} at depth {-k} (stratum {k})")
 
     maps = []
     for vec in basis:
@@ -239,8 +244,9 @@ def _combine(coeffs, maps):
     """The linear combination sum_i coeffs[i] * maps[i] of sparse maps."""
     out = {}
     for c, phi in zip(coeffs, maps):
-        for m, img in phi.items():
-            _form_add(out, m, img, c)
+        if c:
+            for m, img in phi.items():
+                linalg.add_multiple(out.setdefault(m, {}), c, img)
     return {m: img for m, img in out.items() if img}
 
 
@@ -338,7 +344,7 @@ def extend_structure_constants(P, stratum, chosen_basis=None):
             pending.append((new_ids[i], new_ids[j]))
     left = _close_pairs(ext, strata_by_deg, pending, terminated)
     return ProlongedAlgebra(P.base, ext, P.strata + [stratum], P.complete,
-                            left)
+                            left, P.max_dim)
 
 
 def _rebase_stratum(P, stratum, chosen_basis):
@@ -374,15 +380,11 @@ def prolong(A, max_depth=8, basis_overrides=None, max_dim=None):
     :class:`DimensionCapError` when a stratum would take the extended
     dimension past ``max_dim``.
     """
-    P = _trivial(A) if isinstance(A, GradedLieAlgebra) else A
+    P = replace(_trivial(A) if isinstance(A, GradedLieAlgebra) else A,
+                max_dim=max_dim)
     unused = dict(basis_overrides or {})
     for k in range(0, -max_depth - 1, -1):
         st = compute_stratum(P, k)
-        dim = len(P.algebra.degrees) + st.dim
-        if max_dim is not None and dim > max_dim:
-            raise DimensionCapError(
-                f"prolongation reaches dimension {dim} > cap {max_dim} at "
-                f"depth {-k} (stratum {k})")
         override = unused.pop(k, None) if st.dim else None
         P = extend_structure_constants(P, st, chosen_basis=override)
         if st.dim == 0:

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import strategies as st
@@ -164,6 +164,21 @@ def reference_validate(A):
             report.append(
                 f"stratum {m} not spanned by brackets [g_{m-1}, g_1]")
     return report
+
+
+def reference_det(matrix):
+    """Reference for ``abnormal._maximal_minors``: the Leibniz sum over
+    every permutation of a square Poly matrix, with the sign counted from
+    inversions."""
+    size = len(matrix)
+    out = Poly.zero(matrix[0][0].n)
+    for perm in permutations(range(size)):
+        term = Poly.const(out.n, 1)
+        for i, c in enumerate(perm):
+            term = term * matrix[i][c]
+        inversions = sum(a > b for a, b in combinations(perm, 2))
+        out = out - term if inversions % 2 else out + term
+    return out
 
 
 @st.composite

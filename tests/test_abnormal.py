@@ -1,22 +1,26 @@
 import math
 import random
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import sympy
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from carnotpoly.abnormal import (detect_abnormal, goh_check, membership,
-                                 minor_system, nonvanishing_certificate,
-                                 product_group, variety_generators)
+from carnotpoly.abnormal import (_maximal_minors, detect_abnormal, goh_check,
+                                 membership, minor_system,
+                                 nonvanishing_certificate, product_group,
+                                 variety_generators)
 from carnotpoly.algebra import StructureError
 from carnotpoly.extremal import build_family
 from carnotpoly.freelie import build_free
 from carnotpoly.group import flow, identity
-from carnotpoly.poly import canonical_text, is_homogeneous, weighted_degree
+from carnotpoly.poly import (Poly, canonical_text, is_homogeneous,
+                             weighted_degree)
 from carnotpoly.prolongation import prolong
 
-from conftest import recombined_free
+from conftest import recombined_free, reference_det
 
 W24 = (1, 1, 2, 3, 3, 4, 4, 4)
 
@@ -187,11 +191,56 @@ def test_least_degree_minor_certificate(free24_family):
 
 
 def test_minor_with_repeated_row_vanishes(free24_family):
-    from carnotpoly.abnormal import _det
     system = minor_system(free24_family)
     row = system.matrix[4]
-    assert not _det([row, row, system.matrix[0], system.matrix[1],
-                     system.matrix[2]])
+    [(_, det)] = _maximal_minors([row, row, system.matrix[0],
+                                  system.matrix[1], system.matrix[2]])
+    assert not det
+
+
+_ENTRIES = st.lists(st.tuples(st.tuples(st.integers(0, 2), st.integers(0, 2)),
+                              st.integers(-3, 3)), max_size=2).map(
+    lambda terms: sum((Poly.monomial(2, alpha, c) for alpha, c in terms),
+                      Poly.zero(2)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_maximal_minors_match_leibniz_reference(data):
+    # every maximal minor of a small random Poly matrix, some with one row
+    # repeated, against the permutation sum; a repeated row gives zero
+    size = data.draw(st.integers(1, 4))
+    nrows = data.draw(st.integers(size, 6))
+    matrix = data.draw(st.lists(st.lists(_ENTRIES, min_size=size,
+                                         max_size=size),
+                                min_size=nrows, max_size=nrows))
+    repeated = ()
+    if nrows > 1 and data.draw(st.booleans()):
+        repeated = tuple(sorted(data.draw(st.permutations(range(nrows)))[:2]))
+        matrix[repeated[1]] = list(matrix[repeated[0]])
+    minors = _maximal_minors(matrix)
+    assert [s for s, _ in minors] == list(combinations(range(nrows), size))
+    for subset, det in minors:
+        assert det == reference_det([matrix[i] for i in subset])
+        if repeated and set(repeated) <= set(subset):
+            assert not det
+
+
+def test_minors_share_one_expansion(free24_family, monkeypatch):
+    # 21 maximal minors of the 7 x 5 matrix from one memo keyed by row
+    # subset: at most sum_k k * C(7, k) over k = 2..5 = 392 products,
+    # against 1,575 with a fresh memo per minor
+    products = []
+    mul = Poly.__mul__
+
+    def counting(a, b):
+        if isinstance(b, Poly):
+            products.append(1)
+        return mul(a, b)
+
+    monkeypatch.setattr(Poly, "__mul__", counting)
+    assert len(minor_system(free24_family).minors) == 21
+    assert len(products) <= 400
 
 
 def test_rank2_degree2_row_is_dependent(free24, free24_family):

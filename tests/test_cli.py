@@ -65,6 +65,24 @@ def test_prolong_respects_dimension_cap(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert json.loads(out)["extended_dim"] == 22
 
+
+def test_prolong_cap_fires_before_the_stratum_is_built(tmp_path, monkeypatch,
+                                                       capsys):
+    # abelian of dimension 64: stratum 0 is all of gl(64), so the extended
+    # dimension 64 + 4096 = 4160 passes the default cap of 256, and the
+    # cap must fire before the stratum is built
+    monkeypatch.delenv("CARNOT_MAX_DIM", raising=False)
+    path = tmp_path / "abel64.json"
+    path.write_text(json.dumps({"dim": 64, "degrees": [1] * 64,
+                                "brackets": []}))
+    start = time.perf_counter()
+    code, out, err = run(capsys, "prolong", str(path))
+    assert code == 2 and out == ""
+    assert ("prolongation reaches dimension 4160 > cap 256 at depth 0 "
+            "(stratum 0)") in err
+    assert time.perf_counter() - start < 5
+
+
 def test_prolong_report(tmp_path, capsys):
     path = tmp_path / "a.json"
     run(capsys, "free", "--rank", "2", "--step", "4", "--emit", str(path))

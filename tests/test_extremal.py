@@ -188,12 +188,12 @@ def test_verify_structure_abelian():
     assert verify_structure(fam) == []
 
 
-def _dense_residuals(family, fields, rows=None):
+def _dense_residuals(family, fields):
     # every (i, j, k), with no support pruning
     A, n = family.algebra, family.n
     out = []
     for i in range(1, n + 1):
-        for j in family.rows() if rows is None else rows:
+        for j in family.rows():
             cij = A.bracket_indices(i, j)
             for k in range(1, n + 1):
                 res = fields[i - 1].apply(family.q(j, k))
@@ -247,15 +247,12 @@ def test_verify_structure_matches_dense_check_on_damage(rank, step, seed):
     fam = build_family(prolong(build_free(rank, step)[0], 2))
     assert any(j <= 0 for j in fam.rows())
     fields = left_invariant_fields(fam.algebra)
-    damaged = _damage(fam, rng)
-    rows = list(dict.fromkeys(rng.sample(fam.rows(), 6)
-                              + [j for j, _ in damaged[2:]]))
-    for subset in (None, rows):
-        report = verify_structure(fam, rows=subset)
-        dense = _dense_residuals(fam, fields, rows=subset)
-        assert report and report == dense
-        assert [canonical_text(r, fam.weights) for *_, r in report] == \
-            [canonical_text(r, fam.weights) for *_, r in dense]
+    _damage(fam, rng)
+    report = verify_structure(fam)
+    dense = _dense_residuals(fam, fields)
+    assert report and report == dense
+    assert [canonical_text(r, fam.weights) for *_, r in report] == \
+        [canonical_text(r, fam.weights) for *_, r in dense]
 
 
 def quotient_by_top_stratum_subspace(algebra, kill):
