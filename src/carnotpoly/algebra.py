@@ -34,6 +34,9 @@ integral constant as an ``int`` and any other as a ``Fraction``
 prolongation run on int arithmetic wherever the table allows.  ``str``,
 ``hash`` and ``==`` agree between ``3`` and ``Fraction(3)``, so canonical
 text and digests do not depend on the form.
+
+Generativity, ``g_m = [g_{m-1}, g_1]``, is decided here by one elimination
+per degree, which :func:`validate` and :func:`bracket_decompositions` share.
 """
 
 from fractions import Fraction
@@ -272,12 +275,9 @@ def validate(algebra):
             if _clean(acc):
                 report.append(f"Jacobi violated on triple ({i}, {j}, {k})")
     for m in range(2, A.s + 1):
-        target = A.stratum(m)
-        if not target:
+        if not A.stratum(m):
             report.append(f"stratum {m} is empty below the step")
-            continue
-        _, cols = generation_columns(A, m)
-        if linalg.rank(cols, len(target)) < len(target):
+        elif _decompose_stratum(A, m) is None:
             report.append(
                 f"stratum {m} not spanned by brackets [g_{m-1}, g_1]")
     return report
@@ -303,3 +303,45 @@ def generation_columns(algebra, m):
                 col[pos[k]] = c
         cols.append(col)
     return pairs, cols
+
+
+def _decompose_stratum(algebra, m):
+    """Each X_t of stratum m as a canonical ``[(w, p, q)]``, or None when
+    [g_{m-1}, g_1] does not span the stratum.  One rref of ``[M | I]``, M
+    the :func:`generation_columns`: the solution of ``M x = e_t`` with free
+    variables zero is column t of the transform."""
+    target = algebra.stratum(m)
+    pairs, cols = generation_columns(algebra, m)
+    npairs = len(pairs)
+    aug = [{**{c: col[i] for c, col in enumerate(cols) if col[i]},
+            npairs + i: 1} for i in range(len(target))]
+    reduced, pivots = linalg.rref(aug, npairs)
+    if len(pivots) < len(target):
+        return None
+    out = {}
+    for j, t in enumerate(target):
+        sol = dict(zip(pivots, (row[npairs + j] for row in reduced)))
+        out[t] = [(sol[c], p, q) for c, (p, q) in enumerate(pairs)
+                  if sol.get(c)]
+    return out
+
+
+def bracket_decompositions(algebra):
+    """For each index m with d(m) >= 2, a combination X_m = sum w [X_p, X_q].
+
+    Pairs run over (stratum d(m)-1) x (stratum 1); existence is the
+    generativity of the stratification, else :class:`StructureError`.
+    Cached on the algebra.
+    """
+    cached = getattr(algebra, "_gen_decomp", None)
+    if cached is not None:
+        return cached
+    out = {}
+    for d in range(2, algebra.s + 1):
+        decomp = _decompose_stratum(algebra, d)
+        if decomp is None:
+            raise StructureError(
+                f"stratum {d} not generated by [g_{d-1}, g_1]")
+        out.update(decomp)
+    algebra._gen_decomp = out
+    return out

@@ -24,7 +24,10 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from . import linalg
+from .abnormal import goh_check, product_group
 from .extremal import all_exact, build_family
+from .freelie import build_free
 from .group import left_invariant_fields
 from .poly import compile_field_sum
 
@@ -297,41 +300,27 @@ def solve_goh_covector(factor_family):
     the covector (length n, Fractions) or raises if the exact linear
     system is inconsistent.
     """
-    from . import linalg
-    from .poly import Poly
     A = factor_family.algebra
     n = A.n
     deg2 = A.stratum(2)
     if len(deg2) < 1:
         raise ValueError("need a stratum of degree 2")
-    target = {
-        deg2[0]: Poly(n, {((2, 2),): Fraction(1), ((1, 1),): Fraction(-1)}),
-    }
-    for j in deg2[1:]:
-        target[j] = Poly.zero(n)
     unknowns = [k for k in range(1, n + 1) if A.degrees[k] >= 3]
     upos = {k: i for i, k in enumerate(unknowns)}
-    rows = {}
-    rhs = {}
+    # one equation per (row j, monomial); the target is y_2^2 - y_1 in the
+    # lowest degree-2 row and zero in the others
+    rhs = {(deg2[0], ((2, 2),)): Fraction(1),
+           (deg2[0], ((1, 1),)): Fraction(-1)}
+    rows = {key: [Fraction(0)] * len(unknowns) for key in rhs}
     for j in deg2:
-        keys = set(target[j].terms)
         for k in unknowns:
             q = factor_family.Q.get((j, k))
-            if q is not None:
-                keys.update(q.terms)
-        for key in keys:
-            row = [Fraction(0)] * len(unknowns)
-            for k in unknowns:
-                q = factor_family.Q.get((j, k))
-                if q is not None:
-                    c = q.terms.get(key)
-                    if c:
-                        row[upos[k]] = c
-            rows[(j, key)] = row
-            rhs[(j, key)] = target[j].terms.get(key, Fraction(0))
+            for key, c in (q.terms.items() if q is not None else ()):
+                row = rows.setdefault((j, key), [Fraction(0)] * len(unknowns))
+                row[upos[k]] = c
     order = sorted(rows)
-    sol = linalg.solve([rows[o] for o in order], [rhs[o] for o in order],
-                       len(unknowns))
+    sol = linalg.solve([rows[o] for o in order],
+                       [rhs.get(o, Fraction(0)) for o in order], len(unknowns))
     if sol is None:
         raise ValueError("no covector matches the degree-2 target rows")
     v = [Fraction(0)] * n
@@ -374,9 +363,6 @@ def spiral_example(samples_per_side=1000, puncture=1e-6, tol=1e-8):
     spiral horizontally on a graded grid, and reports the Goh residuals
     together with the control bound.
     """
-    from .abnormal import goh_check, product_group
-    from .freelie import build_free
-
     factor, _ = build_free(3, 4)
     factor_fields = left_invariant_fields(factor)
     factor_family = build_family(factor, rows=factor.stratum(2))

@@ -21,11 +21,12 @@ antidifferentiation, top stratum down.
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import GradedLieAlgebra, StructureError, exp_ad
+from .algebra import (GradedLieAlgebra, StructureError, bracket_decompositions,
+                      exp_ad)
 from .group import left_invariant_fields
 from .linalg import scalar
 from .poly import Poly, _key_mul, compile_polys, weighted_degree
-from .prolongation import _algebra_of, bracket_decompositions
+from .prolongation import _algebra_of
 
 
 @dataclass

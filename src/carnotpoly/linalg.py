@@ -19,7 +19,7 @@ result of this module has it, and division always goes through
 """
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 _ONE = Fraction(1)
 
@@ -91,28 +91,17 @@ def rref(rows, ncols):
 
 
 def rank(rows, ncols):
-    if not rows:
-        return 0
     return len(rref(rows, ncols)[0])
 
 
 def primitive(vec):
     """Scale a rational vector to coprime integers, first nonzero positive."""
-    den = 1
-    for x in vec:
-        den = den * x.denominator // gcd(den, x.denominator)
+    den = lcm(*(x.denominator for x in vec))
     ints = [int(x * den) for x in vec]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    if g > 1:
-        ints = [x // g for x in ints]
-    for x in ints:
-        if x != 0:
-            if x < 0:
-                ints = [-y for y in ints]
-            break
-    return ints
+    g = gcd(*ints) or 1
+    if next((x for x in ints if x), 0) < 0:
+        g = -g
+    return [x // g for x in ints]
 
 
 def nullspace(rows, ncols):

@@ -94,9 +94,6 @@ class Poly:
     def __sub__(self, other):
         return self + (-other)
 
-    def __rsub__(self, other):
-        return (-self) + other
-
     def __mul__(self, other):
         if isinstance(other, Poly):
             if other.n != self.n:
@@ -124,14 +121,6 @@ class Poly:
             return self * other
         return NotImplemented
 
-    def __pow__(self, e):
-        if not isinstance(e, int) or e < 0:
-            raise ValueError("only nonnegative integer powers")
-        out = Poly.const(self.n, 1)
-        for _ in range(e):
-            out = out * self
-        return out
-
     def __bool__(self):
         return bool(self.terms)
 
@@ -141,9 +130,6 @@ class Poly:
         if not isinstance(other, Poly):
             return NotImplemented
         return self.n == other.n and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.n, frozenset(self.terms.items())))
 
     def __repr__(self):
         return f"Poly({canonical_text(self)})"

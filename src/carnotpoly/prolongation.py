@@ -23,12 +23,15 @@ on its g_1 block alone; a bracket is then checked against the whole
 recombined map.  Each stratum factors its g_1 blocks once, on the first
 such solve, so every further bracket or chosen basis vector costs one
 back-substitution.
+
+A zero stratum makes every stratum below it zero, so the prolongation is
+finite; :attr:`ProlongedAlgebra.complete` says that one was reached.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from . import linalg
-from .algebra import GradedLieAlgebra, StructureError, generation_columns
+from .algebra import GradedLieAlgebra, StructureError, bracket_decompositions
 from .freelie import DimensionCapError
 
 
@@ -81,7 +84,6 @@ class ProlongedAlgebra:
     base: GradedLieAlgebra
     algebra: GradedLieAlgebra
     strata: list = field(default_factory=list)
-    complete: bool = False
     deferred: list = field(default_factory=list)  # nonpositive pairs whose
     # bracket lands below the deepest computed stratum (truncated runs only)
     # cap on the extended dimension, checked per stratum; set by prolong
@@ -90,6 +92,11 @@ class ProlongedAlgebra:
     @property
     def stratum_dims(self):
         return [st.dim for st in self.strata]
+
+    @property
+    def complete(self):
+        """A zero stratum was reached, so the prolongation is finite."""
+        return any(st.dim == 0 for st in self.strata)
 
     def validate(self):
         report = self.algebra.validate()
@@ -100,44 +107,8 @@ class ProlongedAlgebra:
         return report
 
 
-def _trivial(base):
-    return ProlongedAlgebra(base=base, algebra=base, strata=[], complete=False)
-
-
 def _algebra_of(A):
     return A.algebra if isinstance(A, ProlongedAlgebra) else A
-
-
-def bracket_decompositions(algebra):
-    """For each index m with d(m) >= 2, a combination X_m = sum w [X_p, X_q].
-
-    Pairs run over (stratum d(m)-1) x (stratum 1); existence is the
-    generativity of the stratification.  Cached on the algebra.
-    """
-    cached = getattr(algebra, "_gen_decomp", None)
-    if cached is not None:
-        return cached
-    out = {}
-    for d in range(2, algebra.s + 1):
-        target = algebra.stratum(d)
-        if not target:
-            continue
-        pairs, cols = generation_columns(algebra, d)
-        npairs, size = len(pairs), len(target)
-        # one rref of [M | I]: the particular solution of M x = e_m with
-        # free variables zero is column m of the transform on the pivots
-        aug = [{**{c: col[i] for c, col in enumerate(cols) if col[i]},
-                npairs + i: 1} for i in range(size)]
-        reduced, pivots = linalg.rref(aug, npairs)
-        if len(pivots) < size:
-            raise StructureError(
-                f"stratum {d} not generated by [g_{d-1}, g_1]")
-        for j, m in enumerate(target):
-            sol = dict(zip(pivots, (row[npairs + j] for row in reduced)))
-            out[m] = [(sol[c], p, q) for c, (p, q) in enumerate(pairs)
-                      if sol.get(c)]
-    algebra._gen_decomp = out
-    return out
 
 
 def _phi_expressions(P, unknown_pos, g1_targets):
@@ -181,7 +152,7 @@ def compute_stratum(P, k):
     minus equations already passes the cap.
     """
     if isinstance(P, GradedLieAlgebra):
-        P = _trivial(P)
+        P = ProlongedAlgebra(P, P)
     have = [st.degree for st in P.strata]
     if k > 0 or sorted(have, reverse=True) != list(range(0, k, -1)):
         raise StructureError(
@@ -313,8 +284,8 @@ def extend_structure_constants(P, stratum, chosen_basis=None):
     otherwise :class:`StructureError` is raised.
     """
     if isinstance(P, GradedLieAlgebra):
-        P = _trivial(P)
-    terminated = stratum.dim == 0 or any(st.dim == 0 for st in P.strata)
+        P = ProlongedAlgebra(P, P)
+    terminated = stratum.dim == 0 or P.complete
     if chosen_basis is not None and stratum.dim:
         stratum = _rebase_stratum(P, stratum, chosen_basis)
     D = stratum.dim
@@ -343,8 +314,8 @@ def extend_structure_constants(P, stratum, chosen_basis=None):
         for j in range(i):
             pending.append((new_ids[i], new_ids[j]))
     left = _close_pairs(ext, strata_by_deg, pending, terminated)
-    return ProlongedAlgebra(P.base, ext, P.strata + [stratum], P.complete,
-                            left, P.max_dim)
+    return ProlongedAlgebra(P.base, ext, P.strata + [stratum], left,
+                            P.max_dim)
 
 
 def _rebase_stratum(P, stratum, chosen_basis):
@@ -370,25 +341,23 @@ def _rebase_stratum(P, stratum, chosen_basis):
 
 
 def prolong(A, max_depth=8, basis_overrides=None, max_dim=None):
-    """Iterate stratum computation until a zero stratum or the cutoff.
+    """Prolong the graded algebra A until a zero stratum or the cutoff.
 
     ``basis_overrides`` maps a stratum degree to an explicit basis for
     :func:`extend_structure_constants`; an override that no nonzero
     computed stratum uses raises :class:`StructureError`.  The result is
-    flagged complete only if a zero stratum was reached; otherwise the
-    prolongation may continue below the cutoff.  Raises
+    :attr:`~ProlongedAlgebra.complete` only if a zero stratum was reached;
+    otherwise the prolongation may continue below the cutoff.  Raises
     :class:`DimensionCapError` when a stratum would take the extended
     dimension past ``max_dim``.
     """
-    P = replace(_trivial(A) if isinstance(A, GradedLieAlgebra) else A,
-                max_dim=max_dim)
+    P = ProlongedAlgebra(A, A, max_dim=max_dim)
     unused = dict(basis_overrides or {})
     for k in range(0, -max_depth - 1, -1):
         st = compute_stratum(P, k)
         override = unused.pop(k, None) if st.dim else None
         P = extend_structure_constants(P, st, chosen_basis=override)
         if st.dim == 0:
-            P.complete = True
             break
     if unused:
         raise StructureError(

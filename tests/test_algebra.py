@@ -212,6 +212,19 @@ def test_validate_generativity_violation():
     assert any("spanned" in line for line in report)
 
 
+@pytest.mark.parametrize("degrees, table, expected", [
+    ({1: 1, 2: 1, 3: 3}, {},
+     ["stratum 2 is empty below the step",
+      "stratum 3 not spanned by brackets [g_2, g_1]"]),
+    ({1: 1, 2: 1, 3: 2}, {},
+     ["stratum 2 not spanned by brackets [g_1, g_1]"]),
+    ({1: 1, 2: 1, 3: 2, 4: 3}, {(2, 1): {3: 1}},
+     ["stratum 3 not spanned by brackets [g_2, g_1]"]),
+])
+def test_validate_reports_each_ungenerated_stratum(degrees, table, expected):
+    assert validate(GradedLieAlgebra(degrees, table)) == expected
+
+
 def test_adapted_order_enforced():
     with pytest.raises(StructureError):
         GradedLieAlgebra({1: 2, 2: 1, 3: 2}, {})

@@ -103,21 +103,42 @@ def test_verify_ok_and_exit_codes(tmp_path, capsys):
     assert doc["status"] == "ok"
 
 
+# [X_2, X_1] and [X_1, X_2] both stored as X_3: antisymmetry fails
+CORRUPTED_TABLE = {
+    "dim": 3, "rank": 2, "step": 2, "degrees": [1, 1, 2],
+    "brackets": [
+        {"i": 2, "j": 1, "terms": [{"k": 3, "c": "1"}]},
+        {"i": 1, "j": 2, "terms": [{"k": 3, "c": "1"}]},
+    ],
+}
+
+
 def test_verify_corrupted_table(tmp_path, capsys):
     path = tmp_path / "bad.json"
-    doc = {
-        "dim": 3, "rank": 2, "step": 2, "degrees": [1, 1, 2],
-        "brackets": [
-            {"i": 2, "j": 1, "terms": [{"k": 3, "c": "1"}]},
-            {"i": 1, "j": 2, "terms": [{"k": 3, "c": "1"}]},
-        ],
-    }
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(CORRUPTED_TABLE))
     code, out, _ = run(capsys, "verify", str(path), "--json")
     assert code == 1
     rep = json.loads(out)
     assert any("antisymmetry" in line and "(1, 2)" in line
                for line in rep["table_validation"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["prolong"], ["polys"], ["minors"], ["detect", "{curve}"],
+    ["integrate", "--mode", "horizontal", "--controls", "1;1"]])
+def test_invalid_table_exits_2_outside_verify(tmp_path, capsys, argv):
+    # only verify reports a failing table; every other command refuses it
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(CORRUPTED_TABLE))
+    curve = tmp_path / "curve.csv"
+    curve.write_text("t,x1,x2,x3\n0,0,0,0\n")
+    cmd, *rest = argv
+    code, out, err = run(capsys, cmd, str(path),
+                         *[a.format(curve=curve) for a in rest], "--json")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: input algebra fails validation")
+    assert "antisymmetry violated on pair (1, 2)" in err
 
 
 def test_minors_report(tmp_path, capsys):
@@ -186,6 +207,15 @@ def test_integrate_horizontal_with_expressions(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert abs(doc["endpoint"][0] - 0.8414709848) < 1e-8
+    # the named constants and unary signs of the control grammar
+    ends = []
+    for controls in ("cos(+pi*t);-e+e+1", "cos(3.141592653589793*t);1"):
+        code, out, _ = run(capsys, "integrate", str(path), "--mode",
+                           "horizontal", "--controls", controls,
+                           "--step", "0.01", "--json")
+        assert code == 0, controls
+        ends.append(json.loads(out)["endpoint"])
+    assert ends[0] == ends[1]
 
 
 def test_integrate_rejects_bad_controls(tmp_path, capsys):
@@ -194,7 +224,8 @@ def test_integrate_rejects_bad_controls(tmp_path, capsys):
     for controls in (
             "cos(t) + 0*().__class__.__base__.__subclasses__().__len__();sin(t)",
             "log(t-5);1", "1/(t-t);1", "exp(1000*t);1", "9**9**9;1",
-            "t if t else 1;1", "abs(t);1", "sin(t, t);1", "cos(t;1", ";1"):
+            "t if t else 1;1", "abs(t);1", "sin(t, t);1", "cos(t;1", ";1",
+            "1"):
         code, out, err = run(capsys, "integrate", str(path), "--mode",
                              "horizontal", "--controls", controls,
                              "--step", "0.1", "--json")
@@ -228,13 +259,18 @@ def test_integrate_rejects_non_finite_values(tmp_path, capsys):
         ["--mode", "normal", "--lambda0=1,,0,0,0,0"],
         ["--mode", "horizontal", "--controls", "1;1", "--x0=,0,0,0,0,0"],
         ["--mode", "normal", "--lambda0=1,0,,0,0"])
-    for extra in cases:
+    # each mode names the flags it needs when they are missing
+    missing = (["--mode", "normal"], ["--mode", "horizontal"],
+               ["--mode", "adjoint", "--controls", "1;1"])
+    for extra in cases + missing:
         code, out, err = run(capsys, "integrate", str(path), *extra,
                              "--step", "0.5", "--json")
         assert code == 2, extra
         assert out == "" and err.startswith("error: "), extra
         if extra[-1].startswith("--"):
             assert extra[-1].split("=")[0] in err, extra
+        if extra in missing:
+            assert f"required for mode {extra[1]}" in err, extra
 
 
 def test_negative_max_depth_rejected(tmp_path, capsys):

@@ -24,7 +24,7 @@ def brute_force_stratum_dim(P, k):
     """Independent oracle: solve the derivation identity on the full
     unknown set (every block entry) with sympy's nullspace."""
     if isinstance(P, GradedLieAlgebra):
-        P = ProlongedAlgebra(base=P, algebra=P, strata=[], complete=False)
+        P = ProlongedAlgebra(base=P, algebra=P, strata=[])
     A = P.algebra
     base = P.base
     unknowns = []
@@ -74,6 +74,9 @@ def test_free24_prolongation_terminates(free24):
     assert P.stratum_dims == [4, 0]
     assert P.complete
     assert P.validate() == []
+    # a zero stratum adjoined step by step completes the extension too
+    Q = prolong(free24, 0)
+    assert extend_structure_constants(Q, compute_stratum(Q, -1)).complete
 
 
 def test_heisenberg_g0_dimension(heisenberg):
@@ -92,7 +95,7 @@ def test_heisenberg_prolongation_is_contact_like(heisenberg):
         Q = prolong(heisenberg, -depth)
         assert brute_force_stratum_dim(
             ProlongedAlgebra(base=heisenberg, algebra=Q.algebra,
-                             strata=Q.strata, complete=False),
+                             strata=Q.strata),
             depth - 1) == P.stratum_dims[-depth + 1]
 
 
