@@ -46,7 +46,7 @@ def _rows_vanish(family, rows, v, samples, tol):
     exact = all_exact(samples)
     if tol is None:
         tol = 0 if exact else 1e-9
-    worst = Fraction(0) if exact else 0.0
+    worst = 0 if exact else 0.0
     values = family.evaluator(rows, v, exact)
     for x in samples:
         for val in values(x):
@@ -79,7 +79,7 @@ def detect_abnormal(family, samples, tol=1e-9):
     if len(samples) < 2:
         warnings.append("very few samples: null space is an over-approximation")
     if all_exact(samples):
-        matrix = [[Fraction(family.q(j, k).evaluate(x))
+        matrix = [[family.q(j, k).evaluate(x)
                    for k in range(1, n + 1)] for x in samples for j in rows]
         basis = linalg.nullspace(matrix, n)
         return {"exact": True, "basis": basis, "corank_lower_bound": len(basis),

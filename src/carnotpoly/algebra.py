@@ -73,6 +73,10 @@ class GradedLieAlgebra:
         for a, b in zip(idx, idx[1:]):
             if self.degrees[a] > self.degrees[b]:
                 raise StructureError("basis order is not adapted to the grading")
+        # degrees ascend with the index, so d(1) and d(0) decide the signs
+        if self.degrees[1] < 1 or self.degrees.get(0, 0) > 0:
+            raise StructureError("positive indices need degree >= 1 and "
+                                 "nonpositive indices degree <= 0")
         self.table = {}
         self.ad = {i: {} for i in self.degrees}
         for (i, j), terms in table.items():
@@ -208,7 +212,7 @@ def exp_ad(algebra, m, xm, Z):
     terms; a term past that bound raises :class:`StructureError`.
     """
     row = algebra.ad[m]
-    if not any(j in row for j in Z):
+    if row.keys().isdisjoint(Z):
         return
     bound = algebra.s - min(map(algebra.degree, Z), default=algebra.s)
     term = Z

@@ -25,7 +25,7 @@ from .algebra import (GradedLieAlgebra, StructureError, bracket_decompositions,
                       exp_ad)
 from .group import left_invariant_fields
 from .linalg import scalar
-from .poly import Poly, _key_mul, compile_polys, weighted_degree
+from .poly import Poly, _key_mul, compile_polys
 from .prolongation import _algebra_of
 
 
@@ -65,7 +65,7 @@ class ExtremalFamily:
                 continue
             q = self.Q.get((j, k))
             if q is not None:
-                out = out + q * Fraction(c)
+                out = out + q * scalar(c)
         return out
 
     def evaluate(self, j, v, x):
@@ -81,7 +81,7 @@ class ExtremalFamily:
             val = q.evaluate(x) * c
             total = val if total is None else total + val
         if total is None:
-            return Fraction(0)
+            return 0
         return total
 
     def evaluator(self, rows, v, exact):
@@ -135,11 +135,6 @@ def build_family(A, rows=None):
     return ExtremalFamily(algebra, Q)
 
 
-def _exact_terms(p):
-    """The terms of ``p`` as ``(key, coefficient)`` pairs, integer-first."""
-    return [(key, scalar(c)) for key, c in p.terms.items()]
-
-
 def verify_structure(family):
     """Residuals of X_i Q_j. - sum_k c_ij^k Q_k. for all i, stored j.
 
@@ -164,13 +159,14 @@ def verify_structure(family):
     for (j, k), q in family.Q.items():
         if not 1 <= k <= n:
             continue
-        stored.setdefault(j, []).append((k, _exact_terms(q)))
+        stored.setdefault(j, []).append((k, list(q.terms.items())))
         by_var = index.setdefault(j, {})
         for l in q.var_support():
-            by_var.setdefault(l, []).append((k, _exact_terms(q.diff(l))))
+            by_var.setdefault(l, []).append((k, list(q.diff(l).terms.items())))
     report = []
     for i in range(1, n + 1):
-        coeffs = [(l, _exact_terms(f)) for l, f in fields[i - 1].coeffs.items()]
+        coeffs = [(l, list(f.terms.items()))
+                  for l, f in fields[i - 1].coeffs.items()]
         for j in rows:
             res = {}  # k -> residual terms
             by_var = index.get(j, {})
@@ -182,16 +178,19 @@ def verify_structure(family):
                     for ka, ca in f_terms:
                         for kb, cb in d_terms:
                             key = _key_mul(ka, kb)
-                            acc[key] = acc.get(key, 0) + ca * cb
+                            cur = acc.get(key)
+                            acc[key] = ca * cb if cur is None \
+                                else cur + ca * cb
             for m, c in A.bracket_indices(i, j).items():
                 for k, q_terms in stored.get(m, ()):
                     acc = res.get(k)
                     if acc is None:
                         acc = res[k] = {}
                     for key, a in q_terms:
-                        acc[key] = acc.get(key, 0) - a * c
+                        cur = acc.get(key)
+                        acc[key] = -a * c if cur is None else cur - a * c
             for k in sorted(res):
-                terms = {key: c for key, c in res[k].items() if c}
+                terms = {key: scalar(c) for key, c in res[k].items() if c}
                 if terms:
                     report.append((i, j, k, Poly(n, terms)))
     return report
@@ -270,14 +269,3 @@ def reconstruct_by_recursion(A):
                 if p:
                     Q[(j, k)] = p
     return ExtremalFamily(algebra, Q)
-
-
-def degree_bound_report(family):
-    """Rows violating d(P_j^v) <= s - d(j); empty on a valid family."""
-    A = family.algebra
-    bad = []
-    for (j, k), p in family.Q.items():
-        bound = A.s - A.degrees[j]
-        if weighted_degree(p, family.weights) > bound:
-            bad.append((j, k))
-    return bad

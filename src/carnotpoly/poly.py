@@ -4,17 +4,26 @@ Terms are keyed by packed exponent tuples ``((var, exp), ...)`` with
 1-based variable numbers sorted ascending; zero coefficients are never
 stored.  A polynomial carries no grading: the weight vector
 ``d(1)..d(n)`` belongs to the ambient graded algebra and is passed in to
-:func:`weighted_degree`, :func:`is_homogeneous` and :func:`canonical_text`,
-where it defines the weighted homogeneous degree and the canonical term
-order (weighted degree, then lexicographic exponent).
+:func:`weighted_degree` and :func:`canonical_text`, where it defines the
+weighted degree and the canonical term order (weighted degree, then
+lexicographic exponent).
 
-Coefficients are :class:`fractions.Fraction` in all exact workflows, but
-the arithmetic is generic: evaluation and scaling accept floats.
+Exact coefficients are integer-first, as in :mod:`linalg`: constructors,
+sums, products, derivatives and antiderivatives store an integral value
+as an ``int`` and any other rational as a ``Fraction``, in the same term
+order, so canonical text and float kernels do not see the form.  The
+arithmetic is otherwise generic: evaluation and scaling accept floats.
 """
 
 from fractions import Fraction
 
-_ZERO = Fraction(0)
+from .linalg import scalar
+
+
+def _exact(c):
+    """``c`` with an integral Fraction replaced by its int; unlike
+    :func:`linalg.scalar` it leaves floats as they are."""
+    return c.numerator if type(c) is Fraction and c.denominator == 1 else c
 
 
 def _key_mul(a, b):
@@ -55,17 +64,17 @@ class Poly:
 
     @classmethod
     def const(cls, n, c):
-        return cls(n, {(): Fraction(c)})
+        return cls(n, {(): scalar(c)})
 
     @classmethod
     def variable(cls, n, j):
         if not 1 <= j <= n:
             raise ValueError(f"variable x{j} out of range 1..{n}")
-        return cls(n, {((j, 1),): Fraction(1)})
+        return cls(n, {((j, 1),): 1})
 
     @classmethod
     def monomial(cls, n, alpha, c):
-        return cls(n, {key_from_alpha(alpha): Fraction(c)})
+        return cls(n, {key_from_alpha(alpha): scalar(c)})
 
     # -- ring structure ------------------------------------------------------
 
@@ -79,11 +88,12 @@ class Poly:
             raise ValueError("ambient dimensions differ")
         out = dict(self.terms)
         for k, c in other.terms.items():
-            cur = out.get(k, _ZERO) + c
-            if cur:
-                out[k] = cur
+            cur = out.get(k)
+            c = c if cur is None else _exact(cur + c)
+            if c:
+                out[k] = c
             else:
-                out.pop(k, None)
+                del out[k]
         return Poly(self.n, out)
 
     __radd__ = __add__
@@ -104,16 +114,18 @@ class Poly:
             for ka, ca in self.terms.items():
                 for kb, cb in other.terms.items():
                     k = _key_mul(ka, kb)
-                    cur = out.get(k, _ZERO) + ca * cb
-                    if cur:
-                        out[k] = cur
+                    cur = out.get(k)
+                    c = ca * cb if cur is None else cur + ca * cb
+                    if c:
+                        out[k] = c
                     else:
                         out.pop(k, None)
-            return Poly(self.n, out)
+            return Poly(self.n, {k: _exact(c) for k, c in out.items()})
         if isinstance(other, (int, Fraction)):
             if not other:
                 return Poly(self.n, {})
-            return Poly(self.n, {k: c * other for k, c in self.terms.items()})
+            return Poly(self.n, {k: _exact(c * other)
+                                 for k, c in self.terms.items()})
         return NotImplemented
 
     def __rmul__(self, other):
@@ -143,7 +155,7 @@ class Poly:
                 if v == j:
                     nk = k[:pos] + ((v, e - 1),) + k[pos + 1:] if e > 1 \
                         else k[:pos] + k[pos + 1:]
-                    out[nk] = out.get(nk, _ZERO) + c * e
+                    out[nk] = _exact(c * e)
                     break
         return Poly(self.n, out)
 
@@ -156,7 +168,8 @@ class Poly:
                 if v == j:
                     nk = k[:pos] + ((v, e + 1),) + k[pos + 1:]
                     exact = isinstance(c, (int, Fraction))
-                    out[nk] = Fraction(c, e + 1) if exact else c / (e + 1)
+                    out[nk] = _exact(Fraction(c, e + 1)) if exact \
+                        else c / (e + 1)
                     done = True
                     break
                 if v > j:
@@ -170,12 +183,8 @@ class Poly:
 
     def subs_zero(self, vars_to_zero):
         vz = set(vars_to_zero)
-        out = {}
-        for k, c in self.terms.items():
-            if any(v in vz for v, _ in k):
-                continue
-            out[k] = out.get(k, _ZERO) + c
-        return Poly(self.n, out)
+        return Poly(self.n, {k: c for k, c in self.terms.items()
+                             if not any(v in vz for v, _ in k)})
 
     def evaluate(self, point):
         """Value at a point given as a sequence of n coordinates."""
@@ -190,11 +199,11 @@ class Poly:
                     term = term * x
             total = term if total is None else total + term
         if total is None:
-            return _ZERO
+            return 0
         return total
 
     def coefficient(self, alpha):
-        return self.terms.get(key_from_alpha(alpha), _ZERO)
+        return self.terms.get(key_from_alpha(alpha), 0)
 
     def var_support(self):
         out = set()
@@ -215,11 +224,6 @@ def weighted_degree(p, weights):
     if not p.terms:
         return float("-inf")
     return max(_key_weight(k, weights) for k in p.terms)
-
-
-def is_homogeneous(p, weights):
-    degs = {_key_weight(k, weights) for k in p.terms}
-    return len(degs) <= 1
 
 
 def canonical_text(p, weights=None):

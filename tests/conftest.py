@@ -10,7 +10,7 @@ from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
                                 generation_columns)
 from carnotpoly.extremal import ExtremalFamily, build_family
 from carnotpoly.group import left_invariant_fields
-from carnotpoly.poly import Poly
+from carnotpoly.poly import Poly, weighted_degree
 from carnotpoly.prolongation import _algebra_of, prolong
 
 # the elementary-matrix g_0 basis of free(2,4): maps sending (X_1, X_2) to
@@ -164,6 +164,21 @@ def reference_validate(A):
             report.append(
                 f"stratum {m} not spanned by brackets [g_{m-1}, g_1]")
     return report
+
+
+def is_homogeneous(p, weights):
+    """Whether all terms of ``p`` share one weighted degree; true for the
+    zero polynomial."""
+    return len({sum(e * weights[v - 1] for v, e in k)
+                for k in p.terms}) <= 1
+
+
+def degree_bound_report(family):
+    """The entries (j, k) of a family's Q matrix that break the degree
+    bound d(P_j^v) <= s - d(j); empty on a valid family."""
+    A = family.algebra
+    return [(j, k) for (j, k), p in family.Q.items()
+            if weighted_degree(p, family.weights) > A.s - A.degrees[j]]
 
 
 def reference_det(matrix):

@@ -8,7 +8,8 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnotpoly.abnormal import (_maximal_minors, detect_abnormal, goh_check,
+from carnotpoly.abnormal import (_maximal_minors, certificate_text,
+                                 detect_abnormal, goh_check,
                                  membership, minor_system,
                                  nonvanishing_certificate, product_group,
                                  variety_generators)
@@ -16,11 +17,10 @@ from carnotpoly.algebra import StructureError
 from carnotpoly.extremal import build_family
 from carnotpoly.freelie import build_free
 from carnotpoly.group import flow, identity
-from carnotpoly.poly import (Poly, canonical_text, is_homogeneous,
-                             weighted_degree)
+from carnotpoly.poly import Poly, canonical_text, weighted_degree
 from carnotpoly.prolongation import prolong
 
-from conftest import recombined_free, reference_det
+from conftest import is_homogeneous, recombined_free, reference_det
 
 W24 = (1, 1, 2, 3, 3, 4, 4, 4)
 
@@ -188,6 +188,25 @@ def test_least_degree_minor_certificate(free24_family):
     target = dict(system.minors)[(2, 3, 4, 5, 6)]   # rows -1..3
     assert weighted_degree(target, W24) == 14
     assert target.coefficient((1, 0, 1, 1, 0, 1, 0, 1)) == -2
+
+
+def test_zero_minors_get_no_certificate(heisenberg):
+    # in H x H the two generator rows of one factor have no entry in the
+    # other factor's degree-2 column, so their 2 x 2 minor is zero
+    system = minor_system(build_family(
+        product_group(heisenberg, heisenberg).algebra))
+    assert (system.row_indices, system.col_indices) == ([1, 2, 3, 4], [5, 6])
+    certs = nonvanishing_certificate(system)
+    assert [s for (s, det), c in zip(system.minors, certs)
+            if c is None and not det] == [(0, 1), (2, 3)]
+    assert certificate_text(system, certs) == [
+        "minor rows(1,2): zero determinant",
+        "minor rows(1,3): degree 2, witness 1*x2*x4",
+        "minor rows(1,4): degree 2, witness -1*x2*x3",
+        "minor rows(2,3): degree 2, witness -1*x1*x4",
+        "minor rows(2,4): degree 2, witness 1*x1*x3",
+        "minor rows(3,4): zero determinant",
+    ]
 
 
 def test_minor_with_repeated_row_vanishes(free24_family):

@@ -24,10 +24,10 @@ from carnotpoly.dynamics import (convergence_order, duality_check,
 from carnotpoly.extremal import build_family, verify_structure
 from carnotpoly.freelie import build_free
 from carnotpoly.group import left_invariant_fields
-from carnotpoly.poly import Poly, is_homogeneous, weighted_degree
+from carnotpoly.poly import Poly, weighted_degree
 from carnotpoly.prolongation import prolong
 
-from conftest import ELEMENTARY_G0, heisenberg_algebra
+from conftest import ELEMENTARY_G0, heisenberg_algebra, is_homogeneous
 from test_extremal import GOLDEN_Q, W24
 
 

@@ -232,6 +232,18 @@ def test_adapted_order_enforced():
         GradedLieAlgebra({1: 1, 3: 2}, {})
 
 
+@pytest.mark.parametrize("degrees", [
+    {1: 0, 2: 1},           # X_1 would sit in stratum 0
+    {1: -1, 2: 1, 3: 1},
+    {0: 1, 1: 1},           # index 0 would sit in stratum 1
+    {-1: 0, 0: 2, 1: 2},
+])
+def test_index_sign_matches_degree_sign(degrees):
+    with pytest.raises(StructureError, match="positive indices need degree "
+                       ">= 1 and nonpositive indices degree <= 0"):
+        GradedLieAlgebra(degrees, {})
+
+
 def _family_or_error(build, A):
     try:
         return build(A).Q

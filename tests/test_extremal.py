@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from carnotpoly import linalg
 from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
                                 multi_index_factorial, validate)
-from carnotpoly.extremal import (build_family, degree_bound_report,
-                                 reconstruct_by_recursion, verify_structure)
+from carnotpoly.extremal import (build_family, reconstruct_by_recursion,
+                                 verify_structure)
 from carnotpoly.freelie import build_free
 from carnotpoly.group import left_invariant_fields
-from carnotpoly.poly import (Poly, canonical_text, is_homogeneous,
-                             weighted_degree)
+from carnotpoly.poly import Poly, canonical_text, weighted_degree
 from carnotpoly.prolongation import prolong
+
+from conftest import degree_bound_report, is_homogeneous
 
 W24 = (1, 1, 2, 3, 3, 4, 4, 4)
 

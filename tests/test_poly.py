@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carnotpoly.extremal import build_family
+from carnotpoly.linalg import scalar
 from carnotpoly.poly import (Poly, PolyVectorField, canonical_text,
-                             compile_polys, is_homogeneous, key_from_alpha,
-                             weighted_degree)
+                             compile_polys, key_from_alpha, weighted_degree)
+
+from conftest import is_homogeneous, recombined_free
 
 W24 = (1, 1, 2, 3, 3, 4, 4, 4)
 
@@ -200,3 +203,66 @@ def test_integrate_divides_exactly_on_exact_coefficients():
     f = Poly(2, {((1, 1),): 3.0}).integrate(1)
     assert f.terms == {((1, 2),): 1.5}
     assert type(f.terms[((1, 2),)]) is float
+
+
+def _fraction_copy(p):
+    """``p`` with every coefficient a Fraction, integral ones included."""
+    return Poly(p.n, {k: Fraction(c) for k, c in p.terms.items()})
+
+
+def _integer_first(p):
+    return all(type(c) is int or c.denominator != 1 for c in p.terms.values())
+
+
+EXACT_OPS = {
+    "add": lambda p, q, c: p + q,
+    "double": lambda p, q, c: p + p,    # 1/2 + 1/2 is integral
+    "sub": lambda p, q, c: p - q,
+    "mul": lambda p, q, c: p * q,
+    "scale": lambda p, q, c: p * c,
+    "diff": lambda p, q, c: p.diff(1),
+    "integrate": lambda p, q, c: p.integrate(2),
+}
+
+
+def _check_integer_first(p, q, c, point, weights):
+    """Each exact operation on integer-first p, q and c gives integer-first
+    coefficients, and the value, term order, canonical text and float
+    kernel bits of the same operation on all-Fraction copies."""
+    assert _integer_first(p) and _integer_first(q)
+    pf, qf = _fraction_copy(p), _fraction_copy(q)
+    for name, op in EXACT_OPS.items():
+        got, want = op(p, q, scalar(c)), op(pf, qf, Fraction(c))
+        assert _integer_first(got), name
+        assert got == want and list(got.terms) == list(want.terms), name
+        assert canonical_text(got, weights) == canonical_text(want, weights)
+        assert compile_polys([got])(point) == compile_polys([want])(point)
+
+
+def integer_first_polys(n):
+    return random_polys(n).map(
+        lambda p: Poly(n, {k: scalar(c) for k, c in p.terms.items()}))
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), c=COEFFS, point=st.lists(COORDS, min_size=8,
+                                                 max_size=8))
+def test_exact_arithmetic_is_integer_first(free24_family, data, c, point):
+    # random polynomials, and the entries of the prolonged free(2,4)
+    # family, whose 1/p! coefficients are far from integral
+    source = st.one_of(integer_first_polys(8),
+                       st.sampled_from(list(free24_family.Q.values())))
+    _check_integer_first(data.draw(source), data.draw(source), c, point,
+                         free24_family.weights)
+
+
+@settings(max_examples=25, deadline=None)
+@given(A=recombined_free(), data=st.data(), c=COEFFS)
+def test_family_arithmetic_is_integer_first(A, data, c):
+    family = build_family(A)
+    entries = list(family.Q.values())
+    assert all(_integer_first(q) for q in entries)
+    point = data.draw(st.lists(COORDS, min_size=A.n, max_size=A.n))
+    pick = st.sampled_from(entries)
+    _check_integer_first(data.draw(pick), data.draw(pick), c, point,
+                         A.weights)
