@@ -7,7 +7,7 @@ detects abnormal and Goh extremals along sampled horizontal curves.
 """
 
 from .algebra import GradedLieAlgebra, StructureError, validate
-from .freelie import DimensionCapError, HallWord, build_free, reduce_to_hall, witt_dimension
+from .freelie import DimensionCapError, HallWord, build_free, witt_dimension
 
 __all__ = [
     "GradedLieAlgebra",
@@ -16,6 +16,5 @@ __all__ = [
     "DimensionCapError",
     "HallWord",
     "build_free",
-    "reduce_to_hall",
     "witt_dimension",
 ]

@@ -4,8 +4,10 @@ A horizontal curve through the origin is an abnormal extremal exactly
 when some nonzero covector v annihilates all generator rows P_j^v with
 d(j) <= 1 along it (prolongation rows included).  Sampling the curve
 turns that into a linear system on v whose null space is computed exactly
-on rational samples and by singular-value thresholding on floats; its
-dimension is a sound lower bound for the corank.
+on rational samples and by singular-value thresholding on floats.  Every
+abnormal covector lies in that null space and each sample only adds
+rows, so its dimension is an upper bound for the corank that more
+samples can only lower.
 
 The minor construction stacks the generator rows of the Q matrix against
 the columns a curve through the origin can load (d(k) >= 2, minus the
@@ -65,11 +67,14 @@ def membership(family, v, samples, tol=None):
 def detect_abnormal(family, samples, tol=1e-9):
     """Null space of the sampled generator constraints on the covector.
 
-    Returns a dict with the exact or numeric basis, the corank lower
-    bound, and (numeric path) the singular value spectrum.  Samples must
-    include the origin for the corank reading to be sound; too few
-    samples only make the result an over-approximation, flagged in
-    ``warnings``.  Float rows that overflow raise OverflowError.
+    Returns a dict with the exact or numeric basis, its dimension under
+    the key ``corank_lower_bound`` (a name kept for the report format:
+    the null space contains every abnormal covector, so the dimension
+    bounds the corank from above, and too few samples over-approximate
+    it), and (numeric path) the singular value spectrum.  Samples must
+    include the origin for the corank reading to be sound; missing origin
+    and very few samples are flagged in ``warnings``.  Float rows that
+    overflow raise OverflowError.
     """
     n = family.n
     rows = family.rows_of_degree_at_most(1)
@@ -130,8 +135,7 @@ def _maximal_minors(matrix):
             for pos, i in enumerate(s):
                 entry, sub = matrix[i][col], dets[s[:pos] + s[pos + 1:]]
                 if entry and sub:
-                    term = entry * sub
-                    out = out - term if (col - pos) % 2 else out + term
+                    out = out + (-entry if (col - pos) % 2 else entry) * sub
             level[s] = out
         dets = level
     return [(s, dets[s]) for s in subsets]

@@ -41,7 +41,6 @@ per degree, which :func:`validate` and :func:`bracket_decompositions` share.
 
 from fractions import Fraction
 from itertools import combinations
-from math import factorial
 
 from . import linalg
 
@@ -143,65 +142,6 @@ class GradedLieAlgebra:
                     val = prod * c if cur is None else cur + prod * c
                     out[k] = val
         return _clean(out)
-
-    def iterated_commutator(self, i, alpha):
-        """``[X_i, X_alpha]`` with the generators applied in ascending order.
-
-        ``alpha`` is a dense tuple of length n; ``alpha = 0`` returns
-        ``X_i`` itself.
-        """
-        if len(alpha) != self.n:
-            raise StructureError("multi-index length must equal the dimension")
-        value = {i: Fraction(1)}
-        self.degree(i)
-        for m, mult in enumerate(alpha, start=1):
-            for _ in range(mult):
-                if not value:
-                    return {}
-                value = self.bracket(value, {m: 1})
-        return value
-
-    def generalized_structure_constants(self, i):
-        """All nonzero ``c_i,alpha^k`` as a map ``(alpha, k) -> Fraction``.
-
-        Multi-indices are enumerated breadth-first in ascending generator
-        order, pruned by the grading bound ``d(i) + d(alpha) <= s``.
-        """
-        di = self.degree(i)
-        out = {}
-        zero = (0,) * self.n
-        frontier = [(zero, 0, {i: Fraction(1)})]
-        while frontier:
-            nxt = []
-            for alpha, last, value in frontier:
-                for k, c in value.items():
-                    out[(alpha, k)] = c
-                for m in range(max(last, 1), self.n + 1):
-                    dm = self.degrees[m]
-                    if di + self.multi_index_weight(alpha) + dm > self.s:
-                        continue
-                    new_val = self.bracket(value, {m: 1})
-                    if not new_val:
-                        continue
-                    new_alpha = alpha[:m - 1] + (alpha[m - 1] + 1,) + alpha[m:]
-                    nxt.append((new_alpha, m, new_val))
-            frontier = nxt
-        return out
-
-    def multi_index_weight(self, alpha):
-        return sum(a * w for a, w in zip(alpha, self.weights) if a)
-
-    # -- validation ---------------------------------------------------------
-
-    def validate(self):
-        return validate(self)
-
-
-def multi_index_factorial(alpha):
-    out = 1
-    for a in alpha:
-        out *= factorial(a)
-    return out
 
 
 def exp_ad(algebra, m, xm, Z):

@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Exit codes: 0 clean, 1 a verification reported violations, 2 unusable
-input.  Every command prints a human report by default and a
-deterministic JSON document with ``--json`` (no timestamps; input files
-are identified by content digest under ``"inputs"``).
+input, 141 a reader closed stdout before the report was written.  Every
+command prints a human report by default and a deterministic JSON
+document with ``--json`` (no timestamps; input files are identified by
+content digest under ``"inputs"``).
 """
 
 import argparse
@@ -111,8 +112,12 @@ def _load_valid(args):
 
 def _prolonged(algebra, overrides, depth):
     """The algebra prolonged to ``depth`` under its basis overrides."""
-    return prolong(algebra, depth, basis_overrides=overrides or None,
-                   max_dim=_max_dim())
+    try:
+        return prolong(algebra, depth, basis_overrides=overrides or None,
+                       max_dim=_max_dim())
+    except DimensionCapError as exc:
+        raise DimensionCapError(f"{exc}; a smaller --max-depth or a larger "
+                                "CARNOT_MAX_DIM gets past it") from None
 
 
 def _family(algebra, overrides, depth):
@@ -369,6 +374,21 @@ def cmd_spiral(args):
     return _emit(args, report, 0 if ok else 1)
 
 
+def _command(sub, name, func, summary, algebra=True, **depth):
+    """The subparser of command ``name`` with the shared arguments: the
+    algebra positional unless ``algebra`` is false, ``--max-depth`` with
+    the ``default`` (and ``help``) in ``depth`` when given, and ``--json``.
+    """
+    p = sub.add_parser(name, help=summary)
+    p.set_defaults(func=func)
+    if algebra:
+        p.add_argument("algebra")
+    if depth:
+        p.add_argument("--max-depth", type=_depth, **depth)
+    p.add_argument("--json", action="store_true")
+    return p
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="carnotpoly",
@@ -376,51 +396,32 @@ def main(argv=None):
                     "polynomials, and abnormal extremals")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = sub.add_parser("free", help="build a free nilpotent algebra")
+    p = _command(sub, "free", cmd_free, "build a free nilpotent algebra",
+                 algebra=False)
     p.add_argument("--rank", type=int, required=True)
     p.add_argument("--step", type=int, required=True)
     p.add_argument("--emit", help="write the AlgebraFile JSON here")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_free)
 
-    p = sub.add_parser("prolong", help="compute the graded prolongation")
-    p.add_argument("algebra")
-    p.add_argument("--max-depth", type=_depth, default=8)
+    p = _command(sub, "prolong", cmd_prolong,
+                 "compute the graded prolongation", default=8)
     p.add_argument("--emit-basis",
                    help="write the algebra plus the stratum bases "
                         "(prolongation_basis section) here")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_prolong)
 
-    p = sub.add_parser("polys", help="print the extremal polynomial family")
-    p.add_argument("algebra")
-    p.add_argument("--max-depth", type=_depth, default=None,
-                   help="prolong to this depth first (default: base only)")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_polys)
+    _command(sub, "polys", cmd_polys, "print the extremal polynomial family",
+             default=None,
+             help="prolong to this depth first (default: base only)")
+    _command(sub, "verify", cmd_verify,
+             "check the structure formulas exactly", default=8)
+    _command(sub, "minors", cmd_minors, "minor determinants and certificates",
+             default=8)
 
-    p = sub.add_parser("verify", help="check the structure formulas exactly")
-    p.add_argument("algebra")
-    p.add_argument("--max-depth", type=_depth, default=8)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_verify)
-
-    p = sub.add_parser("minors", help="minor determinants and certificates")
-    p.add_argument("algebra")
-    p.add_argument("--max-depth", type=_depth, default=8)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_minors)
-
-    p = sub.add_parser("detect", help="abnormal detection on curve samples")
-    p.add_argument("algebra")
+    p = _command(sub, "detect", cmd_detect,
+                 "abnormal detection on curve samples", default=8)
     p.add_argument("curve", help="CSV with header t,x1..xn")
-    p.add_argument("--max-depth", type=_depth, default=8)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_detect)
 
-    p = sub.add_parser("integrate", help="RK4 integrators")
-    p.add_argument("algebra")
+    p = _command(sub, "integrate", cmd_integrate, "RK4 integrators")
     p.add_argument("--mode", choices=("normal", "horizontal", "adjoint"),
                    required=True)
     p.add_argument("--lambda0", help="comma-separated dual start")
@@ -431,22 +432,27 @@ def main(argv=None):
     p.add_argument("--t1", type=float, default=1.0)
     p.add_argument("--step", type=float, default=1e-3)
     p.add_argument("--emit", help="write the curve CSV here")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_integrate)
 
-    p = sub.add_parser("spiral", help="the 64-dimensional spiral Goh example")
+    p = _command(sub, "spiral", cmd_spiral,
+                 "the 64-dimensional spiral Goh example", algebra=False)
     p.add_argument("--samples", type=int, default=2000)
     p.add_argument("--puncture", type=float, default=1e-6)
     p.add_argument("--tol", type=_tolerance, default=1e-8)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(func=cmd_spiral)
 
     args = parser.parse_args(argv)
     try:
         # digests come first: a command may overwrite its own input file
         paths = [getattr(args, name, None) for name in ("algebra", "curve")]
         args.inputs = {path: cio.file_digest(path) for path in paths if path}
-        return args.func(args)
+        status = args.func(args)
+        # a closed stdout shows here, not at the interpreter's exit
+        sys.stdout.flush()
+        return status
     except (InputError, StructureError, DimensionCapError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the reader stopped: the rest of the report goes to devnull, so
+        # the exit-time flush cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141

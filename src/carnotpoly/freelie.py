@@ -120,21 +120,6 @@ class _HallReducer:
         self.cache[key] = out
         return out
 
-    def reduce_tree(self, tree):
-        if isinstance(tree, int):
-            if tree not in self.words or self.words[tree].degree != 1:
-                raise StructureError(f"unknown generator {tree}")
-            return {tree: Fraction(1)}
-        left, right = tree
-        lhs = self.reduce_tree(left)
-        rhs = self.reduce_tree(right)
-        out = {}
-        for a, ca in lhs.items():
-            for b, cb in rhs.items():
-                for k, c in self.pair(a, b).items():
-                    out[k] = out.get(k, Fraction(0)) + ca * cb * c
-        return {k: c for k, c in out.items() if c}
-
 
 def build_free(r, s, max_dim=None):
     """Free nilpotent Lie algebra of rank r and step s on its Hall basis.
@@ -160,19 +145,4 @@ def build_free(r, s, max_dim=None):
             terms = reducer.pair(i, j)
             if terms:
                 table[(i, j)] = terms
-    algebra = GradedLieAlgebra(degrees, table)
-    algebra._hall_reducer = reducer
-    return algebra, words
-
-
-def reduce_to_hall(algebra, tree):
-    """Expand a bracket tree of generators over the Hall basis of ``algebra``.
-
-    The tree is a generator index or a nested pair ``(left, right)``;
-    degrees above the step collapse to zero.  Only available on algebras
-    produced by :func:`build_free`.
-    """
-    reducer = getattr(algebra, "_hall_reducer", None)
-    if reducer is None:
-        raise StructureError("reduce_to_hall needs a Hall-basis free algebra")
-    return reducer.reduce_tree(tree)
+    return GradedLieAlgebra(degrees, table), words

@@ -202,9 +202,6 @@ class Poly:
             return 0
         return total
 
-    def coefficient(self, alpha):
-        return self.terms.get(key_from_alpha(alpha), 0)
-
     def var_support(self):
         out = set()
         for k in self.terms:
@@ -264,9 +261,6 @@ class PolyVectorField:
         self.n = n
         self.coeffs = {l: p for l, p in coeffs.items() if p}
 
-    def coefficient(self, l):
-        return self.coeffs.get(l, Poly.zero(self.n))
-
     def apply(self, p):
         """Derivation action ``sum_l f_l dp/dx_l``."""
         if p.n != self.n:
@@ -278,13 +272,10 @@ class PolyVectorField:
                 out = out + f * p.diff(l)
         return out
 
-    def evaluate(self, point):
-        return [self.coeffs[l].evaluate(point) if l in self.coeffs else 0
-                for l in range(1, self.n + 1)]
-
     def compiled(self):
         """Float evaluator ``point -> list`` of all n coefficients."""
-        return compile_polys([self.coefficient(l) for l in range(1, self.n + 1)])
+        return compile_polys([self.coeffs.get(l, Poly.zero(self.n))
+                              for l in range(1, self.n + 1)])
 
 
 def _term_plan(p):

@@ -31,7 +31,8 @@ finite; :attr:`ProlongedAlgebra.complete` says that one was reached.
 from dataclasses import dataclass, field
 
 from . import linalg
-from .algebra import GradedLieAlgebra, StructureError, bracket_decompositions
+from .algebra import (GradedLieAlgebra, StructureError, bracket_decompositions,
+                      validate)
 from .freelie import DimensionCapError
 
 
@@ -99,7 +100,7 @@ class ProlongedAlgebra:
         return any(st.dim == 0 for st in self.strata)
 
     def validate(self):
-        report = self.algebra.validate()
+        report = validate(self.algebra)
         if self.deferred:
             report = report + [
                 f"bracket table incomplete on nonpositive pair {p}"

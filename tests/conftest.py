@@ -1,5 +1,6 @@
 from fractions import Fraction
 from itertools import combinations, permutations
+from math import factorial
 
 import pytest
 from hypothesis import strategies as st
@@ -10,7 +11,7 @@ from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
                                 generation_columns)
 from carnotpoly.extremal import ExtremalFamily, build_family
 from carnotpoly.group import left_invariant_fields
-from carnotpoly.poly import Poly, weighted_degree
+from carnotpoly.poly import Poly, key_from_alpha, weighted_degree
 from carnotpoly.prolongation import _algebra_of, prolong
 
 # the elementary-matrix g_0 basis of free(2,4): maps sending (X_1, X_2) to
@@ -95,6 +96,82 @@ def reference_bracket(A, u, w):
             for k, c in reference_bracket_indices(A, i, j).items():
                 out[k] = out.get(k, 0) + ci * cj * c
     return {k: c for k, c in out.items() if c}
+
+
+def reference_tree(A, tree):
+    """A bracket tree of generators, an index or a nested pair
+    ``(left, right)``, as the nested :func:`reference_bracket` of its
+    leaves; degrees above the step collapse to zero."""
+    if isinstance(tree, int):
+        if A.degrees.get(tree) != 1:
+            raise StructureError(f"unknown generator {tree}")
+        return {tree: 1}
+    left, right = tree
+    return reference_bracket(A, reference_tree(A, left),
+                             reference_tree(A, right))
+
+
+def iterated_commutator(A, i, alpha):
+    """``[X_i, X_alpha]`` with the generators applied in ascending order:
+    ``alpha`` is a dense tuple of length n, and ``alpha = 0`` gives X_i."""
+    if len(alpha) != A.n:
+        raise StructureError("multi-index length must equal the dimension")
+    A.degree(i)
+    value = {i: Fraction(1)}
+    for m, mult in enumerate(alpha, start=1):
+        for _ in range(mult):
+            if not value:
+                return {}
+            value = A.bracket(value, {m: 1})
+    return value
+
+
+def multi_index_weight(A, alpha):
+    return sum(a * w for a, w in zip(alpha, A.weights) if a)
+
+
+def multi_index_factorial(alpha):
+    out = 1
+    for a in alpha:
+        out *= factorial(a)
+    return out
+
+
+def generalized_structure_constants(A, i):
+    """The paper's c_i,alpha^k: every nonzero one as a map
+    ``(alpha, k) -> Fraction``.
+
+    Multi-indices are enumerated breadth-first in ascending generator
+    order, pruned by the grading bound ``d(i) + d(alpha) <= s``.
+    """
+    di = A.degree(i)
+    out = {}
+    frontier = [((0,) * A.n, 0, {i: Fraction(1)})]
+    while frontier:
+        nxt = []
+        for alpha, last, value in frontier:
+            for k, c in value.items():
+                out[(alpha, k)] = c
+            for m in range(max(last, 1), A.n + 1):
+                if di + multi_index_weight(A, alpha) + A.degrees[m] > A.s:
+                    continue
+                new_val = A.bracket(value, {m: 1})
+                if new_val:
+                    nxt.append((alpha[:m - 1] + (alpha[m - 1] + 1,)
+                                + alpha[m:], m, new_val))
+        frontier = nxt
+    return out
+
+
+def coefficient(p, alpha):
+    """The coefficient of ``x^alpha`` in the Poly ``p``, alpha dense."""
+    return p.terms.get(key_from_alpha(alpha), 0)
+
+
+def field_values(field, point):
+    """The n coefficients of a PolyVectorField at a point, exactly."""
+    return [field.coeffs[l].evaluate(point) if l in field.coeffs else 0
+            for l in range(1, field.n + 1)]
 
 
 def reference_exp_ad(A, m, xm, Z):

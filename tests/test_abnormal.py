@@ -13,14 +13,15 @@ from carnotpoly.abnormal import (_maximal_minors, certificate_text,
                                  membership, minor_system,
                                  nonvanishing_certificate, product_group,
                                  variety_generators)
-from carnotpoly.algebra import StructureError
+from carnotpoly.algebra import StructureError, validate
 from carnotpoly.extremal import build_family
 from carnotpoly.freelie import build_free
-from carnotpoly.group import flow, identity
+from carnotpoly.group import flow, identity, to_second_kind
 from carnotpoly.poly import Poly, canonical_text, weighted_degree
 from carnotpoly.prolongation import prolong
 
-from conftest import is_homogeneous, recombined_free, reference_det
+from conftest import (coefficient, is_homogeneous, recombined_free,
+                      reference_det)
 
 W24 = (1, 1, 2, 3, 3, 4, 4, 4)
 
@@ -187,7 +188,7 @@ def test_least_degree_minor_certificate(free24_family):
     system = minor_system(free24_family)
     target = dict(system.minors)[(2, 3, 4, 5, 6)]   # rows -1..3
     assert weighted_degree(target, W24) == 14
-    assert target.coefficient((1, 0, 1, 1, 0, 1, 0, 1)) == -2
+    assert coefficient(target, (1, 0, 1, 1, 0, 1, 0, 1)) == -2
 
 
 def test_zero_minors_get_no_certificate(heisenberg):
@@ -303,7 +304,7 @@ def test_variety_generators_top_stratum_covector(free24_family):
     gens = variety_generators(free24_family, v)
     assert len(gens) == 6
     for p in gens:
-        assert p.coefficient((0,) * 8) == 0
+        assert coefficient(p, (0,) * 8) == 0
 
 
 def test_minor_system_without_eligible_columns():
@@ -325,7 +326,7 @@ def test_product_heisenberg_squared(heisenberg):
     assert A.bracket_indices(a2, b1) == {}
     assert A.bracket_indices(a2, a1) == {prod.map_a[3]: 1}
     assert A.bracket_indices(b2, b1) == {prod.map_b[3]: 1}
-    assert A.validate() == []
+    assert validate(A) == []
 
 
 def test_product_field_block_structure(heisenberg):
@@ -373,7 +374,7 @@ def test_product_refuses_prolonged_factor(heisenberg):
 def test_product_of_random_graded_pairs(a, b):
     prod = product_group(a, b)
     P = prod.algebra
-    assert P.validate() == []
+    assert validate(P) == []
     assert (P.n, P.r, P.s) == (a.n + b.n, a.r + b.r, max(a.s, b.s))
     for factor, mapping in ((a, prod.map_a), (b, prod.map_b)):
         for i in factor.base_indices():
@@ -392,7 +393,7 @@ def test_product_free34_squared(free34):
     prod = product_group(free34, free34)
     A = prod.algebra
     assert A.n == 64 and A.r == 6 and A.s == 4
-    assert A.validate() == []
+    assert validate(A) == []
 
 
 def test_goh_spiral_wrong_covector(free34):
@@ -415,3 +416,36 @@ def test_detect_origin_only_float(free24_family):
     assert res["corank_lower_bound"] == 6
     for vec in res["basis"]:
         assert vec[0] == vec[1] == 0
+
+
+def _line_samples(A, direction, times):
+    """Exact second-kind points exp(t (sum_i direction_i X_i)), one per t."""
+    return [to_second_kind(A, {i: Fraction(t * c) for i, c in
+                               enumerate(direction, start=1) if c})
+            for t in times]
+
+
+def test_more_samples_never_raise_the_null_space_dimension(free34,
+                                                           free34_prolonged):
+    # each sample adds rows, and every abnormal covector lies in the null
+    # space, so the sampled dimension bounds the corank from above and
+    # can only fall as samples are added
+    family = build_family(free34_prolonged)
+    points = _line_samples(free34, (1, 2, -1), range(8))
+    dims = [detect_abnormal(family, points[:m])["corank_lower_bound"]
+            for m in (1, 2, 3, 4, 8)]
+    assert dims == [29, 25, 23, 23, 23]
+
+
+@settings(max_examples=10, deadline=None)
+@given(direction=st.tuples(*[st.integers(-3, 3)] * 3),
+       times=st.lists(st.fractions(-2, 2, max_denominator=5), min_size=1,
+                      max_size=6))
+def test_adding_samples_never_raises_the_exact_dimension(free34,
+                                                         free34_prolonged,
+                                                         direction, times):
+    family = build_family(free34_prolonged)
+    points = _line_samples(free34, direction, times)
+    dims = [detect_abnormal(family, points[:m])["corank_lower_bound"]
+            for m in range(1, len(points) + 1)]
+    assert dims == sorted(dims, reverse=True)

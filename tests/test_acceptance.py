@@ -27,7 +27,8 @@ from carnotpoly.group import left_invariant_fields
 from carnotpoly.poly import Poly, weighted_degree
 from carnotpoly.prolongation import prolong
 
-from conftest import ELEMENTARY_G0, heisenberg_algebra, is_homogeneous
+from conftest import (ELEMENTARY_G0, coefficient, heisenberg_algebra,
+                      is_homogeneous)
 from test_extremal import GOLDEN_Q, W24
 
 
@@ -143,7 +144,7 @@ def test_criterion_06_minor_system():
         target = dets[(2, 3, 4, 5, 6)]    # rows -1..3
         ok &= weighted_degree(target, W24) == 14
         ok &= is_homogeneous(target, W24)
-        ok &= target.coefficient((1, 0, 1, 1, 0, 1, 0, 1)) == -2
+        ok &= coefficient(target, (1, 0, 1, 1, 0, 1, 0, 1)) == -2
     _report(6, "21 minors; rows(-1..3) has degree 14 and -2 on "
             "x1*x3*x4*x6*x8", ok, t.elapsed, 120.0)
 

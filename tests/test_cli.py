@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -9,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from carnotpoly import io as cio
+from carnotpoly.algebra import GradedLieAlgebra
 from carnotpoly.cli import main
 from carnotpoly.freelie import build_free
 from conftest import heisenberg_algebra
@@ -605,3 +607,77 @@ def test_spiral_cli_small(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["goh_ok"] and doc["dimension"] == 64
+
+
+# the positionals and options each command's --help names, and the
+# --max-depth default of the commands that take one
+CLI_SURFACE = {
+    "free": (set(), {"-h", "--help", "--rank", "--step", "--emit", "--json"}),
+    "prolong": ({"algebra"}, {"-h", "--help", "--max-depth", "--emit-basis",
+                              "--json"}),
+    "polys": ({"algebra"}, {"-h", "--help", "--max-depth", "--json"}),
+    "verify": ({"algebra"}, {"-h", "--help", "--max-depth", "--json"}),
+    "minors": ({"algebra"}, {"-h", "--help", "--max-depth", "--json"}),
+    "detect": ({"algebra", "curve"}, {"-h", "--help", "--max-depth", "--tol",
+                                      "--json"}),
+    "integrate": ({"algebra"}, {"-h", "--help", "--mode", "--lambda0", "--x0",
+                                "--controls", "--t0", "--t1", "--step",
+                                "--emit", "--json"}),
+    "spiral": (set(), {"-h", "--help", "--samples", "--puncture", "--tol",
+                       "--json"}),
+}
+DEPTH_DEFAULTS = {"prolong": 8, "polys": None, "verify": 8, "minors": 8,
+                  "detect": 8}
+
+
+@pytest.mark.parametrize("command", sorted(CLI_SURFACE))
+def test_cli_surface(command, tmp_path, monkeypatch, capsys):
+    with pytest.raises(SystemExit) as stop:
+        main([command, "--help"])
+    assert stop.value.code == 0
+    text = capsys.readouterr().out
+    section = text.partition("positional arguments:")[2].partition("\n\n")[0]
+    positionals = set(re.findall(r"^  (\w+)", section, re.M))
+    options = set(re.findall(r"(?<![\w-])(--?[a-z][\w-]*)", text))
+    assert (positionals, options) == CLI_SURFACE[command]
+    if command in DEPTH_DEFAULTS:
+        seen = []
+        monkeypatch.setattr(f"carnotpoly.cli.cmd_{command}",
+                            lambda args: seen.append(args.max_depth) or 0)
+        path = tmp_path / "any.txt"
+        path.write_text("")
+        assert main([command, *[str(path)] * len(positionals)]) == 0
+        assert seen == [DEPTH_DEFAULTS[command]]
+
+
+def test_dimension_cap_names_the_way_out(tmp_path, capsys):
+    # H_5 = [X_3, X_1] = [X_4, X_2] = X_5 prolongs without end and passes
+    # the default cap of 256 at depth 4
+    path = tmp_path / "h5.json"
+    cio.save_algebra(path, GradedLieAlgebra(
+        {1: 1, 2: 1, 3: 1, 4: 1, 5: 2}, {(3, 1): {5: 1}, (4, 2): {5: 1}}))
+    code, out, err = run(capsys, "prolong", str(path))
+    assert code == 2 and out == ""
+    assert "dimension 296 > cap 256 at depth 4" in err
+    assert "--max-depth" in err and "CARNOT_MAX_DIM" in err
+    code, out, _ = run(capsys, "prolong", str(path), "--max-depth", "2",
+                       "--json")
+    assert code == 0 and json.loads(out)["stratum_dims"] == [11, 24, 46]
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    # the Heisenberg report at depth 8 is about 760 KB, far beyond a pipe
+    # buffer, so writing it fails once the reader has closed the pipe
+    path = tmp_path / "heis.json"
+    cio.save_algebra(path, heisenberg_algebra())
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "carnotpoly", "prolong", str(path),
+         "--max-depth", "8"], stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=env)
+    assert proc.stdout.readline() == b"command: prolong\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert "Traceback" not in err and err == ""

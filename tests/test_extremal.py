@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carnotpoly import linalg
-from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
-                                multi_index_factorial, validate)
+from carnotpoly.algebra import GradedLieAlgebra, StructureError, validate
 from carnotpoly.extremal import (build_family, reconstruct_by_recursion,
                                  verify_structure)
 from carnotpoly.freelie import build_free
@@ -15,7 +14,9 @@ from carnotpoly.group import left_invariant_fields
 from carnotpoly.poly import Poly, canonical_text, weighted_degree
 from carnotpoly.prolongation import prolong
 
-from conftest import degree_bound_report, is_homogeneous
+from conftest import (degree_bound_report, generalized_structure_constants,
+                      is_homogeneous, iterated_commutator,
+                      multi_index_factorial)
 
 W24 = (1, 1, 2, 3, 3, 4, 4, 4)
 
@@ -93,10 +94,10 @@ def test_rows_canonical_text_golden(free24_family):
 def test_gsc_matches_iterated_on_prolongation_rows(free24_prolonged):
     ext = free24_prolonged.algebra
     for j in (-3, -1, 0):
-        gsc = ext.generalized_structure_constants(j)
+        gsc = generalized_structure_constants(ext, j)
         for alpha in {a for a, _ in gsc}:
             stored = {k: c for (a, k), c in gsc.items() if a == alpha}
-            assert ext.iterated_commutator(j, alpha) == stored
+            assert iterated_commutator(ext, j, alpha) == stored
 
 
 def test_heisenberg_family_by_direct_expansion(heis_family):
@@ -375,7 +376,7 @@ def _gsc_family(A):
     n = algebra.n
     Q = {}
     for j in sorted(algebra.degrees):
-        for (alpha, k), c in algebra.generalized_structure_constants(j).items():
+        for (alpha, k), c in generalized_structure_constants(algebra, j).items():
             if k < 1:
                 continue
             coeff = Fraction((-1) ** sum(alpha),
@@ -411,3 +412,16 @@ def test_adjoint_recursion_refuses_tables_off_the_grading(degrees, table):
         left_invariant_fields(A)
     with pytest.raises(StructureError, match="grading bound"):
         build_family(A)
+
+
+def test_reconstruction_refuses_inconsistent_derivative_data():
+    # free(2,5) without [X_4, X_2] = X_7 still generates every stratum
+    # ([X_5, X_1] = X_7 too) but breaks Jacobi, so the derivatives the
+    # structure formulas give row 1 no longer integrate
+    B = build_free(2, 5)[0]
+    A = GradedLieAlgebra(B.degrees, {ij: terms for ij, terms
+                                     in B.table.items() if ij != (4, 2)})
+    assert validate(A)[0] == "Jacobi violated on triple (1, 2, 3)"
+    with pytest.raises(StructureError, match="row 1: integrated polynomial "
+                       "does not satisfy its own derivative data"):
+        reconstruct_by_recursion(A)

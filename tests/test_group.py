@@ -4,11 +4,13 @@ from fractions import Fraction
 import pytest
 
 from carnotpoly import build_free
-from carnotpoly.algebra import StructureError
+from carnotpoly.algebra import GradedLieAlgebra, StructureError, validate
 from carnotpoly.group import (bch, flow, from_second_kind, group_mul,
                               identity, inverse, left_invariant_fields,
                               to_second_kind)
 from carnotpoly.poly import Poly, PolyVectorField, weighted_degree
+
+from conftest import field_values
 
 
 class Jet:
@@ -307,7 +309,7 @@ def test_left_invariance_via_jets(heisenberg, free24):
         fields = left_invariant_fields(A)
         x = rand_point(rng, A.n)
         y = rand_point(rng, A.n)
-        vel = [f.evaluate(y) for f in fields]
+        vel = [field_values(f, y) for f in fields]
         yjet = [Jet(y[l], {i: vel[i - 1][l]
                            for i in range(1, A.n + 1) if vel[i - 1][l]})
                 for l in range(A.n)]
@@ -315,7 +317,7 @@ def test_left_invariance_via_jets(heisenberg, free24):
         xy = group_mul(A, x, y)
         pushed = [[c.parts.get(i, Fraction(0)) if isinstance(c, Jet) else 0
                    for c in z] for i in range(1, A.n + 1)]
-        direct = [f.evaluate(xy) for f in fields]
+        direct = [field_values(f, xy) for f in fields]
         assert pushed == direct
 
 
@@ -351,3 +353,13 @@ def test_fields_match_jet_derivation(request, case):
     A = getattr(A, "algebra", A)
     assert [f.coeffs for f in left_invariant_fields(A)] == \
         [f.coeffs for f in _jet_fields(A)]
+
+
+def test_peeling_refuses_a_table_that_breaks_the_grading():
+    # [X_3, X_2] = X_1 sends degree 3 down to degree 1, so peeling X_2
+    # brings back an X_1 component after X_1 was peeled
+    A = GradedLieAlgebra({1: 1, 2: 1, 3: 2}, {(3, 2): {1: 1}})
+    assert "grading violated: c_(3,2)^1 nonzero with d=1 != 3" in validate(A)
+    with pytest.raises(StructureError,
+                       match="peeling left a residual at index 1"):
+        to_second_kind(A, {2: Fraction(1), 3: Fraction(1)})

@@ -11,10 +11,11 @@ from carnotpoly import build_free
 from carnotpoly import io as cio
 from carnotpoly import linalg
 from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
-                                generation_columns)
+                                generation_columns, validate)
 from carnotpoly.cli import main
-from carnotpoly.prolongation import (ProlongedAlgebra, _match_in_stratum,
-                                     bracket_decompositions, compute_stratum,
+from carnotpoly.prolongation import (ProlongedAlgebra, _close_pairs,
+                                     _match_in_stratum, bracket_decompositions,
+                                     compute_stratum,
                                      extend_structure_constants, prolong)
 
 from conftest import ELEMENTARY_G0, dense_rref
@@ -242,7 +243,7 @@ def test_recombined_g0_basis_prolongs_alike(step, U):
                   Fraction(0)) for q in g1] for t in g1] for row in U]
     P = prolong(A, 3, basis_overrides={0: maps})
     assert P.stratum_dims == canon.stratum_dims
-    assert P.algebra.validate() == []
+    assert validate(P.algebra) == []
     assert P.deferred == canon.deferred
     with tempfile.TemporaryDirectory() as tmp:
         src, out = Path(tmp) / "a.json", Path(tmp) / "b.json"
@@ -386,3 +387,30 @@ def test_prolongation_scalars_are_integer_first(case, heisenberg, monkeypatch):
     assert all(type(c) is int for st in P.strata for phi in st.maps
                for img in phi.values() for c in img.values()
                if c.denominator == 1)
+
+
+def test_close_pairs_refuses_a_bracket_below_a_terminated_prolongation(
+        free23):
+    # free(2,3) prolongs to G_2 and ends at the zero stratum -4; two
+    # degree -3 elements bracket into degree -6, which must stay zero
+    P = prolong(free23, 5)
+    by_degree = {st.degree: st for st in P.strata}
+    e1, e2 = by_degree[-3].ids
+    assert _close_pairs(P.algebra, by_degree, [(e1, e2)], True) == []
+    # a corrupted [E_-2, E_-3] gives [E_1, E_2] a nonzero Jacobi action
+    (low,) = by_degree[-2].ids
+    P.algebra.set_bracket(low, e2, {1: 1})
+    with pytest.raises(StructureError,
+                       match="bracket escapes a terminated prolongation"):
+        _close_pairs(P.algebra, by_degree, [(e1, e2)], True)
+
+
+def test_match_refuses_a_nonzero_bracket_in_an_empty_stratum(
+        free24_prolonged):
+    empty = free24_prolonged.strata[-1]
+    assert empty.dim == 0
+    assert _match_in_stratum(empty, {}, [1, 2], "E") == {}
+    for stratum in (empty, None):
+        with pytest.raises(StructureError, match="E: nonzero bracket lands "
+                                                 "in an empty stratum"):
+            _match_in_stratum(stratum, {1: {0: 1}}, [1, 2], "E")
