@@ -39,6 +39,7 @@ Generativity, ``g_m = [g_{m-1}, g_1]``, is decided here by one elimination
 per degree, which :func:`validate` and :func:`bracket_decompositions` share.
 """
 
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
 
@@ -47,6 +48,9 @@ from . import linalg
 
 class StructureError(ValueError):
     """Malformed algebra data: unknown index, bad grading, non-spanning basis."""
+
+
+_EMPTY = {}  # shared default for adjoint-row lookups; never written
 
 
 def _clean(coeffs):
@@ -184,8 +188,11 @@ def validate(algebra):
     ``g_m = [g_{m-1}, g_1]`` for ``m = 2..s``.  When those table checks
     pass, a triple whose degree sum is not a stored degree has every
     Jacobi term zero by the grading, so for each pair i < j only the k > j
-    of degree D - d(i) - d(j), D a stored degree, are visited, ascending
-    (the strata ascend with the index).  Otherwise every triple is.
+    of degree D - d(i) - d(j), D a stored degree, are visited, ascending.
+    Those partners are listed once per degree shift d(i) + d(j), ascending
+    because the strata ascend with the index, and the k > j are cut off
+    that list by bisection.  Otherwise every triple is visited (shift 0
+    lists every index).  Each Jacobi term is read off the adjoint rows.
     """
     report = []
     A = algebra
@@ -207,16 +214,23 @@ def validate(algebra):
                     f"d={A.degrees[k]} != {want}")
     graded = not report
     stored = sorted(A._strata)
+    ad = A.ad
+    partners = {}  # degree shift -> ascending indices of a stored degree
     for i, j in combinations(A.indices(), 2):
         shift = A.degrees[i] + A.degrees[j] if graded else 0
-        for k in [k for d in stored for k in A._strata.get(d - shift, ())
-                  if k > j]:
+        ks = partners.get(shift)
+        if ks is None:
+            ks = partners[shift] = [k for d in stored
+                                    for k in A._strata.get(d - shift, ())]
+        row_j, ij = ad[j], ad[i].get(j)
+        for k in ks[bisect_right(ks, j):]:
             acc = {}
-            for u, v, w in ((i, j, k), (j, k, i), (k, i, j)):
-                for p, cp in A.ad[u].get(v, {}).items():
-                    for m, cc in A.ad[p].get(w, {}).items():
-                        acc[m] = acc.get(m, 0) + cp * cc
-            if _clean(acc):
+            for uv, w in ((ij, k), (row_j.get(k), i), (ad[k].get(i), j)):
+                if uv:
+                    for p, cp in uv.items():
+                        for m, cc in ad[p].get(w, _EMPTY).items():
+                            acc[m] = acc.get(m, 0) + cp * cc
+            if any(acc.values()):
                 report.append(f"Jacobi violated on triple ({i}, {j}, {k})")
     for m in range(2, A.s + 1):
         if not A.stratum(m):

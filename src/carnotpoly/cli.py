@@ -27,7 +27,7 @@ from .extremal import build_family, verify_structure
 from .freelie import DimensionCapError, build_free
 from .io import InputError
 from .poly import canonical_text
-from .prolongation import prolong
+from .prolongation import CutoffError, prolong
 
 
 def _max_dim():
@@ -118,6 +118,9 @@ def _prolonged(algebra, overrides, depth):
     except DimensionCapError as exc:
         raise DimensionCapError(f"{exc}; a smaller --max-depth or a larger "
                                 "CARNOT_MAX_DIM gets past it") from None
+    except CutoffError as exc:
+        raise CutoffError(f"{exc}; a larger --max-depth reaches "
+                          "them") from None
 
 
 def _family(algebra, overrides, depth):

@@ -17,11 +17,13 @@ g_1 blocks, can be substituted as long as it spans the same space.
 New basis elements receive consecutive indices below the lowest stored
 index, so the first computed stratum of dimension D occupies -D+1 .. 0.
 Brackets of two nonpositive elements are recovered from the Jacobi
-identity  [X, [E, F]] = [[X, E], F] - [[X, F], E].  For the same reason
-as above, the coordinates of a derivation in a stratum basis are solved
-on its g_1 block alone; a bracket is then checked against the whole
-recombined map.  Each stratum factors its g_1 blocks once, on the first
-such solve, so every further bracket or chosen basis vector costs one
+identity  [X, [E, F]] = [[X, E], F] - [[X, F], E]: the action
+m -> [X_m, [E, F]] is read straight off the adjoint rows ``ad[m]`` and
+``ad[p]`` of the extension.  For the same reason as above, the
+coordinates of that action in a stratum basis are solved on its g_1
+block alone; the bracket is then checked against the whole recombined
+map.  Each stratum factors its g_1 blocks once, on the first such solve,
+so every further bracket or chosen basis vector costs one
 back-substitution.
 
 A zero stratum makes every stratum below it zero, so the prolongation is
@@ -31,9 +33,14 @@ finite; :attr:`ProlongedAlgebra.complete` says that one was reached.
 from dataclasses import dataclass, field
 
 from . import linalg
-from .algebra import (GradedLieAlgebra, StructureError, bracket_decompositions,
-                      validate)
+from .algebra import (_EMPTY, GradedLieAlgebra, StructureError,
+                      bracket_decompositions, validate)
 from .freelie import DimensionCapError
+
+
+class CutoffError(StructureError):
+    """A basis override lies below the cutoff of a run that did not
+    terminate, so a deeper run would use it."""
 
 
 @dataclass
@@ -223,20 +230,40 @@ def _combine(coeffs, maps):
 
 
 def _pair_action(A, e1, e2):
-    """Action m -> [X_m, [E_1, E_2]] via Jacobi, for nonpositive e1, e2."""
-    halves = [{m: A.bracket(A.bracket_indices(m, u), {v: 1})
-               for m in A.base_indices()} for u, v in ((e1, e2), (e2, e1))]
-    return _combine((1, -1), halves)
+    """Action m -> [X_m, [E_1, E_2]] for nonpositive e1, e2, by Jacobi
+
+        [X_m, [E_1, E_2]] = [[X_m, E_1], E_2] - [[X_m, E_2], E_1],
+
+    read straight off the adjoint rows ``ad[m]`` and ``ad[p]``.  Entries
+    are exact scalars and blocks without a nonzero entry are dropped.
+    """
+    ad = A.ad
+    out = {}
+    for m in A.base_indices():
+        row = ad[m]
+        acc = {}
+        for u, v, sign in ((e1, e2, 1), (e2, e1, -1)):
+            for p, cp in row.get(u, _EMPTY).items():
+                f = sign * cp
+                for k, c in ad[p].get(v, _EMPTY).items():
+                    acc[k] = acc.get(k, 0) + f * c
+        img = {k: linalg.scalar(c) for k, c in acc.items() if c}
+        if img:
+            out[m] = img
+    return out
 
 
 def _close_pairs(ext, strata_by_deg, pending, terminated):
     """Decide deferred nonpositive pairs whose result stratum is available.
 
-    Brackets are read from the extension ``ext`` and each decided pair is
-    written into it by ``set_bracket``.  Pairs are processed by descending
-    result degree so that the inner brackets a Jacobi expansion needs are
-    always decided first.  Returns the pairs that still cannot be placed
-    (possible only on a truncated prolongation).
+    Each pair's action is read off the adjoint rows of the extension
+    ``ext`` by :func:`_pair_action`, solved on its g_1 block and checked
+    against the whole recombined map by :func:`_match_in_stratum`, and
+    the decided bracket is written into ``ext`` by ``set_bracket``.  Pairs
+    are processed by descending result degree so that the inner brackets
+    a Jacobi expansion needs are always decided first.  Returns the pairs
+    that still cannot be placed (possible only on a truncated
+    prolongation).
     """
     degrees = ext.degrees
     lowest_computed = min(strata_by_deg)
@@ -346,7 +373,9 @@ def prolong(A, max_depth=8, basis_overrides=None, max_dim=None):
 
     ``basis_overrides`` maps a stratum degree to an explicit basis for
     :func:`extend_structure_constants`; an override that no nonzero
-    computed stratum uses raises :class:`StructureError`.  The result is
+    computed stratum uses raises :class:`StructureError`, a
+    :class:`CutoffError` when every unused degree lies below the cutoff of
+    a run that did not terminate.  The result is
     :attr:`~ProlongedAlgebra.complete` only if a zero stratum was reached;
     otherwise the prolongation may continue below the cutoff.  Raises
     :class:`DimensionCapError` when a stratum would take the extended
@@ -361,8 +390,11 @@ def prolong(A, max_depth=8, basis_overrides=None, max_dim=None):
         if st.dim == 0:
             break
     if unused:
-        raise StructureError(
+        error, why = StructureError, "computed no nonzero stratum there"
+        if not P.complete and all(d < -max_depth for d in unused):
+            error, why = CutoffError, (f"stopped at the cutoff, degree "
+                                       f"{-max_depth}, before reaching them")
+        raise error(
             f"prolongation basis for degrees {sorted(unused)} not used: the "
-            "run computed no nonzero stratum there (stratum dims from "
-            f"degree 0 down: {P.stratum_dims})")
+            f"run {why} (stratum dims from degree 0 down: {P.stratum_dims})")
     return P

@@ -98,6 +98,24 @@ def reference_bracket(A, u, w):
     return {k: c for k, c in out.items() if c}
 
 
+def reference_pair_action(A, e1, e2):
+    """Reference for ``prolongation._pair_action``: m -> [X_m, [E_1, E_2]]
+    as the two Jacobi halves [[X_m, E_1], E_2] and [[X_m, E_2], E_1], each
+    a nested :func:`reference_bracket`, the second subtracted; blocks
+    without a nonzero entry are dropped."""
+    out = {}
+    for m in A.base_indices():
+        first, second = (
+            reference_bracket(A, reference_bracket(A, {m: 1}, {u: 1}), {v: 1})
+            for u, v in ((e1, e2), (e2, e1)))
+        img = {k: first.get(k, 0) - second.get(k, 0)
+               for k in first.keys() | second.keys()}
+        img = {k: c for k, c in img.items() if c}
+        if img:
+            out[m] = img
+    return out
+
+
 def reference_tree(A, tree):
     """A bracket tree of generators, an index or a nested pair
     ``(left, right)``, as the nested :func:`reference_bracket` of its

@@ -335,13 +335,20 @@ def test_unused_or_duplicate_prolongation_basis_exits_2(tmp_path, capsys):
     run(capsys, "free", "--rank", "2", "--step", "4", "--emit", str(path))
     algebra, _ = cio.load_algebra(path)
     # free(2,4) prolongs to dims [4, 0]: degree 5 is positive, -1 is the
-    # zero stratum and -7 lies below where the run stops
-    for deg in (5, -1, -7):
-        bad = tmp_path / f"unused{deg}.json"
-        cio.save_algebra(bad, algebra, overrides={deg: [[[1, 0], [0, 1]]]})
-        code, out, err = run(capsys, "prolong", str(bad), "--json")
+    # zero stratum and -7 lies below where the run stops; a positive
+    # degree is never used by the unterminated Heisenberg run either, so
+    # none of these names the cutoff or a deeper run
+    cases = [(algebra, 5), (algebra, -1), (algebra, -7),
+             (heisenberg_algebra(), 5)]
+    for i, (base, deg) in enumerate(cases):
+        bad = tmp_path / f"unused{i}.json"
+        cio.save_algebra(bad, base, overrides={deg: [[[1, 0], [0, 1]]]})
+        code, out, err = run(capsys, "prolong", str(bad), "--max-depth", "2",
+                             "--json")
         assert code == 2, deg
-        assert out == "" and f"degrees [{deg}] not used" in err, deg
+        assert out == "" and f"degrees [{deg}] not used: the run computed " \
+            "no nonzero stratum there" in err, deg
+        assert "cutoff" not in err and "--max-depth" not in err, deg
     dup = tmp_path / "dup.json"
     cio.save_algebra(dup, algebra, overrides={0: [[[1, 0], [0, 1]]]})
     doc = json.loads(dup.read_text())
@@ -511,6 +518,14 @@ GOLDEN_REPORTS = [
                                 "2", "-1"] * 3)[:23]), "--step", "0.01"],
      "d4057af9d8ad1b21d16da7b5af58d2d532cae541a14947d2b2de28759409ad92",
      "d8ccd0fc484fe5f345471125738c0931109c754c0de5e13415c7342d742d56ab"),
+    # a truncated prolongation, with deferred pairs and 370 Jacobi lines
+    (["prolong", "heis.json", "--max-depth", "3"],
+     "044d8c65a1305644cabc70c7a9bfdf83e2b260040ed358f89deea6055e94a3de",
+     "303efa55da7092040e58e007f6c91f3c296fca9690592c364993ff880e9e77ec"),
+    # G_2: free(2,3) prolongs to dims [4, 2, 1, 2, 0]
+    (["prolong", "free23.json"],
+     "748d7c28f8637790b6ba7e01b299daf2c2d4fd4eea82b731a2908a73cce6e8bf",
+     "838e25a105805a70a5c08843a13d7565bb2c6b6586069fe864ea5ec0846c0f09"),
 ]
 
 
@@ -519,6 +534,8 @@ def test_golden_reports(tmp_path, monkeypatch, capsys):
     run(capsys, "free", "--rank", "2", "--step", "4", "--emit", "free24.json")
     run(capsys, "free", "--rank", "3", "--step", "4", "--emit", "free34.json")
     run(capsys, "free", "--rank", "2", "--step", "6", "--emit", "free26.json")
+    run(capsys, "free", "--rank", "2", "--step", "3", "--emit", "free23.json")
+    cio.save_algebra("heis.json", heisenberg_algebra())
     lines = ["t,x1,x2,x3,x4,x5,x6,x7,x8"]
     for t in ("0", "1/2", "1", "2"):
         lines.append(",".join([t, "0", t] + ["0"] * 6))
@@ -648,6 +665,25 @@ def test_cli_surface(command, tmp_path, monkeypatch, capsys):
         path.write_text("")
         assert main([command, *[str(path)] * len(positionals)]) == 0
         assert seen == [DEPTH_DEFAULTS[command]]
+
+
+def test_basis_below_the_cutoff_names_the_way_out(tmp_path, capsys):
+    # the Heisenberg prolongation never terminates: a basis exported at
+    # depth 3 holds degrees 0..-3, and a depth-2 run never reaches -3
+    heis, exported = tmp_path / "heis.json", tmp_path / "h.json"
+    cio.save_algebra(heis, heisenberg_algebra())
+    code, _, _ = run(capsys, "prolong", str(heis), "--max-depth", "3",
+                     "--emit-basis", str(exported), "--json")
+    assert code == 0
+    code, out, err = run(capsys, "prolong", str(exported), "--max-depth", "2")
+    assert code == 2 and out == ""
+    assert "degrees [-3] not used: the run stopped at the cutoff, degree -2, " \
+        "before reaching them" in err
+    assert "no nonzero stratum" not in err
+    assert err.rstrip().endswith("; a larger --max-depth reaches them")
+    code, out, _ = run(capsys, "prolong", str(exported), "--max-depth", "3",
+                       "--json")
+    assert code == 0 and json.loads(out)["stratum_dims"] == [4, 6, 9, 12]
 
 
 def test_dimension_cap_names_the_way_out(tmp_path, capsys):

@@ -14,11 +14,12 @@ from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
                                 generation_columns, validate)
 from carnotpoly.cli import main
 from carnotpoly.prolongation import (ProlongedAlgebra, _close_pairs,
-                                     _match_in_stratum, bracket_decompositions,
-                                     compute_stratum,
+                                     _match_in_stratum, _pair_action,
+                                     bracket_decompositions, compute_stratum,
                                      extend_structure_constants, prolong)
 
-from conftest import ELEMENTARY_G0, dense_rref
+from conftest import (ELEMENTARY_G0, dense_rref, reference_pair_action,
+                      reference_validate)
 
 
 def brute_force_stratum_dim(P, k):
@@ -213,6 +214,64 @@ def test_match_checks_the_whole_action(free24_prolonged):
     act[3] = {3: act.get(3, {}).get(3, Fraction(0)) + 1}
     with pytest.raises(StructureError, match="outside the computed stratum"):
         _match_in_stratum(st, act, [1, 2], "E")
+
+
+def test_match_refuses_a_g1_block_outside_the_span(heisenberg,
+                                                  free24_prolonged):
+    # degree -1 of the Heisenberg prolongation spans 6 of the 8 dimensions
+    # of blocks g_1 -> g_0, and X_1 -> E_-3 alone is none of them
+    P = prolong(heisenberg, 1)
+    st = P.strata[1]
+    with pytest.raises(StructureError, match="E: bracket outside the "
+                                             "computed stratum"):
+        _match_in_stratum(st, {1: {P.strata[0].ids[0]: 1}}, [1, 2], "E")
+    # X_1 -> X_3 is an entry no g_0 block of free(2,4) touches
+    with pytest.raises(StructureError, match="E: bracket outside the "
+                                             "computed stratum"):
+        _match_in_stratum(free24_prolonged.strata[0], {1: {3: 1}}, [1, 2],
+                          "E")
+
+
+@pytest.mark.parametrize("case", ["g2", "heisenberg3", "heisenberg3x3"])
+def test_pair_action_matches_two_halves_reference(case, free23, heisenberg):
+    # G_2 is complete; the depth-3 Heisenberg prolongation is truncated,
+    # so some of its pairs are deferred and have no bracket stored; with
+    # [X_2, X_1] = 3 X_3 some products are integral Fractions, which the
+    # action must give as ints
+    if case == "g2":
+        P = prolong(free23, 5)
+    else:
+        c = 1 if case == "heisenberg3" else 3
+        P = prolong(GradedLieAlgebra(heisenberg.degrees, {(2, 1): {3: c}}), 3)
+    assert P.stratum_dims == ([4, 2, 1, 2, 0] if case == "g2"
+                              else [4, 6, 9, 12])
+    assert bool(P.deferred) == (case != "g2")
+    A = P.algebra
+    nonpositive = [e for e in A.indices() if e <= 0]
+    for e1 in nonpositive:
+        for e2 in nonpositive:
+            act = _pair_action(A, e1, e2)
+            assert act == reference_pair_action(A, e1, e2), (e1, e2)
+            assert all(type(c) is int or c.denominator != 1
+                       for img in act.values() for c in img.values())
+
+
+def test_validate_matches_reference_on_a_truncated_prolongation(heisenberg):
+    # the deferred pairs of the depth-3 Heisenberg extension have no stored
+    # bracket, so Jacobi fails on 370 triples; the graded skip must visit
+    # each of them, in the reference order
+    A = prolong(heisenberg, 3).algebra
+    report = validate(A)
+    assert len(report) == 370
+    assert all(line.startswith("Jacobi violated") for line in report)
+    assert report == reference_validate(A)
+    damaged = GradedLieAlgebra(A.degrees, A.table)
+    (e1, e2), terms = next((pair, terms) for pair, terms in A.table.items()
+                           if max(pair) <= 0)
+    k = next(iter(terms))
+    damaged.set_bracket(e1, e2, {**terms, k: terms[k] + 1})
+    broken = validate(damaged)
+    assert broken != report and broken == reference_validate(damaged)
 
 
 @st.composite
