@@ -124,15 +124,18 @@ class _HallReducer:
 def build_free(r, s, max_dim=None):
     """Free nilpotent Lie algebra of rank r and step s on its Hall basis.
 
-    Returns ``(algebra, words)``.  Raises :class:`DimensionCapError` when
-    the dimension would exceed ``max_dim``.
+    Returns ``(algebra, words)``.  Raises :class:`DimensionCapError` as
+    soon as the dimension of strata 1..m passes ``max_dim``, naming m.
     """
     if r < 2 or s < 1:
         raise StructureError("need rank >= 2 and step >= 1")
-    n = sum(witt_dimension(r, m) for m in range(1, s + 1))
-    if max_dim is not None and n > max_dim:
-        raise DimensionCapError(
-            f"free({r},{s}) has dimension {n} > cap {max_dim}")
+    n = 0
+    for m in range(1, s + 1):
+        n += witt_dimension(r, m)
+        if max_dim is not None and n > max_dim:
+            raise DimensionCapError(
+                f"free({r},{s}) reaches dimension {n} > cap {max_dim} at "
+                f"step {m}")
     words = hall_words(r, s)
     assert len(words) == n
     reducer = _HallReducer(words, s)

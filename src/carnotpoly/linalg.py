@@ -142,51 +142,11 @@ def solve(rows, rhs, ncols):
     return x
 
 
-class SpanFactor:
-    """Factored span of independent basis vectors, for many span solves.
-
-    One :func:`rref` of ``[B | I]``, B holding the basis vectors as rows,
-    gives the reduced rows ``R = T B`` with pivot columns ``p`` and the
-    transform T.  A target v lies in the span iff ``v = y R`` with
-    ``y = v[p]``, and its coordinates are then ``x = y T``; coordinates in
-    an independent basis are unique, so they are the ones :func:`solve`
-    gives.  R and T are stored as sparse rows ``[(column, value), ...]``.
-    """
-
-    def __init__(self, basis_vectors, ncols):
-        dim = len(basis_vectors)
-        aug = [{**{c: x for c, x in enumerate(v) if x}, ncols + i: 1}
-               for i, v in enumerate(basis_vectors)]
-        reduced, self.pivots = rref(aug, ncols)
-        if len(self.pivots) < dim:
-            raise ValueError("span basis vectors are linearly dependent")
-        self.ncols = ncols
-        self.dim = dim
-        self.rows = [[(c, x) for c, x in enumerate(row[:ncols]) if x]
-                     for row in reduced]
-        self.transform = [[(i, x) for i, x in enumerate(row[ncols:]) if x]
-                          for row in reduced]
-
-    def solve(self, target):
-        """Coordinates of ``target`` (``ncols`` entries), or None."""
-        y = [target[p] for p in self.pivots]
-        image = [0] * self.ncols
-        x = [0] * self.dim
-        for yi, row, trow in zip(y, self.rows, self.transform):
-            if yi:
-                for c, v in row:
-                    image[c] += yi * v
-                for i, v in trow:
-                    x[i] += yi * v
-        if any(a != b for a, b in zip(image, target)):
-            return None
-        return [scalar(v) for v in x]
-
-
 def solve_in_span(basis_vectors, target):
     """Coordinates of ``target`` in the span of ``basis_vectors``, or None.
 
     Vectors are given as sequences of equal length; the basis vectors must
     be linearly independent.
     """
-    return SpanFactor(basis_vectors, len(target)).solve(target)
+    transposed = [[v[i] for v in basis_vectors] for i in range(len(target))]
+    return solve(transposed, target, len(basis_vectors))

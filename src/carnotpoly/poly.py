@@ -101,9 +101,6 @@ class Poly:
     def __neg__(self):
         return Poly(self.n, {k: -c for k, c in self.terms.items()})
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, Poly):
             if other.n != self.n:

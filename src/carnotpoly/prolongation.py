@@ -20,11 +20,10 @@ Brackets of two nonpositive elements are recovered from the Jacobi
 identity  [X, [E, F]] = [[X, E], F] - [[X, F], E]: the action
 m -> [X_m, [E, F]] is read straight off the adjoint rows ``ad[m]`` and
 ``ad[p]`` of the extension.  For the same reason as above, the
-coordinates of that action in a stratum basis are solved on its g_1
-block alone; the bracket is then checked against the whole recombined
-map.  Each stratum factors its g_1 blocks once, on the first such solve,
-so every further bracket or chosen basis vector costs one
-back-substitution.
+coordinates of that action in a stratum basis are read at the stratum's
+pivots, one g_1 entry per basis element, and multiplied by the inverse
+of the basis blocks there; the bracket is then checked against the whole
+recombined map.
 
 A zero stratum makes every stratum below it zero, so the prolongation is
 finite; :attr:`ProlongedAlgebra.complete` says that one was reached.
@@ -45,46 +44,51 @@ class CutoffError(StructureError):
 
 @dataclass
 class ProlongationStratum:
-    """One nonpositive stratum: its basis maps and their g_1 blocks.
+    """One nonpositive stratum: its basis maps, their g_1 blocks and pivots.
 
-    The g_1 blocks are factored once, on the first call of
-    :meth:`coordinates`, over the (q, target) entries they touch.
+    Each basis element has a pivot, a g_1 entry (q, target).  The basis
+    blocks read at the pivots form a square matrix; ``inverse`` holds its
+    inverse as sparse rows ``[(basis index, value), ...]``, one per pivot,
+    from one :func:`linalg.rref` of ``[B_p | I]``.  For the canonical basis
+    that matrix is diagonal; a chosen basis that makes it singular does
+    not span the stratum.
     """
     degree: int
     maps: list          # per basis element: {m (1..n) -> {target id -> scalar}}
     g1_blocks: list     # per basis element: {q (1..r) -> {target id -> scalar}}
+    pivots: list = field(default_factory=list)  # per basis element: (q, target)
     ids: list = field(default_factory=list)  # assigned when adjoined
-    _span: tuple = field(default=None, init=False, repr=False, compare=False)
+    inverse: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        dim = len(self.pivots)
+        rows = [{j: x for j, (q, t) in enumerate(self.pivots)
+                 if (x := blk.get(q, _EMPTY).get(t))} | {dim + i: 1}
+                for i, blk in enumerate(self.g1_blocks)]
+        reduced, found = linalg.rref(rows, dim)
+        if len(rows) != dim or len(found) != dim:
+            raise StructureError("chosen basis does not span the stratum")
+        self.inverse = [[(i, x) for i, x in enumerate(row[dim:]) if x]
+                        for row in reduced]
 
     @property
     def dim(self):
         return len(self.maps)
 
-    def coordinates(self, g1_block):
-        """Coordinates of a g_1 block in the span of the stratum's g_1
-        blocks, or None outside it.
+    def coordinates(self, phi):
+        """Coordinates in the stratum basis of a map ``phi`` in its span.
 
-        The coordinates run over the (q, target) entries that the blocks
-        touch, at most r * dim g_{1+k}; a block with a nonzero entry
-        elsewhere is outside the span.
+        ``phi`` maps indices to ``{target id -> scalar}``; only its values
+        at the pivots are read.  A map outside the span gets coordinates
+        too, so callers compare the recombined map with ``phi``.
         """
-        if self._span is None:
-            keys = sorted({(q, t) for blk in self.g1_blocks
-                           for q, img in blk.items() for t in img})
-            vectors = [[blk.get(q, {}).get(t, 0) for q, t in keys]
-                       for blk in self.g1_blocks]
-            self._span = ({key: i for i, key in enumerate(keys)},
-                          linalg.SpanFactor(vectors, len(keys)))
-        pos, factor = self._span
-        vec = [0] * factor.ncols
-        for q, img in g1_block.items():
-            for t, c in img.items():
-                i = pos.get((q, t))
-                if i is not None:
-                    vec[i] = c
-                elif c:
-                    return None
-        return factor.solve(vec)
+        x = [0] * self.dim
+        for (q, t), row in zip(self.pivots, self.inverse):
+            y = phi.get(q, _EMPTY).get(t)
+            if y:
+                for i, v in row:
+                    x[i] += y * v
+        return [linalg.scalar(v) for v in x]
 
 
 @dataclass
@@ -202,6 +206,10 @@ def compute_stratum(P, k):
             f"prolongation reaches dimension {len(A.degrees) + nullity} > cap "
             f"{cap} at depth {-k} (stratum {k})")
 
+    # nullspace leaves each vector's free unknown as its last nonzero
+    # entry, and that unknown is zero in every other basis vector
+    pivots = [unknowns[max(u for u, x in enumerate(vec) if x)]
+              for vec in basis]
     maps = []
     for vec in basis:
         phi = {}
@@ -216,7 +224,7 @@ def compute_stratum(P, k):
         maps.append(phi)
     blocks = [{q: dict(phi.get(q, {})) for q in base.stratum(1)}
               for phi in maps]
-    return ProlongationStratum(k, maps, blocks)
+    return ProlongationStratum(k, maps, blocks, pivots)
 
 
 def _combine(coeffs, maps):
@@ -281,22 +289,22 @@ def _close_pairs(ext, strata_by_deg, pending, terminated):
                     "bracket escapes a terminated prolongation")
             continue
         coords = _match_in_stratum(strata_by_deg.get(res_deg), act,
-                                   ext.stratum(1),
                                    f"[E_{e1}, E_{e2}] in degree {res_deg}")
         if coords:
             ext.set_bracket(e1, e2, coords)
     return still
 
 
-def _match_in_stratum(st, act, g1, context):
-    """Coordinates of an action map in the basis of the stratum ``st``."""
+def _match_in_stratum(st, act, context):
+    """Coordinates of an action map in the basis of the stratum ``st``,
+    read at its pivots and checked against the whole recombined map."""
     if st is None or st.dim == 0:
         if act:
             raise StructureError(
                 f"{context}: nonzero bracket lands in an empty stratum")
         return {}
-    sol = st.coordinates({q: act.get(q, {}) for q in g1})
-    if sol is None or _combine(sol, st.maps) != act:
+    sol = st.coordinates(act)
+    if _combine(sol, st.maps) != act:
         raise StructureError(f"{context}: bracket outside the computed stratum")
     return {st_id: c for st_id, c in zip(st.ids, sol) if c}
 
@@ -359,13 +367,12 @@ def _rebase_stratum(P, stratum, chosen_basis):
         blocks.append({q: {t: linalg.scalar(row[ci])
                            for t, row in zip(targets, mat) if row[ci]}
                        for ci, q in enumerate(g1)})
-    trans = [stratum.coordinates(blk) for blk in blocks]
-    if None in trans:
+    maps = [_combine(stratum.coordinates(blk), stratum.maps)
+            for blk in blocks]
+    if any({q: phi.get(q, {}) for q in g1} != blk
+           for phi, blk in zip(maps, blocks)):
         raise StructureError("chosen basis leaves the computed stratum")
-    if len(trans) != stratum.dim or linalg.rank(trans, stratum.dim) != stratum.dim:
-        raise StructureError("chosen basis does not span the stratum")
-    maps = [_combine(sol, stratum.maps) for sol in trans]
-    return ProlongationStratum(stratum.degree, maps, blocks)
+    return ProlongationStratum(stratum.degree, maps, blocks, stratum.pivots)
 
 
 def prolong(A, max_depth=8, basis_overrides=None, max_dim=None):

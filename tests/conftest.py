@@ -287,7 +287,7 @@ def reference_det(matrix):
         for i, c in enumerate(perm):
             term = term * matrix[i][c]
         inversions = sum(a > b for a, b in combinations(perm, 2))
-        out = out - term if inversions % 2 else out + term
+        out = out + (-term if inversions % 2 else term)
     return out
 
 

@@ -8,6 +8,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from carnotpoly import io as cio
 from carnotpoly.algebra import GradedLieAlgebra
@@ -47,6 +49,18 @@ def test_free_respects_dimension_cap(monkeypatch, capsys):
         code, _, err = run(capsys, "free", "--rank", "2", "--step", "4")
         assert code == 2, bad
         assert "CARNOT_MAX_DIM" in err
+
+
+def test_free_stops_at_the_step_that_passes_the_cap(monkeypatch, capsys):
+    # free(2,100000) has too many strata to count them all first; the
+    # running total 226 + 186 passes the default cap of 256 at step 11
+    monkeypatch.delenv("CARNOT_MAX_DIM", raising=False)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "free", "--rank", "2", "--step", "100000")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "free(2,100000) reaches dimension 412 > cap 256 at step 11" in err
 
 
 def test_prolong_respects_dimension_cap(tmp_path, monkeypatch, capsys):
@@ -393,6 +407,46 @@ def test_malformed_algebra_field_exits_2(tmp_path, capsys, field, value,
         assert code == 2, command
         assert out == "" and err.startswith("error:"), command
         assert message in err and "Traceback" not in err, command
+
+
+FIELDS = ["dim", "degrees", "brackets", "rank", "step", "prolongation_basis",
+          "i", "j", "k", "c", "terms", "degree", "maps"]
+json_leaves = (st.none() | st.booleans() | st.integers(-3, 9) | st.floats()
+               | st.sampled_from(["1", "-2/3", "1/0", "1e999999", " 3 ", "1_0",
+                                  "nan", "0x1", ""])
+               | st.text(max_size=6))
+json_trees = st.recursive(
+    json_leaves,
+    lambda kids: st.lists(kids, max_size=4) | st.dictionaries(
+        st.sampled_from(FIELDS) | st.text(max_size=2), kids, max_size=5),
+    max_leaves=12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=json_trees | st.builds(lambda field, value: {**HEIS_DOC,
+                                                        field: value},
+                                  st.sampled_from(FIELDS[:6]), json_trees))
+def test_algebra_parser_raises_only_input_errors(doc):
+    # random JSON trees, and the Heisenberg document with one field replaced
+    try:
+        cio.algebra_from_json(doc, max_dim=256)
+    except cio.InputError:
+        pass
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=st.text(max_size=60) | st.builds(
+           lambda head, body: head + body,
+           st.sampled_from(["t,x1\n", "t,x1,x2\n", "t,x1,x2,l1,l2\n"]),
+           st.text("0123456789.,/-+eE_infa \"\r\n\x00", max_size=60)),
+       n=st.integers(1, 2))
+@example(text="t,x1\n0," + "1" * 140000 + "\n", n=1)   # past csv's limit
+@example(text="t,x1\r0,1\r", n=1)    # a bare carriage return
+def test_curve_parser_raises_only_input_errors(text, n):
+    try:
+        cio.samples_from_csv(text, n)
+    except cio.InputError:
+        pass
 
 
 def test_module_entry_point(tmp_path):

@@ -306,8 +306,8 @@ def test_solve_goh_covector_rows(free34):
     assert all(v[k] == 0 for k in range(6))
     p4 = fam.polynomial(4, v)
     from carnotpoly.poly import Poly
-    expect = Poly.monomial(32, (0, 2) + (0,) * 30, Fraction(1)) - \
-        Poly.variable(32, 1)
+    expect = Poly.monomial(32, (0, 2) + (0,) * 30, Fraction(1)) + \
+        (-Poly.variable(32, 1))
     assert p4.terms == expect.terms
     assert not fam.polynomial(5, v)
     assert not fam.polynomial(6, v)

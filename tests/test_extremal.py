@@ -200,7 +200,7 @@ def _dense_residuals(family, fields):
             for k in range(1, n + 1):
                 res = fields[i - 1].apply(family.q(j, k))
                 for m, c in cij.items():
-                    res = res - family.q(m, k) * c
+                    res = res + family.q(m, k) * (-c)
                 if res:
                     out.append((i, j, k, res))
     return out

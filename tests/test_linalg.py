@@ -1,7 +1,6 @@
 import random
 from fractions import Fraction
 
-import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -84,32 +83,24 @@ def independent_basis(draw):
 
 @settings(max_examples=80, deadline=None)
 @given(basis=independent_basis(), data=st.data())
-def test_factored_span_solves_like_solve(basis, data):
+def test_solve_in_span_solves_like_solve(basis, data):
     ncols, dim = len(basis[0]), len(basis)
-    factor = linalg.SpanFactor(basis, ncols)
     coeffs = data.draw(st.lists(rationals, min_size=dim, max_size=dim))
     target = [sum((c * v[i] for c, v in zip(coeffs, basis)), Fraction(0))
               for i in range(ncols)]
-    assert factor.solve(target) == coeffs
     assert linalg.solve_in_span(basis, target) == coeffs
     transposed = [[v[i] for v in basis] for i in range(ncols)]
     assert linalg.solve(transposed, target, dim) == coeffs
     # a nonzero vector orthogonal to the span lies off it
     for normal in linalg.nullspace(basis, ncols):
         off = [a + b for a, b in zip(target, normal)]
-        assert factor.solve(off) is None
+        assert linalg.solve_in_span(basis, off) is None
         assert linalg.solve(transposed, off, dim) is None
 
 
-def test_factored_span_rejects_dependent_basis():
-    with pytest.raises(ValueError, match="dependent"):
-        linalg.SpanFactor([[F(1), F(2)], [F(2), F(4)]], 2)
-
-
 def test_empty_span_accepts_only_zero():
-    factor = linalg.SpanFactor([], 3)
-    assert factor.solve([F(0), F(0), F(0)]) == []
-    assert factor.solve([F(0), F(1), F(0)]) is None
+    assert linalg.solve_in_span([], [F(0), F(0), F(0)]) == []
+    assert linalg.solve_in_span([], [F(0), F(1), F(0)]) is None
     assert linalg.solve_in_span([], [0, 0]) == []
     assert linalg.solve_in_span([], [0, Fraction(1, 2)]) is None
 
@@ -184,20 +175,17 @@ def test_eliminator_matches_sympy(case, data):
 
 @settings(max_examples=80, deadline=None)
 @given(basis=independent_basis())
-def test_span_factor_matches_dense_reference(basis):
-    # the [B | I] that SpanFactor reduces: independent rows, so the
-    # incremental and the dense elimination agree on every column
+def test_rref_of_augmented_basis_matches_dense_reference(basis):
+    # [B | I] with independent rows, as a prolongation stratum reduces at
+    # its pivots: the incremental and the dense elimination agree on
+    # every column
     ncols, dim = len(basis[0]), len(basis)
     aug = [list(v) + [Fraction(int(i == j)) for j in range(dim)]
            for i, v in enumerate(basis)]
     reduced, pivots = dense_rref(aug, ncols)
     assert linalg.rref(aug, ncols) == (reduced, pivots)
-    factor = linalg.SpanFactor(basis, ncols)
-    assert factor.pivots == pivots
-    assert factor.rows == [[(c, x) for c, x in enumerate(row[:ncols]) if x]
-                           for row in reduced]
-    assert factor.transform == [[(i, x) for i, x in enumerate(row[ncols:])
-                                 if x] for row in reduced]
+    sparse = [{c: x for c, x in enumerate(row) if x} for row in aug]
+    assert linalg.rref(sparse, ncols) == (reduced, pivots)
 
 
 def test_dependent_rows_keep_the_earliest_independent_ones():

@@ -118,7 +118,7 @@ def test_evaluate_constant_term():
 
 def test_evaluate_on_parabola():
     n = 2
-    p = mono(n, (0, 2)) - x(n, 1)
+    p = mono(n, (0, 2)) + (-x(n, 1))
     t = Fraction(3, 7)
     assert p.evaluate([t * t, t]) == 0
 
@@ -217,7 +217,7 @@ def _integer_first(p):
 EXACT_OPS = {
     "add": lambda p, q, c: p + q,
     "double": lambda p, q, c: p + p,    # 1/2 + 1/2 is integral
-    "sub": lambda p, q, c: p - q,
+    "sub": lambda p, q, c: p + (-q),
     "mul": lambda p, q, c: p * q,
     "scale": lambda p, q, c: p * c,
     "diff": lambda p, q, c: p.diff(1),

@@ -1,4 +1,5 @@
 import tempfile
+from functools import lru_cache
 from fractions import Fraction
 from pathlib import Path
 
@@ -14,12 +15,13 @@ from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
                                 generation_columns, validate)
 from carnotpoly.cli import main
 from carnotpoly.prolongation import (ProlongedAlgebra, _close_pairs,
-                                     _match_in_stratum, _pair_action,
+                                     _combine, _match_in_stratum,
+                                     _pair_action, _rebase_stratum,
                                      bracket_decompositions, compute_stratum,
                                      extend_structure_constants, prolong)
 
-from conftest import (ELEMENTARY_G0, dense_rref, reference_pair_action,
-                      reference_validate)
+from conftest import (ELEMENTARY_G0, dense_rref, heisenberg_algebra,
+                      reference_pair_action, reference_validate)
 
 
 def brute_force_stratum_dim(P, k):
@@ -191,6 +193,12 @@ def test_non_spanning_override_rejected(free24):
     bad = [[[0, 1], [0, 0]]] * 4
     with pytest.raises(StructureError):
         extend_structure_constants(free24, st, chosen_basis=bad)
+    # the four elementary blocks span g_0; three, or five with a repeat,
+    # are each the wrong count even though every block lies in it
+    for chosen in (ELEMENTARY_G0[:3], ELEMENTARY_G0 + ELEMENTARY_G0[:1]):
+        with pytest.raises(StructureError,
+                           match="chosen basis does not span the stratum"):
+            extend_structure_constants(free24, st, chosen_basis=chosen)
 
 
 def test_non_derivation_override_rejected(heisenberg):
@@ -209,11 +217,12 @@ def test_non_derivation_override_rejected(heisenberg):
 def test_match_checks_the_whole_action(free24_prolonged):
     st = free24_prolonged.strata[0]
     act = {m: dict(img) for m, img in st.maps[0].items()}
-    assert _match_in_stratum(st, act, [1, 2], "E") == {st.ids[0]: 1}
-    # same g_1 block, so the solve succeeds, but a higher block is off
+    assert _match_in_stratum(st, act, "E") == {st.ids[0]: 1}
+    # same g_1 block, so the pivots read the same coordinates, but a
+    # higher block is off
     act[3] = {3: act.get(3, {}).get(3, Fraction(0)) + 1}
     with pytest.raises(StructureError, match="outside the computed stratum"):
-        _match_in_stratum(st, act, [1, 2], "E")
+        _match_in_stratum(st, act, "E")
 
 
 def test_match_refuses_a_g1_block_outside_the_span(heisenberg,
@@ -224,12 +233,11 @@ def test_match_refuses_a_g1_block_outside_the_span(heisenberg,
     st = P.strata[1]
     with pytest.raises(StructureError, match="E: bracket outside the "
                                              "computed stratum"):
-        _match_in_stratum(st, {1: {P.strata[0].ids[0]: 1}}, [1, 2], "E")
+        _match_in_stratum(st, {1: {P.strata[0].ids[0]: 1}}, "E")
     # X_1 -> X_3 is an entry no g_0 block of free(2,4) touches
     with pytest.raises(StructureError, match="E: bracket outside the "
                                              "computed stratum"):
-        _match_in_stratum(free24_prolonged.strata[0], {1: {3: 1}}, [1, 2],
-                          "E")
+        _match_in_stratum(free24_prolonged.strata[0], {1: {3: 1}}, "E")
 
 
 @pytest.mark.parametrize("case", ["g2", "heisenberg3", "heisenberg3x3"])
@@ -315,6 +323,77 @@ def test_recombined_g0_basis_prolongs_alike(step, U):
         == P.algebra.table
 
 
+@lru_cache(maxsize=None)
+def _adjoined_stratum(case):
+    """(P, stratum): g_0 of free(2,3) or free(2,4), or degree -1 of the
+    Heisenberg prolongation, adjoined to P so that its ids are set."""
+    if case == "heisenberg-1":
+        P = prolong(heisenberg_algebra(), 1)
+        return P, P.strata[1]
+    P = prolong(build_free(2, {"free23": 3, "free24": 4}[case])[0], 0)
+    return P, P.strata[0]
+
+
+@st.composite
+def stratum_combination(draw, case):
+    """(P, stratum, coefficients, map): the canonical stratum of ``case``
+    or one rebased by a unimodular matrix, and a random rational
+    combination of its basis maps."""
+    P, stratum = _adjoined_stratum(case)
+    if draw(st.booleans()):
+        g1 = P.base.stratum(1)
+        targets = P.algebra.stratum(1 + stratum.degree)
+        mats = [[[sum((c * blk[q].get(t, 0)
+                       for c, blk in zip(row, stratum.g1_blocks)), 0)
+                  for q in g1] for t in targets]
+                for row in draw(unimodular(stratum.dim))]
+        ids = stratum.ids
+        stratum = _rebase_stratum(P, stratum, mats)
+        stratum.ids = ids
+    coeffs = draw(st.lists(st.fractions(-3, 3, max_denominator=3),
+                           min_size=stratum.dim, max_size=stratum.dim))
+    return P, stratum, coeffs, _combine(coeffs, stratum.maps)
+
+
+CASES = ["free23", "free24", "heisenberg-1"]
+
+
+@pytest.mark.parametrize("case", CASES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_coordinates_read_at_the_pivots(case, data):
+    _, stratum, coeffs, phi = data.draw(stratum_combination(case))
+    got = stratum.coordinates(phi)
+    assert got == coeffs
+    assert all(type(c) is int or c.denominator != 1 for c in got)
+    assert _match_in_stratum(stratum, phi, "E") == {
+        e: c for e, c in zip(stratum.ids, coeffs) if c}
+
+
+@pytest.mark.parametrize("case", CASES)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_match_refuses_a_changed_non_pivot_entry(case, data):
+    # coordinates read only the pivots, so the recombined map keeps the
+    # old entry and the whole-map comparison must catch the change
+    P, stratum, _, phi = data.draw(stratum_combination(case))
+    base = P.base
+    m, t = data.draw(st.sampled_from([
+        (m, t) for m in base.indices()
+        for t in P.algebra.stratum(base.degrees[m] + stratum.degree)
+        if (m, t) not in stratum.pivots]))
+    delta = data.draw(st.fractions(-3, 3, max_denominator=3).filter(bool))
+    changed = {i: dict(img) for i, img in phi.items()}
+    img = changed.setdefault(m, {})
+    img[t] = linalg.scalar(img.get(t, 0) + delta)
+    if not img[t]:
+        del img[t]
+    changed = {i: img for i, img in changed.items() if img}
+    with pytest.raises(StructureError,
+                       match="E: bracket outside the computed stratum"):
+        _match_in_stratum(stratum, changed, "E")
+
+
 def test_zero_stratum_leaves_table_unchanged(free24):
     P = prolong(free24, 3)
     before = dict(P.algebra.table)
@@ -379,8 +458,9 @@ def test_decompositions_reject_an_ungenerated_stratum():
 
 
 def test_each_stratum_is_factored_once(heisenberg, monkeypatch):
-    # each of the 1,069 brackets matched is back-substituted in its
-    # stratum's one factorisation: row reductions scale with the strata
+    # each of the 1,069 brackets matched is read at its stratum's pivots
+    # through the one inverse taken there: row reductions scale with the
+    # strata
     calls = []
     rref = linalg.rref
 
@@ -468,8 +548,8 @@ def test_match_refuses_a_nonzero_bracket_in_an_empty_stratum(
         free24_prolonged):
     empty = free24_prolonged.strata[-1]
     assert empty.dim == 0
-    assert _match_in_stratum(empty, {}, [1, 2], "E") == {}
+    assert _match_in_stratum(empty, {}, "E") == {}
     for stratum in (empty, None):
         with pytest.raises(StructureError, match="E: nonzero bracket lands "
                                                  "in an empty stratum"):
-            _match_in_stratum(stratum, {1: {0: 1}}, [1, 2], "E")
+            _match_in_stratum(stratum, {1: {0: 1}}, "E")
