@@ -25,8 +25,8 @@ be checked by :func:`validate` before use.
 Every bracket reads the sparse adjoint rows ``ad[i] = {j: {k: c}}``,
 ``[X_i, X_j] = sum_k c X_k``, which hold the keyed ``table`` in both
 orientations: a stored ``(i, j)`` entry wins over the negated mirror of a
-stored ``(j, i)``, and ``[X_i, X_i]`` has no row entry.  The one write
-after construction, :meth:`GradedLieAlgebra.set_bracket`, updates both.
+stored ``(j, i)``, and ``[X_i, X_i]`` has no row entry.  The writes after
+construction, ``adjoin`` and ``set_bracket``, keep the two in step.
 
 Structure constants are exact and integer-first: the constructor stores an
 integral constant as an ``int`` and any other as a ``Fraction``
@@ -58,7 +58,7 @@ def _clean(coeffs):
 
 
 class GradedLieAlgebra:
-    """Immutable container for degrees and the exact bracket table."""
+    """Degrees and the exact bracket table, grown by adjoin and set_bracket."""
 
     def __init__(self, degrees, table):
         self.degrees = dict(degrees)
@@ -112,6 +112,21 @@ class GradedLieAlgebra:
 
     def stratum(self, d):
         return list(self._strata.get(d, ()))
+
+    def adjoin(self, degree, maps):
+        """Adjoin one element E per map, of a degree below every stored one,
+        with ``[X_m, E] = map[m]``; returns their indices, ascending."""
+        if degree >= min(self._strata):
+            raise StructureError("basis order is not adapted to the grading")
+        lowest = min(self.degrees)
+        ids = list(range(lowest - len(maps), lowest))
+        for e, phi in zip(ids, maps):
+            self.degrees[e] = degree
+            self.ad[e] = {}
+            self._strata.setdefault(degree, []).append(e)
+            for m, img in phi.items():
+                self.set_bracket(m, e, dict(img))
+        return ids
 
     # -- brackets ----------------------------------------------------------
 

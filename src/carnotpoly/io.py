@@ -240,19 +240,21 @@ def curve_to_csv(curve, n):
 
 def samples_from_csv(text, n):
     """Parse curve CSV into ``(times, points, lambdas-or-None)``."""
-    reader = csv.reader(_io.StringIO(text))
+    reader, lines, start = csv.reader(_io.StringIO(text)), [], 1
     try:
-        lines = list(reader)
+        for row in reader:  # each record with the line it starts on
+            lines.append((start, row))
+            start = reader.line_num + 1
     except csv.Error as exc:    # a field past csv's size limit, a bare \r
         raise InputError(f"line {reader.line_num}: {exc}") from None
     if not lines:
         raise InputError("empty curve file")
-    header = lines[0]
+    header = lines[0][1]
     want = ["t"] + [f"x{i}" for i in range(1, n + 1)]
     if [h.strip() for h in header[:n + 1]] != want:
         raise InputError(f"curve header must start with {','.join(want)}")
     rows = []
-    for lineno, row in enumerate(lines[1:], start=2):
+    for lineno, row in lines[1:]:
         if not row:
             continue
         if len(row) != len(header):

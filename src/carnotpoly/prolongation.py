@@ -14,8 +14,8 @@ system.  The canonical stratum basis is the null-space basis in primitive
 integer form; an explicit basis of the caller's choosing, given as dense
 g_1 blocks, can be substituted as long as it spans the same space.
 
-New basis elements receive consecutive indices below the lowest stored
-index, so the first computed stratum of dimension D occupies -D+1 .. 0.
+Strata are adjoined in place to one copy of the algebra, at indices below
+the lowest stored one; the first stratum of dimension D takes -D+1 .. 0.
 Brackets of two nonpositive elements are recovered from the Jacobi
 identity  [X, [E, F]] = [[X, E], F] - [[X, F], E]: the action
 m -> [X_m, [E, F]] is read straight off the adjoint rows ``ad[m]`` and
@@ -310,36 +310,23 @@ def _match_in_stratum(st, act, context):
 
 
 def extend_structure_constants(P, stratum, chosen_basis=None):
-    """Adjoin a computed stratum to the bracket table.
+    """Adjoin a computed stratum to ``P.algebra``, in place.
 
-    ``chosen_basis`` optionally replaces the canonical basis by explicit
-    g_1 blocks: a list, in ascending index order, of dense
-    dim g_{1+k} x r matrices, rows over the targets of stratum 1 + k in
-    ascending index order and columns over X_1..X_r.  Each must be the g_1
-    block of a derivation in the stratum and together they must span it;
-    otherwise :class:`StructureError` is raised.
+    The result shares that algebra, so ``P`` is spent: its strata and
+    deferred pairs stay as they were, and extending it again raises
+    :class:`StructureError`.  ``chosen_basis`` optionally replaces the
+    canonical basis by explicit g_1 blocks: a list, in ascending index
+    order, of dense dim g_{1+k} x r matrices, rows over the targets of
+    stratum 1 + k in ascending index order and columns over X_1..X_r.
+    Each must be the g_1 block of a derivation in the stratum and together
+    they must span it; otherwise :class:`StructureError` is raised.
     """
-    if isinstance(P, GradedLieAlgebra):
-        P = ProlongedAlgebra(P, P)
     terminated = stratum.dim == 0 or P.complete
     if chosen_basis is not None and stratum.dim:
         stratum = _rebase_stratum(P, stratum, chosen_basis)
-    D = stratum.dim
-    lowest = min(P.algebra.degrees)
-    new_ids = list(range(lowest - D, lowest))
-    stratum.ids = new_ids
+    new_ids = stratum.ids = P.algebra.adjoin(stratum.degree, stratum.maps)
 
-    degrees = dict(P.algebra.degrees)
-    for e in new_ids:
-        degrees[e] = stratum.degree
-    table = dict(P.algebra.table)
-    for e, phi in zip(new_ids, stratum.maps):
-        for m, img in phi.items():
-            table[(m, e)] = img
-    ext = GradedLieAlgebra(degrees, table)
-
-    strata_by_deg = {st.degree: st for st in P.strata}
-    strata_by_deg[stratum.degree] = stratum
+    strata_by_deg = {st.degree: st for st in P.strata + [stratum]}
 
     pending = list(P.deferred)
     for st in P.strata:
@@ -349,8 +336,8 @@ def extend_structure_constants(P, stratum, chosen_basis=None):
     for i in range(len(new_ids)):
         for j in range(i):
             pending.append((new_ids[i], new_ids[j]))
-    left = _close_pairs(ext, strata_by_deg, pending, terminated)
-    return ProlongedAlgebra(P.base, ext, P.strata + [stratum], left,
+    left = _close_pairs(P.algebra, strata_by_deg, pending, terminated)
+    return ProlongedAlgebra(P.base, P.algebra, P.strata + [stratum], left,
                             P.max_dim)
 
 
@@ -388,7 +375,8 @@ def prolong(A, max_depth=8, basis_overrides=None, max_dim=None):
     :class:`DimensionCapError` when a stratum would take the extended
     dimension past ``max_dim``.
     """
-    P = ProlongedAlgebra(A, A, max_dim=max_dim)
+    P = ProlongedAlgebra(A, GradedLieAlgebra(A.degrees, A.table),
+                         max_dim=max_dim)
     unused = dict(basis_overrides or {})
     for k in range(0, -max_depth - 1, -1):
         st = compute_stratum(P, k)

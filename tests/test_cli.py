@@ -449,6 +449,20 @@ def test_curve_parser_raises_only_input_errors(text, n):
         pass
 
 
+@pytest.mark.parametrize("text, message", [
+    ('t,x1\n"0\n",1\n0,a\n', "line 4: bad number 'a'"),
+    ('t,x1\n"0\n",1\n0,1,2\n', "line 4: expected 2 columns"),
+    ('t,x1\n"0\n",1\n0,nan\n', "line 4: a curve with float entries"),
+    ('t,x1\n"0\n",a\n', "line 2: bad number 'a'"),
+    ('t,x1\n\n0,a\n', "line 3: bad number 'a'"),
+])
+def test_curve_errors_name_the_line_a_record_starts_on(text, message):
+    # a quoted field opened on line 2 closes on line 3: its record is on
+    # line 2 and the next on line 4; a blank line counts too
+    with pytest.raises(cio.InputError, match=re.escape(message)):
+        cio.samples_from_csv(text, 1)
+
+
 def test_module_entry_point(tmp_path):
     env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
     proc = subprocess.run(

@@ -1,6 +1,7 @@
 import tempfile
 from functools import lru_cache
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
@@ -14,8 +15,8 @@ from carnotpoly import linalg
 from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
                                 generation_columns, validate)
 from carnotpoly.cli import main
-from carnotpoly.prolongation import (ProlongedAlgebra, _close_pairs,
-                                     _combine, _match_in_stratum,
+from carnotpoly.prolongation import (ProlongationStratum, ProlongedAlgebra,
+                                     _close_pairs, _combine, _match_in_stratum,
                                      _pair_action, _rebase_stratum,
                                      bracket_decompositions, compute_stratum,
                                      extend_structure_constants, prolong)
@@ -189,16 +190,21 @@ def test_canonical_and_elementary_bases_span_the_same_space(free24):
 
 
 def test_non_spanning_override_rejected(free24):
-    st = compute_stratum(free24, 0)
+    P = ProlongedAlgebra(free24, GradedLieAlgebra(free24.degrees,
+                                                  free24.table))
+    st = compute_stratum(P, 0)
     bad = [[[0, 1], [0, 0]]] * 4
     with pytest.raises(StructureError):
-        extend_structure_constants(free24, st, chosen_basis=bad)
+        extend_structure_constants(P, st, chosen_basis=bad)
     # the four elementary blocks span g_0; three, or five with a repeat,
     # are each the wrong count even though every block lies in it
     for chosen in (ELEMENTARY_G0[:3], ELEMENTARY_G0 + ELEMENTARY_G0[:1]):
         with pytest.raises(StructureError,
                            match="chosen basis does not span the stratum"):
-            extend_structure_constants(free24, st, chosen_basis=chosen)
+            extend_structure_constants(P, st, chosen_basis=chosen)
+    # each basis is refused before the extension is written
+    assert P.algebra.degrees == free24.degrees
+    assert P.algebra.table == free24.table
 
 
 def test_non_derivation_override_rejected(heisenberg):
@@ -428,6 +434,86 @@ def test_determined_by_g1_restriction(free24, heisenberg):
                                         - w * c * c2
                         acc = {k: c for k, c in acc.items() if c}
                         assert acc == phi.get(m, {})
+
+
+@pytest.mark.parametrize("make, depth, brackets", [
+    pytest.param(heisenberg_algebra, 6, 1234, id="heisenberg6"),
+    pytest.param(lambda: build_free(3, 5)[0], 8, 640, id="free35"),
+    pytest.param(lambda: GradedLieAlgebra({1: 1}, {}), 100, 2651,
+                 id="abelian1-100"),
+])
+def test_prolong_writes_each_bracket_once(make, depth, brackets,
+                                          monkeypatch):
+    # one copy of the input grows stratum by stratum: every stored bracket
+    # goes through set_bracket once, and the input is left as it was
+    A = make()
+    before = (dict(A.degrees), dict(A.table),
+              {i: dict(row) for i, row in A.ad.items()})
+    built, written = [], []
+    init, set_bracket = GradedLieAlgebra.__init__, GradedLieAlgebra.set_bracket
+
+    def counting_init(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    def counting_set(self, *args):
+        written.append(args[:2])
+        set_bracket(self, *args)
+
+    monkeypatch.setattr(GradedLieAlgebra, "__init__", counting_init)
+    monkeypatch.setattr(GradedLieAlgebra, "set_bracket", counting_set)
+    P = prolong(A, depth)
+    assert built == [P.algebra]
+    assert len(written) == len(P.algebra.table) == brackets
+    assert (A.degrees, A.table, A.ad) == before
+
+
+def test_an_extended_prolongation_is_spent(heisenberg):
+    # the extension shares its algebra with P and leaves P's strata and
+    # deferred pairs alone; adjoining the same degree again is refused
+    # before anything is written
+    P = prolong(heisenberg, 1)
+    strata, deferred = list(P.strata), list(P.deferred)
+    st = compute_stratum(P, -2)
+    Q = extend_structure_constants(P, st)
+    assert Q.algebra is P.algebra
+    assert (P.strata, P.deferred) == (strata, deferred)
+    assert Q.stratum_dims == [4, 6, 9]
+    table, degrees = dict(Q.algebra.table), dict(Q.algebra.degrees)
+    with pytest.raises(StructureError, match="basis order is not adapted "
+                                             "to the grading"):
+        extend_structure_constants(P, compute_stratum(P, -2))
+    assert (Q.algebra.table, Q.algebra.degrees) == (table, degrees)
+    assert Q.validate() == prolong(heisenberg, 2).validate()
+
+
+def test_a_nonzero_bracket_in_an_empty_stratum_is_refused():
+    for st in (None, ProlongationStratum(-1, [], [])):
+        assert _match_in_stratum(st, {}, "E") == {}
+        with pytest.raises(StructureError, match="E: nonzero bracket lands "
+                                                 "in an empty stratum"):
+            _match_in_stratum(st, {1: {0: 1}}, "E")
+
+
+@pytest.mark.parametrize("make, depth, dims", [
+    pytest.param(heisenberg_algebra, 8, [4, 6, 9, 12, 16, 20, 25, 30, 36],
+                 id="heisenberg"),
+    pytest.param(lambda: GradedLieAlgebra({1: 1, 2: 1}, {}), 8,
+                 [2 * comb(2 + j, 1) for j in range(9)], id="abelian2"),
+    pytest.param(lambda: GradedLieAlgebra({1: 1, 2: 1, 3: 1}, {}), 4,
+                 [3 * comb(3 + j, 2) for j in range(5)], id="abelian3"),
+    pytest.param(lambda: build_free(3, 2)[0], 4, [9, 3, 3, 0], id="free32"),
+    pytest.param(lambda: build_free(4, 2)[0], 4, [16, 4, 6, 0], id="free42"),
+])
+def test_known_stratum_dimensions_at_depth(make, depth, dims):
+    # H_3 grows like the weighted contact monomials; stratum -j of the
+    # abelian algebra of rank r has dimension r C(r+j, r-1); free(3,2) and
+    # free(4,2) terminate after three nonzero strata
+    P = prolong(make(), depth)
+    assert P.stratum_dims == dims
+    assert P.complete == (dims[-1] == 0)
+    if P.complete:
+        assert P.validate() == []
 
 
 def test_compute_stratum_requires_previous(free24):
