@@ -49,9 +49,8 @@ def _rows_vanish(family, rows, v, samples, tol):
     if tol is None:
         tol = 0 if exact else 1e-9
     worst = 0 if exact else 0.0
-    values = family.evaluator(rows, v, exact)
-    for x in samples:
-        for val in values(x):
+    for row in family.evaluator(rows, v, exact)(samples):
+        for val in row:
             mag = abs(val)
             if mag > worst or mag != mag:  # a NaN stays the maximum
                 worst = mag
@@ -92,7 +91,7 @@ def detect_abnormal(family, samples, tol=1e-9):
     import numpy as np
     entries = compile_polys([family.q(j, k) for j in rows
                              for k in range(1, n + 1)])
-    M = np.array([entries(x) for x in samples], dtype=float).reshape(-1, n)
+    M = entries(samples).reshape(-1, n)
     if not np.isfinite(M).all():
         raise OverflowError("the generator rows overflow to non-finite "
                             "values on the curve samples")

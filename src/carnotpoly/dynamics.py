@@ -14,10 +14,10 @@ integrals B_ij with prolongation rows of the family.
 
 Every RK4 system moves its curve by one kernel,
 :func:`poly.compile_field_sum`, which evaluates ``sum_j h_j X_j(y)``
-coordinate by coordinate over the nonzero field coefficients only.
-Floating point lives here, in the float kernels :func:`poly.compile_polys`
-and :func:`poly.compile_field_sum`, and in the float branches of
-:mod:`abnormal`.
+coordinate by coordinate over the nonzero field coefficients only; the
+family is read along a whole curve in one batched call of the NumPy
+kernel :func:`poly.compile_polys`.  Floating point lives here, in those
+two kernels, and in the float branches of :mod:`abnormal`.
 """
 
 import math
@@ -64,16 +64,20 @@ def _rk4(f, y0, times, controls=None):
     """Fixed-step RK4 of ``y' = f(u, y)`` on the time grid.
 
     u is ``controls(t)`` when time-only controls are given, read once per
-    distinct stage time (k2 and k3 share ``t + h/2``), and t otherwise.
+    distinct stage time (k2 and k3 share ``t + h/2``; a step hands its
+    read at ``t + h`` on if that is the next grid time), and t otherwise.
     """
     out = [list(y0)]
     y = list(y0)
+    carry = None    # controls(times[m]) when the previous step read them
     for m in range(len(times) - 1):
         t, h = times[m], times[m + 1] - times[m]
         half, sixth = 0.5 * h, h / 6.0
         u1, u2, u4 = t, t + half, t + h
         if controls is not None:
-            u1, u2, u4 = controls(u1), controls(u2), controls(u4)
+            u1 = controls(u1) if carry is None else carry
+            u2, u4 = controls(u2), controls(u4)
+            carry = u4 if t + h == times[m + 1] else None
         k1 = f(u1, y)
         y2 = [a + half * b for a, b in zip(y, k1)]
         k2 = f(u2, y2)
@@ -173,10 +177,10 @@ def duality_check(family, curve):
         raise ValueError("curve carries no dual coordinates")
     n = family.n
     values = family.evaluator(range(1, n + 1), list(curve.lam[0]),
-                              all_exact(curve.gamma))
+                              all_exact(curve.gamma))(curve.gamma)
     worst = [0] * n
-    for x, lam in zip(curve.gamma, curve.lam):
-        for i, val in enumerate(values(x)):
+    for row, lam in zip(values, curve.lam):
+        for i, val in enumerate(row):
             err = abs(lam[i] - val)
             if err > worst[i] or err != err:
                 worst[i] = err
@@ -206,7 +210,7 @@ def iterated_integrals(family, curve, v):
 
     def f(h, y):
         x = y[:n]
-        vals = horizontal(x)
+        vals = horizontal([x])[0]
         return (field_sum(h, x)
                 + [vals[i - 1] * h[j - 1] for i, j in pairs])
 
@@ -225,7 +229,7 @@ def iterated_integrals(family, curve, v):
                 hits.append((i, j, p))
                 break
     paired = family.evaluator([p for _, _, p in hits], v, False)
-    along = [paired(y[:n]) for y in ys]
+    along = paired([y[:n] for y in ys])
     pairings = []
     for col, (i, j, p) in enumerate(hits):
         drift = max(abs(b - row[col]) for b, row in zip(table[(i, j)], along))

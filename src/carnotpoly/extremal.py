@@ -25,7 +25,7 @@ from .algebra import (GradedLieAlgebra, StructureError, bracket_decompositions,
                       exp_ad)
 from .group import left_invariant_fields
 from .linalg import scalar
-from .poly import Poly, _key_mul, compile_polys
+from .poly import BLOCK_POINTS, Poly, _key_mul, compile_polys
 from .prolongation import _algebra_of
 
 
@@ -85,13 +85,14 @@ class ExtremalFamily:
         return total
 
     def evaluator(self, rows, v, exact):
-        """Map ``x -> [P_j^v(x) for j in rows]``.
+        """Map a batch of points to the rows ``[P_j^v(x) for j in rows]``.
 
         Exact points go through :meth:`evaluate`; float points give the
-        same bits through :func:`compile_polys`.
+        same bits through :func:`compile_polys`, a block at a time.
         """
         if exact:
-            return lambda x: [self.evaluate(j, v, x) for j in rows]
+            return lambda xs: [[self.evaluate(j, v, x) for j in rows]
+                               for x in xs]
         polys, sums = [], []
         for j in rows:
             terms = {}
@@ -105,7 +106,8 @@ class ExtremalFamily:
         # Q_jk(x) * v_k over ascending k with v_k != 0, as evaluate does
         inner = compile_polys(polys)
         outer = compile_polys(sums)
-        return lambda x: outer(inner(x))
+        return lambda xs: [r for s in range(0, len(xs), BLOCK_POINTS) for r in
+                           outer(inner(xs[s:s + BLOCK_POINTS])).tolist()]
 
 
 def all_exact(points):

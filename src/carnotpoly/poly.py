@@ -271,8 +271,12 @@ class PolyVectorField:
 
     def compiled(self):
         """Float evaluator ``point -> list`` of all n coefficients."""
-        return compile_polys([self.coeffs.get(l, Poly.zero(self.n))
-                              for l in range(1, self.n + 1)])
+        run = compile_polys([self.coeffs.get(l, Poly.zero(self.n))
+                             for l in range(1, self.n + 1)])
+        return lambda point: run([point])[0].tolist()
+
+
+BLOCK_POINTS = 256  # points per NumPy pass of compile_polys
 
 
 def _term_plan(p):
@@ -282,8 +286,9 @@ def _term_plan(p):
 
     Running a term as ``c * point[i] * ...`` and summing from the first
     term gives the bits of :meth:`Poly.evaluate` on float points, since
-    ``Fraction * float`` computes ``float(c) * x``.  Both float kernels,
-    :func:`compile_polys` and :func:`compile_field_sum`, run this plan.
+    ``Fraction * float`` computes ``float(c) * x``.  Both float kernels
+    run it: :func:`compile_polys` batched over points with NumPy, and
+    :func:`compile_field_sum` point by point.
     """
     terms = [(float(c), tuple(v - 1 for v, e in k for _ in range(e)))
              for k, c in p.terms.items()]
@@ -291,25 +296,42 @@ def _term_plan(p):
 
 
 def compile_polys(polys):
-    """Float evaluator ``point -> [p(point) for p in polys]``.
+    """Float batch evaluator ``points -> N x len(polys)`` float64 array
+    whose row m is ``[float(p.evaluate(points[m])) for p in polys]``.
 
-    Each polynomial runs its :func:`_term_plan`, so float points give the
-    bits of :meth:`Poly.evaluate`.  A zero polynomial gives 0.0.
+    NumPy, loaded here and so on float paths only, runs BLOCK_POINTS
+    points at a time.  Slot s holds the s-th :func:`_term_plan` term of
+    every polynomial that has one, one multiply per power (padding reads
+    a row of 1.0), and the slots add in ``terms`` order, so float points
+    get the bits of :meth:`Poly.evaluate`.  Exact coordinates are read as
+    floats; overflow gives inf or nan silently, as Python floats do.
     """
-    plans = [(pos, *_term_plan(p)) for pos, p in enumerate(polys) if p]
-    size = len(polys)
+    import numpy as np
+    plans = {pos: _term_plan(p) for pos, p in enumerate(polys) if p}
+    plans = {pos: [first, *rest] for pos, (first, rest) in plans.items()}
+    # longest plans first, so slot s covers a prefix of the live columns
+    live = sorted(plans, key=lambda pos: -len(plans[pos]))
+    slots = []
+    for s in range(len(plans[live[0]]) if live else 0):
+        terms = [plans[pos][s] for pos in live if len(plans[pos]) > s]
+        width = max(1, *(len(idx) for _, idx in terms))
+        powers = np.array([idx + (-1,) * (width - len(idx))
+                           for _, idx in terms]).T
+        slots.append((len(terms), np.array([[c] for c, _ in terms]), powers))
 
-    def run(point):
-        out = [0.0] * size
-        for pos, (total, idx), rest in plans:
-            for i in idx:
-                total *= point[i]
-            for c, idx in rest:
-                term = c
-                for i in idx:
-                    term *= point[i]
-                total += term
-            out[pos] = total
+    def run(points):
+        out = np.zeros((len(points), len(polys)))
+        with np.errstate(all="ignore"):
+            for start in range(0, len(points), BLOCK_POINTS):
+                block = np.asarray(points[start:start + BLOCK_POINTS], float)
+                x = np.vstack([block.T, np.ones(len(block))])
+                acc = np.full((len(live), len(block)), -0.0)  # x + -0.0 is x
+                for count, coef, powers in slots:
+                    term = coef * x[powers[0]]
+                    for row in powers[1:]:
+                        term *= x[row]
+                    acc[:count] += term
+                out[start:start + BLOCK_POINTS, live] = acc.T
         return out
 
     return run

@@ -96,14 +96,20 @@ class ProlongedAlgebra:
     base: GradedLieAlgebra
     algebra: GradedLieAlgebra
     strata: list = field(default_factory=list)
-    deferred: list = field(default_factory=list)  # nonpositive pairs whose
-    # bracket lands below the deepest computed stratum (truncated runs only)
+    # result degree -> pairs whose bracket lands below the deepest stratum
+    deferred_by_degree: dict = field(default_factory=dict)
     # cap on the extended dimension, checked per stratum; set by prolong
     max_dim: int = field(default=None, repr=False)
 
     @property
     def stratum_dims(self):
         return [st.dim for st in self.strata]
+
+    @property
+    def deferred(self):
+        """The deferred pairs, in the order a deeper stratum decides them."""
+        return [p for d in sorted(self.deferred_by_degree, reverse=True)
+                for p in self.deferred_by_degree[d]]
 
     @property
     def complete(self):
@@ -261,38 +267,40 @@ def _pair_action(A, e1, e2):
     return out
 
 
-def _close_pairs(ext, strata_by_deg, pending, terminated):
-    """Decide deferred nonpositive pairs whose result stratum is available.
+def _close_pairs(ext, strata_by_deg, deferred, pending, terminated):
+    """Decide the nonpositive pairs whose result stratum is available.
 
-    Each pair's action is read off the adjoint rows of the extension
+    The ``pending`` pairs join the ``deferred`` buckets of their result
+    degrees in a copy.  Each pair's action is read off the adjoint rows of
     ``ext`` by :func:`_pair_action`, solved on its g_1 block and checked
-    against the whole recombined map by :func:`_match_in_stratum`, and
-    the decided bracket is written into ``ext`` by ``set_bracket``.  Pairs
-    are processed by descending result degree so that the inner brackets
-    a Jacobi expansion needs are always decided first.  Returns the pairs
-    that still cannot be placed (possible only on a truncated
-    prolongation).
+    against the whole recombined map by :func:`_match_in_stratum`, and the
+    decided bracket is written into ``ext`` by ``set_bracket``.  Only the
+    buckets a stratum can decide are read, by descending result degree,
+    so the inner brackets a Jacobi expansion needs are decided first.
+    Returns the buckets still undecided (only on a truncated prolongation).
     """
     degrees = ext.degrees
     lowest_computed = min(strata_by_deg)
-    still = []
-    for e1, e2 in sorted(pending, key=lambda p: degrees[p[0]] + degrees[p[1]],
-                         reverse=True):
-        res_deg = degrees[e1] + degrees[e2]
-        if res_deg < lowest_computed and not terminated:
-            still.append((e1, e2))
-            continue
-        act = _pair_action(ext, e1, e2)
-        if res_deg < lowest_computed:
-            if act:
-                raise StructureError(
-                    "bracket escapes a terminated prolongation")
-            continue
-        coords = _match_in_stratum(strata_by_deg.get(res_deg), act,
-                                   f"[E_{e1}, E_{e2}] in degree {res_deg}")
-        if coords:
-            ext.set_bracket(e1, e2, coords)
-    return still
+    buckets = dict(deferred)
+    fresh = {}
+    for e1, e2 in pending:
+        fresh.setdefault(degrees[e1] + degrees[e2], []).append((e1, e2))
+    for res_deg, pairs in fresh.items():
+        buckets[res_deg] = buckets.get(res_deg, ()) + tuple(pairs)
+    ready = [d for d in buckets if d >= lowest_computed or terminated]
+    for res_deg in sorted(ready, reverse=True):
+        for e1, e2 in buckets.pop(res_deg):
+            act = _pair_action(ext, e1, e2)
+            if res_deg < lowest_computed:
+                if act:
+                    raise StructureError(
+                        "bracket escapes a terminated prolongation")
+                continue
+            coords = _match_in_stratum(strata_by_deg.get(res_deg), act,
+                                       f"[E_{e1}, E_{e2}] in degree {res_deg}")
+            if coords:
+                ext.set_bracket(e1, e2, coords)
+    return buckets
 
 
 def _match_in_stratum(st, act, context):
@@ -328,15 +336,10 @@ def extend_structure_constants(P, stratum, chosen_basis=None):
 
     strata_by_deg = {st.degree: st for st in P.strata + [stratum]}
 
-    pending = list(P.deferred)
-    for st in P.strata:
-        for eo in st.ids:
-            for en in new_ids:
-                pending.append((eo, en))
-    for i in range(len(new_ids)):
-        for j in range(i):
-            pending.append((new_ids[i], new_ids[j]))
-    left = _close_pairs(P.algebra, strata_by_deg, pending, terminated)
+    pending = [(eo, en) for st in P.strata for eo in st.ids for en in new_ids]
+    pending += [(a, b) for i, a in enumerate(new_ids) for b in new_ids[:i]]
+    left = _close_pairs(P.algebra, strata_by_deg, P.deferred_by_degree,
+                        pending, terminated)
     return ProlongedAlgebra(P.base, P.algebra, P.strata + [stratum], left,
                             P.max_dim)
 

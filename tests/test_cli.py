@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import time
+import warnings
 from pathlib import Path
 
 import pytest
@@ -472,6 +473,32 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout)["dim"] == 3
 
+
+# NumPy is loaded on float paths only: an exact run of each command,
+# in a fresh interpreter, must leave it unimported
+EXACT_RUN = """
+import sys
+from carnotpoly.cli import main
+rows = ["t,x1,x2,x3,x4,x5,x6,x7,x8"]
+rows += [",".join([t, "0", t] + ["0"] * 6) for t in ("0", "1/2", "1", "2")]
+with open("line.csv", "w") as fh:
+    fh.write("\\n".join(rows) + "\\n")
+codes = [main(argv) for argv in (
+    ["free", "--rank", "2", "--step", "4", "--emit", "free24.json"],
+    ["prolong", "free24.json"], ["verify", "free24.json"],
+    ["minors", "free24.json"], ["detect", "free24.json", "line.csv"])]
+assert codes == [0] * 5, codes
+assert "numpy" not in sys.modules, "an exact command loaded numpy"
+"""
+
+
+def test_exact_commands_leave_numpy_unloaded(tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run([sys.executable, "-c", EXACT_RUN], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_rational_digit_bound():
     # numerator and denominator as written, up to 1000 digits each, in
     # text of at most 3000 characters
@@ -665,11 +692,13 @@ def test_integrate_nan_drift_exits_2(tmp_path, capsys):
     # lambda runs off to +-inf, so the drift is NaN; it must not read as 0
     path = tmp_path / "free23.json"
     run(capsys, "free", "--rank", "2", "--step", "3", "--emit", str(path))
-    code, out, err = run(
-        capsys, "integrate", str(path), "--mode", "adjoint",
-        "--controls", "1;1",
-        "--lambda0=1.7e308,-1.7e308,1.7e308,1.7e308,-1.7e308",
-        "--step", "0.1", "--t1", "5", "--json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no RuntimeWarning may leak
+        code, out, err = run(
+            capsys, "integrate", str(path), "--mode", "adjoint",
+            "--controls", "1;1",
+            "--lambda0=1.7e308,-1.7e308,1.7e308,1.7e308,-1.7e308",
+            "--step", "0.1", "--t1", "5", "--json")
     assert code == 2 and out == ""
     assert err.startswith("error: integration overflowed")
 
@@ -681,7 +710,10 @@ def test_detect_rejects_overflowing_generator_rows(tmp_path, capsys):
     curve = tmp_path / "big.csv"
     curve.write_text("t,x1,x2,x3,x4,x5,x6,x7,x8\n" + ",".join(["0"] * 9)
                      + "\n1.0,1e200,-1e200,1e200,1.0,1.0,1.0,1.0,1.0\n")
-    code, out, err = run(capsys, "detect", str(path), str(curve), "--json")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")   # no RuntimeWarning may leak
+        code, out, err = run(capsys, "detect", str(path), str(curve),
+                             "--json")
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "overflow" in err
 

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnotpoly.dynamics import (CurvePath, convergence_order, duality_check,
+from carnotpoly.dynamics import (CurvePath, _field_sum, _rk4,
+                                 convergence_order, duality_check,
                                  graded_grid,
                                  integrate_adjoint, integrate_horizontal,
                                  integrate_normal, iterated_integrals,
@@ -199,6 +200,29 @@ def test_field_sum_kernel_adds_fields_in_ascending_order():
         h = [rng.uniform(-4, 4) for _ in range(r)]
         point = [rng.uniform(-4, 4) for _ in range(n)]
         assert kernel(h, point) == reference(h, point)
+
+
+@pytest.mark.parametrize("grid, reads", [
+    (uniform_grid(0.0, 1.0, 0.01), 2 * 100 + 1),
+    (graded_grid(-0.5, include=(-0.1,)), 2 * 1392 + 1),
+    # t + h misses the next grid time on the steps from 0.7, 2.9 and -1.3
+    ([0.7, 1e-17, 0.3, 0.1, 2.9, -1.3, 0.2], 3 * 6 - 3)])
+def test_rk4_reads_each_stage_time_once(free24, grid, reads):
+    # a step hands its controls at t + h to the next step only when
+    # t + h is the next grid time; the result has the bits of reading the
+    # controls afresh at all three stage times of every step
+    field, calls = _field_sum(free24), []
+
+    def controls(t):
+        calls.append(t)
+        return (math.cos(3 * t), t * t - 1.0)
+
+    y0 = [0.1 * k for k in range(8)]
+    got = _rk4(field, y0, grid, controls)
+    assert len(calls) == len(set(calls)) == reads
+    want = _rk4(lambda t, y: field(controls(t), y), y0, grid)
+    assert [[c.hex() for c in y] for y in got] \
+        == [[c.hex() for c in y] for y in want]
 
 
 def test_normal_rk4_convergence_order(free24):

@@ -157,8 +157,8 @@ def test_float_evaluator_equals_evaluate(free24_family, v, x):
     # zero covector entries are skipped by both; every row, prolongation
     # rows included, must come out as the same float
     rows = free24_family.rows()
-    got = free24_family.evaluator(rows, v, False)(x)
-    assert got == [float(free24_family.evaluate(j, v, x)) for j in rows]
+    got = free24_family.evaluator(rows, v, False)([x])
+    assert got == [[float(free24_family.evaluate(j, v, x)) for j in rows]]
 
 
 def test_q_matrix_homogeneity_and_origin(free24_family):

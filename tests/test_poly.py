@@ -1,4 +1,6 @@
+import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -7,8 +9,9 @@ from hypothesis import strategies as st
 
 from carnotpoly.extremal import build_family
 from carnotpoly.linalg import scalar
-from carnotpoly.poly import (Poly, PolyVectorField, canonical_text,
-                             compile_polys, key_from_alpha, weighted_degree)
+from carnotpoly.poly import (BLOCK_POINTS, Poly, PolyVectorField,
+                             canonical_text, compile_polys, key_from_alpha,
+                             weighted_degree)
 
 from conftest import field_values, is_homogeneous, recombined_free
 
@@ -189,8 +192,44 @@ def test_compiled_kernel_equals_evaluate_on_float_points(polys, c, point):
     # same term order, same products, same first-term sum: equal floats,
     # for the zero and constant polynomials as well
     polys = polys + [Poly.zero(3), Poly.const(3, c)]
-    assert compile_polys(polys)(point) \
-        == [float(p.evaluate(point)) for p in polys]
+    assert compile_polys(polys)([point]).tolist() \
+        == [[float(p.evaluate(point)) for p in polys]]
+
+
+# a float batch may hold int and Fraction coordinates too
+MIXED_COORDS = st.one_of(COORDS, st.integers(-4, 4),
+                         st.fractions(-4, 4, max_denominator=8))
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys=st.lists(random_polys(3), max_size=4), c=COEFFS,
+       points=st.lists(st.lists(MIXED_COORDS, min_size=3, max_size=3),
+                       max_size=6),
+       copies=st.sampled_from([1, BLOCK_POINTS // 2 + 1]))
+def test_batch_kernel_equals_evaluate_on_every_point(polys, c, points,
+                                                     copies):
+    # batches of 0, 1 and many points, across a block boundary; the
+    # kernel reads an exact coordinate as its float, so the reference
+    # evaluates the point of those floats
+    polys = polys + [Poly.zero(3), Poly.const(3, c)]
+    batch = points * copies
+    got = compile_polys(polys)(batch)
+    assert got.shape == (len(batch), len(polys)) and got.dtype == float
+    # float.hex tells -0.0 from 0.0, which == does not
+    assert [[v.hex() for v in row] for row in got.tolist()] \
+        == [[float(p.evaluate([float(a) for a in x])).hex() for p in polys]
+            for x in batch]
+
+
+def test_batch_kernel_overflows_without_warnings():
+    # Python float arithmetic overflows to inf silently; so does the kernel
+    polys = [Poly(1, {((1, 3),): 1, (): -1}), Poly(1, {((1, 2),): 1})]
+    points = [[1e200], [-1e200], [2.0]]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = compile_polys(polys)(points).tolist()
+    assert got == [[p.evaluate(x) for p in polys] for x in points] \
+        == [[math.inf, math.inf], [-math.inf, math.inf], [7.0, 4.0]]
 
 
 def test_integrate_divides_exactly_on_exact_coefficients():
@@ -236,7 +275,8 @@ def _check_integer_first(p, q, c, point, weights):
         assert _integer_first(got), name
         assert got == want and list(got.terms) == list(want.terms), name
         assert canonical_text(got, weights) == canonical_text(want, weights)
-        assert compile_polys([got])(point) == compile_polys([want])(point)
+        assert compile_polys([got])([point]).tolist() \
+            == compile_polys([want])([point]).tolist()
 
 
 def integer_first_polys(n):

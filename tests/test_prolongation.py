@@ -621,13 +621,13 @@ def test_close_pairs_refuses_a_bracket_below_a_terminated_prolongation(
     P = prolong(free23, 5)
     by_degree = {st.degree: st for st in P.strata}
     e1, e2 = by_degree[-3].ids
-    assert _close_pairs(P.algebra, by_degree, [(e1, e2)], True) == []
+    assert _close_pairs(P.algebra, by_degree, {}, [(e1, e2)], True) == {}
     # a corrupted [E_-2, E_-3] gives [E_1, E_2] a nonzero Jacobi action
     (low,) = by_degree[-2].ids
     P.algebra.set_bracket(low, e2, {1: 1})
     with pytest.raises(StructureError,
                        match="bracket escapes a terminated prolongation"):
-        _close_pairs(P.algebra, by_degree, [(e1, e2)], True)
+        _close_pairs(P.algebra, by_degree, {}, [(e1, e2)], True)
 
 
 def test_match_refuses_a_nonzero_bracket_in_an_empty_stratum(
