@@ -12,12 +12,21 @@ of prime integrals.  :func:`duality_check` measures that drift, and
 :func:`iterated_integrals` runs the quadrature algorithm pairing the
 integrals B_ij with prolongation rows of the family.
 
-Every RK4 system moves its curve by one kernel,
-:func:`poly.compile_field_sum`, which evaluates ``sum_j h_j X_j(y)``
-coordinate by coordinate over the nonzero field coefficients only; the
-family is read along a whole curve in one batched call of the NumPy
-kernel :func:`poly.compile_polys`.  Floating point lives here, in those
-two kernels, and in the float branches of :mod:`abnormal`.
+A system driven by time-only controls is triangular in second-kind
+coordinates: the d/dx_l coefficient of a horizontal field has weighted
+degree d(l) - 1, and lambda_i' reads only the lambda_k with
+d(k) = d(i) + 1.  :func:`_rk4_levels` steps such a system one level of
+coordinates at a time over the whole grid, with NumPy, reading the field
+coefficients by the batch kernel :func:`poly.compile_polys`;
+:func:`integrate_horizontal`, :func:`integrate_adjoint`,
+:func:`spiral_lift` and :func:`iterated_integrals` run on it.  The normal
+extremal's controls -lambda couple the two triangles, so
+:func:`integrate_normal` steps point by point in :func:`_rk4` with the
+field-sum kernel :func:`poly.compile_field_sum`.  Both paths do the same
+float operations in the same order.  The family is read along a whole
+curve in one call of :func:`poly.compile_polys`.  Floating point lives
+here, in those two kernels, and in the float branches of
+:mod:`abnormal`.
 """
 
 import math
@@ -26,10 +35,11 @@ from fractions import Fraction
 
 from . import linalg
 from .abnormal import goh_check, product_group
+from .algebra import StructureError
 from .extremal import all_exact, build_family
 from .freelie import build_free
 from .group import left_invariant_fields
-from .poly import compile_field_sum
+from .poly import compile_field_sum, compile_polys
 
 
 @dataclass
@@ -60,50 +70,158 @@ def uniform_grid(t0, t1, step):
     return [t0 + (t1 - t0) * m / count for m in range(count + 1)]
 
 
-def _rk4(f, y0, times, controls=None):
-    """Fixed-step RK4 of ``y' = f(u, y)`` on the time grid.
-
-    u is ``controls(t)`` when time-only controls are given, read once per
-    distinct stage time (k2 and k3 share ``t + h/2``; a step hands its
-    read at ``t + h`` on if that is the next grid time), and t otherwise.
-    """
+def _rk4(f, y0, times):
+    """Fixed-step RK4 of ``y' = f(t, y)`` on the time grid, point by point."""
     out = [list(y0)]
     y = list(y0)
-    carry = None    # controls(times[m]) when the previous step read them
     for m in range(len(times) - 1):
         t, h = times[m], times[m + 1] - times[m]
         half, sixth = 0.5 * h, h / 6.0
-        u1, u2, u4 = t, t + half, t + h
-        if controls is not None:
-            u1 = controls(u1) if carry is None else carry
-            u2, u4 = controls(u2), controls(u4)
-            carry = u4 if t + h == times[m + 1] else None
-        k1 = f(u1, y)
+        k1 = f(t, y)
         y2 = [a + half * b for a, b in zip(y, k1)]
-        k2 = f(u2, y2)
+        k2 = f(t + half, y2)
         y3 = [a + half * b for a, b in zip(y, k2)]
-        k3 = f(u2, y3)
+        k3 = f(t + half, y3)
         y4 = [a + h * b for a, b in zip(y, k3)]
-        k4 = f(u4, y4)
+        k4 = f(t + h, y4)
         y = [a + sixth * (b1 + 2 * b2 + 2 * b3 + b4)
              for a, b1, b2, b3, b4 in zip(y, k1, k2, k3, k4)]
         out.append(y)
     return out
 
 
-def _field_sum(algebra):
-    """The kernel ``(h, y) -> sum_j h_j X_j(y)`` of the r horizontal
-    fields."""
-    fields = left_invariant_fields(algebra)
-    return compile_field_sum(fields[:algebra.r], algebra.n)
+BLOCK_STEPS = 256  # RK4 steps per NumPy pass of _rk4_levels
+
+
+def _rk4_levels(levels, y0, times, controls):
+    """Fixed-step RK4 of a triangular system ``y' = f(h(t), y)`` on the
+    time grid, one level of coordinates at a time over the whole grid.
+
+    ``levels`` lists ``(coords, slope)`` pairs: the 0-based coordinates
+    of a level, and ``slope(U, X)`` mapping M stage controls (an M x r
+    array) and M stage states (M x len(y0)) to the M x len(coords)
+    values of f on those coordinates.  A slope reads only coordinates of
+    earlier levels, so once their stage states are known on the grid,
+    the four stages of a level are elementwise array operations, and its
+    states are one ``np.add.accumulate`` of the increments, which adds
+    left to right.  Every float operation is the one :func:`_rk4` does
+    at each point, in the same order.  The controls are read once per
+    distinct stage time: k2 and k3 share ``t + h/2``, and a step hands
+    its read at ``t + h`` on if that is the next grid time.  The grid
+    runs BLOCK_STEPS steps at a time, the end state carried over.
+    Returns the len(times) x len(y0) float64 array of states.
+    """
+    import numpy as np
+    steps, size = len(times) - 1, len(y0)
+    out = np.empty((steps + 1, size))
+    out[0] = y0
+    carry = None    # controls(times[m]) when the previous step read them
+    with np.errstate(all="ignore"):
+        for start in range(0, steps, BLOCK_STEPS):
+            stop = min(start + BLOCK_STEPS, steps)
+            hs, u1, u2, u4 = [], [], [], []
+            for m in range(start, stop):
+                t, h = times[m], times[m + 1] - times[m]
+                hs.append(h)
+                u1.append(controls(t) if carry is None else carry)
+                u2.append(controls(t + 0.5 * h))
+                carry = controls(t + h)
+                u4.append(carry)
+                if t + h != times[m + 1]:
+                    carry = None
+            h = np.array(hs)[:, None]
+            half, sixth = 0.5 * h, h / 6.0
+            U = np.array(u1 + u2 + u2 + u4, float)
+            X = np.zeros((4, stop - start, size))
+            stages = X.reshape(-1, size)    # a view: rows run stage-major
+            for coords, slope in levels:
+                k1, k2, k3, k4 = slope(U, stages).reshape(4, stop - start, -1)
+                y = np.add.accumulate(np.vstack([
+                    out[start, coords],
+                    sixth * (k1 + 2 * k2 + 2 * k3 + k4)]))
+                out[start + 1:stop + 1, coords] = y[1:]
+                y = y[:-1]
+                X[:, :, coords] = np.stack(
+                    [y, y + half * k1, y + half * k2, y + h * k3])
+    return out
+
+
+def _levels(reads, order):
+    """The coordinates ``order`` grouped into levels for
+    :func:`_rk4_levels`, each one level past the deepest coordinate it
+    reads; ``reads[l]`` is the set of coordinates l reads.  A coordinate
+    that reads one not before it in ``order`` raises StructureError."""
+    depth = {}
+    for l in order:
+        late = reads[l] - depth.keys()
+        if late:
+            raise StructureError(
+                f"the system is not triangular: coordinate {l + 1} reads "
+                f"coordinate {min(late) + 1}, which does not come before it")
+        depth[l] = max((depth[k] + 1 for k in reads[l]), default=0)
+    levels = [[] for _ in range(max(depth.values(), default=-1) + 1)]
+    for l, d in depth.items():
+        levels[d].append(l)
+    return levels
+
+
+def _slots(coords, entries):
+    """Slot s holds the positions in ``coords`` of the coordinates that
+    have an s-th entry, and those entries: one slot adds one term to
+    each of its coordinates at once, and the slots add in entry order."""
+    out = []
+    for s in range(max((len(entries[l]) for l in coords), default=0)):
+        pos = [p for p, l in enumerate(coords) if len(entries[l]) > s]
+        out.append((pos, [entries[coords[p]][s] for p in pos]))
+    return out
+
+
+def _field_levels(fields, size):
+    """Levels of ``y' = sum_j h_j fields[j](y)`` on the coordinates
+    1..size of the PolyVectorFields ``fields``, for :func:`_rk4_levels`.
+
+    Coordinate l starts from 0.0 and adds ``h_j * f_jl(y)`` over j
+    ascending, a zero control skipped, as :func:`compile_field_sum`
+    does; the f_jl of a level are read in one :func:`compile_polys`
+    call.  A coefficient that reads coordinate l or a later one raises
+    StructureError: in second-kind coordinates f_jl has weighted degree
+    d(l) - 1, so the system is triangular in ascending order.
+    """
+    import numpy as np
+    entries = [[(j, f.coeffs[l]) for j, f in enumerate(fields)
+                if l in f.coeffs] for l in range(1, size + 1)]
+    reads = [{v - 1 for _, p in row for v in p.var_support()}
+             for row in entries]
+    levels = []
+    for coords in _levels(reads, range(size)):
+        polys, slots = [], []
+        for pos, terms in _slots(coords, entries):
+            cols = list(range(len(polys), len(polys) + len(terms)))
+            polys += [p for _, p in terms]
+            slots.append((pos, [j for j, _ in terms], cols))
+
+        def slope(U, X, run=compile_polys(polys), slots=slots,
+                  width=len(coords)):
+            F = run(X)
+            acc = np.zeros((len(X), width))
+            for pos, js, cols in slots:
+                u = U[:, js]
+                acc[:, pos] = np.where(u != 0, acc[:, pos] + u * F[:, cols],
+                                       acc[:, pos])
+            return acc
+
+        levels.append((coords, slope))
+    return levels
 
 
 def integrate_horizontal(algebra, controls, x0, grid):
     """RK4 solution of ``gamma' = sum_j h_j X_j(gamma)`` on the grid,
     with controls any callable ``t -> (h_1, ..., h_r)``."""
-    gamma = _rk4(_field_sum(algebra), [float(c) for c in x0],
-                 [float(t) for t in grid], controls)
-    return CurvePath(list(grid), gamma, controls=controls)
+    levels = _field_levels(left_invariant_fields(algebra)[:algebra.r],
+                           algebra.n)
+    gamma = _rk4_levels(levels, [float(c) for c in x0],
+                        [float(t) for t in grid], controls)
+    return CurvePath(list(grid), gamma.tolist(), controls=controls)
 
 
 def _adjoint_tables(algebra):
@@ -130,6 +248,40 @@ def _adjoint_rhs(tables, h, lam):
     return out
 
 
+def _adjoint_levels(algebra):
+    """Levels of the adjoint system on lambda_1..lambda_n, for
+    :func:`_rk4_levels`.
+
+    Coordinate i starts from 0.0 and subtracts ``h_j * c * lambda_k`` in
+    :func:`_adjoint_rhs`'s order, a zero control skipped.  lambda_i reads
+    only the lambda_k with d(k) = d(i) + 1, so the system is triangular
+    in descending order; a bracket that breaks this raises
+    StructureError.
+    """
+    import numpy as np
+    entries = [[] for _ in range(algebra.n)]
+    for j, rows in enumerate(_adjoint_tables(algebra)):
+        for i, k, c in rows:
+            entries[i].append((j, k, c))
+    reads = [{k for _, k, _ in row} for row in entries]
+    levels = []
+    for coords in _levels(reads, reversed(range(algebra.n))):
+        slots = [(pos, [j for j, _, _ in terms], [k for _, k, _ in terms],
+                  np.array([c for _, _, c in terms]))
+                 for pos, terms in _slots(coords, entries)]
+
+        def slope(U, X, slots=slots, width=len(coords)):
+            acc = np.zeros((len(X), width))
+            for pos, js, ks, cs in slots:
+                u = U[:, js]
+                acc[:, pos] = np.where(u != 0, acc[:, pos] - u * cs * X[:, ks],
+                                       acc[:, pos])
+            return acc
+
+        levels.append((coords, slope))
+    return levels
+
+
 def integrate_adjoint(algebra, curve, lambda0):
     """Dual coordinates along an integrated curve, same grid, RK4.
 
@@ -138,22 +290,21 @@ def integrate_adjoint(algebra, curve, lambda0):
     """
     if curve.controls is None:
         raise ValueError("adjoint integration needs the curve's controls")
-    tables = _adjoint_tables(algebra)
-    controls = curve.controls
-
-    def f(h, lam):
-        return _adjoint_rhs(tables, h, lam)
-
-    lam = _rk4(f, [float(c) for c in lambda0], [float(t) for t in curve.times],
-               controls)
-    return CurvePath(curve.times, curve.gamma, lam=lam, controls=controls)
+    lam = _rk4_levels(_adjoint_levels(algebra),
+                      [float(c) for c in lambda0],
+                      [float(t) for t in curve.times], curve.controls)
+    return CurvePath(curve.times, curve.gamma, lam=lam.tolist(),
+                     controls=curve.controls)
 
 
 def integrate_normal(algebra, lambda0, x0, grid):
-    """Normal extremal: controls ``h_j = -lambda_j`` coupled to the adjoint."""
-    field_sum = _field_sum(algebra)
-    tables = _adjoint_tables(algebra)
+    """Normal extremal: controls ``h_j = -lambda_j`` coupled to the adjoint.
+
+    The controls couple the two triangles, so the system runs point by
+    point."""
     n, r = algebra.n, algebra.r
+    field_sum = compile_field_sum(left_invariant_fields(algebra)[:r], n)
+    tables = _adjoint_tables(algebra)
 
     def f(t, y):
         # the kernel reads gamma = y[:n] only
@@ -193,30 +344,34 @@ def iterated_integrals(family, curve, v):
 
     B is integrated by RK4 alongside gamma, restarted from
     ``curve.gamma[0]`` under the curve's controls, so P_i^v is read at the
-    true stage states; B does not feed gamma's right-hand side.  The
-    pairing matches a row p with ``[X_j, E_p] = X_i`` and
-    ``[X_j', E_p] = 0`` for the other horizontal indices, for which
+    true stage states.  B does not feed gamma's right-hand side: it is
+    the last level of the system, read off all of gamma's stage states
+    in one batched call.  The pairing matches a row p with
+    ``[X_j, E_p] = X_i`` and ``[X_j', E_p] = 0`` for the other
+    horizontal indices, for which
     ``B_ij = P_p^v`` along any horizontal curve through the origin.
     Returns ``(table, pairings)`` where table maps (i, j) to the sampled
     B values and pairings is a list of ``(i, j, p, drift)``.
     """
+    import numpy as np
     A = family.algebra
     n, r = A.n, A.r
     if curve.controls is None:
         raise ValueError("iterated integrals need the curve's controls")
-    field_sum = _field_sum(A)
     horizontal = family.evaluator(range(1, r + 1), v, False)
     pairs = [(i, j) for i in range(1, r + 1) for j in range(1, r + 1)]
+    rows, cols = [i - 1 for i, _ in pairs], [j - 1 for _, j in pairs]
 
-    def f(h, y):
-        x = y[:n]
-        vals = horizontal([x])[0]
-        return (field_sum(h, x)
-                + [vals[i - 1] * h[j - 1] for i, j in pairs])
+    def integrands(U, X):
+        # B_ij' = P_i^v(gamma) h_j at every stage state of gamma
+        return np.array(horizontal(X[:, :n]))[:, rows] * U[:, cols]
 
+    levels = _field_levels(left_invariant_fields(A)[:r], n)
+    levels.append((list(range(n, n + len(pairs))), integrands))
     y0 = [float(c) for c in curve.gamma[0]] + [0.0] * len(pairs)
-    ys = _rk4(f, y0, [float(t) for t in curve.times], curve.controls)
-    table = {pair: [y[n + idx] for y in ys] for idx, pair in enumerate(pairs)}
+    ys = _rk4_levels(levels, y0, [float(t) for t in curve.times],
+                     curve.controls)
+    table = {pair: ys[:, n + idx].tolist() for idx, pair in enumerate(pairs)}
 
     hits = []
     for p in A.stratum(0):
@@ -229,7 +384,7 @@ def iterated_integrals(family, curve, v):
                 hits.append((i, j, p))
                 break
     paired = family.evaluator([p for _, _, p in hits], v, False)
-    along = paired([y[:n] for y in ys])
+    along = paired(ys[:, :n])
     pairings = []
     for col, (i, j, p) in enumerate(hits):
         drift = max(abs(b - row[col]) for b, row in zip(table[(i, j)], along))
@@ -339,11 +494,10 @@ def spiral_lift(algebra, fields, coord, t_end, include, cap):
     ``coord`` is the pair ``(f, df/dt)`` of the third coordinate.  The run
     follows :func:`graded_grid` with the ``include`` times and starts at
     ``+-GRID_T_MIN`` from the analytic seed; coordinates above the index
-    bound ``cap`` are dropped from the state.  Returns ``(grid, ys)``.
+    bound ``cap`` are dropped from the state.  Returns ``(grid, ys)``,
+    ys the len(grid) x n float64 array of states, zero above ``cap``.
     """
-    n = algebra.n
-    field_sum = compile_field_sum(fields[:algebra.r], cap)
-
+    import numpy as np
     grid = graded_grid(t_end, include)
     f3, dcoord = coord
     seed = [0.0] * cap
@@ -355,8 +509,10 @@ def spiral_lift(algebra, fields, coord, t_end, include, cap):
     def controls(t):
         return (2.0 * t, 1.0, dcoord(t))
 
-    ys = _rk4(field_sum, seed, grid, controls)
-    return grid, [y + [0.0] * (n - cap) for y in ys]
+    ys = np.zeros((len(grid), algebra.n))
+    ys[:, :cap] = _rk4_levels(_field_levels(fields[:algebra.r], cap), seed,
+                              grid, controls)
+    return grid, ys
 
 
 def spiral_example(samples_per_side=1000, puncture=1e-6, tol=1e-8):
@@ -367,6 +523,7 @@ def spiral_example(samples_per_side=1000, puncture=1e-6, tol=1e-8):
     spiral horizontally on a graded grid, and reports the Goh residuals
     together with the control bound.
     """
+    import numpy as np
     factor, _ = build_free(3, 4)
     factor_fields = left_invariant_fields(factor)
     factor_family = build_family(factor, rows=factor.stratum(2))
@@ -388,22 +545,33 @@ def spiral_example(samples_per_side=1000, puncture=1e-6, tol=1e-8):
     uni = [knee + (1.0 - knee) * m / (n_uni - 1) for m in range(n_uni)]
     sample_ts = sorted(set(geo + uni))
     sample_ts = [min(t, 1.0) for t in sample_ts]
-    points = []
+    # a Goh sample is the product point of the two lifts, placed by column
+    cols_a, cols_b = ([m[i] - 1 for i in range(1, factor.n + 1)]
+                      for m in (product.map_a, product.map_b))
+    blocks = []
     osc_err = bound = 0.0
     for sign in (1.0, -1.0):
-        ly, lz = [dict(zip(*spiral_lift(factor, factor_fields, coord, sign,
-                                        sample_ts, cap)))
-                  for coord in ((spiral_phi, spiral_dphi),
-                                (spiral_psi, spiral_dpsi))]
+        (grid, ly), (_, lz) = [spiral_lift(factor, factor_fields, coord, sign,
+                                           sample_ts, cap)
+                               for coord in ((spiral_phi, spiral_dphi),
+                                             (spiral_psi, spiral_dpsi))]
+        at = {t: m for m, t in enumerate(grid)}
+        third_y, third_z = ly[:, 2].tolist(), lz[:, 2].tolist()
+        kept = []
         for t in [sign * s for s in sample_ts]:
             bound = max(bound, abs(spiral_dphi(t)), abs(spiral_dpsi(t)))
             if abs(t) < puncture:
                 continue
             # accuracy witness on the oscillatory third coordinate
-            osc_err = max(osc_err, abs(ly[t][2] - spiral_phi(t)),
-                          abs(lz[t][2] - spiral_psi(t)))
-            pt = product.embed_point(ly[t], lz[t])
-            points.append([float(c) for c in pt])
+            m = at[t]
+            osc_err = max(osc_err, abs(third_y[m] - spiral_phi(t)),
+                          abs(third_z[m] - spiral_psi(t)))
+            kept.append(m)
+        block = np.zeros((len(kept), product.algebra.n))
+        block[:, cols_a] = ly[kept]
+        block[:, cols_b] = lz[kept]
+        blocks.append(block)
+    points = np.concatenate(blocks)
     ok, worst = goh_check(product_family, [float(c) for c in vG], points,
                           tol=tol)
 

@@ -288,7 +288,8 @@ def _term_plan(p):
     term gives the bits of :meth:`Poly.evaluate` on float points, since
     ``Fraction * float`` computes ``float(c) * x``.  Both float kernels
     run it: :func:`compile_polys` batched over points with NumPy, and
-    :func:`compile_field_sum` point by point.
+    :func:`compile_field_sum`, the right-hand side of the normal
+    extremal, point by point.
     """
     terms = [(float(c), tuple(v - 1 for v, e in k for _ in range(e)))
              for k, c in p.terms.items()]

@@ -1,14 +1,17 @@
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnotpoly.dynamics import (CurvePath, _field_sum, _rk4,
-                                 convergence_order, duality_check,
-                                 graded_grid,
+from carnotpoly.algebra import GradedLieAlgebra, StructureError
+from carnotpoly.dynamics import (BLOCK_STEPS, CurvePath, _adjoint_levels,
+                                 _adjoint_rhs, _adjoint_tables, _field_levels,
+                                 _rk4, _rk4_levels, convergence_order,
+                                 duality_check, graded_grid,
                                  integrate_adjoint, integrate_horizontal,
                                  integrate_normal, iterated_integrals,
                                  solve_goh_covector, spiral_dphi, spiral_dpsi,
@@ -19,7 +22,7 @@ from carnotpoly.freelie import build_free
 from carnotpoly.group import (flow, identity, left_invariant_fields,
                               to_second_kind)
 from carnotpoly.poly import Poly, PolyVectorField, compile_field_sum
-from conftest import reference_field_sum
+from conftest import recombined_free, reference_field_sum
 
 
 GRID = uniform_grid(0.0, 1.0, 1e-3)
@@ -202,6 +205,11 @@ def test_field_sum_kernel_adds_fields_in_ascending_order():
         assert kernel(h, point) == reference(h, point)
 
 
+def _hex_rows(rows):
+    # float.hex tells -0.0 from 0.0, which == does not
+    return [[x.hex() for x in row] for row in rows]
+
+
 @pytest.mark.parametrize("grid, reads", [
     (uniform_grid(0.0, 1.0, 0.01), 2 * 100 + 1),
     (graded_grid(-0.5, include=(-0.1,)), 2 * 1392 + 1),
@@ -211,18 +219,100 @@ def test_rk4_reads_each_stage_time_once(free24, grid, reads):
     # a step hands its controls at t + h to the next step only when
     # t + h is the next grid time; the result has the bits of reading the
     # controls afresh at all three stage times of every step
-    field, calls = _field_sum(free24), []
+    fields, calls = left_invariant_fields(free24)[:2], []
 
     def controls(t):
         calls.append(t)
         return (math.cos(3 * t), t * t - 1.0)
 
     y0 = [0.1 * k for k in range(8)]
-    got = _rk4(field, y0, grid, controls)
+    got = _rk4_levels(_field_levels(fields, 8), y0, grid, controls)
     assert len(calls) == len(set(calls)) == reads
+    field = compile_field_sum(fields, 8)
     want = _rk4(lambda t, y: field(controls(t), y), y0, grid)
-    assert [[c.hex() for c in y] for y in got] \
-        == [[c.hex() for c in y] for y in want]
+    assert _hex_rows(got.tolist()) == _hex_rows(want)
+
+
+FREE = [build_free(r, s)[0] for r, s in ((2, 4), (2, 5), (3, 3))]
+# every bracket of free(2,4) divided by 3 (an isomorphic algebra): its
+# constants are not dyadic, so how the adjoint groups h_j * c * lambda_k
+# shows in the bits
+FREE.append(GradedLieAlgebra(FREE[0].degrees, {
+    pair: {k: Fraction(c, 3) for k, c in terms.items()}
+    for pair, terms in FREE[0].table.items()}))
+SPECIALS = st.sampled_from([0.0, -0.0, math.inf])
+
+
+def _uniform(steps):
+    return lambda t1: [t1 * m / steps for m in range(steps + 1)]
+
+
+# uniform grids of one step, a few steps, exactly one block of steps and
+# one block plus one step, a graded grid past one block, and a grid that
+# runs back and forth; each maps a drawn nonzero t_end in [-2, 2] to a grid
+GRIDS = {
+    "one step": _uniform(1),
+    "five steps": _uniform(5),
+    "one block": _uniform(BLOCK_STEPS),
+    "one block and a step": _uniform(BLOCK_STEPS + 1),
+    "graded": lambda t1: graded_grid(0.02 * t1),
+    "non-monotone": lambda t1: [0.7, 1e-17, 0.3, 0.1, 2.9, -1.3, 0.2],
+}
+
+
+@pytest.mark.parametrize("grid", list(GRIDS))
+@settings(max_examples=6, deadline=None)
+@given(A=st.sampled_from(FREE) | recombined_free(), data=st.data())
+def test_rk4_by_levels_has_the_bits_of_the_loop(grid, A, data):
+    # the horizontal and the adjoint system, stepped a level at a time,
+    # against the point-by-point loop over the field-sum kernel and the
+    # adjoint right-hand side; a recombined basis lets several fields
+    # move one coordinate
+    n, r = A.n, A.r
+    grid = GRIDS[grid](data.draw(st.floats(-2, 2).filter(bool)))
+    # each control switches at a drawn time from one value to a multiple
+    # of cos(t), so a zero control can hold on some steps only
+    pieces = data.draw(st.lists(st.tuples(
+        SPECIALS | VALUES, SPECIALS | VALUES, st.floats(-1, 1)),
+        min_size=r, max_size=r))
+
+    def controls(t):
+        return [a if t < switch else b * math.cos(t)
+                for a, b, switch in pieces]
+
+    size = data.draw(st.just(n) | st.integers(1, n))
+    x0 = data.draw(st.lists(SIGNED_ZEROS | VALUES, min_size=size,
+                            max_size=size))
+    fields = left_invariant_fields(A)[:r]
+    got = _rk4_levels(_field_levels(fields, size), x0, grid, controls)
+    field = compile_field_sum(fields, size)
+    want = _rk4(lambda t, y: field(controls(t), y), x0, grid)
+    assert _hex_rows(got.tolist()) == _hex_rows(want)
+
+    lam0 = data.draw(st.lists(SIGNED_ZEROS | VALUES, min_size=n,
+                              max_size=n))
+    got = _rk4_levels(_adjoint_levels(A), lam0, grid, controls)
+    tables = _adjoint_tables(A)
+    want = _rk4(lambda t, lam: _adjoint_rhs(tables, controls(t), lam),
+                lam0, grid)
+    assert _hex_rows(got.tolist()) == _hex_rows(want)
+
+
+def test_fields_that_are_not_triangular_raise():
+    # both DENSE coordinates read x_1 and x_2, so neither can go first
+    with pytest.raises(StructureError, match="not triangular"):
+        _field_levels(DENSE, 2)
+
+
+def test_overflowing_run_leaks_no_numpy_warning(free24):
+    # Python floats overflow to inf silently, and so must the array path
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        curve = integrate_horizontal(free24, lambda t: (1e300, -1e300),
+                                     [1e300] * 8, uniform_grid(0, 1, 0.1))
+        out = integrate_adjoint(free24, curve, [1e300] * 8)
+    assert not all(map(math.isfinite, curve.gamma[-1]))
+    assert not all(map(math.isfinite, out.lam[-1]))
 
 
 def test_normal_rk4_convergence_order(free24):
