@@ -20,13 +20,13 @@ coordinates at a time over the whole grid, with NumPy, reading the field
 coefficients by the batch kernel :func:`poly.compile_polys`;
 :func:`integrate_horizontal`, :func:`integrate_adjoint`,
 :func:`spiral_lift` and :func:`iterated_integrals` run on it.  The normal
-extremal's controls -lambda couple the two triangles, so
-:func:`integrate_normal` steps point by point in :func:`_rk4` with the
-field-sum kernel :func:`poly.compile_field_sum`.  Both paths do the same
-float operations in the same order.  The family is read along a whole
-curve in one call of :func:`poly.compile_polys`.  Floating point lives
-here, in those two kernels, and in the float branches of
-:mod:`abnormal`.
+extremal's controls are -lambda, and lambda's equation never reads
+gamma: :func:`integrate_normal` steps lambda alone, point by point, in
+:func:`_rk4`, then gamma by levels under the recorded stage controls.
+Both paths do the float operations of the point-by-point loop, in the
+same order.  The family is read along a whole curve in one call of
+:func:`poly.compile_polys`.  Floating point lives here, in that kernel,
+and in the float branches of :mod:`abnormal`.
 """
 
 import math
@@ -39,7 +39,7 @@ from .algebra import StructureError
 from .extremal import all_exact, build_family
 from .freelie import build_free
 from .group import left_invariant_fields
-from .poly import compile_field_sum, compile_polys
+from .poly import compile_polys
 
 
 @dataclass
@@ -93,8 +93,8 @@ def _rk4(f, y0, times):
 BLOCK_STEPS = 256  # RK4 steps per NumPy pass of _rk4_levels
 
 
-def _rk4_levels(levels, y0, times, controls):
-    """Fixed-step RK4 of a triangular system ``y' = f(h(t), y)`` on the
+def _rk4_levels(levels, y0, times, stage_controls):
+    """Fixed-step RK4 of a triangular system ``y' = f(h, y)`` on the
     time grid, one level of coordinates at a time over the whole grid.
 
     ``levels`` lists ``(coords, slope)`` pairs: the 0-based coordinates
@@ -105,33 +105,23 @@ def _rk4_levels(levels, y0, times, controls):
     the four stages of a level are elementwise array operations, and its
     states are one ``np.add.accumulate`` of the increments, which adds
     left to right.  Every float operation is the one :func:`_rk4` does
-    at each point, in the same order.  The controls are read once per
-    distinct stage time: k2 and k3 share ``t + h/2``, and a step hands
-    its read at ``t + h`` on if that is the next grid time.  The grid
-    runs BLOCK_STEPS steps at a time, the end state carried over.
+    at each point, in the same order.  The grid runs BLOCK_STEPS steps
+    at a time, the end state carried over; ``stage_controls(start,
+    stop)`` gives the controls of the steps start..stop-1 as one
+    4 (stop - start) x r array, stage-major (every k1 row, then every
+    k2, k3 and k4 row), and is called on the blocks in grid order.
     Returns the len(times) x len(y0) float64 array of states.
     """
     import numpy as np
     steps, size = len(times) - 1, len(y0)
     out = np.empty((steps + 1, size))
     out[0] = y0
-    carry = None    # controls(times[m]) when the previous step read them
     with np.errstate(all="ignore"):
         for start in range(0, steps, BLOCK_STEPS):
             stop = min(start + BLOCK_STEPS, steps)
-            hs, u1, u2, u4 = [], [], [], []
-            for m in range(start, stop):
-                t, h = times[m], times[m + 1] - times[m]
-                hs.append(h)
-                u1.append(controls(t) if carry is None else carry)
-                u2.append(controls(t + 0.5 * h))
-                carry = controls(t + h)
-                u4.append(carry)
-                if t + h != times[m + 1]:
-                    carry = None
-            h = np.array(hs)[:, None]
+            h = np.diff(times[start:stop + 1])[:, None]
             half, sixth = 0.5 * h, h / 6.0
-            U = np.array(u1 + u2 + u2 + u4, float)
+            U = stage_controls(start, stop)
             X = np.zeros((4, stop - start, size))
             stages = X.reshape(-1, size)    # a view: rows run stage-major
             for coords, slope in levels:
@@ -144,6 +134,33 @@ def _rk4_levels(levels, y0, times, controls):
                 X[:, :, coords] = np.stack(
                     [y, y + half * k1, y + half * k2, y + h * k3])
     return out
+
+
+def _time_controls(controls, times):
+    """Stage controls of the callable ``t -> (h_1, ..., h_r)`` on the
+    grid, for :func:`_rk4_levels`.
+
+    The controls are read once per distinct stage time: k2 and k3 share
+    ``t + h/2``, and a step hands its read at ``t + h`` on to the next
+    step if that is the next grid time, across blocks too.
+    """
+    import numpy as np
+    carry = None    # controls(times[m]) when the previous step read them
+
+    def read(start, stop):
+        nonlocal carry
+        u1, u2, u4 = [], [], []
+        for m in range(start, stop):
+            t, h = times[m], times[m + 1] - times[m]
+            u1.append(controls(t) if carry is None else carry)
+            u2.append(controls(t + 0.5 * h))
+            carry = controls(t + h)
+            u4.append(carry)
+            if t + h != times[m + 1]:
+                carry = None
+        return np.array(u1 + u2 + u2 + u4, float)
+
+    return read
 
 
 def _levels(reads, order):
@@ -181,11 +198,11 @@ def _field_levels(fields, size):
     1..size of the PolyVectorFields ``fields``, for :func:`_rk4_levels`.
 
     Coordinate l starts from 0.0 and adds ``h_j * f_jl(y)`` over j
-    ascending, a zero control skipped, as :func:`compile_field_sum`
-    does; the f_jl of a level are read in one :func:`compile_polys`
-    call.  A coefficient that reads coordinate l or a later one raises
-    StructureError: in second-kind coordinates f_jl has weighted degree
-    d(l) - 1, so the system is triangular in ascending order.
+    ascending, a zero control skipped; the f_jl of a level are read in
+    one :func:`compile_polys` call.  A coefficient that reads coordinate
+    l or a later one raises StructureError: in second-kind coordinates
+    f_jl has weighted degree d(l) - 1, so the system is triangular in
+    ascending order.
     """
     import numpy as np
     entries = [[(j, f.coeffs[l]) for j, f in enumerate(fields)
@@ -219,8 +236,9 @@ def integrate_horizontal(algebra, controls, x0, grid):
     with controls any callable ``t -> (h_1, ..., h_r)``."""
     levels = _field_levels(left_invariant_fields(algebra)[:algebra.r],
                            algebra.n)
-    gamma = _rk4_levels(levels, [float(c) for c in x0],
-                        [float(t) for t in grid], controls)
+    times = [float(t) for t in grid]
+    gamma = _rk4_levels(levels, [float(c) for c in x0], times,
+                        _time_controls(controls, times))
     return CurvePath(list(grid), gamma.tolist(), controls=controls)
 
 
@@ -290,9 +308,9 @@ def integrate_adjoint(algebra, curve, lambda0):
     """
     if curve.controls is None:
         raise ValueError("adjoint integration needs the curve's controls")
-    lam = _rk4_levels(_adjoint_levels(algebra),
-                      [float(c) for c in lambda0],
-                      [float(t) for t in curve.times], curve.controls)
+    times = [float(t) for t in curve.times]
+    lam = _rk4_levels(_adjoint_levels(algebra), [float(c) for c in lambda0],
+                      times, _time_controls(curve.controls, times))
     return CurvePath(curve.times, curve.gamma, lam=lam.tolist(),
                      controls=curve.controls)
 
@@ -300,41 +318,56 @@ def integrate_adjoint(algebra, curve, lambda0):
 def integrate_normal(algebra, lambda0, x0, grid):
     """Normal extremal: controls ``h_j = -lambda_j`` coupled to the adjoint.
 
-    The controls couple the two triangles, so the system runs point by
-    point."""
+    The adjoint system never reads gamma, so lambda runs alone, point by
+    point, and the controls of its four RK4 stages are recorded as they
+    are read; gamma is then the horizontal system under those stage
+    controls, stepped by levels.  Every float operation is the one the
+    combined point-by-point loop does, in the same order."""
+    import numpy as np
     n, r = algebra.n, algebra.r
-    field_sum = compile_field_sum(left_invariant_fields(algebra)[:r], n)
     tables = _adjoint_tables(algebra)
+    stage_h = []    # one row per call of f: k1, k2, k3, k4 of each step
 
-    def f(t, y):
-        # the kernel reads gamma = y[:n] only
-        lam = y[n:]
+    def f(t, lam):
         h = [-lam[j] for j in range(r)]
-        return field_sum(h, y) + _adjoint_rhs(tables, h, lam)
+        stage_h.append(h)
+        return _adjoint_rhs(tables, h, lam)
 
-    y0 = [float(c) for c in x0] + [float(c) for c in lambda0]
-    ys = _rk4(f, y0, [float(t) for t in grid])
-    gamma = [y[:n] for y in ys]
-    lam = [y[n:] for y in ys]
-    return CurvePath(list(grid), gamma, lam=lam)
+    times = [float(t) for t in grid]
+    lam = _rk4(f, [float(c) for c in lambda0], times)
+    H = np.array(stage_h, float).reshape(-1, 4, r)
+    gamma = _rk4_levels(
+        _field_levels(left_invariant_fields(algebra)[:r], n),
+        [float(c) for c in x0], times,
+        lambda start, stop: H[start:stop].transpose(1, 0, 2).reshape(-1, r))
+    return CurvePath(list(grid), gamma.tolist(), lam=lam)
 
 
 def duality_check(family, curve):
     """Max drift ``|lambda_i(t) - P_i^v(gamma(t))|`` per index, v = lambda(0).
 
     Exact on a curve of rational points, float otherwise; a NaN drift
-    stays the maximum of its index."""
+    stays the maximum of its index, and an index whose drift is 0 reports
+    the int 0."""
     if curve.lam is None:
         raise ValueError("curve carries no dual coordinates")
     n = family.n
+    exact = all_exact(curve.gamma)
     values = family.evaluator(range(1, n + 1), list(curve.lam[0]),
-                              all_exact(curve.gamma))(curve.gamma)
-    worst = [0] * n
-    for row, lam in zip(values, curve.lam):
-        for i, val in enumerate(row):
-            err = abs(lam[i] - val)
-            if err > worst[i] or err != err:
-                worst[i] = err
+                              exact)(curve.gamma)
+    if exact:
+        worst = [0] * n
+        for row, lam in zip(values, curve.lam):
+            for i, val in enumerate(row):
+                err = abs(lam[i] - val)
+                if err > worst[i] or err != err:
+                    worst[i] = err
+    else:
+        import numpy as np
+        with np.errstate(all="ignore"):    # inf - inf is NaN silently
+            err = np.abs(np.array(curve.lam, float) - np.array(values))
+        # max propagates NaN, as the loop's keep-the-NaN rule does
+        worst = [float(w) if w else 0 for w in err.max(axis=0)]
     return dict(enumerate(worst, start=1))
 
 
@@ -369,8 +402,9 @@ def iterated_integrals(family, curve, v):
     levels = _field_levels(left_invariant_fields(A)[:r], n)
     levels.append((list(range(n, n + len(pairs))), integrands))
     y0 = [float(c) for c in curve.gamma[0]] + [0.0] * len(pairs)
-    ys = _rk4_levels(levels, y0, [float(t) for t in curve.times],
-                     curve.controls)
+    times = [float(t) for t in curve.times]
+    ys = _rk4_levels(levels, y0, times,
+                     _time_controls(curve.controls, times))
     table = {pair: ys[:, n + idx].tolist() for idx, pair in enumerate(pairs)}
 
     hits = []
@@ -417,13 +451,15 @@ def spiral_psi(t):
 
 
 def spiral_dphi(t):
-    L = math.log(1.0 - math.log(abs(t)))
-    return math.cos(L) + math.sin(L) / (1.0 - math.log(abs(t)))
+    u = 1.0 - math.log(abs(t))
+    L = math.log(u)
+    return math.cos(L) + math.sin(L) / u
 
 
 def spiral_dpsi(t):
-    L = math.log(1.0 - math.log(abs(t)))
-    return math.sin(L) - math.cos(L) / (1.0 - math.log(abs(t)))
+    u = 1.0 - math.log(abs(t))
+    L = math.log(u)
+    return math.sin(L) - math.cos(L) / u
 
 
 GRID_BASE_STEP = 1e-3       # largest step of a graded grid
@@ -511,7 +547,7 @@ def spiral_lift(algebra, fields, coord, t_end, include, cap):
 
     ys = np.zeros((len(grid), algebra.n))
     ys[:, :cap] = _rk4_levels(_field_levels(fields[:algebra.r], cap), seed,
-                              grid, controls)
+                              grid, _time_controls(controls, grid))
     return grid, ys
 
 

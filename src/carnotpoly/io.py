@@ -108,12 +108,14 @@ def parse_scalar(text):
     s = str(text).strip()
     if "/" in s:
         return parse_rational(s)
-    try:
-        value = int(s)
-    except ValueError:
-        pass
-    else:
-        return parse_rational(value)
+    # int() rejects every text that holds one of these; float text does
+    if not ("." in s or "e" in s or "E" in s or "n" in s or "N" in s):
+        try:
+            value = int(s)
+        except ValueError:
+            pass
+        else:
+            return parse_rational(value)
     try:
         return float(s)
     except ValueError:

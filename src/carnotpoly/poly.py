@@ -286,10 +286,8 @@ def _term_plan(p):
 
     Running a term as ``c * point[i] * ...`` and summing from the first
     term gives the bits of :meth:`Poly.evaluate` on float points, since
-    ``Fraction * float`` computes ``float(c) * x``.  Both float kernels
-    run it: :func:`compile_polys` batched over points with NumPy, and
-    :func:`compile_field_sum`, the right-hand side of the normal
-    extremal, point by point.
+    ``Fraction * float`` computes ``float(c) * x``.  The float kernel
+    :func:`compile_polys` runs it batched over points with NumPy.
     """
     terms = [(float(c), tuple(v - 1 for v, e in k for _ in range(e)))
              for k, c in p.terms.items()]
@@ -333,44 +331,6 @@ def compile_polys(polys):
                         term *= x[row]
                     acc[:count] += term
                 out[start:start + BLOCK_POINTS, live] = acc.T
-        return out
-
-    return run
-
-
-def compile_field_sum(fields, size):
-    """Float kernel ``(h, point) -> sum_j h_j fields[j](point)`` on the
-    coordinates ``1..size`` of the PolyVectorFields ``fields``.
-
-    Coordinate l starts from 0.0 and adds ``h_j * f_jl(point)`` over j
-    ascending, each nonzero coefficient f_jl running its
-    :func:`_term_plan`; zero coefficients and zero controls are skipped.
-    For finite controls the bits are those of evaluating every field in
-    full and adding every term: a skipped term is ``h_j * 0.0 = +-0.0``,
-    and an accumulator that starts at +0.0 never holds -0.0, so adding
-    +-0.0 changes nothing.
-    """
-    rows = [[(j, *_term_plan(f.coeffs[l]))
-             for j, f in enumerate(fields) if l in f.coeffs]
-            for l in range(1, size + 1)]
-
-    def run(h, point):
-        out = []
-        for entries in rows:
-            acc = 0.0
-            for j, (total, idx), rest in entries:
-                hj = h[j]
-                if not hj:
-                    continue
-                for i in idx:
-                    total *= point[i]
-                for c, idx in rest:
-                    term = c
-                    for i in idx:
-                        term *= point[i]
-                    total += term
-                acc += hj * total
-            out.append(acc)
         return out
 
     return run

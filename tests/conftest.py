@@ -11,7 +11,7 @@ from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
                                 generation_columns)
 from carnotpoly.extremal import ExtremalFamily, build_family
 from carnotpoly.group import left_invariant_fields
-from carnotpoly.poly import Poly, key_from_alpha, weighted_degree
+from carnotpoly.poly import Poly, _term_plan, key_from_alpha, weighted_degree
 from carnotpoly.prolongation import _algebra_of, prolong
 
 # the elementary-matrix g_0 basis of free(2,4): maps sending (X_1, X_2) to
@@ -48,8 +48,48 @@ def dense_rref(rows, ncols):
     return m[:lead], pivots
 
 
+def compile_field_sum(fields, size):
+    """Float kernel ``(h, point) -> sum_j h_j fields[j](point)`` on the
+    coordinates ``1..size`` of the PolyVectorFields ``fields``, point by
+    point: the right-hand side of the loop oracle for
+    ``dynamics._rk4_levels`` and ``dynamics.integrate_normal``.
+
+    Coordinate l starts from 0.0 and adds ``h_j * f_jl(point)`` over j
+    ascending, each nonzero coefficient f_jl running its
+    ``poly._term_plan``; zero coefficients and zero controls are skipped.
+    For finite controls the bits are those of evaluating every field in
+    full and adding every term: a skipped term is ``h_j * 0.0 = +-0.0``,
+    and an accumulator that starts at +0.0 never holds -0.0, so adding
+    +-0.0 changes nothing.
+    """
+    rows = [[(j, *_term_plan(f.coeffs[l]))
+             for j, f in enumerate(fields) if l in f.coeffs]
+            for l in range(1, size + 1)]
+
+    def run(h, point):
+        out = []
+        for entries in rows:
+            acc = 0.0
+            for j, (total, idx), rest in entries:
+                hj = h[j]
+                if not hj:
+                    continue
+                for i in idx:
+                    total *= point[i]
+                for c, idx in rest:
+                    term = c
+                    for i in idx:
+                        term *= point[i]
+                    total += term
+                acc += hj * total
+            out.append(acc)
+        return out
+
+    return run
+
+
 def reference_field_sum(fields, size):
-    """Reference for ``poly.compile_field_sum``: every field evaluated in
+    """Reference for :func:`compile_field_sum`: every field evaluated in
     full by ``PolyVectorField.compiled``, then ``h_j * value`` added
     coordinate by coordinate over j ascending, zero controls skipped."""
     compiled = [field.compiled() for field in fields]

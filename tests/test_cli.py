@@ -450,6 +450,53 @@ def test_curve_parser_raises_only_input_errors(text, n):
         pass
 
 
+def _int_then_float(text):
+    """Reference for ``io.parse_scalar``: the rule that tries ``int()``
+    on every text without a slash, and ``float()`` when that fails."""
+    s = str(text).strip()
+    if "/" in s:
+        return cio.parse_rational(s)
+    try:
+        value = int(s)
+    except ValueError:
+        pass
+    else:
+        return cio.parse_rational(value)
+    try:
+        return float(s)
+    except ValueError:
+        raise cio.InputError(f"bad number {text!r}") from None
+
+
+def _scalar_or_error(parse, text):
+    """``(type, value)`` of a parsed scalar, floats by ``float.hex``, or
+    the message of its InputError."""
+    try:
+        value = parse(text)
+    except cio.InputError as exc:
+        return "error", str(exc)
+    return type(value), value.hex() if isinstance(value, float) else value
+
+
+# pieces of number text: whitespace (non-ASCII too), signs, underscores,
+# ASCII and non-ASCII decimal digits, points, exponents, inf and nan
+SCALAR_PIECES = [" ", "\t", "\xa0", "\u2003", "+", "-", "_", "_", "0", "1",
+                 "7", "9", "\u0663", "\uff10", "\u09ed", ".", "e", "E",
+                 "inf", "INF", "Infinity", "nan", "NaN", "n", "N", "/", "x"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.lists(st.sampled_from(SCALAR_PIECES), max_size=10).map(
+           "".join) | st.floats().map(repr) | st.integers().map(str)
+       | st.text(max_size=12))
+@example(text="1_000.5")
+@example(text=" -\u0663e\uff10 ")
+def test_parse_scalar_keeps_the_int_then_float_rule(text):
+    # parse_scalar skips int() on text with '.', 'e', 'E', 'n' or 'N'
+    assert _scalar_or_error(cio.parse_scalar, text) == \
+        _scalar_or_error(_int_then_float, text)
+
+
 @pytest.mark.parametrize("text, message", [
     ('t,x1\n"0\n",1\n0,a\n', "line 4: bad number 'a'"),
     ('t,x1\n"0\n",1\n0,1,2\n', "line 4: expected 2 columns"),

@@ -10,8 +10,9 @@ from hypothesis import strategies as st
 from carnotpoly.algebra import GradedLieAlgebra, StructureError
 from carnotpoly.dynamics import (BLOCK_STEPS, CurvePath, _adjoint_levels,
                                  _adjoint_rhs, _adjoint_tables, _field_levels,
-                                 _rk4, _rk4_levels, convergence_order,
-                                 duality_check, graded_grid,
+                                 _rk4, _rk4_levels, _time_controls,
+                                 convergence_order, duality_check,
+                                 graded_grid,
                                  integrate_adjoint, integrate_horizontal,
                                  integrate_normal, iterated_integrals,
                                  solve_goh_covector, spiral_dphi, spiral_dpsi,
@@ -21,8 +22,8 @@ from carnotpoly.extremal import build_family
 from carnotpoly.freelie import build_free
 from carnotpoly.group import (flow, identity, left_invariant_fields,
                               to_second_kind)
-from carnotpoly.poly import Poly, PolyVectorField, compile_field_sum
-from conftest import recombined_free, reference_field_sum
+from carnotpoly.poly import Poly, PolyVectorField
+from conftest import compile_field_sum, recombined_free, reference_field_sum
 
 
 GRID = uniform_grid(0.0, 1.0, 1e-3)
@@ -226,7 +227,8 @@ def test_rk4_reads_each_stage_time_once(free24, grid, reads):
         return (math.cos(3 * t), t * t - 1.0)
 
     y0 = [0.1 * k for k in range(8)]
-    got = _rk4_levels(_field_levels(fields, 8), y0, grid, controls)
+    got = _rk4_levels(_field_levels(fields, 8), y0, grid,
+                      _time_controls(controls, grid))
     assert len(calls) == len(set(calls)) == reads
     field = compile_field_sum(fields, 8)
     want = _rk4(lambda t, y: field(controls(t), y), y0, grid)
@@ -284,18 +286,54 @@ def test_rk4_by_levels_has_the_bits_of_the_loop(grid, A, data):
     x0 = data.draw(st.lists(SIGNED_ZEROS | VALUES, min_size=size,
                             max_size=size))
     fields = left_invariant_fields(A)[:r]
-    got = _rk4_levels(_field_levels(fields, size), x0, grid, controls)
+    got = _rk4_levels(_field_levels(fields, size), x0, grid,
+                      _time_controls(controls, grid))
     field = compile_field_sum(fields, size)
     want = _rk4(lambda t, y: field(controls(t), y), x0, grid)
     assert _hex_rows(got.tolist()) == _hex_rows(want)
 
     lam0 = data.draw(st.lists(SIGNED_ZEROS | VALUES, min_size=n,
                               max_size=n))
-    got = _rk4_levels(_adjoint_levels(A), lam0, grid, controls)
+    got = _rk4_levels(_adjoint_levels(A), lam0, grid,
+                      _time_controls(controls, grid))
     tables = _adjoint_tables(A)
     want = _rk4(lambda t, lam: _adjoint_rhs(tables, controls(t), lam),
                 lam0, grid)
     assert _hex_rows(got.tolist()) == _hex_rows(want)
+
+
+def _combined_normal_loop(A, lam0, x0, grid):
+    """The normal extremal as one point-by-point RK4 system on
+    (gamma, lambda): the field-sum kernel plus the adjoint right-hand
+    side, both under h = -lambda."""
+    n, r = A.n, A.r
+    field = compile_field_sum(left_invariant_fields(A)[:r], n)
+    tables = _adjoint_tables(A)
+
+    def f(t, y):
+        lam = y[n:]
+        h = [-lam[j] for j in range(r)]
+        return field(h, y) + _adjoint_rhs(tables, h, lam)
+
+    ys = _rk4(f, list(x0) + list(lam0), grid)
+    return [y[:n] for y in ys], [y[n:] for y in ys]
+
+
+@pytest.mark.parametrize("grid", list(GRIDS))
+@settings(max_examples=6, deadline=None)
+@given(A=st.sampled_from(FREE) | recombined_free(), data=st.data())
+def test_normal_extremal_has_the_bits_of_the_combined_loop(grid, A, data):
+    # lambda stepped alone and gamma by levels under lambda's recorded
+    # stage controls, whose k2 and k3 rows differ, against one loop
+    grid = GRIDS[grid](data.draw(st.floats(-2, 2).filter(bool)))
+    x0 = data.draw(st.lists(SIGNED_ZEROS | VALUES, min_size=A.n,
+                            max_size=A.n))
+    lam0 = data.draw(st.lists(SPECIALS | VALUES, min_size=A.n,
+                              max_size=A.n))
+    curve = integrate_normal(A, lam0, x0, grid)
+    gamma, lam = _combined_normal_loop(A, lam0, x0, grid)
+    assert _hex_rows(curve.gamma) == _hex_rows(gamma)
+    assert _hex_rows(curve.lam) == _hex_rows(lam)
 
 
 def test_fields_that_are_not_triangular_raise():
@@ -342,6 +380,23 @@ def test_duality_check_exact_on_abnormal_line(free24_family):
     drift = duality_check(free24_family, curve)
     assert all(d == 0 for d in drift.values())
     assert all(lam[m][i] == 0 for m in range(len(ts)) for i in (0, 1, 2))
+
+
+def test_duality_check_keeps_nan_and_reports_zero_drift_as_int(
+        free24_family):
+    # lambda(0) = 0, so every P_i^v is 0 and the drift is |lambda|; a NaN
+    # before or after a larger drift stays the maximum of its index, and
+    # an index whose drifts are all 0.0 or -0.0 reports the int 0, which
+    # the --json report prints as 0
+    columns = [[0.0, math.nan, 5.0], [0.0, 1.0, math.nan], [0.0, -0.0, 0.0],
+               [0.0, 1.0, -2.0]] + [[0.0, 0.0, 0.0]] * 4
+    lam = [list(row) for row in zip(*columns)]
+    gamma = [[0.25 * m] * 8 for m in range(3)]
+    drift = duality_check(free24_family,
+                          CurvePath([0.0, 0.5, 1.0], gamma, lam=lam))
+    assert math.isnan(drift[1]) and math.isnan(drift[2])
+    assert [(type(d), d) for d in list(drift.values())[2:]] == \
+        [(int, 0), (float, 2.0)] + [(int, 0)] * 4
 
 
 def test_iterated_integrals_constant_curve(free24_family):
