@@ -27,7 +27,8 @@ from itertools import combinations
 from . import linalg
 from .algebra import GradedLieAlgebra, StructureError
 from .extremal import ExtremalFamily, all_exact
-from .poly import Poly, compile_polys, weighted_degree
+from .poly import (_add_terms, _key_mul, _wrap, compile_polys, exact_values,
+                   weighted_degree)
 
 
 def variety_generators(family, v):
@@ -48,12 +49,10 @@ def _rows_vanish(family, rows, v, samples, tol):
     exact = all_exact(samples)
     if tol is None:
         tol = 0 if exact else 1e-9
-    worst = 0 if exact else 0.0
-    for row in family.evaluator(rows, v, exact)(samples):
-        for val in row:
-            mag = abs(val)
-            if mag > worst or mag != mag:  # a NaN stays the maximum
-                worst = mag
+    values = family.evaluator(rows, v, exact)(samples)
+    # the first maximum, 0 when all vanish; NumPy's max propagates NaN
+    worst = max((0, *(abs(c) for row in values for c in row))) if exact \
+        else float(abs(values).max(initial=0.0))
     return worst <= tol, worst
 
 
@@ -83,8 +82,11 @@ def detect_abnormal(family, samples, tol=1e-9):
     if len(samples) < 2:
         warnings.append("very few samples: null space is an over-approximation")
     if all_exact(samples):
-        matrix = [[family.q(j, k).evaluate(x)
-                   for k in range(1, n + 1)] for x in samples for j in rows]
+        if any(len(x) != n for x in samples):
+            raise ValueError("coordinate count must equal the dimension")
+        matrix = [values[i:i + n] for values in exact_values(
+            [family.q(j, k) for j in rows for k in range(1, n + 1)], samples)
+            for i in range(0, len(rows) * n, n)]
         basis = linalg.nullspace(matrix, n)
         return {"exact": True, "basis": basis, "corank_lower_bound": len(basis),
                 "warnings": warnings}
@@ -121,23 +123,25 @@ def _maximal_minors(matrix):
     The determinant of a row subset S on the first |S| columns expands
     along column |S| - 1 into the subsets S minus one row, so every
     sub-determinant is keyed by its row subset alone and computed once
-    for all minors.  Returns ``(subset, determinant)`` pairs with the
-    subsets in lexicographic order.
+    for all minors, and each signed product adds into it term by term.
+    Returns ``(subset, determinant)`` pairs with the subsets in
+    lexicographic order.
     """
     subsets = [(i,) for i in range(len(matrix))]
-    dets = {s: matrix[s[0]][0] for s in subsets}
+    dets = {s: matrix[s[0]][0].terms for s in subsets}
     for col in range(1, len(matrix[0])):
         subsets = list(combinations(range(len(matrix)), col + 1))
         level = {}
         for s in subsets:
-            out = Poly.zero(matrix[0][0].n)
+            out = level[s] = {}
             for pos, i in enumerate(s):
-                entry, sub = matrix[i][col], dets[s[:pos] + s[pos + 1:]]
-                if entry and sub:
-                    out = out + (-entry if (col - pos) % 2 else entry) * sub
-            level[s] = out
+                entry, sub = matrix[i][col].terms, dets[s[:pos] + s[pos + 1:]]
+                odd = (col - pos) % 2
+                _add_terms(out, (
+                    (_key_mul(ka, kb), -ca * cb if odd else ca * cb)
+                    for ka, ca in entry.items() for kb, cb in sub.items()))
         dets = level
-    return [(s, dets[s]) for s in subsets]
+    return [(s, _wrap(matrix[0][0].n, dets[s])) for s in subsets]
 
 
 def minor_system(family):
@@ -166,8 +170,8 @@ def nonvanishing_certificate(system):
     """One explicit monomial witness per nonzero minor.
 
     Returns a list aligned with ``system.minors``: ``None`` for the zero
-    determinant, else ``(subset, alpha_key, coefficient)`` with the
-    canonically largest monomial.
+    determinant, else ``(subset, key, coefficient)`` for the largest
+    packed key ``((var, exp), ...)`` as a tuple, not in canonical order.
     """
     out = []
     for subset, det in system.minors:

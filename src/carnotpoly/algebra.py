@@ -42,8 +42,10 @@ per degree, which :func:`validate` and :func:`bracket_decompositions` share.
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import combinations
+from math import factorial
 
 from . import linalg
+from .poly import _add_terms, _key_mul
 
 
 class StructureError(ValueError):
@@ -163,34 +165,36 @@ class GradedLieAlgebra:
         return _clean(out)
 
 
-def exp_ad(algebra, m, xm, Z):
-    """Replace the Poly-valued map ``Z``, in place, by ``exp(xm ad X_m) Z``.
+def exp_ad(algebra, m, Z):
+    """Replace ``Z``, a map ``index -> term dict``, by ``exp(x_m ad X_m) Z``.
 
-    Each ad X_m raises the degree by d(m) >= 1 and no degree exceeds s, so
-    on a graded table the series has at most ``s - (lowest degree in Z)``
-    terms; a term past that bound raises :class:`StructureError`.
+    Each (ad X_m)^p Z times x_m^p / p! (keys gain ``(m, p)`` by
+    :func:`poly._key_mul`) adds into Z by :func:`poly._add_terms`, p
+    ascending, so Z has the term order and form of the Poly sums.  As ad
+    X_m raises degrees by d(m) >= 1 up to s, a graded table gives at most
+    ``s - d(min Z)`` terms; one more raises :class:`StructureError`.
     """
     row = algebra.ad[m]
     if row.keys().isdisjoint(Z):
         return
-    bound = algebra.s - min(map(algebra.degree, Z), default=algebra.s)
+    bound = algebra.s - algebra.degrees[min(Z)]
     term = Z
     for p in range(1, bound + 2):
-        nxt = {}  # ad X_m term, read off row m
-        for j, cj in term.items():
-            for k, c in row.get(j, {}).items():
-                cur = nxt.get(k)
-                nxt[k] = cj * c if cur is None else cur + cj * c
-        term = _clean(nxt)
+        nxt = {}  # (ad X_m)^p Z, without the x_m^p / p!
+        for j, terms in term.items():
+            for k, c in row.get(j, _EMPTY).items():
+                _add_terms(nxt.setdefault(k, {}),
+                           ((key, a * c) for key, a in terms.items()))
+        term = {k: t for k, t in nxt.items() if t}
         if not term:
             break
         if p > bound:
             raise StructureError(f"ad X_{m} outlasts the grading bound {bound}")
-        scale = xm * Fraction(1, p)
-        for k, c in term.items():
-            term[k] = c = c * scale
-            Z[k] = Z[k] + c if k in Z else c
-    for k in [k for k, c in Z.items() if not c]:
+        tail, scale = ((m, p),), Fraction(1, factorial(p)) if p > 1 else 1
+        for k, t in term.items():
+            _add_terms(Z.setdefault(k, {}), ((_key_mul(key, tail), a * scale)
+                                             for key, a in t.items()))
+    for k in [k for k, t in Z.items() if not t]:
         del Z[k]
 
 

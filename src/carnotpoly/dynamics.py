@@ -365,7 +365,7 @@ def duality_check(family, curve):
     else:
         import numpy as np
         with np.errstate(all="ignore"):    # inf - inf is NaN silently
-            err = np.abs(np.array(curve.lam, float) - np.array(values))
+            err = np.abs(np.array(curve.lam, float) - values)
         # max propagates NaN, as the loop's keep-the-NaN rule does
         worst = [float(w) if w else 0 for w in err.max(axis=0)]
     return dict(enumerate(worst, start=1))
@@ -397,7 +397,7 @@ def iterated_integrals(family, curve, v):
 
     def integrands(U, X):
         # B_ij' = P_i^v(gamma) h_j at every stage state of gamma
-        return np.array(horizontal(X[:, :n]))[:, rows] * U[:, cols]
+        return horizontal(X[:, :n])[:, rows] * U[:, cols]
 
     levels = _field_levels(left_invariant_fields(A)[:r], n)
     levels.append((list(range(n, n + len(pairs))), integrands))
@@ -421,7 +421,8 @@ def iterated_integrals(family, curve, v):
     along = paired(ys[:, :n])
     pairings = []
     for col, (i, j, p) in enumerate(hits):
-        drift = max(abs(b - row[col]) for b, row in zip(table[(i, j)], along))
+        drift = max(abs(b - a)
+                    for b, a in zip(table[(i, j)], along[:, col].tolist()))
         pairings.append((i, j, p, drift))
     return table, pairings
 

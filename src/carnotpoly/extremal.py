@@ -25,7 +25,7 @@ from .algebra import (GradedLieAlgebra, StructureError, bracket_decompositions,
                       exp_ad)
 from .group import left_invariant_fields
 from .linalg import scalar
-from .poly import BLOCK_POINTS, Poly, _key_mul, compile_polys
+from .poly import BLOCK_POINTS, Poly, _key_mul, _wrap, compile_polys
 from .prolongation import _algebra_of
 
 
@@ -87,12 +87,14 @@ class ExtremalFamily:
     def evaluator(self, rows, v, exact):
         """Map a batch of points to the rows ``[P_j^v(x) for j in rows]``.
 
-        Exact points go through :meth:`evaluate`; float points give the
-        same bits through :func:`compile_polys`, a block at a time.
+        Exact points go through :meth:`evaluate` into lists; float points
+        give the same bits in an N x len(rows) float64 array through
+        :func:`compile_polys`, a block at a time.
         """
         if exact:
             return lambda xs: [[self.evaluate(j, v, x) for j in rows]
                                for x in xs]
+        import numpy as np
         polys, sums = [], []
         for j in rows:
             terms = {}
@@ -104,10 +106,10 @@ class ExtremalFamily:
             sums.append(Poly(len(polys), terms))
         # row j is linear in the values Q_jk(x): a second kernel sums
         # Q_jk(x) * v_k over ascending k with v_k != 0, as evaluate does
-        inner = compile_polys(polys)
-        outer = compile_polys(sums)
-        return lambda xs: [r for s in range(0, len(xs), BLOCK_POINTS) for r in
-                           outer(inner(xs[s:s + BLOCK_POINTS])).tolist()]
+        inner, outer = compile_polys(polys), compile_polys(sums)
+        return lambda xs: np.vstack([np.empty((0, len(sums)))] + [
+            outer(inner(xs[s:s + BLOCK_POINTS]))
+            for s in range(0, len(xs), BLOCK_POINTS)])
 
 
 def all_exact(points):
@@ -126,14 +128,13 @@ def build_family(A, rows=None):
     """
     algebra = _algebra_of(A)
     n = algebra.n
-    xs = [Poly.variable(n, m) for m in range(1, n + 1)]
     Q = {}
     row_list = sorted(algebra.degrees) if rows is None else list(rows)
     for j in row_list:
-        Z = {j: Poly.const(n, 1)}
+        Z = {j: {(): 1}}
         for m in range(1, n + 1):
-            exp_ad(algebra, m, xs[m - 1], Z)
-        Q.update(((j, k), p) for k, p in Z.items() if k >= 1)
+            exp_ad(algebra, m, Z)
+        Q.update(((j, k), _wrap(n, t)) for k, t in Z.items() if k >= 1)
     return ExtremalFamily(algebra, Q)
 
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 from math import factorial
 
 from .algebra import StructureError, exp_ad
-from .poly import Poly, PolyVectorField
+from .poly import PolyVectorField, _wrap
 
 
 @lru_cache(maxsize=None)
@@ -162,13 +162,13 @@ def left_invariant_fields(algebra):
     rest passes the factor as ``exp(x_m ad X_m)`` of itself.
     """
     n = algebra.n
-    xs = [Poly.variable(n, j) for j in range(1, n + 1)]
     fields = []
     for i in range(1, n + 1):
-        Z = {i: Poly.const(n, 1)}
+        Z = {i: {(): 1}}
         coeffs = {}
         for m in range(1, n + 1):
-            coeffs[m] = Z.pop(m, 0)
-            exp_ad(algebra, m, xs[m - 1], Z)
+            if m in Z:
+                coeffs[m] = _wrap(n, Z.pop(m))
+            exp_ad(algebra, m, Z)
         fields.append(PolyVectorField(n, coeffs))
     return fields

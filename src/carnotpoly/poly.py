@@ -16,6 +16,7 @@ arithmetic is otherwise generic: evaluation and scaling accept floats.
 """
 
 from fractions import Fraction
+from math import lcm, prod
 
 from .linalg import scalar
 
@@ -31,10 +32,36 @@ def _key_mul(a, b):
         return b
     if not b:
         return a
+    if a[-1][0] < b[0][0]:  # disjoint variable ranges: the keys concatenate
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
     out = dict(a)
     for v, e in b:
         out[v] = out.get(v, 0) + e
     return tuple(sorted(out.items()))
+
+
+def _add_terms(out, pairs):
+    """Add ``(key, coeff)`` pairs into the term dict ``out`` in order and
+    return it: new keys go last, zero sums delete, values integer-first."""
+    for k, c in pairs:
+        cur = out.get(k)
+        if cur is not None:
+            c = cur + c
+        if c:
+            out[k] = c.numerator if type(c) is Fraction \
+                and c.denominator == 1 else c
+        elif cur is not None:
+            del out[k]
+    return out
+
+
+def _wrap(n, terms):
+    """The Poly over ``terms`` as is; it must hold no zero coefficient."""
+    p = Poly.__new__(Poly)
+    p.n, p.terms = n, terms
+    return p
 
 
 def key_from_alpha(alpha):
@@ -87,42 +114,24 @@ class Poly:
         if other.n != self.n:
             raise ValueError("ambient dimensions differ")
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            cur = out.get(k)
-            c = c if cur is None else _exact(cur + c)
-            if c:
-                out[k] = c
-            else:
-                del out[k]
-        return Poly(self.n, out)
+        _add_terms(out, other.terms.items())
+        return _wrap(self.n, out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(self.n, {k: -c for k, c in self.terms.items()})
+        return _wrap(self.n, {k: -c for k, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, Poly):
             if other.n != self.n:
                 raise ValueError("ambient dimensions differ")
-            if not self.terms or not other.terms:
-                return Poly(self.n, {})
-            out = {}
-            for ka, ca in self.terms.items():
-                for kb, cb in other.terms.items():
-                    k = _key_mul(ka, kb)
-                    cur = out.get(k)
-                    c = ca * cb if cur is None else cur + ca * cb
-                    if c:
-                        out[k] = c
-                    else:
-                        out.pop(k, None)
-            return Poly(self.n, {k: _exact(c) for k, c in out.items()})
+            return _wrap(self.n, _add_terms({}, (
+                (_key_mul(ka, kb), ca * cb) for ka, ca in self.terms.items()
+                for kb, cb in other.terms.items())))
         if isinstance(other, (int, Fraction)):
-            if not other:
-                return Poly(self.n, {})
-            return Poly(self.n, {k: _exact(c * other)
-                                 for k, c in self.terms.items()})
+            return _wrap(self.n, _add_terms(
+                {}, ((k, c * other) for k, c in self.terms.items())))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -154,34 +163,31 @@ class Poly:
                         else k[:pos] + k[pos + 1:]
                     out[nk] = _exact(c * e)
                     break
-        return Poly(self.n, out)
+        return _wrap(self.n, out)
 
     def integrate(self, j):
         """Antiderivative in x_j vanishing at x_j = 0."""
         out = {}
         for k, c in self.terms.items():
-            done = False
             for pos, (v, e) in enumerate(k):
                 if v == j:
                     nk = k[:pos] + ((v, e + 1),) + k[pos + 1:]
                     exact = isinstance(c, (int, Fraction))
-                    out[nk] = _exact(Fraction(c, e + 1)) if exact \
-                        else c / (e + 1)
-                    done = True
+                    c = _exact(Fraction(c, e + 1)) if exact else c / (e + 1)
                     break
                 if v > j:
                     nk = k[:pos] + ((j, 1),) + k[pos:]
-                    out[nk] = c
-                    done = True
                     break
-            if not done:
-                out[k + ((j, 1),)] = c
-        return Poly(self.n, out)
+            else:
+                nk = k + ((j, 1),)
+            if c:  # a subnormal float over e + 1 may underflow to 0.0
+                out[nk] = c
+        return _wrap(self.n, out)
 
     def subs_zero(self, vars_to_zero):
         vz = set(vars_to_zero)
-        return Poly(self.n, {k: c for k, c in self.terms.items()
-                             if not any(v in vz for v, _ in k)})
+        return _wrap(self.n, {k: c for k, c in self.terms.items()
+                              if not any(v in vz for v, _ in k)})
 
     def evaluate(self, point):
         """Value at a point given as a sequence of n coordinates."""
@@ -274,6 +280,30 @@ class PolyVectorField:
         run = compile_polys([self.coeffs.get(l, Poly.zero(self.n))
                              for l in range(1, self.n + 1)])
         return lambda point: run([point])[0].tolist()
+
+
+def exact_values(polys, points):
+    """``[p.evaluate(x) for p in polys]`` for each exact point, in turn, in
+    integer arithmetic: each monomial once per point, as an unreduced
+    fraction, and each value over the least common denominator of its
+    terms, reduced once; a Fraction exactly when one enters a term."""
+    keys = {key for p in polys for key in p.terms}
+    for x in points:
+        mono = {key: (prod(x[v - 1].numerator ** e for v, e in key),
+                      prod(x[v - 1].denominator ** e for v, e in key),
+                      any(type(x[v - 1]) is Fraction for v, _ in key))
+                for key in keys}
+        row = []
+        for p in polys:
+            terms = [(c.numerator * num, c.denominator * den,
+                      frac or type(c) is Fraction)
+                     for key, c in p.terms.items()
+                     for num, den, frac in (mono[key],)]
+            common = lcm(*(b for _, b, _ in terms))  # lcm() is 1
+            total = sum(a * (common // b) for a, b, _ in terms)
+            row.append(Fraction(total, common)
+                       if any(f for _, _, f in terms) else total)
+        yield row
 
 
 BLOCK_POINTS = 256  # points per NumPy pass of compile_polys

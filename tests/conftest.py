@@ -251,6 +251,56 @@ def reference_exp_ad(A, m, xm, Z):
         del Z[k]
 
 
+def poly_exp_ad(algebra, m, xm, Z):
+    """Term-order oracle for ``algebra.exp_ad`` on a Poly-valued map ``Z``:
+    each ad power is read off row m, multiplied by the Poly ``xm / p`` and
+    added by ``Poly.__add__``, whose term order and integer-first form the
+    term dicts of ``exp_ad`` must keep."""
+    row = algebra.ad[m]
+    if row.keys().isdisjoint(Z):
+        return
+    bound = algebra.s - min(map(algebra.degree, Z), default=algebra.s)
+    term = Z
+    for p in range(1, bound + 2):
+        nxt = {}  # ad X_m term, read off row m
+        for j, cj in term.items():
+            for k, c in row.get(j, {}).items():
+                cur = nxt.get(k)
+                nxt[k] = cj * c if cur is None else cur + cj * c
+        term = {k: c for k, c in nxt.items() if c}
+        if not term:
+            break
+        if p > bound:
+            raise StructureError(f"ad X_{m} outlasts the grading bound {bound}")
+        scale = xm * Fraction(1, p)
+        for k, c in term.items():
+            term[k] = c = c * scale
+            Z[k] = Z[k] + c if k in Z else c
+    for k in [k for k, c in Z.items() if not c]:
+        del Z[k]
+
+
+def poly_family_and_fields(A):
+    """``build_family(A).Q`` and the coefficient maps of
+    ``left_invariant_fields`` of A's algebra, both on :func:`poly_exp_ad`."""
+    algebra = _algebra_of(A)
+    n = algebra.n
+    xs = [Poly.variable(n, m) for m in range(1, n + 1)]
+    Q, fields = {}, []
+    for j in sorted(algebra.degrees):
+        Z = {j: Poly.const(n, 1)}
+        for m in range(1, n + 1):
+            poly_exp_ad(algebra, m, xs[m - 1], Z)
+        Q.update(((j, k), p) for k, p in Z.items() if k >= 1)
+    for i in range(1, n + 1):
+        Z, coeffs = {i: Poly.const(n, 1)}, {}
+        for m in range(1, n + 1):
+            coeffs[m] = Z.pop(m, 0)
+            poly_exp_ad(algebra, m, xs[m - 1], Z)
+        fields.append({l: p for l, p in coeffs.items() if p})
+    return Q, fields
+
+
 def reference_family(A):
     """Reference for ``extremal.build_family`` on :func:`reference_exp_ad`."""
     algebra = _algebra_of(A)

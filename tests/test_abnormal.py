@@ -8,6 +8,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carnotpoly import abnormal, linalg
 from carnotpoly.abnormal import (_maximal_minors, certificate_text,
                                  detect_abnormal, goh_check,
                                  membership, minor_system,
@@ -248,19 +249,60 @@ def test_maximal_minors_match_leibniz_reference(data):
 
 def test_minors_share_one_expansion(free24_family, monkeypatch):
     # 21 maximal minors of the 7 x 5 matrix from one memo keyed by row
-    # subset: at most sum_k k * C(7, k) over k = 2..5 = 392 products,
-    # against 1,575 with a fresh memo per minor
+    # subset: at most sum_k k * C(7, k) over k = 2..5 = 392 signed
+    # products, each added in one _add_terms call, against 1,575 with a
+    # fresh memo per minor; no Poly product is formed
     products = []
-    mul = Poly.__mul__
+    add_terms = abnormal._add_terms
 
-    def counting(a, b):
-        if isinstance(b, Poly):
-            products.append(1)
-        return mul(a, b)
+    def counting(out, pairs):
+        products.append(1)
+        return add_terms(out, pairs)
 
-    monkeypatch.setattr(Poly, "__mul__", counting)
+    monkeypatch.setattr(abnormal, "_add_terms", counting)
+    monkeypatch.setattr(Poly, "__mul__", None)
     assert len(minor_system(free24_family).minors) == 21
-    assert len(products) <= 400
+    assert 0 < len(products) <= 400
+
+
+def test_certificate_witness_is_the_largest_packed_key(free24_family):
+    # the witness is the term whose packed key ((var, exp), ...) is the
+    # largest tuple; canonical_text ends on the largest exponent vector,
+    # here another term of the same minor (rows -1..3)
+    system = minor_system(free24_family)
+    pos = [s for s, _ in system.minors].index((2, 3, 4, 5, 6))
+    det = system.minors[pos][1]
+    certs = nonvanishing_certificate(system)
+    assert certs[pos] == ((2, 3, 4, 5, 6), max(det.terms), 1)
+    assert max(det.terms) == ((2, 2), (4, 4))
+    assert canonical_text(det, W24).endswith(" - 1/864*x1^6*x2^5*x4")
+    assert certificate_text(system, certs)[pos] \
+        == "minor rows(-1,0,1,2,3): degree 14, witness 1*x2^2*x4^4"
+
+
+_POINT_COORDS = st.one_of(st.just(0), st.just(Fraction(0)),
+                          st.integers(-3, 3),
+                          st.fractions(-3, 3, max_denominator=5))
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_exact_detect_matrix_equals_poly_evaluate(free24_family, data):
+    # the shared-monomial matrix against Poly.evaluate, entry by entry,
+    # value and int/Fraction type, at the origin and at random rational
+    # points whose coordinates include 0
+    n = free24_family.n
+    points = [[0] * n] + data.draw(st.lists(
+        st.lists(_POINT_COORDS, min_size=n, max_size=n), max_size=3))
+    seen = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linalg, "nullspace",
+                   lambda matrix, ncols: seen.append(matrix) or [])
+        detect_abnormal(free24_family, points)
+    want = [[free24_family.q(j, k).evaluate(x) for k in range(1, n + 1)]
+            for x in points for j in free24_family.rows_of_degree_at_most(1)]
+    assert [[(v, type(v)) for v in row] for row in seen[0]] \
+        == [[(v, type(v)) for v in row] for row in want]
 
 
 def test_rank2_degree2_row_is_dependent(free24, free24_family):

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from carnotpoly import linalg
-from carnotpoly.algebra import GradedLieAlgebra, StructureError, validate
+from carnotpoly.algebra import (GradedLieAlgebra, StructureError, exp_ad,
+                               validate)
 from carnotpoly.extremal import (build_family, reconstruct_by_recursion,
                                  verify_structure)
 from carnotpoly.freelie import build_free
@@ -16,7 +17,8 @@ from carnotpoly.prolongation import prolong
 
 from conftest import (degree_bound_report, generalized_structure_constants,
                       is_homogeneous, iterated_commutator,
-                      multi_index_factorial)
+                      multi_index_factorial, poly_exp_ad,
+                      poly_family_and_fields, recombined_free)
 
 W24 = (1, 1, 2, 3, 3, 4, 4, 4)
 
@@ -158,7 +160,9 @@ def test_float_evaluator_equals_evaluate(free24_family, v, x):
     # rows included, must come out as the same float
     rows = free24_family.rows()
     got = free24_family.evaluator(rows, v, False)([x])
-    assert got == [[float(free24_family.evaluate(j, v, x)) for j in rows]]
+    assert got.shape == (1, len(rows)) and got.dtype == float
+    assert got.tolist() == [[float(free24_family.evaluate(j, v, x))
+                             for j in rows]]
 
 
 def test_q_matrix_homogeneity_and_origin(free24_family):
@@ -425,3 +429,42 @@ def test_reconstruction_refuses_inconsistent_derivative_data():
     with pytest.raises(StructureError, match="row 1: integrated polynomial "
                        "does not satisfy its own derivative data"):
         reconstruct_by_recursion(A)
+
+
+def _typed_terms(p):
+    return [(key, c, type(c)) for key, c in p.terms.items()]
+
+
+@settings(max_examples=20, deadline=None)
+@given(base=recombined_free(), prolonged=st.booleans())
+def test_family_and_fields_keep_the_poly_term_order(base, prolonged):
+    # the float kernels sum terms in terms order, so every Q_jk and field
+    # coefficient must list the terms of the Poly-valued recursion in its
+    # order and int/Fraction form, not just equal it
+    A = prolong(base, 2) if prolonged else base
+    want_q, want_fields = poly_family_and_fields(A)
+    got_q = build_family(A).Q
+    assert list(got_q) == list(want_q)
+    assert all(_typed_terms(got_q[jk]) == _typed_terms(p)
+               for jk, p in want_q.items())
+    got_fields = left_invariant_fields(A.algebra if prolonged else A)
+    assert [list(f.coeffs) for f in got_fields] \
+        == [list(f) for f in want_fields]
+    assert all(_typed_terms(f.coeffs[l]) == _typed_terms(p)
+               for f, want in zip(got_fields, want_fields)
+               for l, p in want.items())
+
+
+def test_exp_ad_multiplies_keys_that_already_read_x_m(free24):
+    # build_family passes keys in x_1..x_{m-1} only, where (m, p) goes at
+    # the end of a key; other keys take the general key product
+    n = free24.n
+    for m in (1, 2, 3):
+        start = {1: {((2, 1),): 3, ((1, 2), (4, 1)): Fraction(1, 2)},
+                 2: {((3, 2),): -1}}
+        got = {k: dict(t) for k, t in start.items()}
+        exp_ad(free24, m, got)
+        want = {k: Poly(n, t) for k, t in start.items()}
+        poly_exp_ad(free24, m, Poly.variable(n, m), want)
+        assert {k: list(t.items()) for k, t in got.items()} \
+            == {k: list(p.terms.items()) for k, p in want.items()}

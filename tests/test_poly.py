@@ -306,3 +306,21 @@ def test_family_arithmetic_is_integer_first(A, data, c):
     pick = st.sampled_from(entries)
     _check_integer_first(data.draw(pick), data.draw(pick), c, point,
                          A.weights)
+
+
+def test_constructor_filters_and_results_hold_no_zero():
+    # Poly(n, terms) drops the zeros of a caller's dict; sums, products,
+    # derivatives and antiderivatives are stored as built, so they must
+    # drop their own, float underflow included
+    p = Poly(2, {((1, 1),): 1, ((2, 1),): 0, (): Fraction(0)})
+    assert p.terms == {((1, 1),): 1}
+    q = Poly(2, {((1, 1),): -1, ((2, 1),): Fraction(1, 2)})
+    tiny = Poly(1, {((1, 1),): 5e-324})
+    results = [p + q, p + (-p), p * q, q * 0, q * Fraction(2), q.diff(2),
+               q.integrate(1), tiny * Fraction(1, 3), tiny.integrate(1)]
+    assert [r.terms for r in results] == [
+        {((2, 1),): Fraction(1, 2)}, {}, {((1, 2),): -1,
+                                          ((1, 1), (2, 1)): Fraction(1, 2)},
+        {}, {((1, 1),): -2, ((2, 1),): 1}, {(): Fraction(1, 2)},
+        {((1, 2),): Fraction(-1, 2), ((1, 1), (2, 1)): Fraction(1, 2)},
+        {}, {}]
