@@ -27,7 +27,7 @@ from itertools import combinations
 from . import linalg
 from .algebra import GradedLieAlgebra, StructureError
 from .extremal import ExtremalFamily, all_exact
-from .poly import (_add_terms, _key_mul, _wrap, compile_polys, exact_values,
+from .poly import (_add_terms, _wrap, compile_polys, exact_values,
                    weighted_degree)
 
 
@@ -124,24 +124,39 @@ def _maximal_minors(matrix):
     along column |S| - 1 into the subsets S minus one row, so every
     sub-determinant is keyed by its row subset alone and computed once
     for all minors, and each signed product adds into it term by term.
-    Returns ``(subset, determinant)`` pairs with the subsets in
-    lexicographic order.
+    Monomials run as encoded exponents: x_v's exponent at bit (v - 1) * W
+    of one int, W fitting the sum over columns of the largest entry
+    degree, so a product is one addition that never carries.  Returns
+    ``(subset, determinant)`` pairs, subsets in lexicographic order, with
+    the keys decoded to ``((var, exp), ...)``.
     """
+    ncols = len(matrix[0])
+    W = sum(max((sum(e for _, e in key) for row in matrix
+                 for key in row[col].terms), default=0)
+            for col in range(ncols)).bit_length()
+    coded = [[{sum(e << (v - 1) * W for v, e in key): c
+               for key, c in entry.terms.items()} for entry in row]
+             for row in matrix]
     subsets = [(i,) for i in range(len(matrix))]
-    dets = {s: matrix[s[0]][0].terms for s in subsets}
-    for col in range(1, len(matrix[0])):
+    dets = {s: coded[s[0]][0] for s in subsets}
+    for col in range(1, ncols):
         subsets = list(combinations(range(len(matrix)), col + 1))
         level = {}
         for s in subsets:
             out = level[s] = {}
             for pos, i in enumerate(s):
-                entry, sub = matrix[i][col].terms, dets[s[:pos] + s[pos + 1:]]
+                entry, sub = coded[i][col], dets[s[:pos] + s[pos + 1:]]
                 odd = (col - pos) % 2
                 _add_terms(out, (
-                    (_key_mul(ka, kb), -ca * cb if odd else ca * cb)
+                    (ka + kb, -ca * cb if odd else ca * cb)
                     for ka, ca in entry.items() for kb, cb in sub.items()))
         dets = level
-    return [(s, _wrap(matrix[0][0].n, dets[s])) for s in subsets]
+    n, mask = matrix[0][0].n, (1 << W) - 1
+    keys = {code: tuple((v, e) for v in range(1, n + 1)
+                        if (e := (code >> (v - 1) * W) & mask))
+            for s in subsets for code in dets[s]}
+    return [(s, _wrap(n, {keys[code]: c for code, c in dets[s].items()}))
+            for s in subsets]
 
 
 def minor_system(family):

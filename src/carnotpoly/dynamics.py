@@ -304,14 +304,14 @@ def integrate_adjoint(algebra, curve, lambda0):
     """Dual coordinates along an integrated curve, same grid, RK4.
 
     The curve must carry controls (the adjoint system only reads the
-    horizontal velocities).
+    horizontal velocities).  ``lam`` is the stepper's float64 array.
     """
     if curve.controls is None:
         raise ValueError("adjoint integration needs the curve's controls")
     times = [float(t) for t in curve.times]
     lam = _rk4_levels(_adjoint_levels(algebra), [float(c) for c in lambda0],
                       times, _time_controls(curve.controls, times))
-    return CurvePath(curve.times, curve.gamma, lam=lam.tolist(),
+    return CurvePath(curve.times, curve.gamma, lam=lam,
                      controls=curve.controls)
 
 
@@ -365,7 +365,7 @@ def duality_check(family, curve):
     else:
         import numpy as np
         with np.errstate(all="ignore"):    # inf - inf is NaN silently
-            err = np.abs(np.array(curve.lam, float) - values)
+            err = np.abs(np.asarray(curve.lam, float) - values)
         # max propagates NaN, as the loop's keep-the-NaN rule does
         worst = [float(w) if w else 0 for w in err.max(axis=0)]
     return dict(enumerate(worst, start=1))

@@ -1,16 +1,17 @@
 """Exact linear algebra over the rationals.
 
-One sparse eliminator, :func:`rref`, serves every routine here.  It keeps
-rows as ``{column: value}`` dicts and builds the reduced row echelon form
-incrementally: each row in turn is cleared on the pivot columns found so
-far, then either becomes a new pivot row, which clears its pivot column
-from the earlier pivot rows, or is dropped as dependent.  Elimination
-stops once every pivoted column holds a pivot.  The reduced row echelon
-form is unique, so pivots, null-space bases and particular solutions do
-not depend on this order.  Null-space bases set one free variable to 1 in
-ascending column order and are normalized to primitive integer form with
-the first nonzero entry positive, so repeated runs produce byte-identical
-output.
+One sparse fraction-free eliminator, :func:`rref`, serves every routine
+here.  It scales each row to integers as it reads it and builds the
+reduced row echelon form incrementally: each row in turn is cleared on
+the pivot columns found so far by cross multiplication, then becomes a
+new pivot row, which clears its pivot column from the earlier pivot
+rows, or is dropped as dependent; every cleared row is divided by its
+content, and only the dense reduced rows by their pivots.  Reading stops
+at full rank.  The reduced row echelon form is unique, so pivots,
+null-space bases and particular solutions do not depend on this order or
+scaling.  Null-space bases set one free variable to 1 in ascending
+column order and are normalized to primitive integer form with the first
+nonzero entry positive, so repeated runs produce byte-identical output.
 
 Exact scalars are integer-first: an integral value is an ``int`` and any
 other rational a ``Fraction``.  :func:`scalar` gives that form, every
@@ -20,8 +21,6 @@ result of this module has it, and division always goes through
 
 from fractions import Fraction
 from math import gcd, lcm
-
-_ONE = Fraction(1)
 
 
 def scalar(x):
@@ -43,14 +42,41 @@ def add_multiple(row, f, other):
             del row[c]
 
 
+def _divide_content(row):
+    g = gcd(*row.values())
+    if g != 1:
+        for c in row:
+            row[c] //= g
+
+
+def _cross(row, p, f, other):
+    """``row = p * row - f * other`` on sparse integer rows, dropping
+    zeros, then ``row`` divided by its content."""
+    if p != 1:
+        for c in row:
+            row[c] *= p
+    for c, x in other.items():
+        v = row.get(c, 0) - f * x
+        if v:
+            row[c] = v
+        else:
+            del row[c]
+    _divide_content(row)
+
+
+def _width(row):
+    return max(row, default=-1) + 1 if isinstance(row, dict) else len(row)
+
+
 def rref(rows, ncols):
     """Reduced row echelon form, pivoting on the first ``ncols`` columns.
 
-    Rows are sequences or sparse ``{column: value}`` dicts; columns past
-    ``ncols`` (an augmented part) ride along unpivoted.  Returns
-    ``(reduced_rows, pivot_columns)`` with pivots ascending and each
-    reduced row a dense list as wide as the widest input row.  The input
-    is not modified.
+    Rows are sequences or sparse ``{column: value}`` dicts, from any
+    iterable; columns past ``ncols`` (an augmented part) ride along
+    unpivoted.  Returns ``(reduced_rows, pivot_columns)`` with pivots
+    ascending and each reduced row a dense list as wide as the widest
+    input row.  The input is not modified, and an iterator is read no
+    further than the row that completes the rank.
 
     A row that depends on the rows before it within the first ``ncols``
     columns is dropped, augmented part included, so the reduced rows are
@@ -58,34 +84,38 @@ def rref(rows, ncols):
     there, as for ``[B | I]`` with B of full row rank, this is the unique
     reduced form of the whole matrix.
     """
-    width = max([ncols] + [max(row, default=-1) + 1 if isinstance(row, dict)
-                           else len(row) for row in rows])
-    pivot_rows = {}     # pivot column -> sparse row holding 1 there
-    for row in rows:
-        if len(pivot_rows) == ncols:
-            break
+    it, width = iter(rows), ncols
+    pivot_rows = {}     # pivot column -> sparse integer row, content 1
+    for row in it:
+        width = max(width, _width(row))
         items = row.items() if isinstance(row, dict) else enumerate(row)
         new = {c: scalar(x) for c, x in items if x}
+        den = lcm(*(x.denominator for x in new.values()))
+        if den != 1:
+            new = {c: x.numerator * (den // x.denominator)
+                   for c, x in new.items()}
         for c in [c for c in new if c in pivot_rows]:
-            add_multiple(new, -new[c], pivot_rows[c])
+            _cross(new, pivot_rows[c][c], new[c], pivot_rows[c])
         lead = min((c for c in new if c < ncols), default=None)
         if lead is None:
             continue
+        _divide_content(new)
         pv = new[lead]
-        if pv != 1:
-            inv = _ONE / pv
-            new = {c: scalar(x * inv) for c, x in new.items()}
         for prow in pivot_rows.values():
             f = prow.get(lead)
             if f:
-                add_multiple(prow, -f, new)
+                _cross(prow, pv, f, new)
         pivot_rows[lead] = new
+        if len(pivot_rows) == ncols:
+            break
+    if it is not rows:      # a collection: its unread rows count for width
+        width = max([width] + [_width(row) for row in it])
     pivots = sorted(pivot_rows)
     reduced = []
     for p in pivots:
-        dense = [0] * width
+        d, dense = pivot_rows[p][p], [0] * width
         for c, x in pivot_rows[p].items():
-            dense[c] = x
+            dense[c] = x // d if x % d == 0 else Fraction(x, d)
         reduced.append(dense)
     return reduced, pivots
 
@@ -105,19 +135,18 @@ def primitive(vec):
 
 
 def nullspace(rows, ncols):
-    """Canonical basis of the right null space of the given matrix.
+    """Canonical basis of the right null space of the given matrix, whose
+    rows are read as by :func:`rref`."""
+    return kernel_basis(*rref(rows, ncols), ncols)
 
-    Rows are sequences or sparse dicts, as for :func:`rref`.  Each basis
-    vector sets one free variable to 1 (ascending column order) and is
-    then normalized with :func:`primitive`.
-    """
-    if not rows:
-        return [[int(i == j) for i in range(ncols)] for j in range(ncols)]
-    reduced, pivots = rref(rows, ncols)
+
+def kernel_basis(reduced, pivots, ncols):
+    """The canonical null-space basis read off a reduced form of
+    :func:`rref`: each vector sets one free variable to 1, ascending, and
+    is normalized with :func:`primitive`."""
     pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
     basis = []
-    for fc in free_cols:
+    for fc in (c for c in range(ncols) if c not in pivot_set):
         v = [0] * ncols
         v[fc] = 1
         for prow, pcol in zip(reduced, pivots):

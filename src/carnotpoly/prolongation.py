@@ -160,14 +160,30 @@ def _leibniz(acc, A, expr, a, b, scale):
             linalg.add_multiple(acc.setdefault(res, {}), -scale * c, form)
 
 
+def _constraint_rows(base, A, expr, k):
+    """The constraint rows on the g_1 unknowns, one per result index of
+    each pair [X_a, X_b], yielded as they are built."""
+    pos_idx = [i for i in base.indices() if i >= 1]
+    for ai, a in enumerate(pos_idx):
+        for b in pos_idx[ai + 1:]:
+            if base.degrees[a] + base.degrees[b] + k > base.s:
+                continue
+            acc = {}
+            for c, w in base.bracket_indices(a, b).items():
+                for res, form in expr[c].items():
+                    linalg.add_multiple(acc.setdefault(res, {}), w, form)
+            _leibniz(acc, A, expr, a, b, -1)
+            yield from (slot for slot in acc.values() if slot)
+
+
 def compute_stratum(P, k):
     """Canonical basis of the degree-k stratum of the prolongation of P.
 
     Requires every stratum of degree in (k, 0] to be present already.
-    Raises :class:`DimensionCapError` as soon as the stratum would take
-    the extended dimension past ``P.max_dim``, before any of its maps is
-    built; its nullspace basis is skipped too when the count of unknowns
-    minus equations already passes the cap.
+    The constraint rows are eliminated as they are built, up to full rank,
+    and that one elimination gives the exact dimension: a stratum that
+    would take the extended dimension past ``P.max_dim`` raises
+    :class:`DimensionCapError` before any basis vector or map is built.
     """
     if isinstance(P, GradedLieAlgebra):
         P = ProlongedAlgebra(P, P)
@@ -183,36 +199,16 @@ def compute_stratum(P, k):
     unknowns = [(q, t) for q in base.stratum(1) for t in g1_targets]
     unknown_pos = {ut: i for i, ut in enumerate(unknowns)}
     expr = _phi_expressions(P, unknown_pos, g1_targets)
-
-    rows = []
-    idx = base.indices()
-    pos_idx = [i for i in idx if i >= 1]
-    for ai in range(len(pos_idx)):
-        for bi in range(ai + 1, len(pos_idx)):
-            a, b = pos_idx[ai], pos_idx[bi]
-            res_deg = base.degrees[a] + base.degrees[b] + k
-            if res_deg > base.s:
-                continue
-            acc = {}
-            for c, w in base.bracket_indices(a, b).items():
-                for res, form in expr[c].items():
-                    linalg.add_multiple(acc.setdefault(res, {}), w, form)
-            _leibniz(acc, A, expr, a, b, -1)
-            rows.extend(slot for slot in acc.values() if slot)
-    # len(unknowns) - len(rows) bounds the nullity from below; a bound past
-    # the cap takes the exact rank instead of the basis, and always raises
-    cap, nullity = P.max_dim, len(unknowns) - len(rows)
-    if cap is None or len(A.degrees) + nullity <= cap:
-        basis = linalg.nullspace(rows, len(unknowns))
-        nullity = len(basis)
-    else:
-        nullity = len(unknowns) - linalg.rank(rows, len(unknowns))
-    if cap is not None and len(A.degrees) + nullity > cap:
+    reduced, found = linalg.rref(_constraint_rows(base, A, expr, k),
+                                 len(unknowns))
+    cap, dim = P.max_dim, len(A.degrees) + len(unknowns) - len(found)
+    if cap is not None and dim > cap:
         raise DimensionCapError(
-            f"prolongation reaches dimension {len(A.degrees) + nullity} > cap "
-            f"{cap} at depth {-k} (stratum {k})")
+            f"prolongation reaches dimension {dim} > cap {cap} at depth {-k} "
+            f"(stratum {k})")
+    basis = linalg.kernel_basis(reduced, found, len(unknowns))
 
-    # nullspace leaves each vector's free unknown as its last nonzero
+    # kernel_basis leaves each vector's free unknown as its last nonzero
     # entry, and that unknown is zero in every other basis vector
     pivots = [unknowns[max(u for u, x in enumerate(vec) if x)]
               for vec in basis]

@@ -11,7 +11,8 @@ from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
                                 generation_columns)
 from carnotpoly.extremal import ExtremalFamily, build_family
 from carnotpoly.group import left_invariant_fields
-from carnotpoly.poly import Poly, _term_plan, key_from_alpha, weighted_degree
+from carnotpoly.poly import (Poly, _add_terms, _key_mul, _term_plan, _wrap,
+                             key_from_alpha, weighted_degree)
 from carnotpoly.prolongation import _algebra_of, prolong
 
 # the elementary-matrix g_0 basis of free(2,4): maps sending (X_1, X_2) to
@@ -46,6 +47,42 @@ def dense_rref(rows, ncols):
         if lead == len(m):
             break
     return m[:lead], pivots
+
+
+def reference_rref(rows, ncols):
+    """Reference for ``linalg.rref``: the same incremental elimination on
+    integer-first ``Fraction`` rows, each pivot row scaled to 1 as it is
+    found.  Reads every row of a list for the width."""
+    width = max([ncols] + [max(row, default=-1) + 1 if isinstance(row, dict)
+                           else len(row) for row in rows])
+    pivot_rows = {}     # pivot column -> sparse row holding 1 there
+    for row in rows:
+        if len(pivot_rows) == ncols:
+            break
+        items = row.items() if isinstance(row, dict) else enumerate(row)
+        new = {c: linalg.scalar(x) for c, x in items if x}
+        for c in [c for c in new if c in pivot_rows]:
+            linalg.add_multiple(new, -new[c], pivot_rows[c])
+        lead = min((c for c in new if c < ncols), default=None)
+        if lead is None:
+            continue
+        pv = new[lead]
+        if pv != 1:
+            inv = Fraction(1) / pv
+            new = {c: linalg.scalar(x * inv) for c, x in new.items()}
+        for prow in pivot_rows.values():
+            f = prow.get(lead)
+            if f:
+                linalg.add_multiple(prow, -f, new)
+        pivot_rows[lead] = new
+    pivots = sorted(pivot_rows)
+    reduced = []
+    for p in pivots:
+        dense = [0] * width
+        for c, x in pivot_rows[p].items():
+            dense[c] = x
+        reduced.append(dense)
+    return reduced, pivots
 
 
 def compile_field_sum(fields, size):
@@ -379,6 +416,27 @@ def reference_det(matrix):
         inversions = sum(a > b for a, b in combinations(perm, 2))
         out = out + (-term if inversions % 2 else term)
     return out
+
+
+def reference_maximal_minors(matrix):
+    """Reference for ``abnormal._maximal_minors``: the same Laplace
+    expansion on ``((var, exp), ...)`` keys, multiplied by
+    ``poly._key_mul``."""
+    subsets = [(i,) for i in range(len(matrix))]
+    dets = {s: matrix[s[0]][0].terms for s in subsets}
+    for col in range(1, len(matrix[0])):
+        subsets = list(combinations(range(len(matrix)), col + 1))
+        level = {}
+        for s in subsets:
+            out = level[s] = {}
+            for pos, i in enumerate(s):
+                entry, sub = matrix[i][col].terms, dets[s[:pos] + s[pos + 1:]]
+                odd = (col - pos) % 2
+                _add_terms(out, (
+                    (_key_mul(ka, kb), -ca * cb if odd else ca * cb)
+                    for ka, ca in entry.items() for kb, cb in sub.items()))
+        dets = level
+    return [(s, _wrap(matrix[0][0].n, dets[s])) for s in subsets]
 
 
 @st.composite

@@ -22,7 +22,7 @@ from carnotpoly.poly import Poly, canonical_text, weighted_degree
 from carnotpoly.prolongation import prolong
 
 from conftest import (coefficient, is_homogeneous, recombined_free,
-                      reference_det)
+                      reference_det, reference_maximal_minors)
 
 W24 = (1, 1, 2, 3, 3, 4, 4, 4)
 
@@ -245,6 +245,36 @@ def test_maximal_minors_match_leibniz_reference(data):
         assert det == reference_det([matrix[i] for i in subset])
         if repeated and set(repeated) <= set(subset):
             assert not det
+
+
+@st.composite
+def _wide_exponent_matrices(draw):
+    """Poly matrices, rows >= columns <= 4, over 1..4 variables with
+    exponents up to 12: a product of one entry per column needs more bits
+    per exponent than any single entry."""
+    n = draw(st.integers(1, 4))
+    entry = st.lists(st.tuples(
+        st.lists(st.integers(0, 12), min_size=n, max_size=n),
+        st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=7)),
+        max_size=3).map(lambda terms: sum(
+            (Poly.monomial(n, alpha, c) for alpha, c in terms), Poly.zero(n)))
+    size = draw(st.integers(1, 4))
+    nrows = draw(st.integers(size, 5))
+    return draw(st.lists(st.lists(entry, min_size=size, max_size=size),
+                         min_size=nrows, max_size=nrows))
+
+
+@settings(max_examples=60, deadline=None)
+@given(matrix=_wide_exponent_matrices())
+def test_encoded_exponent_minors_equal_the_tuple_key_oracle(matrix):
+    # the same _add_terms sequence on encoded exponents: every minor has
+    # the oracle's terms in the oracle's order
+    got = _maximal_minors(matrix)
+    want = reference_maximal_minors(matrix)
+    assert [s for s, _ in got] == [s for s, _ in want]
+    for (_, det), (_, ref) in zip(got, want):
+        assert det.n == ref.n
+        assert list(det.terms.items()) == list(ref.terms.items())
 
 
 def test_minors_share_one_expansion(free24_family, monkeypatch):

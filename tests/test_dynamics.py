@@ -72,7 +72,7 @@ def test_adjoint_constant_curve(heisenberg):
                                  uniform_grid(0, 1, 0.01))
     out = integrate_adjoint(heisenberg, curve, [1.0, -2.0, 3.0])
     for lam in out.lam:
-        assert lam == [1.0, -2.0, 3.0]
+        assert lam.tolist() == [1.0, -2.0, 3.0]
 
 
 def test_adjoint_heisenberg_closed_form(heisenberg):

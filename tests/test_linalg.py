@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from carnotpoly import linalg
-from conftest import dense_rref
+from conftest import dense_rref, reference_rref
 
 
 def F(x):
@@ -201,3 +201,69 @@ def test_dependent_rows_keep_the_earliest_independent_ones():
     assert dense_pivots == pivots
     assert [row[:2] for row in dense] == [row[:2] for row in reduced]
     assert dense == [[1, 0, -2], [0, 1, 2]]
+
+
+oracle_entries = st.one_of(
+    st.just(0), st.just(Fraction(0)), st.integers(-9, 9),
+    st.integers(-3, 3).map(Fraction),   # integral Fractions
+    st.fractions(-10, 10, max_denominator=10 ** 6))
+
+
+@st.composite
+def oracle_matrices(draw):
+    """Dense or sparse rows of ints and Fractions with denominators up to
+    10**6: zero rows, rows combined from others and augmented columns past
+    ``ncols``, shuffled; sparse rows drop their zeros, so their widths
+    vary."""
+    ncols = draw(st.integers(1, 6))
+    width = ncols + draw(st.integers(0, 3))
+    base = draw(st.lists(st.lists(oracle_entries, min_size=width,
+                                  max_size=width), min_size=1, max_size=6))
+    rows = list(base)
+    for kind in draw(st.lists(st.sampled_from(("zero", "combo")),
+                              max_size=3)):
+        if kind == "zero":
+            rows.append([0] * width)
+        else:
+            a, b = draw(st.sampled_from(base)), draw(st.sampled_from(base))
+            f = draw(oracle_entries)
+            rows.append([x + f * y for x, y in zip(a, b)])
+    rows = draw(st.permutations(rows))
+    if draw(st.booleans()):
+        rows = [{c: x for c, x in enumerate(row) if x} for row in rows]
+    return rows, ncols
+
+
+def _types(reduced):
+    return [[type(x) for x in row] for row in reduced]
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=oracle_matrices())
+def test_fraction_free_rref_equals_the_fraction_oracle(case):
+    # the reduced form is unique, so the fraction-free elimination gives
+    # the oracle's pivots and rows entry by entry, int or Fraction alike,
+    # and the null spaces read off them agree
+    rows, ncols = case
+    want = reference_rref(rows, ncols)
+    got = linalg.rref(rows, ncols)
+    assert got == want
+    assert _types(got[0]) == _types(want[0])
+    assert linalg.nullspace(rows, ncols) == linalg.kernel_basis(*want, ncols)
+
+
+def test_rref_stops_reading_an_iterator_at_full_rank():
+    rows = [[2, 4, 0, 1], {1: Fraction(1, 3), 3: 7}, [0, 0, 0, 0],
+            [1, 0, Fraction(5, 2)]]
+
+    def generated():
+        yield from rows
+        raise AssertionError("read past the row that completes the rank")
+
+    reduced, pivots = linalg.rref(generated(), 3)
+    assert (reduced, pivots) == reference_rref(rows, 3)
+    assert pivots == [0, 1, 2]
+    # a list's unread rows still count for the width
+    assert linalg.rref(rows + [[0] * 6], 3) == reference_rref(
+        rows + [[0] * 6], 3)
+    assert len(linalg.rref(rows + [[0] * 6], 3)[0][0]) == 6

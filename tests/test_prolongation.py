@@ -15,6 +15,7 @@ from carnotpoly import linalg
 from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
                                 generation_columns, validate)
 from carnotpoly.cli import main
+from carnotpoly.freelie import DimensionCapError
 from carnotpoly.prolongation import (ProlongationStratum, ProlongedAlgebra,
                                      _close_pairs, _combine, _match_in_stratum,
                                      _pair_action, _rebase_stratum,
@@ -560,6 +561,31 @@ def test_each_stratum_is_factored_once(heisenberg, monkeypatch):
     assert len(calls) <= 3 * len(P.strata)
 
 
+def test_cap_raises_with_the_exact_dimension_before_any_basis_vector(
+        monkeypatch):
+    # abelian of dimension 5 has no pair constraint in degree 0, so its
+    # stratum 0 is all of gl(5): dimension 5 + 25 = 30, one above the cap
+    built = []
+
+    def recording(name):
+        original = getattr(linalg, name)
+
+        def record(*args):
+            built.append(name)
+            return original(*args)
+        return record
+
+    for name in ("kernel_basis", "primitive"):
+        monkeypatch.setattr(linalg, name, recording(name))
+    A = GradedLieAlgebra({i: 1 for i in range(1, 6)}, {})
+    with pytest.raises(DimensionCapError,
+                       match=r"dimension 30 > cap 29 at depth 0 \(stratum 0\)"):
+        compute_stratum(ProlongedAlgebra(A, A, max_dim=29), 0)
+    assert built == []
+    assert compute_stratum(ProlongedAlgebra(A, A, max_dim=30), 0).dim == 25
+    assert built
+
+
 @settings(max_examples=25, deadline=None)
 @given(shape=st.sampled_from([(2, 4), (3, 3), (2, 5)]), data=st.data())
 def test_decompositions_match_dense_reference(shape, data):
@@ -592,14 +618,14 @@ def test_decompositions_match_dense_reference(shape, data):
 @pytest.mark.parametrize("case", ["free35", "heisenberg6"])
 def test_prolongation_scalars_are_integer_first(case, heisenberg, monkeypatch):
     bases = []
-    nullspace = linalg.nullspace
+    kernel_basis = linalg.kernel_basis
 
-    def recording(rows, ncols):
-        basis = nullspace(rows, ncols)
+    def recording(reduced, pivots, ncols):
+        basis = kernel_basis(reduced, pivots, ncols)
         bases.extend(basis)
         return basis
 
-    monkeypatch.setattr(linalg, "nullspace", recording)
+    monkeypatch.setattr(linalg, "kernel_basis", recording)
     if case == "free35":
         P = prolong(build_free(3, 5)[0])
     else:
