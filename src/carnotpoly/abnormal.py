@@ -23,12 +23,13 @@ the column count everywhere, so no minor constrains anything.
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import prod
 
 from . import linalg
 from .algebra import GradedLieAlgebra, StructureError
 from .extremal import ExtremalFamily, all_exact
-from .poly import (_add_terms, _wrap, compile_polys, exact_values,
-                   weighted_degree)
+from .poly import (_add_terms, _wrap, compile_polys, decode_key, encode_terms,
+                   exact_values, weighted_degree)
 
 
 def variety_generators(family, v):
@@ -124,9 +125,11 @@ def _maximal_minors(matrix):
     along column |S| - 1 into the subsets S minus one row, so every
     sub-determinant is keyed by its row subset alone and computed once
     for all minors, and each signed product adds into it term by term.
-    Monomials run as encoded exponents: x_v's exponent at bit (v - 1) * W
-    of one int, W fitting the sum over columns of the largest entry
-    degree, so a product is one addition that never carries.  Returns
+    It runs on ints: monomials as :func:`poly.encode_terms` codes with
+    room for the sum over columns of the largest entry degree, so a
+    product is one addition, and each column times the lcm of its
+    denominators (:func:`linalg.clear_denominators`), each minor divided
+    by their product once, which keeps its terms and their order.  Returns
     ``(subset, determinant)`` pairs, subsets in lexicographic order, with
     the keys decoded to ``((var, exp), ...)``.
     """
@@ -134,28 +137,28 @@ def _maximal_minors(matrix):
     W = sum(max((sum(e for _, e in key) for row in matrix
                  for key in row[col].terms), default=0)
             for col in range(ncols)).bit_length()
-    coded = [[{sum(e << (v - 1) * W for v, e in key): c
-               for key, c in entry.terms.items()} for entry in row]
-             for row in matrix]
+    coded = [[encode_terms(row[col].terms, W) for row in matrix]
+             for col in range(ncols)]
+    den = prod(linalg.clear_denominators(column) for column in coded)
     subsets = [(i,) for i in range(len(matrix))]
-    dets = {s: coded[s[0]][0] for s in subsets}
+    dets = {s: coded[0][s[0]] for s in subsets}
     for col in range(1, ncols):
         subsets = list(combinations(range(len(matrix)), col + 1))
         level = {}
         for s in subsets:
             out = level[s] = {}
             for pos, i in enumerate(s):
-                entry, sub = coded[i][col], dets[s[:pos] + s[pos + 1:]]
+                entry, sub = coded[col][i], dets[s[:pos] + s[pos + 1:]]
                 odd = (col - pos) % 2
                 _add_terms(out, (
                     (ka + kb, -ca * cb if odd else ca * cb)
                     for ka, ca in entry.items() for kb, cb in sub.items()))
         dets = level
-    n, mask = matrix[0][0].n, (1 << W) - 1
-    keys = {code: tuple((v, e) for v in range(1, n + 1)
-                        if (e := (code >> (v - 1) * W) & mask))
+    n = matrix[0][0].n
+    keys = {code: decode_key(code, n, W)
             for s in subsets for code in dets[s]}
-    return [(s, _wrap(n, {keys[code]: c for code, c in dets[s].items()}))
+    return [(s, _wrap(n, {keys[code]: linalg.scalar(Fraction(c, den))
+                          for code, c in dets[s].items()}))
             for s in subsets]
 
 

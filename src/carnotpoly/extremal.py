@@ -24,8 +24,9 @@ from fractions import Fraction
 from .algebra import (GradedLieAlgebra, StructureError, bracket_decompositions,
                       exp_ad)
 from .group import left_invariant_fields
-from .linalg import scalar
-from .poly import BLOCK_POINTS, Poly, _key_mul, _wrap, compile_polys
+from .linalg import clear_denominators, scalar
+from .poly import (BLOCK_POINTS, Poly, _wrap, compile_polys, decode_key,
+                   encode_terms)
 from .prolongation import _algebra_of
 
 
@@ -145,57 +146,72 @@ def verify_structure(family):
     ordered by i, then j in stored-row order, then ascending k; empty
     means the structure formulas hold exactly.
 
-    Each Q_jk is differentiated once per call, along the variables it
-    contains, into a derivative index ``j -> l -> [(k, dQ_jk/dx_l)]``.
     Since ``X_i Q = sum_l f_il dQ/dx_l``, the residuals of (i, j) gather
     in one dict keyed by k: f_il dQ_jk/dx_l for each l that both X_i and
-    row j's index carry (no shared l means a zero product, so the skip is
-    exact), less c_ij^m Q_mk for each m in ``bracket_indices(i, j)``.
-    Coefficients are integer-first, so most products are ``int * int``.
+    row j's index carry, less c_ij^m Q_mk for each m in
+    ``bracket_indices(i, j)``; rows j with neither are skipped, exactly.
+    The sums run on ints: Q times the lcm Dq of its denominators, the
+    field coefficients and the structure constants times one lcm D of
+    theirs (:func:`linalg.clear_denominators`), each residual divided by
+    ``Dq * D`` once; a scaled sum is zero exactly when the sum is, so
+    each residual keeps the terms of the Fraction sums in their order.
+    Monomials are :func:`poly.encode_terms` codes with room for the
+    largest Q exponent plus the largest field exponent, so a product is
+    one addition and d/dx_l one subtraction on the code.
     """
     A = family.algebra
     n = A.n
     fields = left_invariant_fields(A)
-    rows = family.rows()
-    stored = {}  # row j -> [(k, terms of Q_jk)]
-    index = {}  # row j -> l -> [(k, terms of dQ_jk/dx_l)]
-    for (j, k), q in family.Q.items():
-        if not 1 <= k <= n:
-            continue
-        stored.setdefault(j, []).append((k, list(q.terms.items())))
+    entries = [(j, k, q.terms) for (j, k), q in family.Q.items()
+               if 1 <= k <= n and j in A.degrees]
+    f_terms = [f.terms for X in fields for f in X.coeffs.values()]
+    W = sum(max((e for t in group for key in t for _, e in key), default=0)
+            for group in ([t for *_, t in entries], f_terms)).bit_length()
+    q_rows = [encode_terms(t, W) for *_, t in entries]
+    f_rows = [encode_terms(t, W) for t in f_terms]
+    c_rows = [dict(c) for i in range(1, n + 1) for c in A.ad[i].values()]
+    L = clear_denominators(q_rows) * clear_denominators(f_rows + c_rows)
+    f_rows, c_rows = iter(f_rows), iter(c_rows)
+    coeffs = [[(l, list(next(f_rows).items())) for l in X.coeffs]
+              for X in fields]
+    consts = [{j: next(c_rows) for j in A.ad[i]} for i in range(1, n + 1)]
+    stored = {}  # row j -> [(k, coded terms of Dq * Q_jk)]
+    index = {}  # row j -> l -> [(k, coded terms of Dq * dQ_jk/dx_l)]
+    reads = {}  # l -> rows j with an entry in x_l
+    for (j, k, terms), row in zip(entries, q_rows):
+        stored.setdefault(j, []).append((k, row))
+        diffs = {}
+        for key, (code, a) in zip(terms, row.items()):
+            for v, e in key:
+                diffs.setdefault(v, []).append(
+                    (code - (1 << (v - 1) * W), a * e))
         by_var = index.setdefault(j, {})
-        for l in q.var_support():
-            by_var.setdefault(l, []).append((k, list(q.diff(l).terms.items())))
+        for v, d_terms in diffs.items():
+            by_var.setdefault(v, []).append((k, d_terms))
+            reads.setdefault(v, set()).add(j)
     report = []
-    for i in range(1, n + 1):
-        coeffs = [(l, list(f.terms.items()))
-                  for l, f in fields[i - 1].coeffs.items()]
-        for j in rows:
+    for i, f_i, c_i in zip(range(1, n + 1), coeffs, consts):
+        live = c_i.keys() | {j for l, _ in f_i for j in reads.get(l, ())}
+        for j in sorted(live):
             res = {}  # k -> residual terms
             by_var = index.get(j, {})
-            for l, f_terms in coeffs:
+            for l, f_il in f_i:
                 for k, d_terms in by_var.get(l, ()):
-                    acc = res.get(k)
-                    if acc is None:
-                        acc = res[k] = {}
-                    for ka, ca in f_terms:
+                    acc = res.setdefault(k, {})
+                    for ka, ca in f_il:
                         for kb, cb in d_terms:
-                            key = _key_mul(ka, kb)
-                            cur = acc.get(key)
-                            acc[key] = ca * cb if cur is None \
-                                else cur + ca * cb
-            for m, c in A.bracket_indices(i, j).items():
+                            key = ka + kb
+                            acc[key] = acc.get(key, 0) + ca * cb
+            for m, c in c_i.get(j, {}).items():
                 for k, q_terms in stored.get(m, ()):
-                    acc = res.get(k)
-                    if acc is None:
-                        acc = res[k] = {}
-                    for key, a in q_terms:
-                        cur = acc.get(key)
-                        acc[key] = -a * c if cur is None else cur - a * c
+                    acc = res.setdefault(k, {})
+                    for key, a in q_terms.items():
+                        acc[key] = acc.get(key, 0) - a * c
             for k in sorted(res):
-                terms = {key: scalar(c) for key, c in res[k].items() if c}
+                terms = {decode_key(code, n, W): scalar(Fraction(c, L))
+                         for code, c in res[k].items() if c}
                 if terms:
-                    report.append((i, j, k, Poly(n, terms)))
+                    report.append((i, j, k, _wrap(n, terms)))
     return report
 
 

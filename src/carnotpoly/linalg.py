@@ -1,12 +1,13 @@
 """Exact linear algebra over the rationals.
 
 One sparse fraction-free eliminator, :func:`rref`, serves every routine
-here.  It scales each row to integers as it reads it and builds the
-reduced row echelon form incrementally: each row in turn is cleared on
-the pivot columns found so far by cross multiplication, then becomes a
-new pivot row, which clears its pivot column from the earlier pivot
-rows, or is dropped as dependent; every cleared row is divided by its
-content, and only the dense reduced rows by their pivots.  Reading stops
+here.  It scales each row to integers as it reads it, with
+:func:`clear_denominators`, which the exact polynomial sweeps share, and
+builds the reduced row echelon form incrementally: each row in turn is
+cleared on the pivot columns found so far by cross multiplication, then
+becomes a new pivot row, which clears its pivot column from the earlier
+pivot rows, or is dropped as dependent; every cleared row is divided by
+its content, and only the dense reduced rows by their pivots.  Reading stops
 at full rank.  The reduced row echelon form is unique, so pivots,
 null-space bases and particular solutions do not depend on this order or
 scaling.  Null-space bases set one free variable to 1 in ascending
@@ -40,6 +41,18 @@ def add_multiple(row, f, other):
             row[c] = scalar(v)
         else:
             del row[c]
+
+
+def clear_denominators(rows):
+    """Multiply the dicts ``rows`` of integer-first exact scalars in place
+    by the lcm D of the denominators of all their values, which makes
+    every value an int, and return D."""
+    D = lcm(*(x.denominator for row in rows for x in row.values()))
+    if D != 1:
+        for row in rows:
+            for k, x in row.items():
+                row[k] = x.numerator * (D // x.denominator)
+    return D
 
 
 def _divide_content(row):
@@ -90,10 +103,7 @@ def rref(rows, ncols):
         width = max(width, _width(row))
         items = row.items() if isinstance(row, dict) else enumerate(row)
         new = {c: scalar(x) for c, x in items if x}
-        den = lcm(*(x.denominator for x in new.values()))
-        if den != 1:
-            new = {c: x.numerator * (den // x.denominator)
-                   for c, x in new.items()}
+        clear_denominators([new])
         for c in [c for c in new if c in pivot_rows]:
             _cross(new, pivot_rows[c][c], new[c], pivot_rows[c])
         lead = min((c for c in new if c < ncols), default=None)

@@ -64,6 +64,23 @@ def _wrap(n, terms):
     return p
 
 
+def encode_terms(terms, width):
+    """A term dict keyed by one int per monomial, x_v's exponent at bit
+    ``(v - 1) * width``: while every exponent fits ``width`` bits, the
+    code of a product is the sum of the codes, and d/dx_v subtracts
+    ``1 << (v - 1) * width``."""
+    return {sum(e << (v - 1) * width for v, e in key): c
+            for key, c in terms.items()}
+
+
+def decode_key(code, n, width):
+    """The packed key ``((var, exp), ...)`` of an :func:`encode_terms`
+    code."""
+    mask = (1 << width) - 1
+    return tuple((v, e) for v in range(1, n + 1)
+                 if (e := (code >> (v - 1) * width) & mask))
+
+
 def key_from_alpha(alpha):
     """Packed key from a dense exponent tuple (position p = variable p+1)."""
     return tuple((p + 1, e) for p, e in enumerate(alpha) if e)

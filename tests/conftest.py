@@ -352,6 +352,52 @@ def reference_family(A):
     return ExtremalFamily(algebra, Q)
 
 
+def reference_verify_structure(family):
+    """Reference for ``extremal.verify_structure``: the same sums on the
+    ``((var, exp), ...)`` keys and int/Fraction coefficients of the
+    family, multiplied by ``poly._key_mul``, over every stored row, with
+    each derivative taken by ``Poly.diff``."""
+    A = family.algebra
+    n = A.n
+    fields = left_invariant_fields(A)
+    stored, index = {}, {}
+    for (j, k), q in family.Q.items():
+        if not 1 <= k <= n:
+            continue
+        stored.setdefault(j, []).append((k, list(q.terms.items())))
+        by_var = index.setdefault(j, {})
+        for l in q.var_support():
+            by_var.setdefault(l, []).append((k, list(q.diff(l).terms.items())))
+    report = []
+    for i in range(1, n + 1):
+        coeffs = [(l, list(f.terms.items()))
+                  for l, f in fields[i - 1].coeffs.items()]
+        for j in family.rows():
+            res = {}
+            by_var = index.get(j, {})
+            for l, f_terms in coeffs:
+                for k, d_terms in by_var.get(l, ()):
+                    acc = res.setdefault(k, {})
+                    for ka, ca in f_terms:
+                        for kb, cb in d_terms:
+                            key = _key_mul(ka, kb)
+                            cur = acc.get(key)
+                            acc[key] = ca * cb if cur is None \
+                                else cur + ca * cb
+            for m, c in A.bracket_indices(i, j).items():
+                for k, q_terms in stored.get(m, ()):
+                    acc = res.setdefault(k, {})
+                    for key, a in q_terms:
+                        cur = acc.get(key)
+                        acc[key] = -a * c if cur is None else cur - a * c
+            for k in sorted(res):
+                terms = {key: linalg.scalar(c)
+                         for key, c in res[k].items() if c}
+                if terms:
+                    report.append((i, j, k, Poly(n, terms)))
+    return report
+
+
 def reference_validate(A):
     """Reference for ``algebra.validate``: the same table and generativity
     checks, and the Jacobi identity on every index triple, none skipped."""
@@ -401,6 +447,11 @@ def degree_bound_report(family):
     A = family.algebra
     return [(j, k) for (j, k), p in family.Q.items()
             if weighted_degree(p, family.weights) > A.s - A.degrees[j]]
+
+
+def typed_terms(p):
+    """The terms of a Poly in order, each with its coefficient's type."""
+    return [(key, c, type(c)) for key, c in p.terms.items()]
 
 
 def reference_det(matrix):
@@ -475,6 +526,20 @@ def recombined_free(draw):
                             acc[m] = acc.get(m, 0) + ca * cb * c * cm
             table[(i, j)] = acc
     return GradedLieAlgebra(A.degrees, table)
+
+
+@pytest.fixture
+def fraction_ops(monkeypatch):
+    """A list that gains the method name of every Fraction sum, difference
+    and product while the test runs."""
+    ops = []
+    for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                 "__rmul__"):
+        def counting(a, b, method=getattr(Fraction, name), name=name):
+            ops.append(name)
+            return method(a, b)
+        monkeypatch.setattr(Fraction, name, counting)
+    return ops
 
 
 def heisenberg_algebra():

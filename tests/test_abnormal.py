@@ -22,7 +22,7 @@ from carnotpoly.poly import Poly, canonical_text, weighted_degree
 from carnotpoly.prolongation import prolong
 
 from conftest import (coefficient, is_homogeneous, recombined_free,
-                      reference_det, reference_maximal_minors)
+                      reference_det, reference_maximal_minors, typed_terms)
 
 W24 = (1, 1, 2, 3, 3, 4, 4, 4)
 
@@ -251,30 +251,39 @@ def test_maximal_minors_match_leibniz_reference(data):
 def _wide_exponent_matrices(draw):
     """Poly matrices, rows >= columns <= 4, over 1..4 variables with
     exponents up to 12: a product of one entry per column needs more bits
-    per exponent than any single entry."""
+    per exponent than any single entry.  Each column draws its fractions
+    over its own denominator, coprime to the others' and up to 10**6, or
+    is all-int."""
     n = draw(st.integers(1, 4))
-    entry = st.lists(st.tuples(
-        st.lists(st.integers(0, 12), min_size=n, max_size=n),
-        st.integers(-3, 3) | st.fractions(-3, 3, max_denominator=7)),
-        max_size=3).map(lambda terms: sum(
-            (Poly.monomial(n, alpha, c) for alpha, c in terms), Poly.zero(n)))
     size = draw(st.integers(1, 4))
+    dens = draw(st.permutations((1, 1, 7, 11, 13, 10**6)))[:size]
+
+    def entry(den):
+        coeff = st.integers(-3, 3)
+        if den > 1:
+            coeff |= st.integers(-3 * den, 3 * den).map(
+                lambda a: Fraction(a, den))
+        return st.lists(st.tuples(
+            st.lists(st.integers(0, 12), min_size=n, max_size=n), coeff),
+            max_size=3).map(lambda terms: sum(
+                (Poly.monomial(n, alpha, c) for alpha, c in terms),
+                Poly.zero(n)))
     nrows = draw(st.integers(size, 5))
-    return draw(st.lists(st.lists(entry, min_size=size, max_size=size),
-                         min_size=nrows, max_size=nrows))
+    return [[draw(entry(den)) for den in dens] for _ in range(nrows)]
 
 
 @settings(max_examples=60, deadline=None)
 @given(matrix=_wide_exponent_matrices())
 def test_encoded_exponent_minors_equal_the_tuple_key_oracle(matrix):
-    # the same _add_terms sequence on encoded exponents: every minor has
-    # the oracle's terms in the oracle's order
+    # the same _add_terms sequence on encoded exponents and integer
+    # columns: every minor has the oracle's terms in the oracle's order,
+    # an integral coefficient as an int and any other as a Fraction
     got = _maximal_minors(matrix)
     want = reference_maximal_minors(matrix)
     assert [s for s, _ in got] == [s for s, _ in want]
     for (_, det), (_, ref) in zip(got, want):
         assert det.n == ref.n
-        assert list(det.terms.items()) == list(ref.terms.items())
+        assert typed_terms(det) == typed_terms(ref)
 
 
 def test_minors_share_one_expansion(free24_family, monkeypatch):
@@ -293,6 +302,15 @@ def test_minors_share_one_expansion(free24_family, monkeypatch):
     monkeypatch.setattr(Poly, "__mul__", None)
     assert len(minor_system(free24_family).minors) == 21
     assert 0 < len(products) <= 400
+
+
+def test_minors_make_no_fraction_arithmetic(free24_family, fraction_ops):
+    # the entries carry 1/k!-type coefficients, but the expansion runs on
+    # integer columns; only the final divisions build Fractions
+    minors = minor_system(free24_family).minors
+    assert not fraction_ops
+    assert any(type(c) is Fraction for _, det in minors
+               for c in det.terms.values())
 
 
 def test_certificate_witness_is_the_largest_packed_key(free24_family):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from carnotpoly import linalg
+from carnotpoly import extremal, linalg
 from carnotpoly.algebra import (GradedLieAlgebra, StructureError, exp_ad,
                                validate)
 from carnotpoly.extremal import (build_family, reconstruct_by_recursion,
@@ -18,7 +18,8 @@ from carnotpoly.prolongation import prolong
 from conftest import (degree_bound_report, generalized_structure_constants,
                       is_homogeneous, iterated_commutator,
                       multi_index_factorial, poly_exp_ad,
-                      poly_family_and_fields, recombined_free)
+                      poly_family_and_fields, recombined_free,
+                      reference_verify_structure, typed_terms)
 
 W24 = (1, 1, 2, 3, 3, 4, 4, 4)
 
@@ -261,6 +262,85 @@ def test_verify_structure_matches_dense_check_on_damage(rank, step, seed):
         [canonical_text(r, fam.weights) for *_, r in dense]
 
 
+COPRIME = (Fraction(1, 7), Fraction(5, 11), Fraction(1, 10**6))
+
+
+def _fraction_damage(family, draw):
+    """:func:`_damage` with coefficients over the coprime denominators 7,
+    11 and 10**6, plus one structure constant of a positive row moved off
+    the integers.  Each added monomial is x_l * x_v^e, e up to 20, where
+    x_v divides a field coefficient f_il: the products f_il dQ/dx_l then
+    reach exponent e + deg_v f_il, past any exponent of Q."""
+    Q, n, A = family.Q, family.n, family.algebra
+    keys = sorted(Q)
+    scaled = draw(st.sampled_from(keys))
+    Q[scaled] = Q[scaled] * draw(st.sampled_from(COPRIME))
+    del Q[draw(st.sampled_from([jk for jk in keys if jk != scaled]))]
+    reads = sorted({(l, v) for X in left_invariant_fields(A)
+                    for l, f in X.coeffs.items() for key in f.terms
+                    for v, _ in key})
+    for rows in ([j for j in family.rows() if j <= 0],
+                 [j for j in family.rows() if j >= 1]):
+        free = [(j, k) for j in rows for k in range(1, n + 1)
+                if (j, k) not in Q]
+        if not free:
+            continue
+        alpha = [0] * n
+        l, v = draw(st.sampled_from(reads))
+        alpha[l - 1] += 1
+        alpha[v - 1] += draw(st.integers(1, 20))
+        Q[draw(st.sampled_from(free))] = Poly.monomial(
+            n, alpha, draw(st.sampled_from(COPRIME + (-2,))))
+    i, j = draw(st.sampled_from(
+        [ij for ij in sorted(A.table) if max(ij) >= 1]))
+    terms = dict(A.table[(i, j)])
+    k = draw(st.sampled_from(sorted(terms)))
+    terms[k] += draw(st.sampled_from(COPRIME))
+    A.set_bracket(i, j, terms)
+
+
+def _typed_report(report):
+    return [(i, j, k, typed_terms(r)) for i, j, k, r in report]
+
+
+@settings(max_examples=25, deadline=None)
+@given(base=recombined_free(), prolonged=st.booleans(), data=st.data())
+def test_verify_structure_equals_the_fraction_oracle(base, prolonged, data):
+    # the integer sums, Q scaled by the lcm of its denominators and the
+    # fields and structure constants by one lcm of theirs, divided once,
+    # report every residual term of the Fraction sums, in their order
+    # and int/Fraction form
+    fam = build_family(prolong(base, 2) if prolonged else base)
+    assert verify_structure(fam) == []
+    _fraction_damage(fam, data.draw)
+    report = verify_structure(fam)
+    assert report
+    assert _typed_report(report) == _typed_report(
+        reference_verify_structure(fam))
+
+
+def test_verify_structure_makes_no_fraction_arithmetic(fraction_ops,
+                                                      monkeypatch):
+    # Q and the fields carry 1/k!-type coefficients, but the sums run on
+    # ints and the reported terms are Fraction(c, L) of ints; the fields
+    # are built beforehand, by Fraction arithmetic
+    fam = build_family(prolong(build_free(2, 6)[0], 2))
+    fields = left_invariant_fields(fam.algebra)
+    assert any(type(c) is Fraction for q in fam.Q.values()
+               for c in q.terms.values())
+    assert any(type(c) is Fraction for X in fields
+               for f in X.coeffs.values() for c in f.terms.values())
+    monkeypatch.setattr(extremal, "left_invariant_fields", lambda A: fields)
+    fraction_ops.clear()
+    assert verify_structure(fam) == []
+    assert not fraction_ops
+    # a damaged family only adds the divisions of the reported terms
+    _damage(fam, random.Random(0))
+    fraction_ops.clear()
+    assert verify_structure(fam)
+    assert not fraction_ops
+
+
 def quotient_by_top_stratum_subspace(algebra, kill):
     """Quotient of a stratified algebra by a subspace of its top stratum.
 
@@ -431,10 +511,6 @@ def test_reconstruction_refuses_inconsistent_derivative_data():
         reconstruct_by_recursion(A)
 
 
-def _typed_terms(p):
-    return [(key, c, type(c)) for key, c in p.terms.items()]
-
-
 @settings(max_examples=20, deadline=None)
 @given(base=recombined_free(), prolonged=st.booleans())
 def test_family_and_fields_keep_the_poly_term_order(base, prolonged):
@@ -445,12 +521,12 @@ def test_family_and_fields_keep_the_poly_term_order(base, prolonged):
     want_q, want_fields = poly_family_and_fields(A)
     got_q = build_family(A).Q
     assert list(got_q) == list(want_q)
-    assert all(_typed_terms(got_q[jk]) == _typed_terms(p)
+    assert all(typed_terms(got_q[jk]) == typed_terms(p)
                for jk, p in want_q.items())
     got_fields = left_invariant_fields(A.algebra if prolonged else A)
     assert [list(f.coeffs) for f in got_fields] \
         == [list(f) for f in want_fields]
-    assert all(_typed_terms(f.coeffs[l]) == _typed_terms(p)
+    assert all(typed_terms(f.coeffs[l]) == typed_terms(p)
                for f, want in zip(got_fields, want_fields)
                for l, p in want.items())
 
