@@ -19,9 +19,12 @@ d(k) = d(i) + 1.  :func:`_rk4_levels` steps such a system one level of
 coordinates at a time over the whole grid, with NumPy, reading the field
 coefficients by the batch kernel :func:`poly.compile_polys`;
 :func:`integrate_horizontal`, :func:`integrate_adjoint`,
-:func:`spiral_lift` and :func:`iterated_integrals` run on it.  The normal
-extremal's controls are -lambda, and lambda's equation never reads
-gamma: :func:`integrate_normal` steps lambda alone, point by point, in
+:func:`spiral_lift` and :func:`iterated_integrals` run on it.  Their
+controls are read once per distinct stage time of :func:`_stage_times`;
+:func:`spiral_example` reads its log-spiral once per stage time of one
+graded grid, for all four of its lifts.  The normal extremal's
+controls are -lambda, and lambda's equation never reads gamma:
+:func:`integrate_normal` steps lambda alone, point by point, in
 :func:`_rk4`, then gamma by levels under the recorded stage controls.
 Both paths do the float operations of the point-by-point loop, in the
 same order.  The family is read along a whole curve in one call of
@@ -136,28 +139,44 @@ def _rk4_levels(levels, y0, times, stage_controls):
     return out
 
 
+def _stage_times(times):
+    """The stage times of RK4 on the grid, as float64 arrays over its
+    steps: ``t``, ``t + 0.5*h`` and ``t + h``, with ``h`` the step to the
+    next grid time, and the mask ``t + h == next grid time``.  Where the
+    mask holds, the next step starts at the time this one ends on, so a
+    pure function of time need not be read there again.  NumPy does each
+    float operation the point-by-point loop does, on the same floats."""
+    import numpy as np
+    times = np.asarray(times, float)
+    with np.errstate(all="ignore"):     # finite times overflow as floats do
+        t = times[:-1]
+        h = times[1:] - t
+        end = t + h
+        return t, t + 0.5 * h, end, end == times[1:]
+
+
 def _time_controls(controls, times):
     """Stage controls of the callable ``t -> (h_1, ..., h_r)`` on the
     grid, for :func:`_rk4_levels`.
 
-    The controls are read once per distinct stage time: k2 and k3 share
-    ``t + h/2``, and a step hands its read at ``t + h`` on to the next
-    step if that is the next grid time, across blocks too.
+    The controls are read once per distinct stage time, in grid order: k2
+    and k3 share ``t + h/2``, and a step hands its read at ``t + h`` on to
+    the next step where :func:`_stage_times` marks it as the next grid
+    time, across blocks too.
     """
     import numpy as np
-    carry = None    # controls(times[m]) when the previous step read them
+    t, mid, end, joined = _stage_times(times)
+    carry = None    # the previous step's read at its end, if this step's start
 
     def read(start, stop):
         nonlocal carry
         u1, u2, u4 = [], [], []
-        for m in range(start, stop):
-            t, h = times[m], times[m + 1] - times[m]
-            u1.append(controls(t) if carry is None else carry)
-            u2.append(controls(t + 0.5 * h))
-            carry = controls(t + h)
-            u4.append(carry)
-            if t + h != times[m + 1]:
-                carry = None
+        for a, b, c, j in zip(*(x[start:stop].tolist()
+                                for x in (t, mid, end, joined))):
+            u1.append(controls(a) if carry is None else carry)
+            u2.append(controls(b))
+            u4.append(controls(c))
+            carry = u4[-1] if j else None
         return np.array(u1 + u2 + u2 + u4, float)
 
     return read
@@ -427,40 +446,24 @@ def iterated_integrals(family, curve, v):
     return table, pairings
 
 
-def convergence_order(drifts):
-    """Observed order from drifts at successively halved steps."""
-    orders = []
-    for a, b in zip(drifts, drifts[1:]):
-        if a == 0 or b == 0:
-            continue
-        orders.append(math.log2(a / b))
-    return min(orders) if orders else float("inf")
-
-
 # -- spiral Goh extremal ------------------------------------------------------
 
-def spiral_phi(t):
-    if t == 0:
-        return 0.0
-    return t * math.cos(math.log(1.0 - math.log(abs(t))))
+def _spiral_sweep(ts):
+    """Arrays ``cos L``, ``sin L``, ``phi'`` and ``psi'`` over the
+    positive times ``ts``, where ``u = 1 - log|t|`` and ``L = log u``.
 
-
-def spiral_psi(t):
-    if t == 0:
-        return 0.0
-    return t * math.sin(math.log(1.0 - math.log(abs(t))))
-
-
-def spiral_dphi(t):
-    u = 1.0 - math.log(abs(t))
-    L = math.log(u)
-    return math.cos(L) + math.sin(L) / u
-
-
-def spiral_dpsi(t):
-    u = 1.0 - math.log(abs(t))
-    L = math.log(u)
-    return math.sin(L) - math.cos(L) / u
+    The spiral is ``phi(t) = t cos L`` and ``psi(t) = t sin L``, with
+    ``phi' = cos L + sin L / u`` and ``psi' = sin L - cos L / u``; these
+    read |t| only, and phi and psi at -t are the negations.
+    """
+    import numpy as np
+    out = []
+    for t in ts:
+        u = 1.0 - math.log(t)
+        L = math.log(u)
+        c, s = math.cos(L), math.sin(L)
+        out.append((c, s, c + s / u, s - c / u))
+    return np.array(out).T
 
 
 GRID_BASE_STEP = 1e-3       # largest step of a graded grid
@@ -473,7 +476,10 @@ def graded_grid(t_end, include=()):
     ``min(GRID_BASE_STEP, max(t / GRID_RATIO, GRID_T_MIN))``.
 
     Signed: the grid runs toward ``t_end`` of either sign and contains
-    every requested ``include`` time.
+    ``sign(t_end) * |t|`` for every ``include`` time t with
+    ``GRID_T_MIN <= |t| <= |t_end|``: include times are matched by |t|.
+    The sign is applied last, so the grid for -T is the exact negation of
+    the grid for T.
     """
     sign = 1.0 if t_end > 0 else -1.0
     T = abs(t_end)
@@ -525,30 +531,23 @@ def solve_goh_covector(factor_family):
     return v
 
 
-def spiral_lift(algebra, fields, coord, t_end, include, cap):
+def spiral_lift(levels, grid, third, stage_controls, n):
     """Horizontal lift of ``(t^2, t, f(t), *, ...)`` in a rank-3 factor.
 
-    ``coord`` is the pair ``(f, df/dt)`` of the third coordinate.  The run
-    follows :func:`graded_grid` with the ``include`` times and starts at
-    ``+-GRID_T_MIN`` from the analytic seed; coordinates above the index
-    bound ``cap`` are dropped from the state.  Returns ``(grid, ys)``,
-    ys the len(grid) x n float64 array of states, zero above ``cap``.
+    ``levels`` are the :func:`_field_levels` of the factor's horizontal
+    fields on its coordinates 1..cap, so coordinates above cap are dropped
+    from the state.  The run follows ``grid`` from the analytic seed
+    ``(t0^2, t0, third)`` at ``t0 = grid[0]``, ``third = f(t0)``, under
+    the controls ``(2t, 1, f'(t))`` that ``stage_controls`` gives as
+    :func:`_rk4_levels` reads them.  Returns ``(grid, ys)``, ys the
+    len(grid) x n float64 array of states, zero above cap.
     """
     import numpy as np
-    grid = graded_grid(t_end, include)
-    f3, dcoord = coord
-    seed = [0.0] * cap
+    cap = sum(len(coords) for coords, _ in levels)
     t0 = grid[0]
-    seed[0] = t0 * t0
-    seed[1] = t0
-    seed[2] = f3(t0)
-
-    def controls(t):
-        return (2.0 * t, 1.0, dcoord(t))
-
-    ys = np.zeros((len(grid), algebra.n))
-    ys[:, :cap] = _rk4_levels(_field_levels(fields[:algebra.r], cap), seed,
-                              grid, _time_controls(controls, grid))
+    seed = [t0 * t0, t0, third] + [0.0] * (cap - 3)
+    ys = np.zeros((len(grid), n))
+    ys[:, :cap] = _rk4_levels(levels, seed, grid, stage_controls)
     return grid, ys
 
 
@@ -559,6 +558,11 @@ def spiral_example(samples_per_side=1000, puncture=1e-6, tol=1e-8):
     degree-2 rows ``(y_2^2 - y_1, 0, 0)`` in each factor, lifts the
     spiral horizontally on a graded grid, and reports the Goh residuals
     together with the control bound.
+
+    The lifts run on :func:`graded_grid` of 1 and of -1, one the exact
+    negation of the other, so one :func:`_spiral_sweep` over the grid and
+    stage times of the positive grid gives every spiral value they and
+    the samples read.
     """
     import numpy as np
     factor, _ = build_free(3, 4)
@@ -582,31 +586,49 @@ def spiral_example(samples_per_side=1000, puncture=1e-6, tol=1e-8):
     uni = [knee + (1.0 - knee) * m / (n_uni - 1) for m in range(n_uni)]
     sample_ts = sorted(set(geo + uni))
     sample_ts = [min(t, 1.0) for t in sample_ts]
+
+    grid = graded_grid(1.0, sample_ts)
+    _, mid, end, _ = _stage_times(grid)
+    ts, at = np.unique(np.concatenate([grid, mid, end]), return_inverse=True)
+    cos_l, sin_l, dphi, dpsi = _spiral_sweep(ts.tolist())
+    at_grid, at_mid, at_end = np.split(at, [len(grid), len(grid) + len(mid)])
+    # stage-major positions in ts; a step's start is the previous step's
+    # end wherever that is the next grid time, the same float
+    stages = np.stack([at_grid[:-1], at_mid, at_mid, at_end])
+    levels = _field_levels(factor_fields[:factor.r], cap)
+
+    def lift(sign, trig, deriv):
+        # the third coordinate is t * trig, its control deriv
+        signed = sign * np.array(grid)
+        U = np.column_stack([2.0 * sign * ts, np.ones(len(ts)), deriv])
+        return spiral_lift(levels, signed, signed[0] * trig[at_grid[0]],
+                           lambda a, b: U[stages[:, a:b].ravel()],
+                           factor.n)[1]
+
+    times = np.array(sample_ts)
+    row_of = {t: m for m, t in enumerate(grid)}
+    rows = np.array([row_of[t] for t in sample_ts])
+    at_samples = at_grid[rows]
+    bound = float(np.abs(np.concatenate([dphi[at_samples], dpsi[at_samples]]))
+                  .max(initial=0.0))
+    kept = ~(times < puncture)
+    rows, at_kept, times = rows[kept], at_samples[kept], times[kept]
+    phi, psi = times * cos_l[at_kept], times * sin_l[at_kept]
     # a Goh sample is the product point of the two lifts, placed by column
     cols_a, cols_b = ([m[i] - 1 for i in range(1, factor.n + 1)]
                       for m in (product.map_a, product.map_b))
     blocks = []
-    osc_err = bound = 0.0
+    osc_err = 0.0
     for sign in (1.0, -1.0):
-        (grid, ly), (_, lz) = [spiral_lift(factor, factor_fields, coord, sign,
-                                           sample_ts, cap)
-                               for coord in ((spiral_phi, spiral_dphi),
-                                             (spiral_psi, spiral_dpsi))]
-        at = {t: m for m, t in enumerate(grid)}
-        third_y, third_z = ly[:, 2].tolist(), lz[:, 2].tolist()
-        kept = []
-        for t in [sign * s for s in sample_ts]:
-            bound = max(bound, abs(spiral_dphi(t)), abs(spiral_dpsi(t)))
-            if abs(t) < puncture:
-                continue
-            # accuracy witness on the oscillatory third coordinate
-            m = at[t]
-            osc_err = max(osc_err, abs(third_y[m] - spiral_phi(t)),
-                          abs(third_z[m] - spiral_psi(t)))
-            kept.append(m)
-        block = np.zeros((len(kept), product.algebra.n))
-        block[:, cols_a] = ly[kept]
-        block[:, cols_b] = lz[kept]
+        ly = lift(sign, cos_l, dphi)
+        lz = lift(sign, sin_l, dpsi)
+        # accuracy witness on the oscillatory third coordinate
+        osc_err = max(osc_err,
+                      np.abs(ly[rows, 2] - sign * phi).max(initial=0.0),
+                      np.abs(lz[rows, 2] - sign * psi).max(initial=0.0))
+        block = np.zeros((len(rows), product.algebra.n))
+        block[:, cols_a] = ly[rows]
+        block[:, cols_b] = lz[rows]
         blocks.append(block)
     points = np.concatenate(blocks)
     ok, worst = goh_check(product_family, [float(c) for c in vG], points,
@@ -625,7 +647,7 @@ def spiral_example(samples_per_side=1000, puncture=1e-6, tol=1e-8):
         "goh_ok": bool(ok),
         "max_residual": float(worst),
         "origin_exact_zero": bool(ok0) and worst0 == 0,
-        "third_coordinate_error": osc_err,
+        "third_coordinate_error": float(osc_err),
         "control_bound": bound,
         "control_bound_ok": bound <= 2.0,
     }

@@ -1,14 +1,17 @@
 from fractions import Fraction
 from itertools import combinations, permutations
-from math import factorial
+from math import cos, factorial, log, log2, sin
 
 import pytest
 from hypothesis import strategies as st
 
 from carnotpoly import build_free
 from carnotpoly import linalg
+from carnotpoly.abnormal import goh_check, product_group
 from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
                                 generation_columns)
+from carnotpoly.dynamics import (_field_levels, _rk4_levels, graded_grid,
+                                 solve_goh_covector)
 from carnotpoly.extremal import ExtremalFamily, build_family
 from carnotpoly.group import left_invariant_fields
 from carnotpoly.poly import (Poly, _add_terms, _key_mul, _term_plan, _wrap,
@@ -144,6 +147,154 @@ def reference_field_sum(fields, size):
 
     return run
 
+
+def reference_time_controls(controls, times):
+    """Reference for ``dynamics._time_controls``: the stage times worked
+    out point by point, step after step, with a step's read at ``t + h``
+    carried to the next step when ``t + h`` is the next grid time."""
+    import numpy as np
+    carry = None    # controls(times[m]) when the previous step read them
+
+    def read(start, stop):
+        nonlocal carry
+        u1, u2, u4 = [], [], []
+        for m in range(start, stop):
+            t, h = times[m], times[m + 1] - times[m]
+            u1.append(controls(t) if carry is None else carry)
+            u2.append(controls(t + 0.5 * h))
+            carry = controls(t + h)
+            u4.append(carry)
+            if t + h != times[m + 1]:
+                carry = None
+        return np.array(u1 + u2 + u2 + u4, float)
+
+    return read
+
+
+# the spiral and its derivatives point by point: the references of
+# ``dynamics._spiral_sweep``
+
+def spiral_phi(t):
+    if t == 0:
+        return 0.0
+    return t * cos(log(1.0 - log(abs(t))))
+
+
+def spiral_psi(t):
+    if t == 0:
+        return 0.0
+    return t * sin(log(1.0 - log(abs(t))))
+
+
+def spiral_dphi(t):
+    u = 1.0 - log(abs(t))
+    L = log(u)
+    return cos(L) + sin(L) / u
+
+
+def spiral_dpsi(t):
+    u = 1.0 - log(abs(t))
+    L = log(u)
+    return sin(L) - cos(L) / u
+
+
+def reference_spiral_example(samples_per_side=1000, puncture=1e-6,
+                             tol=1e-8):
+    """Reference for ``dynamics.spiral_example``: each of the four lifts
+    builds its own graded grid and field levels and reads its controls
+    ``(2t, 1, f'(t))`` point by point, and the samples read the spiral
+    functions one time at a time."""
+    import numpy as np
+    factor, _ = build_free(3, 4)
+    factor_fields = left_invariant_fields(factor)
+    factor_family = build_family(factor, rows=factor.stratum(2))
+    v = solve_goh_covector(factor_family)
+    product = product_group(factor, factor)
+    goh_rows = [j for j in range(1, product.algebra.n + 1)
+                if product.algebra.degrees[j] in (1, 2)]
+    product_family = build_family(product.algebra, rows=goh_rows)
+    vG = product.embed_point(v, v)
+
+    def lift(coord, t_end, include, cap):
+        grid = graded_grid(t_end, include)
+        f3, dcoord = coord
+        seed = [0.0] * cap
+        t0 = grid[0]
+        seed[0] = t0 * t0
+        seed[1] = t0
+        seed[2] = f3(t0)
+
+        def controls(t):
+            return (2.0 * t, 1.0, dcoord(t))
+
+        ys = np.zeros((len(grid), factor.n))
+        ys[:, :cap] = _rk4_levels(
+            _field_levels(factor_fields[:factor.r], cap), seed, grid,
+            reference_time_controls(controls, grid))
+        return grid, ys
+
+    cap = max(j for j in range(1, factor.n + 1) if factor.degrees[j] <= 3)
+    half = max(samples_per_side, 4)
+    n_geo = half // 2
+    n_uni = half - n_geo
+    knee = 0.05
+    geo = [puncture * (knee / puncture) ** (m / n_geo)
+           for m in range(n_geo)]
+    uni = [knee + (1.0 - knee) * m / (n_uni - 1) for m in range(n_uni)]
+    sample_ts = sorted(set(geo + uni))
+    sample_ts = [min(t, 1.0) for t in sample_ts]
+    cols_a, cols_b = ([m[i] - 1 for i in range(1, factor.n + 1)]
+                      for m in (product.map_a, product.map_b))
+    blocks = []
+    osc_err = bound = 0.0
+    for sign in (1.0, -1.0):
+        (grid, ly), (_, lz) = [lift(coord, sign, sample_ts, cap)
+                               for coord in ((spiral_phi, spiral_dphi),
+                                             (spiral_psi, spiral_dpsi))]
+        at = {t: m for m, t in enumerate(grid)}
+        third_y, third_z = ly[:, 2].tolist(), lz[:, 2].tolist()
+        kept = []
+        for t in [sign * s for s in sample_ts]:
+            bound = max(bound, abs(spiral_dphi(t)), abs(spiral_dpsi(t)))
+            if abs(t) < puncture:
+                continue
+            m = at[t]
+            osc_err = max(osc_err, abs(third_y[m] - spiral_phi(t)),
+                          abs(third_z[m] - spiral_psi(t)))
+            kept.append(m)
+        block = np.zeros((len(kept), product.algebra.n))
+        block[:, cols_a] = ly[kept]
+        block[:, cols_b] = lz[kept]
+        blocks.append(block)
+    points = np.concatenate(blocks)
+    ok, worst = goh_check(product_family, [float(c) for c in vG], points,
+                          tol=tol)
+    origin = [Fraction(0)] * product.algebra.n
+    ok0, worst0 = goh_check(product_family, vG, [origin], tol=0)
+    return {
+        "dimension": product.algebra.n,
+        "rank": product.algebra.r,
+        "step": product.algebra.s,
+        "covector_support": {k + 1: v[k] for k in range(len(v)) if v[k]},
+        "samples": len(points),
+        "puncture": puncture,
+        "goh_ok": bool(ok),
+        "max_residual": float(worst),
+        "origin_exact_zero": bool(ok0) and worst0 == 0,
+        "third_coordinate_error": osc_err,
+        "control_bound": bound,
+        "control_bound_ok": bound <= 2.0,
+    }
+
+
+def convergence_order(drifts):
+    """Observed order from drifts at successively halved steps."""
+    orders = []
+    for a, b in zip(drifts, drifts[1:]):
+        if a == 0 or b == 0:
+            continue
+        orders.append(log2(a / b))
+    return min(orders) if orders else float("inf")
 
 
 def reference_bracket_indices(A, i, j):

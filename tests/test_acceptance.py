@@ -17,8 +17,7 @@ import sympy
 
 from carnotpoly.abnormal import minor_system
 from carnotpoly.algebra import validate
-from carnotpoly.dynamics import (convergence_order, duality_check,
-                                 integrate_horizontal,
+from carnotpoly.dynamics import (duality_check, integrate_horizontal,
                                  integrate_normal, iterated_integrals,
                                  uniform_grid)
 from carnotpoly.extremal import build_family, verify_structure
@@ -27,8 +26,8 @@ from carnotpoly.group import left_invariant_fields
 from carnotpoly.poly import Poly, weighted_degree
 from carnotpoly.prolongation import prolong
 
-from conftest import (ELEMENTARY_G0, coefficient, heisenberg_algebra,
-                      is_homogeneous)
+from conftest import (ELEMENTARY_G0, coefficient, convergence_order,
+                      heisenberg_algebra, is_homogeneous)
 from test_extremal import GOLDEN_Q, W24
 
 

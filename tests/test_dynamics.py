@@ -10,20 +10,21 @@ from hypothesis import strategies as st
 from carnotpoly.algebra import GradedLieAlgebra, StructureError
 from carnotpoly.dynamics import (BLOCK_STEPS, CurvePath, _adjoint_levels,
                                  _adjoint_rhs, _adjoint_tables, _field_levels,
-                                 _rk4, _rk4_levels, _time_controls,
-                                 convergence_order, duality_check,
-                                 graded_grid,
-                                 integrate_adjoint, integrate_horizontal,
-                                 integrate_normal, iterated_integrals,
-                                 solve_goh_covector, spiral_dphi, spiral_dpsi,
-                                 spiral_example, spiral_phi, spiral_psi,
-                                 uniform_grid)
+                                 _rk4, _rk4_levels, _spiral_sweep,
+                                 _stage_times, _time_controls, duality_check,
+                                 graded_grid, integrate_adjoint,
+                                 integrate_horizontal, integrate_normal,
+                                 iterated_integrals, solve_goh_covector,
+                                 spiral_example, uniform_grid)
 from carnotpoly.extremal import build_family
 from carnotpoly.freelie import build_free
 from carnotpoly.group import (flow, identity, left_invariant_fields,
                               to_second_kind)
 from carnotpoly.poly import Poly, PolyVectorField
-from conftest import compile_field_sum, recombined_free, reference_field_sum
+from conftest import (compile_field_sum, convergence_order, recombined_free,
+                      reference_field_sum, reference_spiral_example,
+                      reference_time_controls, spiral_dphi, spiral_dpsi,
+                      spiral_phi, spiral_psi)
 
 
 GRID = uniform_grid(0.0, 1.0, 1e-3)
@@ -233,6 +234,61 @@ def test_rk4_reads_each_stage_time_once(free24, grid, reads):
     field = compile_field_sum(fields, 8)
     want = _rk4(lambda t, y: field(controls(t), y), y0, grid)
     assert _hex_rows(got.tolist()) == _hex_rows(want)
+
+
+# grids whose steps t + h all land on the next time, and hand-built ones
+# where some miss it: each maps a drawn nonzero t_end in [-2, 2] to a grid
+STAGE_GRIDS = {
+    "uniform": lambda t1: uniform_grid(0.0, t1, abs(t1) / 37),
+    "graded": lambda t1: graded_grid(0.02 * t1, include=(-0.003, 0.011)),
+    # t + h misses on the steps from 0.7, 2.9 and -1.3, and on the last
+    "misses": lambda t1: [0.7, 1e-17, 0.3, 0.1, 2.9, -1.3, 0.2, t1,
+                          1e-17 * t1],
+}
+SMALL = st.floats(-4, 4, allow_nan=False) | st.sampled_from([1e-17, -0.0])
+
+
+@pytest.mark.parametrize("grid", list(STAGE_GRIDS) + ["drawn"])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_time_controls_have_the_reference_bits_and_reads(grid, data):
+    # the stage arrays of every block, and the times the callable is
+    # read at, in order, against the step-by-step reader; blocks of a
+    # drawn size make a carry cross block boundaries
+    if grid == "drawn":
+        grid = data.draw(st.lists(SMALL, min_size=1, max_size=12))
+    else:
+        grid = STAGE_GRIDS[grid](data.draw(st.floats(-2, 2).filter(bool)))
+    block = data.draw(st.integers(1, 5))
+    readers, calls = [], []
+    for make in (_time_controls, reference_time_controls):
+        log = []
+        calls.append(log)
+
+        def controls(t, log=log):
+            log.append(t.hex())
+            return (math.cos(3 * t), t * t - 1.0)
+
+        read = make(controls, grid)
+        readers.append([read(a, min(a + block, len(grid) - 1)).tolist()
+                        for a in range(0, len(grid) - 1, block)])
+    got, want = readers
+    assert [_hex_rows(U) for U in got] == [_hex_rows(U) for U in want]
+    assert calls[0] == calls[1]
+
+
+def test_one_time_grid_returns_the_start_and_reads_no_controls(
+        free24, free24_family):
+    def controls(t):
+        raise AssertionError(f"controls read at {t}")
+
+    x0, lam0 = [0.1 * k for k in range(8)], [0.3 - 0.1 * k for k in range(8)]
+    curve = integrate_horizontal(free24, controls, x0, [0.5])
+    assert curve.gamma == [x0]
+    lam = integrate_adjoint(free24, curve, lam0).lam
+    assert lam.tolist() == [lam0]
+    table, _ = iterated_integrals(free24_family, curve, lam0)
+    assert all(vals == [0.0] for vals in table.values())
 
 
 FREE = [build_free(r, s)[0] for r, s in ((2, 4), (2, 5), (3, 3))]
@@ -469,6 +525,30 @@ def test_graded_grid_contains_requested_times():
     assert grid == sorted(grid)
 
 
+@pytest.mark.parametrize("T, include", [
+    (1.0, ()), (0.5, (-0.1,)), (0.02, (0.003, -0.011, 5.0, 1e-12)),
+    (1.0, (1e-6, 3e-4, -0.05, 0.999, 1.0))])
+def test_graded_grid_of_minus_t_is_the_negated_grid(T, include):
+    # include times are matched by |t|, and the sign is applied last
+    assert [t.hex() for t in graded_grid(-T, include)] == \
+        [(-t).hex() for t in graded_grid(T, include)]
+
+
+def test_spiral_sweep_has_the_bits_of_the_spiral_functions():
+    # at every grid time and stage time of a graded grid, and at their
+    # negations: phi = t cos L, psi = t sin L, and phi', psi' read |t|
+    grid = graded_grid(1.0, include=(1e-6, 0.05, 0.3))
+    _, mid, end, _ = _stage_times(grid)
+    ts = sorted(set(grid) | set(mid.tolist()) | set(end.tolist()))
+    for t, c, s, dphi, dpsi in zip(ts, *_spiral_sweep(ts).tolist()):
+        for sign in (1.0, -1.0):
+            signed = sign * t
+            assert (signed * c).hex() == spiral_phi(signed).hex()
+            assert (signed * s).hex() == spiral_psi(signed).hex()
+            assert dphi.hex() == spiral_dphi(signed).hex()
+            assert dpsi.hex() == spiral_dpsi(signed).hex()
+
+
 def test_solve_goh_covector_rows(free34):
     fam = build_family(free34, rows=free34.stratum(2))
     v = solve_goh_covector(fam)
@@ -480,6 +560,20 @@ def test_solve_goh_covector_rows(free34):
     assert p4.terms == expect.terms
     assert not fam.polynomial(5, v)
     assert not fam.polynomial(6, v)
+
+
+@pytest.mark.parametrize("k, puncture", [(50, 3e-5), (1000, 2e-7)])
+def test_spiral_example_has_the_reference_bits(k, puncture):
+    # one grid, one sweep and shared stage controls for the four lifts,
+    # against lifts that each build their grid and read point by point
+    got = spiral_example(samples_per_side=k, puncture=puncture)
+    want = reference_spiral_example(samples_per_side=k, puncture=puncture)
+    assert got.keys() == want.keys()
+    for key, value in want.items():
+        if isinstance(value, float):
+            assert got[key].hex() == value.hex(), key
+        else:
+            assert got[key] == value, key
 
 
 @pytest.mark.slow
