@@ -1,4 +1,4 @@
-"""Abnormal varieties, corank detection, minors, and the Goh condition.
+"""Corank detection, minors, and the Goh condition along abnormal curves.
 
 A horizontal curve through the origin is an abnormal extremal exactly
 when some nonzero covector v annihilates all generator rows P_j^v with
@@ -32,13 +32,6 @@ from .poly import (_add_terms, _wrap, compile_polys, decode_key, encode_terms,
                    exact_values, weighted_degree)
 
 
-def variety_generators(family, v):
-    """The polynomials P_j^v over all stored rows with d(j) <= 1."""
-    if not any(v):
-        raise StructureError("the covector must be nonzero")
-    return [family.polynomial(j, v) for j in family.rows_of_degree_at_most(1)]
-
-
 def _rows_vanish(family, rows, v, samples, tol):
     """Whether the rows P_j^v vanish on every sample.
 
@@ -55,12 +48,6 @@ def _rows_vanish(family, rows, v, samples, tol):
     worst = max((0, *(abs(c) for row in values for c in row))) if exact \
         else float(abs(values).max(initial=0.0))
     return worst <= tol, worst
-
-
-def membership(family, v, samples, tol=None):
-    """Whether every generator row vanishes on every sample."""
-    return _rows_vanish(family, family.rows_of_degree_at_most(1), v,
-                        samples, tol)
 
 
 def detect_abnormal(family, samples, tol=1e-9):

@@ -106,12 +106,6 @@ class GradedLieAlgebra:
     def base_indices(self):
         return range(1, self.n + 1)
 
-    def degree(self, i):
-        try:
-            return self.degrees[i]
-        except KeyError:
-            raise StructureError(f"unknown basis index {i}") from None
-
     def stratum(self, d):
         return list(self._strata.get(d, ()))
 

@@ -20,9 +20,9 @@ from . import io as cio
 from .abnormal import (certificate_text, detect_abnormal, minor_system,
                        nonvanishing_certificate)
 from .algebra import StructureError, validate
-from .dynamics import (MAX_GRID_STEPS, duality_check, integrate_adjoint,
-                       integrate_horizontal, integrate_normal, spiral_example,
-                       uniform_grid)
+from .dynamics import (GRID_T_MIN, MAX_GRID_STEPS, duality_check,
+                       integrate_adjoint, integrate_horizontal,
+                       integrate_normal, spiral_example, uniform_grid)
 from .extremal import build_family, verify_structure
 from .freelie import DimensionCapError, build_free
 from .io import InputError
@@ -361,9 +361,11 @@ def cmd_integrate(args):
 
 
 def cmd_spiral(args):
-    if not 0 < args.puncture < 1:
-        raise InputError("--puncture must be a finite number strictly "
-                         f"between 0 and 1, got {args.puncture}")
+    # the first sample is the puncture, and the graded grid starts at
+    # GRID_T_MIN, so a smaller puncture has no grid time to land on
+    if not GRID_T_MIN <= args.puncture < 1:
+        raise InputError(f"--puncture must be a finite number at least "
+                         f"{GRID_T_MIN} and below 1, got {args.puncture}")
     if not 0 < args.samples <= MAX_GRID_STEPS:
         raise InputError(f"--samples must be a positive integer of at most "
                          f"{MAX_GRID_STEPS}, got {args.samples}")

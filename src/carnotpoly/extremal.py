@@ -13,16 +13,13 @@ is linear in v, so the family is held as the matrix Q with
 where v_k = 0 for k <= 0 by convention.  Q_jk is weighted homogeneous of
 degree d(k) - d(j) (or zero), Q_jk(0) = delta_jk for j >= 1, and the rows
 satisfy the structure formulas  X_i P_j^v = sum_k c_ij^k P_k^v  exactly;
-:func:`verify_structure` checks that identity symbolically and
-:func:`reconstruct_by_recursion` rebuilds the family from it by exact
-antidifferentiation, top stratum down.
+:func:`verify_structure` checks that identity symbolically.
 """
 
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import (GradedLieAlgebra, StructureError, bracket_decompositions,
-                      exp_ad)
+from .algebra import GradedLieAlgebra, exp_ad
 from .group import left_invariant_fields
 from .linalg import clear_denominators, scalar
 from .poly import (BLOCK_POINTS, Poly, _wrap, compile_polys, decode_key,
@@ -54,20 +51,6 @@ class ExtremalFamily:
         if hit is not None:
             return hit
         return Poly.zero(self.n)
-
-    def polynomial(self, j, v):
-        """P_j^v as a polynomial; float covector entries are taken exactly."""
-        if len(v) != self.n:
-            raise StructureError("covector length must equal the dimension")
-        out = Poly.zero(self.n)
-        for k in range(1, self.n + 1):
-            c = v[k - 1]
-            if not c:
-                continue
-            q = self.Q.get((j, k))
-            if q is not None:
-                out = out + q * scalar(c)
-        return out
 
     def evaluate(self, j, v, x):
         """P_j^v(x); exact on rational input."""
@@ -213,78 +196,3 @@ def verify_structure(family):
                 if terms:
                     report.append((i, j, k, _wrap(n, terms)))
     return report
-
-
-def reconstruct_by_recursion(A):
-    """Rebuild the family from the structure formulas alone.
-
-    Start from the top stratum (constant rows) and descend: each lower row
-    has known derivatives along every coordinate field, recovered from the
-    horizontal ones through the generativity decompositions, and is then
-    integrated coordinate by coordinate from x_n down to x_1.  The result
-    must agree with :func:`build_family` exactly; inconsistent derivative
-    data raises :class:`StructureError`.
-    """
-    algebra = _algebra_of(A)
-    n = algebra.n
-    fields = left_invariant_fields(algebra)
-    decomp = bracket_decompositions(algebra)
-    rows = sorted(algebra.degrees)
-    degrees_present = sorted({algebra.degrees[j] for j in rows}, reverse=True)
-    Q = {}
-    for deg in degrees_present:
-        for j in rows:
-            if algebra.degrees[j] != deg:
-                continue
-            if deg == algebra.s:
-                if j >= 1:
-                    Q[(j, j)] = Poly.const(n, 1)
-                continue
-            # Known coordinate-field derivatives of the row vector Q_j.
-            deriv = {}
-            for q in algebra.stratum(1):
-                row = {}
-                for m, c in algebra.bracket_indices(q, j).items():
-                    for k in range(1, n + 1):
-                        qmk = Q.get((m, k))
-                        if qmk is not None:
-                            cur = row.get(k)
-                            row[k] = qmk * c if cur is None else cur + qmk * c
-                deriv[q] = {k: p for k, p in row.items() if p}
-            for d in range(2, algebra.s + 1):
-                for m in algebra.stratum(d):
-                    row = {}
-                    for w, p, qq in decomp[m]:
-                        for k, poly in deriv[qq].items():
-                            t = fields[p - 1].apply(poly) * w
-                            if t:
-                                cur = row.get(k)
-                                row[k] = t if cur is None else cur + t
-                        for k, poly in deriv[p].items():
-                            t = fields[qq - 1].apply(poly) * (-w)
-                            if t:
-                                cur = row.get(k)
-                                row[k] = t if cur is None else cur + t
-                    deriv[m] = {k: p for k, p in row.items() if p}
-            # Integrate along coordinates, outermost first.
-            acc = {}
-            if j >= 1:
-                acc[j] = Poly.const(n, 1)
-            for ell in range(n, 0, -1):
-                for k, poly in deriv[ell].items():
-                    piece = poly.subs_zero(range(1, ell)).integrate(ell)
-                    if piece:
-                        cur = acc.get(k)
-                        acc[k] = piece if cur is None else cur + piece
-            for q in algebra.stratum(1):
-                for k in range(1, n + 1):
-                    got = fields[q - 1].apply(acc.get(k, Poly.zero(n)))
-                    want = deriv[q].get(k, Poly.zero(n))
-                    if got != want:
-                        raise StructureError(
-                            f"row {j}: integrated polynomial does not satisfy "
-                            f"its own derivative data at (i={q}, k={k})")
-            for k, p in acc.items():
-                if p:
-                    Q[(j, k)] = p
-    return ExtremalFamily(algebra, Q)

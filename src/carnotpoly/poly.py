@@ -201,11 +201,6 @@ class Poly:
                 out[nk] = c
         return _wrap(self.n, out)
 
-    def subs_zero(self, vars_to_zero):
-        vz = set(vars_to_zero)
-        return _wrap(self.n, {k: c for k, c in self.terms.items()
-                              if not any(v in vz for v, _ in k)})
-
     def evaluate(self, point):
         """Value at a point given as a sequence of n coordinates."""
         if len(point) != self.n:

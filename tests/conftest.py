@@ -7,13 +7,14 @@ from hypothesis import strategies as st
 
 from carnotpoly import build_free
 from carnotpoly import linalg
-from carnotpoly.abnormal import goh_check, product_group
+from carnotpoly.abnormal import _rows_vanish, goh_check, product_group
 from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
-                                generation_columns)
+                                bracket_decompositions, generation_columns)
 from carnotpoly.dynamics import (_field_levels, _rk4_levels, graded_grid,
                                  solve_goh_covector)
 from carnotpoly.extremal import ExtremalFamily, build_family
 from carnotpoly.group import left_invariant_fields
+from carnotpoly.linalg import scalar
 from carnotpoly.poly import (Poly, _add_terms, _key_mul, _term_plan, _wrap,
                              key_from_alpha, weighted_degree)
 from carnotpoly.prolongation import _algebra_of, prolong
@@ -362,7 +363,7 @@ def iterated_commutator(A, i, alpha):
     ``alpha`` is a dense tuple of length n, and ``alpha = 0`` gives X_i."""
     if len(alpha) != A.n:
         raise StructureError("multi-index length must equal the dimension")
-    A.degree(i)
+    A.degrees[i]  # an unknown index raises KeyError
     value = {i: Fraction(1)}
     for m, mult in enumerate(alpha, start=1):
         for _ in range(mult):
@@ -390,7 +391,7 @@ def generalized_structure_constants(A, i):
     Multi-indices are enumerated breadth-first in ascending generator
     order, pruned by the grading bound ``d(i) + d(alpha) <= s``.
     """
-    di = A.degree(i)
+    di = A.degrees[i]
     out = {}
     frontier = [((0,) * A.n, 0, {i: Fraction(1)})]
     while frontier:
@@ -423,7 +424,7 @@ def field_values(field, point):
 def reference_exp_ad(A, m, xm, Z):
     """Reference for ``algebra.exp_ad``: each ad X_m as a generic bracket
     with the unit map ``{m: 1}``."""
-    bound = A.s - min(map(A.degree, Z), default=A.s)
+    bound = A.s - min((A.degrees[k] for k in Z), default=A.s)
     term = Z
     for p in range(1, bound + 2):
         term = reference_bracket(A, {m: Fraction(1)}, term)
@@ -447,7 +448,8 @@ def poly_exp_ad(algebra, m, xm, Z):
     row = algebra.ad[m]
     if row.keys().isdisjoint(Z):
         return
-    bound = algebra.s - min(map(algebra.degree, Z), default=algebra.s)
+    bound = algebra.s - min((algebra.degrees[k] for k in Z),
+                            default=algebra.s)
     term = Z
     for p in range(1, bound + 2):
         nxt = {}  # ad X_m term, read off row m
@@ -547,6 +549,118 @@ def reference_verify_structure(family):
                 if terms:
                     report.append((i, j, k, Poly(n, terms)))
     return report
+
+
+def subs_zero(p, vars_to_zero):
+    """The Poly ``p`` with every variable in ``vars_to_zero`` set to 0."""
+    vz = set(vars_to_zero)
+    return _wrap(p.n, {k: c for k, c in p.terms.items()
+                       if not any(v in vz for v, _ in k)})
+
+
+def polynomial(family, j, v):
+    """P_j^v as a polynomial; float covector entries are taken exactly."""
+    if len(v) != family.n:
+        raise StructureError("covector length must equal the dimension")
+    out = Poly.zero(family.n)
+    for k in range(1, family.n + 1):
+        c = v[k - 1]
+        if not c:
+            continue
+        q = family.Q.get((j, k))
+        if q is not None:
+            out = out + q * scalar(c)
+    return out
+
+
+def variety_generators(family, v):
+    """The polynomials P_j^v over all stored rows with d(j) <= 1."""
+    if not any(v):
+        raise StructureError("the covector must be nonzero")
+    return [polynomial(family, j, v)
+            for j in family.rows_of_degree_at_most(1)]
+
+
+def membership(family, v, samples, tol=None):
+    """Whether every generator row vanishes on every sample."""
+    return _rows_vanish(family, family.rows_of_degree_at_most(1), v,
+                        samples, tol)
+
+
+def reconstruct_by_recursion(A):
+    """Oracle for ``extremal.build_family``: rebuild the family from the
+    structure formulas alone.
+
+    Start from the top stratum (constant rows) and descend: each lower row
+    has known derivatives along every coordinate field, recovered from the
+    horizontal ones through the generativity decompositions, and is then
+    integrated coordinate by coordinate from x_n down to x_1.  The result
+    must agree with ``build_family`` exactly; inconsistent derivative
+    data raises :class:`StructureError`.
+    """
+    algebra = _algebra_of(A)
+    n = algebra.n
+    fields = left_invariant_fields(algebra)
+    decomp = bracket_decompositions(algebra)
+    rows = sorted(algebra.degrees)
+    degrees_present = sorted({algebra.degrees[j] for j in rows}, reverse=True)
+    Q = {}
+    for deg in degrees_present:
+        for j in rows:
+            if algebra.degrees[j] != deg:
+                continue
+            if deg == algebra.s:
+                if j >= 1:
+                    Q[(j, j)] = Poly.const(n, 1)
+                continue
+            # Known coordinate-field derivatives of the row vector Q_j.
+            deriv = {}
+            for q in algebra.stratum(1):
+                row = {}
+                for m, c in algebra.bracket_indices(q, j).items():
+                    for k in range(1, n + 1):
+                        qmk = Q.get((m, k))
+                        if qmk is not None:
+                            cur = row.get(k)
+                            row[k] = qmk * c if cur is None else cur + qmk * c
+                deriv[q] = {k: p for k, p in row.items() if p}
+            for d in range(2, algebra.s + 1):
+                for m in algebra.stratum(d):
+                    row = {}
+                    for w, p, qq in decomp[m]:
+                        for k, poly in deriv[qq].items():
+                            t = fields[p - 1].apply(poly) * w
+                            if t:
+                                cur = row.get(k)
+                                row[k] = t if cur is None else cur + t
+                        for k, poly in deriv[p].items():
+                            t = fields[qq - 1].apply(poly) * (-w)
+                            if t:
+                                cur = row.get(k)
+                                row[k] = t if cur is None else cur + t
+                    deriv[m] = {k: p for k, p in row.items() if p}
+            # Integrate along coordinates, outermost first.
+            acc = {}
+            if j >= 1:
+                acc[j] = Poly.const(n, 1)
+            for ell in range(n, 0, -1):
+                for k, poly in deriv[ell].items():
+                    piece = subs_zero(poly, range(1, ell)).integrate(ell)
+                    if piece:
+                        cur = acc.get(k)
+                        acc[k] = piece if cur is None else cur + piece
+            for q in algebra.stratum(1):
+                for k in range(1, n + 1):
+                    got = fields[q - 1].apply(acc.get(k, Poly.zero(n)))
+                    want = deriv[q].get(k, Poly.zero(n))
+                    if got != want:
+                        raise StructureError(
+                            f"row {j}: integrated polynomial does not satisfy "
+                            f"its own derivative data at (i={q}, k={k})")
+            for k, p in acc.items():
+                if p:
+                    Q[(j, k)] = p
+    return ExtremalFamily(algebra, Q)
 
 
 def reference_validate(A):

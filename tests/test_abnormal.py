@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 
 from carnotpoly import abnormal, linalg
 from carnotpoly.abnormal import (_maximal_minors, certificate_text,
-                                 detect_abnormal, goh_check,
-                                 membership, minor_system,
-                                 nonvanishing_certificate, product_group,
-                                 variety_generators)
+                                 detect_abnormal, goh_check, minor_system,
+                                 nonvanishing_certificate, product_group)
 from carnotpoly.algebra import StructureError, validate
 from carnotpoly.extremal import build_family
 from carnotpoly.freelie import build_free
@@ -21,8 +19,10 @@ from carnotpoly.group import flow, identity, to_second_kind
 from carnotpoly.poly import Poly, canonical_text, weighted_degree
 from carnotpoly.prolongation import prolong
 
-from conftest import (coefficient, is_homogeneous, recombined_free,
-                      reference_det, reference_maximal_minors, typed_terms)
+from conftest import (coefficient, is_homogeneous, membership,
+                      recombined_free, reference_det,
+                      reference_maximal_minors, typed_terms,
+                      variety_generators)
 
 W24 = (1, 1, 2, 3, 3, 4, 4, 4)
 

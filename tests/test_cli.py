@@ -705,14 +705,19 @@ def test_minors_without_enough_rows_expand_nothing(tmp_path, capsys):
 
 
 def test_spiral_rejects_unusable_arguments(capsys):
+    # the first sample is the puncture itself, and the graded grid holds
+    # no time below GRID_T_MIN = 1e-9, so 1e-10 is refused too
     for extra in (["--puncture", "0"], ["--puncture", "-0.5"],
                   ["--puncture", "nan"], ["--puncture", "inf"],
                   ["--puncture", "1"], ["--puncture", "2"],
+                  ["--puncture", "1e-10"],
                   ["--samples", "0"], ["--samples", "-4"],
                   ["--samples", "1000001"]):
         code, out, err = run(capsys, "spiral", *extra, "--json")
         assert code == 2, extra
         assert out == "" and err.startswith("error: "), extra
+        if extra[0] == "--puncture":
+            assert "at least 1e-09 and below 1" in err, extra
 
 
 def test_detect_rejects_non_finite_float_samples(tmp_path, capsys):
@@ -766,11 +771,13 @@ def test_detect_rejects_overflowing_generator_rows(tmp_path, capsys):
 
 
 def test_spiral_cli_small(capsys):
-    code, out, _ = run(capsys, "spiral", "--samples", "60",
-                       "--puncture", "1e-4", "--json")
-    assert code == 0
-    doc = json.loads(out)
-    assert doc["goh_ok"] and doc["dimension"] == 64
+    # 1e-9 is the smallest puncture the graded grid holds
+    for puncture in ("1e-4", "1e-9"):
+        code, out, _ = run(capsys, "spiral", "--samples", "60",
+                           "--puncture", puncture, "--json")
+        assert code == 0, puncture
+        doc = json.loads(out)
+        assert doc["goh_ok"] and doc["dimension"] == 64
 
 
 # the positionals and options each command's --help names, and the

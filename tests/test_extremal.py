@@ -8,8 +8,7 @@ from hypothesis import strategies as st
 from carnotpoly import extremal, linalg
 from carnotpoly.algebra import (GradedLieAlgebra, StructureError, exp_ad,
                                validate)
-from carnotpoly.extremal import (build_family, reconstruct_by_recursion,
-                                 verify_structure)
+from carnotpoly.extremal import build_family, verify_structure
 from carnotpoly.freelie import build_free
 from carnotpoly.group import left_invariant_fields
 from carnotpoly.poly import Poly, canonical_text, weighted_degree
@@ -18,7 +17,8 @@ from carnotpoly.prolongation import prolong
 from conftest import (degree_bound_report, generalized_structure_constants,
                       is_homogeneous, iterated_commutator,
                       multi_index_factorial, poly_exp_ad,
-                      poly_family_and_fields, recombined_free,
+                      poly_family_and_fields, polynomial,
+                      reconstruct_by_recursion, recombined_free,
                       reference_verify_structure, typed_terms)
 
 W24 = (1, 1, 2, 3, 3, 4, 4, 4)
@@ -146,9 +146,9 @@ def test_linearity_in_covector(free24_family):
         aa, bb = Fraction(3, 2), Fraction(-7, 5)
         combo = [aa * c + bb * d for c, d in zip(v, w)]
         for j in free24_family.rows():
-            lhs = free24_family.polynomial(j, combo)
-            rhs = free24_family.polynomial(j, v) * aa + \
-                free24_family.polynomial(j, w) * bb
+            lhs = polynomial(free24_family, j, combo)
+            rhs = polynomial(free24_family, j, v) * aa + \
+                polynomial(free24_family, j, w) * bb
             assert lhs == rhs
 
 
@@ -420,6 +420,13 @@ def test_reconstruction_equals_definition_rank3(free34_prolonged):
     assert set(rec.Q) == set(fam.Q)
     for key in fam.Q:
         assert rec.Q[key] == fam.Q[key], key
+
+
+@settings(max_examples=20, deadline=None)
+@given(base=recombined_free(), depth=st.sampled_from([None, 1, 2]))
+def test_reconstruction_equals_definition_on_recombined_bases(base, depth):
+    A = base if depth is None else prolong(base, depth)
+    assert reconstruct_by_recursion(A).Q == build_family(A).Q
 
 
 def test_top_stratum_rows_are_constants(free24_family):
