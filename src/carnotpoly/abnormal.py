@@ -59,29 +59,27 @@ def detect_abnormal(family, samples, tol=1e-9):
     bounds the corank from above, and too few samples over-approximate
     it), and (numeric path) the singular value spectrum.  Samples must
     include the origin for the corank reading to be sound; missing origin
-    and very few samples are flagged in ``warnings``.  Float rows that
-    overflow raise OverflowError.
+    and very few samples are flagged in ``warnings``.  Samples of the wrong
+    length raise ValueError; overflowing float rows raise OverflowError.
     """
     n = family.n
+    if any(len(x) != n for x in samples):
+        raise ValueError("coordinate count must equal the dimension")
     rows = family.rows_of_degree_at_most(1)
+    entries = [family.q(j, k) for j in rows for k in range(1, n + 1)]
     warnings = []
     if not any(all(not c for c in x) for x in samples):
         warnings.append("samples do not include the origin")
     if len(samples) < 2:
         warnings.append("very few samples: null space is an over-approximation")
     if all_exact(samples):
-        if any(len(x) != n for x in samples):
-            raise ValueError("coordinate count must equal the dimension")
-        matrix = [values[i:i + n] for values in exact_values(
-            [family.q(j, k) for j in rows for k in range(1, n + 1)], samples)
-            for i in range(0, len(rows) * n, n)]
+        matrix = [row[i:i + n] for row in exact_values(entries, samples)
+                  for i in range(0, len(rows) * n, n)]
         basis = linalg.nullspace(matrix, n)
         return {"exact": True, "basis": basis, "corank_lower_bound": len(basis),
                 "warnings": warnings}
     import numpy as np
-    entries = compile_polys([family.q(j, k) for j in rows
-                             for k in range(1, n + 1)])
-    M = entries(samples).reshape(-1, n)
+    M = compile_polys(entries)(samples).reshape(-1, n)
     if not np.isfinite(M).all():
         raise OverflowError("the generator rows overflow to non-finite "
                             "values on the curve samples")

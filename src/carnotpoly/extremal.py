@@ -23,7 +23,7 @@ from .algebra import GradedLieAlgebra, exp_ad
 from .group import left_invariant_fields
 from .linalg import clear_denominators, scalar
 from .poly import (BLOCK_POINTS, Poly, _wrap, compile_polys, decode_key,
-                   encode_terms)
+                   encode_terms, exact_values)
 from .prolongation import _algebra_of
 
 
@@ -53,32 +53,18 @@ class ExtremalFamily:
         return Poly.zero(self.n)
 
     def evaluate(self, j, v, x):
-        """P_j^v(x); exact on rational input."""
-        total = None
-        for k in range(1, self.n + 1):
-            c = v[k - 1]
-            if not c:
-                continue
-            q = self.Q.get((j, k))
-            if q is None:
-                continue
-            val = q.evaluate(x) * c
-            total = val if total is None else total + val
-        if total is None:
-            return 0
-        return total
+        """P_j^v(x): :meth:`evaluator` at one point, exact when x and v are."""
+        return self.evaluator([j], v, all_exact([x, v]))([x])[0][0]
 
     def evaluator(self, rows, v, exact):
         """Map a batch of points to the rows ``[P_j^v(x) for j in rows]``.
 
-        Exact points go through :meth:`evaluate` into lists; float points
-        give the same bits in an N x len(rows) float64 array through
-        :func:`compile_polys`, a block at a time.
+        One plan, the values y_k of the Q_jk with v_k != 0 and then each
+        row ``sum_k v_k y_k`` over ascending k, runs on exact points and v
+        through :func:`poly.exact_values` into lists of ints and Fractions,
+        else through :func:`compile_polys`, a block at a time, into an
+        N x len(rows) float64 array (an exact point read as its floats).
         """
-        if exact:
-            return lambda xs: [[self.evaluate(j, v, x) for j in rows]
-                               for x in xs]
-        import numpy as np
         polys, sums = [], []
         for j in rows:
             terms = {}
@@ -87,9 +73,11 @@ class ExtremalFamily:
                 if v[k - 1] and q is not None:
                     polys.append(q)
                     terms[((len(polys), 1),)] = v[k - 1]
-            sums.append(Poly(len(polys), terms))
-        # row j is linear in the values Q_jk(x): a second kernel sums
-        # Q_jk(x) * v_k over ascending k with v_k != 0, as evaluate does
+            sums.append(terms)
+        sums = [Poly(len(polys), terms) for terms in sums]
+        if exact and all_exact([v]):
+            return lambda xs: list(exact_values(sums, exact_values(polys, xs)))
+        import numpy as np
         inner, outer = compile_polys(polys), compile_polys(sums)
         return lambda xs: np.vstack([np.empty((0, len(sums)))] + [
             outer(inner(xs[s:s + BLOCK_POINTS]))

@@ -298,9 +298,13 @@ def exact_values(polys, points):
     """``[p.evaluate(x) for p in polys]`` for each exact point, in turn, in
     integer arithmetic: each monomial once per point, as an unreduced
     fraction, and each value over the least common denominator of its
-    terms, reduced once; a Fraction exactly when one enters a term."""
+    terms, reduced once; a Fraction exactly when one enters a term.  A
+    point whose length is not the dimension raises ValueError."""
     keys = {key for p in polys for key in p.terms}
+    dims = {p.n for p in polys}
     for x in points:
+        if dims - {len(x)}:
+            raise ValueError("coordinate count must equal the dimension")
         mono = {key: (prod(x[v - 1].numerator ** e for v, e in key),
                       prod(x[v - 1].denominator ** e for v, e in key),
                       any(type(x[v - 1]) is Fraction for v, _ in key))
@@ -322,8 +326,8 @@ BLOCK_POINTS = 256  # points per NumPy pass of compile_polys
 
 
 def _term_plan(p):
-    """Float plan of a nonzero Poly: ``(first, rest)``, one ``(c, idx)``
-    per term in ``terms`` order, where c is the float coefficient and idx
+    """Float plan of a nonzero Poly: a list of one ``(c, idx)`` per term
+    in ``terms`` order, where c is the float coefficient and idx
     names the 0-based variable of each power, one power at a time.
 
     Running a term as ``c * point[i] * ...`` and summing from the first
@@ -333,7 +337,7 @@ def _term_plan(p):
     """
     terms = [(float(c), tuple(v - 1 for v, e in k for _ in range(e)))
              for k, c in p.terms.items()]
-    return terms[0], terms[1:]
+    return terms
 
 
 def compile_polys(polys):
@@ -346,10 +350,11 @@ def compile_polys(polys):
     a row of 1.0), and the slots add in ``terms`` order, so float points
     get the bits of :meth:`Poly.evaluate`.  Exact coordinates are read as
     floats; overflow gives inf or nan silently, as Python floats do.
+    Points may be wider than the polynomials read, but not narrower.
     """
     import numpy as np
     plans = {pos: _term_plan(p) for pos, p in enumerate(polys) if p}
-    plans = {pos: [first, *rest] for pos, (first, rest) in plans.items()}
+    top = max((k[-1][0] for p in polys for k in p.terms if k), default=0)
     # longest plans first, so slot s covers a prefix of the live columns
     live = sorted(plans, key=lambda pos: -len(plans[pos]))
     slots = []
@@ -365,6 +370,8 @@ def compile_polys(polys):
         with np.errstate(all="ignore"):
             for start in range(0, len(points), BLOCK_POINTS):
                 block = np.asarray(points[start:start + BLOCK_POINTS], float)
+                if block.shape[1] < top:
+                    raise ValueError("too few coordinates in a point")
                 x = np.vstack([block.T, np.ones(len(block))])
                 acc = np.full((len(live), len(block)), -0.0)  # x + -0.0 is x
                 for count, coef, powers in slots:

@@ -103,7 +103,7 @@ def compile_field_sum(fields, size):
     and an accumulator that starts at +0.0 never holds -0.0, so adding
     +-0.0 changes nothing.
     """
-    rows = [[(j, *_term_plan(f.coeffs[l]))
+    rows = [[(j, _term_plan(f.coeffs[l]))
              for j, f in enumerate(fields) if l in f.coeffs]
             for l in range(1, size + 1)]
 
@@ -111,7 +111,7 @@ def compile_field_sum(fields, size):
         out = []
         for entries in rows:
             acc = 0.0
-            for j, (total, idx), rest in entries:
+            for j, ((total, idx), *rest) in entries:
                 hj = h[j]
                 if not hj:
                     continue
@@ -556,6 +556,25 @@ def subs_zero(p, vars_to_zero):
     vz = set(vars_to_zero)
     return _wrap(p.n, {k: c for k, c in p.terms.items()
                        if not any(v in vz for v, _ in k)})
+
+
+def reference_evaluate(family, j, v, x):
+    """Reference for ``ExtremalFamily.evaluate`` and ``evaluator``:
+    ``sum_k Q_jk.evaluate(x) * v_k`` over ascending k, zero v_k and
+    absent Q_jk skipped, the int 0 when nothing is left."""
+    total = None
+    for k in range(1, family.n + 1):
+        c = v[k - 1]
+        if not c:
+            continue
+        q = family.Q.get((j, k))
+        if q is None:
+            continue
+        val = q.evaluate(x) * c
+        total = val if total is None else total + val
+    if total is None:
+        return 0
+    return total
 
 
 def polynomial(family, j, v):

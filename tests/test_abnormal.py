@@ -353,6 +353,18 @@ def test_exact_detect_matrix_equals_poly_evaluate(free24_family, data):
         == [[(v, type(v)) for v in row] for row in want]
 
 
+def test_detect_checks_sample_length_on_both_paths(free24):
+    # exact and float samples alike must have n coordinates: the float
+    # kernel reads wider points as prefixes, so a 9-wide float sample
+    # would give a corank, and a 7-wide one as well, since the generator
+    # rows of free(2,4) never read x_6, x_7 or x_8
+    family = build_family(free24)
+    for width in (7, 9):
+        for c in (0.0, Fraction(0)):
+            with pytest.raises(ValueError, match="coordinate count"):
+                detect_abnormal(family, [[c] * 8, [c] * width])
+
+
 def test_rank2_degree2_row_is_dependent(free24, free24_family):
     # the constraints the degree-2 row adds over sampled nonconstant
     # curves already follow from the degree <= 1 rows

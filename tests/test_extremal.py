@@ -19,7 +19,8 @@ from conftest import (degree_bound_report, generalized_structure_constants,
                       multi_index_factorial, poly_exp_ad,
                       poly_family_and_fields, polynomial,
                       reconstruct_by_recursion, recombined_free,
-                      reference_verify_structure, typed_terms)
+                      reference_evaluate, reference_verify_structure,
+                      typed_terms)
 
 W24 = (1, 1, 2, 3, 3, 4, 4, 4)
 
@@ -158,12 +159,71 @@ def test_linearity_in_covector(free24_family):
        x=st.lists(st.floats(-3, 3), min_size=8, max_size=8))
 def test_float_evaluator_equals_evaluate(free24_family, v, x):
     # zero covector entries are skipped by both; every row, prolongation
-    # rows included, must come out as the same float
+    # rows included, must come out as the float of the reference sum
     rows = free24_family.rows()
     got = free24_family.evaluator(rows, v, False)([x])
     assert got.shape == (1, len(rows)) and got.dtype == float
-    assert got.tolist() == [[float(free24_family.evaluate(j, v, x))
+    assert got.tolist() == [[float(reference_evaluate(free24_family, j, v, x))
                              for j in rows]]
+    assert [free24_family.evaluate(j, v, x) for j in rows] == got[0].tolist()
+
+
+_EXACT = st.one_of(st.just(0), st.just(Fraction(0)), st.integers(-3, 3),
+                   st.fractions(-3, 3, max_denominator=5))
+
+
+@settings(max_examples=25, deadline=None)
+@given(base=recombined_free(), prolonged=st.booleans(), data=st.data())
+def test_exact_evaluator_equals_the_reference(base, prolonged, data):
+    # value and int/Fraction type of every row at the origin and at
+    # rational points with zero coordinates, under int, Fraction and
+    # zero covector entries
+    fam = build_family(prolong(base, 2) if prolonged else base)
+    n, rows = fam.n, fam.rows()
+    v = data.draw(st.lists(_EXACT, min_size=n, max_size=n))
+    points = [[0] * n] + data.draw(st.lists(
+        st.lists(_EXACT, min_size=n, max_size=n), max_size=3))
+    want = [[reference_evaluate(fam, j, v, x) for j in rows] for x in points]
+    got = fam.evaluator(rows, v, True)(points)
+    assert [[(c, type(c)) for c in row] for row in got] \
+        == [[(c, type(c)) for c in row] for row in want]
+    pos = data.draw(st.integers(0, len(rows) - 1))
+    got, want = fam.evaluate(rows[pos], v, points[-1]), want[-1][pos]
+    assert (got, type(got)) == (want, type(want))
+
+
+def test_evaluator_reads_exact_points_under_a_float_covector_as_floats(
+        free24_family):
+    # exact_values takes no float, so the batch is read as floats: the
+    # bits of the float evaluator, not float(Q_jk(x)) times v_k
+    rows = free24_family.rows()
+    v = [0.5, 0.0, -1.25, 0.0, 0.1, 0.0, 3.0, -0.7]
+    points = [[0] * 8, [Fraction(1, 3), 2, 0, -1, Fraction(5, 2), 0, 1, 0]]
+    got = free24_family.evaluator(rows, v, True)(points)
+    want = free24_family.evaluator(rows, v, False)(
+        [[float(c) for c in x] for x in points])
+    assert got.dtype == float and got.tolist() == want.tolist()
+    assert free24_family.evaluate(-3, v, points[1]) == want[1][0]
+    assert want.ravel().tolist() == pytest.approx(
+        [reference_evaluate(free24_family, j, v, x)
+         for x in points for j in rows])
+
+
+def test_evaluators_reject_points_of_the_wrong_length(free24, free24_family):
+    # an exact point must have n coordinates; a float batch may be wider,
+    # never narrower: the x_8 that row -3 of the depth-8 prolongation
+    # reads is not the padding 1.0 when it is missing
+    v = [Fraction(1, 2), 0, 3, 0, 0, 0, -1, 1]
+    for x in ([Fraction(1, 3)] * 7, [1] * 9):
+        with pytest.raises(ValueError, match="coordinate count"):
+            free24_family.evaluate(1, v, x)
+        with pytest.raises(ValueError, match="coordinate count"):
+            free24_family.evaluator([1, 2], v, True)([[0] * 8, x])
+    e8 = [0] * 7 + [1]
+    run = build_family(prolong(free24, 8)).evaluator([-3], e8, False)
+    assert run([[0.0] * 8]).tolist() == run([[0.0] * 9]).tolist() == [[0.0]]
+    with pytest.raises(ValueError, match="too few coordinates"):
+        run([[0.0] * 7])
 
 
 def test_q_matrix_homogeneity_and_origin(free24_family):

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from carnotpoly.extremal import build_family
 from carnotpoly.linalg import scalar
 from carnotpoly.poly import (BLOCK_POINTS, Poly, PolyVectorField,
-                             canonical_text, compile_polys, key_from_alpha,
-                             weighted_degree)
+                             canonical_text, compile_polys, exact_values,
+                             key_from_alpha, weighted_degree)
 
 from conftest import (field_values, is_homogeneous, recombined_free,
                       subs_zero)
@@ -231,6 +231,23 @@ def test_batch_kernel_overflows_without_warnings():
         got = compile_polys(polys)(points).tolist()
     assert got == [[p.evaluate(x) for p in polys] for x in points] \
         == [[math.inf, math.inf], [-math.inf, math.inf], [7.0, 4.0]]
+
+
+def test_batch_kernel_reads_no_coordinate_a_point_lacks():
+    # x_3 of a 2-wide point is not the kernel's padding row of 1.0;
+    # wider points are prefixes read as given, and exact_values asks for
+    # the dimension, as Poly.evaluate does
+    polys = [Poly.variable(3, 3), Poly.zero(3)]
+    with pytest.raises(ValueError, match="too few coordinates"):
+        compile_polys(polys)([[2.0, 5.0, 7.0]] * BLOCK_POINTS + [[2.0, 5.0]])
+    assert compile_polys(polys)([[2.0, 5.0, 7.0, 9.0]]).tolist() \
+        == [[7.0, 0.0]]
+    assert compile_polys([Poly.variable(3, 1)])([[2.0]]).tolist() == [[2.0]]
+    for point in ([2, 5], [2, 5, 7, 9]):
+        with pytest.raises(ValueError, match="coordinate count"):
+            polys[0].evaluate(point)
+        with pytest.raises(ValueError, match="coordinate count"):
+            list(exact_values(polys, [[2, 5, 7], point]))
 
 
 def test_integrate_divides_exactly_on_exact_coefficients():
