@@ -29,7 +29,7 @@ from . import linalg
 from .algebra import GradedLieAlgebra, StructureError
 from .extremal import ExtremalFamily, all_exact
 from .poly import (_add_terms, _wrap, compile_polys, decode_key, encode_terms,
-                   exact_values, weighted_degree)
+                   exact_values, monomial_text, weighted_degree)
 
 
 def _rows_vanish(family, rows, v, samples, tol):
@@ -241,9 +241,7 @@ def certificate_text(system, certificates):
             lines.append(f"minor rows({rows}): zero determinant")
         else:
             _, key, coeff = cert
-            mono = "*".join(f"x{v}" if e == 1 else f"x{v}^{e}"
-                            for v, e in key)
             deg = weighted_degree(det, system.family.weights)
-            lines.append(
-                f"minor rows({rows}): degree {deg}, witness {coeff}*{mono}")
+            lines.append(f"minor rows({rows}): degree {deg}, "
+                         f"witness {coeff}*{monomial_text(key)}")
     return lines

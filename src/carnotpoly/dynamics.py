@@ -17,19 +17,19 @@ coordinates: the d/dx_l coefficient of a horizontal field has weighted
 degree d(l) - 1, and lambda_i' reads only the lambda_k with
 d(k) = d(i) + 1.  :func:`_rk4_levels` steps such a system one level of
 coordinates at a time over the whole grid, with NumPy, reading the field
-coefficients by the batch kernel :func:`poly.compile_polys`;
-:func:`integrate_horizontal`, :func:`integrate_adjoint`,
-:func:`spiral_lift` and :func:`iterated_integrals` run on it.  Their
-controls are read once per distinct stage time of :func:`_stage_times`;
-:func:`spiral_example` reads its log-spiral once per stage time of one
-graded grid, for all four of its lifts.  The normal extremal's
-controls are -lambda, and lambda's equation never reads gamma:
-:func:`integrate_normal` steps lambda alone, point by point, in
-:func:`_rk4`, then gamma by levels under the recorded stage controls.
-Both paths do the float operations of the point-by-point loop, in the
-same order.  The family is read along a whole curve in one call of
-:func:`poly.compile_polys`.  Floating point lives here, in that kernel,
-and in the float branches of :mod:`abnormal`.
+coefficients by the batch kernel :func:`poly.compile_polys` and the
+controls from one table of stage controls, which the curve keeps.
+:func:`integrate_horizontal` fills it with one read per distinct stage
+time of :func:`_stage_times`; :func:`integrate_adjoint` and
+:func:`iterated_integrals` read no control again.  :func:`spiral_example`
+reads its log-spiral once per stage time of one graded grid, for all four
+of its lifts.  The normal extremal's controls are -lambda, and lambda's
+equation never reads gamma: :func:`integrate_normal` steps lambda alone,
+point by point, in :func:`_rk4`, recording the table, then gamma by
+levels.  Both paths do the float operations of the point-by-point loop,
+in the same order.  The family is read along a whole curve in one call
+of :func:`poly.compile_polys`.  Floating point lives here, in that
+kernel, and in the float branches of :mod:`abnormal`.
 """
 
 import math
@@ -47,12 +47,12 @@ from .poly import compile_polys
 
 @dataclass
 class CurvePath:
-    """A curve sampled on its time grid.  ``controls`` is the callable
-    ``t -> (h_1, ..., h_r)`` that drove it, or None (a normal extremal)."""
+    """A curve sampled on its time grid; ``stages`` is the steps x 4 x r
+    table of the stage controls that drove it, or None."""
     times: list
     gamma: list                  # one coordinate list per time
     lam: list = None             # optional dual coordinates per time
-    controls: object = None
+    stages: object = None
 
 
 MAX_GRID_STEPS = 10 ** 6
@@ -96,7 +96,7 @@ def _rk4(f, y0, times):
 BLOCK_STEPS = 256  # RK4 steps per NumPy pass of _rk4_levels
 
 
-def _rk4_levels(levels, y0, times, stage_controls):
+def _rk4_levels(levels, y0, times, H):
     """Fixed-step RK4 of a triangular system ``y' = f(h, y)`` on the
     time grid, one level of coordinates at a time over the whole grid.
 
@@ -108,12 +108,12 @@ def _rk4_levels(levels, y0, times, stage_controls):
     the four stages of a level are elementwise array operations, and its
     states are one ``np.add.accumulate`` of the increments, which adds
     left to right.  Every float operation is the one :func:`_rk4` does
-    at each point, in the same order.  The grid runs BLOCK_STEPS steps
-    at a time, the end state carried over; ``stage_controls(start,
-    stop)`` gives the controls of the steps start..stop-1 as one
-    4 (stop - start) x r array, stage-major (every k1 row, then every
-    k2, k3 and k4 row), and is called on the blocks in grid order.
-    Returns the len(times) x len(y0) float64 array of states.
+    at each point, in the same order.  ``H`` is the steps x 4 x r table
+    of stage controls, the k1, k2, k3 and k4 rows of each step.  The
+    grid runs BLOCK_STEPS steps at a time, the end state carried over,
+    and a slope sees the block's controls stage-major: every k1 row,
+    then every k2, k3 and k4 row.  Returns the len(times) x len(y0)
+    float64 array of states.
     """
     import numpy as np
     steps, size = len(times) - 1, len(y0)
@@ -124,7 +124,7 @@ def _rk4_levels(levels, y0, times, stage_controls):
             stop = min(start + BLOCK_STEPS, steps)
             h = np.diff(times[start:stop + 1])[:, None]
             half, sixth = 0.5 * h, h / 6.0
-            U = stage_controls(start, stop)
+            U = H[start:stop].swapaxes(0, 1).reshape(-1, H.shape[-1])
             X = np.zeros((4, stop - start, size))
             stages = X.reshape(-1, size)    # a view: rows run stage-major
             for coords, slope in levels:
@@ -156,30 +156,21 @@ def _stage_times(times):
 
 
 def _time_controls(controls, times):
-    """Stage controls of the callable ``t -> (h_1, ..., h_r)`` on the
-    grid, for :func:`_rk4_levels`.
+    """The steps x 4 x r table of stage controls of the callable
+    ``t -> (h_1, ..., h_r)`` on the grid, for :func:`_rk4_levels`.
 
-    The controls are read once per distinct stage time, in grid order: k2
-    and k3 share ``t + h/2``, and a step hands its read at ``t + h`` on to
-    the next step where :func:`_stage_times` marks it as the next grid
-    time, across blocks too.
+    The controls are read once per distinct stage time, in grid order:
+    k2 and k3 share ``t + h/2``, and a step hands its read at ``t + h`` to
+    the next step where :func:`_stage_times` marks it as the next grid time.
     """
     import numpy as np
-    t, mid, end, joined = _stage_times(times)
-    carry = None    # the previous step's read at its end, if this step's start
-
-    def read(start, stop):
-        nonlocal carry
-        u1, u2, u4 = [], [], []
-        for a, b, c, j in zip(*(x[start:stop].tolist()
-                                for x in (t, mid, end, joined))):
-            u1.append(controls(a) if carry is None else carry)
-            u2.append(controls(b))
-            u4.append(controls(c))
-            carry = u4[-1] if j else None
-        return np.array(u1 + u2 + u2 + u4, float)
-
-    return read
+    rows, carry, u4 = [], None, ()  # carry: a step's end read, if shared
+    for a, b, c, j in zip(*(x.tolist() for x in _stage_times(times))):
+        u1 = controls(a) if carry is None else carry
+        u2, u4 = controls(b), controls(c)
+        rows.append((*u1, *u2, *u2, *u4))   # flat: floats are not GC-tracked
+        carry = u4 if j else None
+    return np.array(rows, float).reshape(len(rows), 4, len(u4))
 
 
 def _levels(reads, order):
@@ -251,14 +242,14 @@ def _field_levels(fields, size):
 
 
 def integrate_horizontal(algebra, controls, x0, grid):
-    """RK4 solution of ``gamma' = sum_j h_j X_j(gamma)`` on the grid,
-    with controls any callable ``t -> (h_1, ..., h_r)``."""
+    """RK4 solution of ``gamma' = sum_j h_j X_j(gamma)`` on the grid under
+    the callable ``t -> (h_1, ..., h_r)``, keeping the stage controls."""
     levels = _field_levels(left_invariant_fields(algebra)[:algebra.r],
                            algebra.n)
     times = [float(t) for t in grid]
-    gamma = _rk4_levels(levels, [float(c) for c in x0], times,
-                        _time_controls(controls, times))
-    return CurvePath(list(grid), gamma.tolist(), controls=controls)
+    H = _time_controls(controls, times)
+    gamma = _rk4_levels(levels, [float(c) for c in x0], times, H)
+    return CurvePath(list(grid), gamma.tolist(), stages=H)
 
 
 def _adjoint_tables(algebra):
@@ -322,16 +313,15 @@ def _adjoint_levels(algebra):
 def integrate_adjoint(algebra, curve, lambda0):
     """Dual coordinates along an integrated curve, same grid, RK4.
 
-    The curve must carry controls (the adjoint system only reads the
-    horizontal velocities).  ``lam`` is the stepper's float64 array.
+    The curve must carry its stage controls, the only thing the adjoint
+    system reads of it; no control is read again.  ``lam`` is the
+    stepper's float64 array.
     """
-    if curve.controls is None:
-        raise ValueError("adjoint integration needs the curve's controls")
-    times = [float(t) for t in curve.times]
+    if curve.stages is None:
+        raise ValueError("adjoint integration needs the curve's stage controls")
     lam = _rk4_levels(_adjoint_levels(algebra), [float(c) for c in lambda0],
-                      times, _time_controls(curve.controls, times))
-    return CurvePath(curve.times, curve.gamma, lam=lam,
-                     controls=curve.controls)
+                      [float(t) for t in curve.times], curve.stages)
+    return CurvePath(curve.times, curve.gamma, lam=lam, stages=curve.stages)
 
 
 def integrate_normal(algebra, lambda0, x0, grid):
@@ -339,9 +329,9 @@ def integrate_normal(algebra, lambda0, x0, grid):
 
     The adjoint system never reads gamma, so lambda runs alone, point by
     point, and the controls of its four RK4 stages are recorded as they
-    are read; gamma is then the horizontal system under those stage
-    controls, stepped by levels.  Every float operation is the one the
-    combined point-by-point loop does, in the same order."""
+    are read; gamma is then the horizontal system under that table,
+    stepped by levels, and the curve keeps it.  Every float operation is
+    the one the combined point-by-point loop does, in the same order."""
     import numpy as np
     n, r = algebra.n, algebra.r
     tables = _adjoint_tables(algebra)
@@ -355,11 +345,9 @@ def integrate_normal(algebra, lambda0, x0, grid):
     times = [float(t) for t in grid]
     lam = _rk4(f, [float(c) for c in lambda0], times)
     H = np.array(stage_h, float).reshape(-1, 4, r)
-    gamma = _rk4_levels(
-        _field_levels(left_invariant_fields(algebra)[:r], n),
-        [float(c) for c in x0], times,
-        lambda start, stop: H[start:stop].transpose(1, 0, 2).reshape(-1, r))
-    return CurvePath(list(grid), gamma.tolist(), lam=lam)
+    gamma = _rk4_levels(_field_levels(left_invariant_fields(algebra)[:r], n),
+                        [float(c) for c in x0], times, H)
+    return CurvePath(list(grid), gamma.tolist(), lam=lam, stages=H)
 
 
 def duality_check(family, curve):
@@ -395,8 +383,8 @@ def iterated_integrals(family, curve, v):
     its pairing with degree-0 prolongation rows.
 
     B is integrated by RK4 alongside gamma, restarted from
-    ``curve.gamma[0]`` under the curve's controls, so P_i^v is read at the
-    true stage states.  B does not feed gamma's right-hand side: it is
+    ``curve.gamma[0]`` under the curve's stage controls, so P_i^v is read
+    at the true stage states.  B does not feed gamma's right-hand side: it is
     the last level of the system, read off all of gamma's stage states
     in one batched call.  The pairing matches a row p with
     ``[X_j, E_p] = X_i`` and ``[X_j', E_p] = 0`` for the other
@@ -408,8 +396,8 @@ def iterated_integrals(family, curve, v):
     import numpy as np
     A = family.algebra
     n, r = A.n, A.r
-    if curve.controls is None:
-        raise ValueError("iterated integrals need the curve's controls")
+    if curve.stages is None:
+        raise ValueError("iterated integrals need the curve's stage controls")
     horizontal = family.evaluator(range(1, r + 1), v, False)
     pairs = [(i, j) for i in range(1, r + 1) for j in range(1, r + 1)]
     rows, cols = [i - 1 for i, _ in pairs], [j - 1 for _, j in pairs]
@@ -421,9 +409,8 @@ def iterated_integrals(family, curve, v):
     levels = _field_levels(left_invariant_fields(A)[:r], n)
     levels.append((list(range(n, n + len(pairs))), integrands))
     y0 = [float(c) for c in curve.gamma[0]] + [0.0] * len(pairs)
-    times = [float(t) for t in curve.times]
-    ys = _rk4_levels(levels, y0, times,
-                     _time_controls(curve.controls, times))
+    ys = _rk4_levels(levels, y0, [float(t) for t in curve.times],
+                     curve.stages)
     table = {pair: ys[:, n + idx].tolist() for idx, pair in enumerate(pairs)}
 
     hits = []
@@ -531,23 +518,23 @@ def solve_goh_covector(factor_family):
     return v
 
 
-def spiral_lift(levels, grid, third, stage_controls, n):
+def spiral_lift(levels, grid, third, H, n):
     """Horizontal lift of ``(t^2, t, f(t), *, ...)`` in a rank-3 factor.
 
     ``levels`` are the :func:`_field_levels` of the factor's horizontal
     fields on its coordinates 1..cap, so coordinates above cap are dropped
     from the state.  The run follows ``grid`` from the analytic seed
     ``(t0^2, t0, third)`` at ``t0 = grid[0]``, ``third = f(t0)``, under
-    the controls ``(2t, 1, f'(t))`` that ``stage_controls`` gives as
-    :func:`_rk4_levels` reads them.  Returns ``(grid, ys)``, ys the
-    len(grid) x n float64 array of states, zero above cap.
+    the controls ``(2t, 1, f'(t))`` whose steps x 4 x 3 table of stage
+    controls is ``H``.  Returns ``(grid, ys)``, ys the len(grid) x n
+    float64 array of states, zero above cap.
     """
     import numpy as np
     cap = sum(len(coords) for coords, _ in levels)
     t0 = grid[0]
     seed = [t0 * t0, t0, third] + [0.0] * (cap - 3)
     ys = np.zeros((len(grid), n))
-    ys[:, :cap] = _rk4_levels(levels, seed, grid, stage_controls)
+    ys[:, :cap] = _rk4_levels(levels, seed, grid, H)
     return grid, ys
 
 
@@ -592,9 +579,9 @@ def spiral_example(samples_per_side=1000, puncture=1e-6, tol=1e-8):
     ts, at = np.unique(np.concatenate([grid, mid, end]), return_inverse=True)
     cos_l, sin_l, dphi, dpsi = _spiral_sweep(ts.tolist())
     at_grid, at_mid, at_end = np.split(at, [len(grid), len(grid) + len(mid)])
-    # stage-major positions in ts; a step's start is the previous step's
-    # end wherever that is the next grid time, the same float
-    stages = np.stack([at_grid[:-1], at_mid, at_mid, at_end])
+    # positions in ts of each step's k1..k4 times; a step's start is the
+    # previous step's end wherever that is the next grid time, the same float
+    stages = np.stack([at_grid[:-1], at_mid, at_mid, at_end], axis=1)
     levels = _field_levels(factor_fields[:factor.r], cap)
 
     def lift(sign, trig, deriv):
@@ -602,8 +589,7 @@ def spiral_example(samples_per_side=1000, puncture=1e-6, tol=1e-8):
         signed = sign * np.array(grid)
         U = np.column_stack([2.0 * sign * ts, np.ones(len(ts)), deriv])
         return spiral_lift(levels, signed, signed[0] * trig[at_grid[0]],
-                           lambda a, b: U[stages[:, a:b].ravel()],
-                           factor.n)[1]
+                           U[stages], factor.n)[1]
 
     times = np.array(sample_ts)
     row_of = {t: m for m, t in enumerate(grid)}

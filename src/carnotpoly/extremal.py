@@ -64,8 +64,9 @@ class ExtremalFamily:
         through :func:`poly.exact_values` into lists of ints and Fractions,
         else through :func:`compile_polys`, a block at a time, into an
         N x len(rows) float64 array (an exact point read as its floats).
+        It reads x_n too: exact points need n coordinates, float ones >= n.
         """
-        polys, sums = [], []
+        polys, sums = [Poly.variable(self.n, self.n)], []
         for j in rows:
             terms = {}
             for k in range(1, self.n + 1):

@@ -238,6 +238,11 @@ def weighted_degree(p, weights):
     return max(_key_weight(k, weights) for k in p.terms)
 
 
+def monomial_text(key):
+    """A monomial key as text, ``x1*x3^2``; the constant is empty."""
+    return "*".join(f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in key)
+
+
 def canonical_text(p, weights=None):
     """Byte-stable text form: terms by (weighted degree, lex exponents);
     unit weights when none are given."""
@@ -249,7 +254,7 @@ def canonical_text(p, weights=None):
     pieces = []
     for k in sorted(p.terms, key=sort_key):
         c = p.terms[k]
-        mono = "*".join(f"x{v}" if e == 1 else f"x{v}^{e}" for v, e in k)
+        mono = monomial_text(k)
         if not mono:
             body = str(abs(c))
         elif abs(c) == 1:

@@ -150,26 +150,21 @@ def reference_field_sum(fields, size):
 
 
 def reference_time_controls(controls, times):
-    """Reference for ``dynamics._time_controls``: the stage times worked
-    out point by point, step after step, with a step's read at ``t + h``
-    carried to the next step when ``t + h`` is the next grid time."""
+    """Reference for ``dynamics._time_controls``: the steps x 4 x r table
+    of stage controls, the stage times worked out point by point, step
+    after step, with a step's read at ``t + h`` carried to the next step
+    when ``t + h`` is the next grid time."""
     import numpy as np
-    carry = None    # controls(times[m]) when the previous step read them
-
-    def read(start, stop):
-        nonlocal carry
-        u1, u2, u4 = [], [], []
-        for m in range(start, stop):
-            t, h = times[m], times[m + 1] - times[m]
-            u1.append(controls(t) if carry is None else carry)
-            u2.append(controls(t + 0.5 * h))
-            carry = controls(t + h)
-            u4.append(carry)
-            if t + h != times[m + 1]:
-                carry = None
-        return np.array(u1 + u2 + u2 + u4, float)
-
-    return read
+    rows, carry = [], None  # controls(times[m]) when the last step read them
+    for m in range(len(times) - 1):
+        t, h = times[m], times[m + 1] - times[m]
+        u1 = controls(t) if carry is None else carry
+        u2 = controls(t + 0.5 * h)
+        carry = controls(t + h)
+        rows.append((u1, u2, u2, carry))
+        if t + h != times[m + 1]:
+            carry = None
+    return np.array(rows, float) if rows else np.empty((0, 4, 0))
 
 
 # the spiral and its derivatives point by point: the references of

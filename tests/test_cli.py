@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from carnotpoly import io as cio
 from carnotpoly.algebra import GradedLieAlgebra
 from carnotpoly.cli import main
+from carnotpoly.dynamics import _stage_times, uniform_grid
 from carnotpoly.freelie import build_free
 from conftest import heisenberg_algebra
 
@@ -248,6 +249,29 @@ def test_integrate_rejects_bad_controls(tmp_path, capsys):
                              "--step", "0.1", "--json")
         assert code == 2, controls
         assert out == "" and err.startswith("error: "), controls
+
+
+def test_integrate_names_the_first_time_a_control_fails(tmp_path, capsys):
+    # the controls fail halfway along the grid, after many good reads;
+    # the error names the first stage time, in grid order, that fails
+    import numpy as np
+    path = tmp_path / "a.json"
+    run(capsys, "free", "--rank", "2", "--step", "3", "--emit", str(path))
+    for controls, flags, grid, fails in (
+            ("log(0.5-t);1", [], uniform_grid(0.0, 1.0, 1e-3),
+             lambda t: t >= 0.5),
+            ("log(t-0.5);1", ["--t0", "1", "--t1", "0"],
+             uniform_grid(1.0, 0.0, 1e-3), lambda t: t <= 0.5)):
+        # the stage times t, t + h/2 and t + h of each step, step by step
+        times = np.stack(_stage_times(grid)[:3], axis=1).ravel().tolist()
+        first = next(t for t in times if fails(t))
+        for mode in ("horizontal", "adjoint"):
+            code, out, err = run(capsys, "integrate", str(path), "--mode",
+                                 mode, "--controls", controls, *flags,
+                                 "--lambda0", "1,0,0,0,0", "--json")
+            assert (code, out) == (2, ""), (controls, mode)
+            assert err == (f"error: controls fail at t={first}: "
+                           "math domain error\n"), (controls, mode)
 
 
 def test_integrate_rejects_bad_grid(tmp_path, capsys):

@@ -252,15 +252,13 @@ SMALL = st.floats(-4, 4, allow_nan=False) | st.sampled_from([1e-17, -0.0])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_time_controls_have_the_reference_bits_and_reads(grid, data):
-    # the stage arrays of every block, and the times the callable is
-    # read at, in order, against the step-by-step reader; blocks of a
-    # drawn size make a carry cross block boundaries
+    # the whole stage table, and the times the callable is read at, in
+    # order, against the step-by-step reader
     if grid == "drawn":
         grid = data.draw(st.lists(SMALL, min_size=1, max_size=12))
     else:
         grid = STAGE_GRIDS[grid](data.draw(st.floats(-2, 2).filter(bool)))
-    block = data.draw(st.integers(1, 5))
-    readers, calls = [], []
+    tables, calls = [], []
     for make in (_time_controls, reference_time_controls):
         log = []
         calls.append(log)
@@ -269,12 +267,47 @@ def test_time_controls_have_the_reference_bits_and_reads(grid, data):
             log.append(t.hex())
             return (math.cos(3 * t), t * t - 1.0)
 
-        read = make(controls, grid)
-        readers.append([read(a, min(a + block, len(grid) - 1)).tolist()
-                        for a in range(0, len(grid) - 1, block)])
-    got, want = readers
-    assert [_hex_rows(U) for U in got] == [_hex_rows(U) for U in want]
+        H = make(controls, grid)
+        tables.append((H.shape, [x.hex() for x in H.ravel().tolist()]))
+    assert tables[0] == tables[1]
     assert calls[0] == calls[1]
+
+
+def test_horizontal_then_adjoint_read_each_stage_time_once(free24):
+    # the adjoint steps on the stage table the curve keeps, so it reads
+    # no control again: 2 * 1000 + 1 reads in all, not twice that
+    calls = []
+
+    def controls(t):
+        calls.append(t)
+        return (math.cos(t), math.sin(t))
+
+    curve = integrate_horizontal(free24, controls, [0.0] * 8, GRID)
+    integrate_adjoint(free24, curve, [0.3 - 0.1 * k for k in range(8)])
+    assert len(calls) == 2 * (len(GRID) - 1) + 1
+
+
+@pytest.mark.parametrize("r, s", [(2, 4), (3, 4), (2, 6)])
+def test_adjoint_of_a_normal_curve_has_its_lambda_bits(r, s):
+    # both steppers read the one table of stage controls lambda recorded
+    A, _ = build_free(r, s)
+    rng = random.Random(31 + r + s)
+    lam0 = [rng.uniform(-1, 1) for _ in range(A.n)]
+    x0 = [rng.uniform(-1, 1) for _ in range(A.n)]
+    curve = integrate_normal(A, lam0, x0, uniform_grid(0.0, 1.0, 0.01))
+    lam = integrate_adjoint(A, curve, lam0).lam
+    assert _hex_rows(lam.tolist()) == _hex_rows(curve.lam)
+
+
+def test_iterated_integrals_run_on_a_normal_curve(free24, free24_family):
+    lam0 = [-1.0, 0.5, 1.0, -1 / 3, 0.25, 0.2, -1 / 7, 1.0]
+    curve = integrate_normal(free24, lam0, [0.0] * 8, GRID)
+    rng = random.Random(29)
+    v = [0, 0, 0] + [rng.uniform(-1, 1) for _ in range(5)]
+    _, pairings = iterated_integrals(free24_family, curve, v)
+    assert len(pairings) == 4
+    for _, _, _, drift in pairings:
+        assert drift <= 1e-7
 
 
 def test_one_time_grid_returns_the_start_and_reads_no_controls(
@@ -456,9 +489,10 @@ def test_duality_check_keeps_nan_and_reports_zero_drift_as_int(
 
 
 def test_iterated_integrals_constant_curve(free24_family):
-    controls = lambda t: (0.0, 0.0)
+    import numpy as np
     ts = uniform_grid(0, 1, 0.01)
-    curve = CurvePath(ts, [[0.0] * 8 for _ in ts], controls=controls)
+    curve = CurvePath(ts, [[0.0] * 8 for _ in ts],
+                      stages=np.zeros((len(ts) - 1, 4, 2)))
     table, pairings = iterated_integrals(
         free24_family, curve, [0.0] * 8)
     assert all(all(v == 0 for v in vals) for vals in table.values())

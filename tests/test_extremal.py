@@ -212,13 +212,21 @@ def test_evaluator_reads_exact_points_under_a_float_covector_as_floats(
 def test_evaluators_reject_points_of_the_wrong_length(free24, free24_family):
     # an exact point must have n coordinates; a float batch may be wider,
     # never narrower: the x_8 that row -3 of the depth-8 prolongation
-    # reads is not the padding 1.0 when it is missing
-    v = [Fraction(1, 2), 0, 3, 0, 0, 0, -1, 1]
-    for x in ([Fraction(1, 3)] * 7, [1] * 9):
-        with pytest.raises(ValueError, match="coordinate count"):
-            free24_family.evaluate(1, v, x)
-        with pytest.raises(ValueError, match="coordinate count"):
-            free24_family.evaluator([1, 2], v, True)([[0] * 8, x])
+    # reads is not the padding 1.0 when it is missing; a zero covector,
+    # which reads no Q_jk, checks the point all the same
+    for v in ([Fraction(1, 2), 0, 3, 0, 0, 0, -1, 1], [0] * 8):
+        for x in ([Fraction(1, 3)] * 7, [1] * 9, [1] * 3):
+            with pytest.raises(ValueError, match="coordinate count"):
+                free24_family.evaluate(1, v, x)
+            with pytest.raises(ValueError, match="coordinate count"):
+                free24_family.evaluator([1, 2], v, True)([[0] * 8, x])
+        floats = free24_family.evaluator([1, 2], v, False)
+        assert floats([[0.5] * 9]).shape == (1, 2)
+        for x in ([0.5] * 3, [0.5] * 7):
+            with pytest.raises(ValueError, match="too few coordinates"):
+                free24_family.evaluate(1, v, x)
+            with pytest.raises(ValueError, match="too few coordinates"):
+                floats([x])
     e8 = [0] * 7 + [1]
     run = build_family(prolong(free24, 8)).evaluator([-3], e8, False)
     assert run([[0.0] * 8]).tolist() == run([[0.0] * 9]).tolist() == [[0.0]]
