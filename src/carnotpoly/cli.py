@@ -311,7 +311,8 @@ def _parse_controls(text, r):
     def func(t):
         try:
             return [term(t) for term in terms]
-        except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        except (ValueError, ZeroDivisionError, OverflowError,
+                RecursionError) as exc:
             raise InputError(f"controls fail at t={t}: {exc}") from None
 
     return func

@@ -335,11 +335,11 @@ def integrate_normal(algebra, lambda0, x0, grid):
     import numpy as np
     n, r = algebra.n, algebra.r
     tables = _adjoint_tables(algebra)
-    stage_h = []    # one row per call of f: k1, k2, k3, k4 of each step
+    stage_h = []    # flat: k1, k2, k3, k4 controls of each step, in turn
 
     def f(t, lam):
         h = [-lam[j] for j in range(r)]
-        stage_h.append(h)
+        stage_h.extend(h)
         return _adjoint_rhs(tables, h, lam)
 
     times = [float(t) for t in grid]
@@ -391,7 +391,9 @@ def iterated_integrals(family, curve, v):
     horizontal indices, for which
     ``B_ij = P_p^v`` along any horizontal curve through the origin.
     Returns ``(table, pairings)`` where table maps (i, j) to the sampled
-    B values and pairings is a list of ``(i, j, p, drift)``.
+    B values and pairings is a list of ``(i, j, p, drift)``, the drift the
+    max of ``|B_ij - P_p^v|`` over the grid; a quadrature that blew up to
+    NaN anywhere reports a NaN drift, as :func:`duality_check` does.
     """
     import numpy as np
     A = family.algebra
@@ -425,12 +427,10 @@ def iterated_integrals(family, curve, v):
                 break
     paired = family.evaluator([p for _, _, p in hits], v, False)
     along = paired(ys[:, :n])
-    pairings = []
-    for col, (i, j, p) in enumerate(hits):
-        drift = max(abs(b - a)
-                    for b, a in zip(table[(i, j)], along[:, col].tolist()))
-        pairings.append((i, j, p, drift))
-    return table, pairings
+    with np.errstate(all="ignore"):    # inf - inf is NaN silently
+        drifts = np.abs(ys[:, [n + pairs.index((i, j)) for i, j, _ in hits]]
+                        - along).max(axis=0)
+    return table, [(*hit, float(d)) for hit, d in zip(hits, drifts)]
 
 
 # -- spiral Goh extremal ------------------------------------------------------

@@ -16,6 +16,7 @@ explicit bracket table from JSON instead of calling :func:`build_free`.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 
 from .algebra import GradedLieAlgebra, StructureError
 
@@ -80,47 +81,6 @@ def hall_words(r, s):
     return words
 
 
-class _HallReducer:
-    """Rewrites brackets of Hall words into the Hall basis, with memoization."""
-
-    def __init__(self, words, step):
-        self.words = {w.serial: w for w in words}
-        self.step = step
-        self.by_pair = {(w.left, w.right): w.serial
-                        for w in words if w.left is not None}
-        self.cache = {}
-
-    def pair(self, a, b):
-        """[X_a, X_b] for Hall serials a, b, as a map serial -> Fraction."""
-        if a == b:
-            return {}
-        if a < b:
-            return {k: -c for k, c in self.pair(b, a).items()}
-        key = (a, b)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        wa, wb = self.words[a], self.words[b]
-        if wa.degree + wb.degree > self.step:
-            out = {}
-        elif (a, b) in self.by_pair:
-            out = {self.by_pair[(a, b)]: Fraction(1)}
-        else:
-            # a > b but [a, b] is not Hall, so a = [a1, a2] with a2 > b.
-            # Jacobi:  [[a1,a2],b] = [a1,[a2,b]] + [[a1,b],a2]
-            a1, a2 = wa.left, wa.right
-            out = {}
-            for m, c in self.pair(a2, b).items():
-                for k, c2 in self.pair(a1, m).items():
-                    out[k] = out.get(k, Fraction(0)) + c * c2
-            for m, c in self.pair(a1, b).items():
-                for k, c2 in self.pair(m, a2).items():
-                    out[k] = out.get(k, Fraction(0)) + c * c2
-            out = {k: c for k, c in out.items() if c}
-        self.cache[key] = out
-        return out
-
-
 def build_free(r, s, max_dim=None):
     """Free nilpotent Lie algebra of rank r and step s on its Hall basis.
 
@@ -138,14 +98,41 @@ def build_free(r, s, max_dim=None):
                 f"step {m}")
     words = hall_words(r, s)
     assert len(words) == n
-    reducer = _HallReducer(words, s)
+    word = {w.serial: w for w in words}
+    by_pair = {(w.left, w.right): w.serial
+               for w in words if w.left is not None}
+
+    @cache
+    def pair(a, b):
+        """[X_a, X_b] for Hall serials a, b, as a map serial -> Fraction."""
+        if a == b:
+            return {}
+        if a < b:
+            return {k: -c for k, c in pair(b, a).items()}
+        wa, wb = word[a], word[b]
+        if wa.degree + wb.degree > s:
+            return {}
+        if (a, b) in by_pair:
+            return {by_pair[(a, b)]: Fraction(1)}
+        # a > b but [a, b] is not Hall, so a = [a1, a2] with a2 > b.
+        # Jacobi:  [[a1,a2],b] = [a1,[a2,b]] + [[a1,b],a2]
+        a1, a2 = wa.left, wa.right
+        out = {}
+        for m, c in pair(a2, b).items():
+            for k, c2 in pair(a1, m).items():
+                out[k] = out.get(k, Fraction(0)) + c * c2
+        for m, c in pair(a1, b).items():
+            for k, c2 in pair(m, a2).items():
+                out[k] = out.get(k, Fraction(0)) + c * c2
+        return {k: c for k, c in out.items() if c}
+
     degrees = {w.serial: w.degree for w in words}
     table = {}
     for i in range(1, n + 1):
         for j in range(1, i):
             if degrees[i] + degrees[j] > s:
                 continue
-            terms = reducer.pair(i, j)
+            terms = pair(i, j)
             if terms:
                 table[(i, j)] = terms
     return GradedLieAlgebra(degrees, table), words

@@ -86,13 +86,6 @@ def key_from_alpha(alpha):
     return tuple((p + 1, e) for p, e in enumerate(alpha) if e)
 
 
-def alpha_from_key(key, n):
-    alpha = [0] * n
-    for v, e in key:
-        alpha[v - 1] = e
-    return tuple(alpha)
-
-
 class Poly:
     __slots__ = ("n", "terms")
 
@@ -245,12 +238,13 @@ def monomial_text(key):
 
 def canonical_text(p, weights=None):
     """Byte-stable text form: terms by (weighted degree, lex exponents);
-    unit weights when none are given."""
+    unit weights when none are given.  The ``(-v, e)`` pairs over a key's
+    ascending variables order keys as their dense exponent tuples do."""
     w = weights if weights is not None else (1,) * p.n
     if not p.terms:
         return "0"
     def sort_key(k):
-        return (_key_weight(k, w), alpha_from_key(k, p.n))
+        return (_key_weight(k, w), tuple((-v, e) for v, e in k))
     pieces = []
     for k in sorted(p.terms, key=sort_key):
         c = p.terms[k]

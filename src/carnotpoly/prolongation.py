@@ -23,7 +23,8 @@ m -> [X_m, [E, F]] is read straight off the adjoint rows ``ad[m]`` and
 coordinates of that action in a stratum basis are read at the stratum's
 pivots, one g_1 entry per basis element, and multiplied by the inverse
 of the basis blocks there; the bracket is then checked against the whole
-recombined map.
+recombined map.  A pair whose bracket lands below the deepest computed
+stratum waits, in one list in decision order, for a deeper stratum.
 
 A zero stratum makes every stratum below it zero, so the prolongation is
 finite; :attr:`ProlongedAlgebra.complete` says that one was reached.
@@ -93,23 +94,20 @@ class ProlongationStratum:
 
 @dataclass
 class ProlongedAlgebra:
+    """The extension ``algebra`` of ``base`` by ``strata``, and the
+    ``deferred`` pairs it has no bracket for yet."""
     base: GradedLieAlgebra
     algebra: GradedLieAlgebra
     strata: list = field(default_factory=list)
-    # result degree -> pairs whose bracket lands below the deepest stratum
-    deferred_by_degree: dict = field(default_factory=dict)
+    # pairs whose bracket lands below the deepest stratum, in the order a
+    # deeper stratum decides them
+    deferred: list = field(default_factory=list)
     # cap on the extended dimension, checked per stratum; set by prolong
     max_dim: int = field(default=None, repr=False)
 
     @property
     def stratum_dims(self):
         return [st.dim for st in self.strata]
-
-    @property
-    def deferred(self):
-        """The deferred pairs, in the order a deeper stratum decides them."""
-        return [p for d in sorted(self.deferred_by_degree, reverse=True)
-                for p in self.deferred_by_degree[d]]
 
     @property
     def complete(self):
@@ -266,37 +264,35 @@ def _pair_action(A, e1, e2):
 def _close_pairs(ext, strata_by_deg, deferred, pending, terminated):
     """Decide the nonpositive pairs whose result stratum is available.
 
-    The ``pending`` pairs join the ``deferred`` buckets of their result
-    degrees in a copy.  Each pair's action is read off the adjoint rows of
-    ``ext`` by :func:`_pair_action`, solved on its g_1 block and checked
-    against the whole recombined map by :func:`_match_in_stratum`, and the
-    decided bracket is written into ``ext`` by ``set_bracket``.  Only the
-    buckets a stratum can decide are read, by descending result degree,
-    so the inner brackets a Jacobi expansion needs are decided first.
-    Returns the buckets still undecided (only on a truncated prolongation).
+    The ``deferred`` pairs, then the ``pending`` ones, are read once,
+    sorted stably by descending result degree: the inner brackets a
+    Jacobi expansion needs are decided first, and within a degree older
+    pairs precede newer ones.  Each pair's action is read off the adjoint
+    rows of ``ext`` by :func:`_pair_action`, solved on its g_1 block and
+    checked against the whole recombined map by :func:`_match_in_stratum`,
+    and the decided bracket is written into ``ext`` by ``set_bracket``.
+    Returns the pairs below the deepest computed stratum of a prolongation
+    that has not terminated, still undecided, as a list in that order.
     """
     degrees = ext.degrees
     lowest_computed = min(strata_by_deg)
-    buckets = dict(deferred)
-    fresh = {}
-    for e1, e2 in pending:
-        fresh.setdefault(degrees[e1] + degrees[e2], []).append((e1, e2))
-    for res_deg, pairs in fresh.items():
-        buckets[res_deg] = buckets.get(res_deg, ()) + tuple(pairs)
-    ready = [d for d in buckets if d >= lowest_computed or terminated]
-    for res_deg in sorted(ready, reverse=True):
-        for e1, e2 in buckets.pop(res_deg):
-            act = _pair_action(ext, e1, e2)
-            if res_deg < lowest_computed:
-                if act:
-                    raise StructureError(
-                        "bracket escapes a terminated prolongation")
-                continue
-            coords = _match_in_stratum(strata_by_deg.get(res_deg), act,
-                                       f"[E_{e1}, E_{e2}] in degree {res_deg}")
-            if coords:
-                ext.set_bracket(e1, e2, coords)
-    return buckets
+    queue = sorted(deferred + pending, reverse=True,
+                   key=lambda p: degrees[p[0]] + degrees[p[1]])
+    for at, (e1, e2) in enumerate(queue):
+        res_deg = degrees[e1] + degrees[e2]
+        if res_deg < lowest_computed and not terminated:
+            return queue[at:]
+        act = _pair_action(ext, e1, e2)
+        if res_deg < lowest_computed:
+            if act:
+                raise StructureError(
+                    "bracket escapes a terminated prolongation")
+            continue
+        coords = _match_in_stratum(strata_by_deg.get(res_deg), act,
+                                   f"[E_{e1}, E_{e2}] in degree {res_deg}")
+        if coords:
+            ext.set_bracket(e1, e2, coords)
+    return []
 
 
 def _match_in_stratum(st, act, context):
@@ -334,8 +330,8 @@ def extend_structure_constants(P, stratum, chosen_basis=None):
 
     pending = [(eo, en) for st in P.strata for eo in st.ids for en in new_ids]
     pending += [(a, b) for i, a in enumerate(new_ids) for b in new_ids[:i]]
-    left = _close_pairs(P.algebra, strata_by_deg, P.deferred_by_degree,
-                        pending, terminated)
+    left = _close_pairs(P.algebra, strata_by_deg, P.deferred, pending,
+                        terminated)
     return ProlongedAlgebra(P.base, P.algebra, P.strata + [stratum], left,
                             P.max_dim)
 

@@ -17,7 +17,8 @@ from carnotpoly.group import left_invariant_fields
 from carnotpoly.linalg import scalar
 from carnotpoly.poly import (Poly, _add_terms, _key_mul, _term_plan, _wrap,
                              key_from_alpha, weighted_degree)
-from carnotpoly.prolongation import _algebra_of, prolong
+from carnotpoly.prolongation import (_algebra_of, _match_in_stratum,
+                                     _pair_action, prolong)
 
 # the elementary-matrix g_0 basis of free(2,4): maps sending (X_1, X_2) to
 # (0, X_1), (0, X_2), (X_1, 0), (X_2, 0), in ascending index order -3..0
@@ -338,6 +339,39 @@ def reference_pair_action(A, e1, e2):
         if img:
             out[m] = img
     return out
+
+
+def reference_close_pairs(ext, strata_by_deg, deferred, pending, terminated):
+    """Reference for ``prolongation._close_pairs``: the undecided pairs
+    kept as buckets by result degree, ``{degree: tuple of pairs}``.
+
+    The ``pending`` pairs join the ``deferred`` buckets of their result
+    degrees in a copy; only the buckets a stratum can decide are read, by
+    descending result degree, and the buckets still undecided are
+    returned.
+    """
+    degrees = ext.degrees
+    lowest_computed = min(strata_by_deg)
+    buckets = dict(deferred)
+    fresh = {}
+    for e1, e2 in pending:
+        fresh.setdefault(degrees[e1] + degrees[e2], []).append((e1, e2))
+    for res_deg, pairs in fresh.items():
+        buckets[res_deg] = buckets.get(res_deg, ()) + tuple(pairs)
+    ready = [d for d in buckets if d >= lowest_computed or terminated]
+    for res_deg in sorted(ready, reverse=True):
+        for e1, e2 in buckets.pop(res_deg):
+            act = _pair_action(ext, e1, e2)
+            if res_deg < lowest_computed:
+                if act:
+                    raise StructureError(
+                        "bracket escapes a terminated prolongation")
+                continue
+            coords = _match_in_stratum(strata_by_deg.get(res_deg), act,
+                                       f"[E_{e1}, E_{e2}] in degree {res_deg}")
+            if coords:
+                ext.set_bracket(e1, e2, coords)
+    return buckets
 
 
 def reference_tree(A, tree):
@@ -848,6 +882,13 @@ def free23():
 @pytest.fixture(scope="session")
 def free34():
     return build_free(3, 4)[0]
+
+
+@pytest.fixture(scope="session")
+def free2_depth3(free23, free24):
+    """free(2,3) and free(2,4) prolonged to depth 3 in the canonical
+    basis, by step; tests only read them."""
+    return {3: prolong(free23, 3), 4: prolong(free24, 3)}
 
 
 @pytest.fixture(scope="session")

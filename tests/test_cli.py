@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import json
 import os
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from carnotpoly import io as cio
 from carnotpoly.algebra import GradedLieAlgebra
-from carnotpoly.cli import main
+from carnotpoly.cli import _parse_controls, main
 from carnotpoly.dynamics import _stage_times, uniform_grid
 from carnotpoly.freelie import build_free
 from conftest import heisenberg_algebra
@@ -249,6 +250,35 @@ def test_integrate_rejects_bad_controls(tmp_path, capsys):
                              "--step", "0.1", "--json")
         assert code == 2, controls
         assert out == "" and err.startswith("error: "), controls
+
+
+def test_integrate_turns_a_too_deep_control_into_an_input_error(tmp_path,
+                                                                 capsys):
+    # a unary-minus chain a few levels short of the deepest one the reader
+    # accepts still runs out of stack when it is read, some frames deeper;
+    # that is an input error too, never a traceback
+    path = tmp_path / "a.json"
+    run(capsys, "free", "--rank", "2", "--step", "4", "--emit", str(path))
+
+    def chain(depth):
+        return f"0+{'-' * depth}t;0"
+
+    def refused(depth):
+        try:
+            _parse_controls(chain(depth), 2)
+        except cio.InputError:
+            return True
+        return False
+
+    deepest = bisect.bisect_left(range(sys.getrecursionlimit()), True,
+                                 key=refused) - 1
+    assert deepest > 10
+    for depth in range(deepest - 10, deepest + 1):
+        code, out, err = run(capsys, "integrate", str(path), "--mode",
+                             "horizontal", f"--controls={chain(depth)}",
+                             "--step", "0.5")
+        assert code in (0, 2) and "Traceback" not in err, depth
+        assert code == 0 or (out == "" and err.startswith("error: ")), depth
 
 
 def test_integrate_names_the_first_time_a_control_fails(tmp_path, capsys):

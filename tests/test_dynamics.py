@@ -21,6 +21,7 @@ from carnotpoly.freelie import build_free
 from carnotpoly.group import (flow, identity, left_invariant_fields,
                               to_second_kind)
 from carnotpoly.poly import Poly, PolyVectorField
+from carnotpoly.prolongation import prolong
 from conftest import (compile_field_sum, convergence_order, polynomial,
                       recombined_free, reference_field_sum,
                       reference_spiral_example, reference_time_controls,
@@ -535,6 +536,21 @@ def test_iterated_integral_on_line_closed_form(free24, free24_family):
         assert abs(table[(1, 2)][m] - t ** 4 / 24) <= 1e-10
     hit = [p for p in pairings if (p[0], p[1]) == (1, 2)]
     assert hit and hit[0][2] == -3 and hit[0][3] <= 1e-10
+
+
+def test_iterated_integrals_report_a_quadrature_that_blew_up(free23):
+    # the controls jump to 1e200 halfway, so B_21 and B_22 end in NaN; a
+    # drift is the max over the grid that keeps a NaN wherever it falls
+    family = build_family(prolong(free23, 2))
+    controls = lambda t: (1e200 if t > 0.5 else 1.0,
+                          1e200 if t > 0.5 else 0.5)
+    curve = integrate_horizontal(free23, controls, [0.0] * 5,
+                                 uniform_grid(0, 1, 0.1))
+    table, pairings = iterated_integrals(family, curve,
+                                         [0.1 * i for i in range(1, 6)])
+    assert math.isnan(table[(2, 1)][-1]) and math.isnan(table[(2, 2)][-1])
+    drift = {(i, j): d for i, j, _, d in pairings}
+    assert math.isnan(drift[(2, 1)]) and math.isnan(drift[(2, 2)])
 
 
 def test_spiral_controls_bounded():

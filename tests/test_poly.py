@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 from fractions import Fraction
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,7 @@ from carnotpoly.extremal import build_family
 from carnotpoly.linalg import scalar
 from carnotpoly.poly import (BLOCK_POINTS, Poly, PolyVectorField,
                              canonical_text, compile_polys, exact_values,
-                             key_from_alpha, weighted_degree)
+                             key_from_alpha, monomial_text, weighted_degree)
 
 from conftest import (field_values, is_homogeneous, recombined_free,
                       subs_zero)
@@ -149,6 +150,21 @@ def test_canonical_text_stable():
         x(n, 3) + mono(n, (1, 1), Fraction(3)) + Poly.const(n, 2)
     assert canonical_text(p, W24) == "2 + x3 - 1/2*x2^2 + 3*x1*x2"
     assert canonical_text(Poly.zero(n)) == "0"
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 6), data=st.data())
+def test_canonical_text_orders_terms_as_dense_exponent_tuples(n, data):
+    # the sort key is read off the sparse key, without the dense tuples
+    alphas = data.draw(st.lists(st.tuples(*[st.integers(0, 3)] * n),
+                                unique=True, max_size=12))
+    weights = data.draw(st.none() | st.lists(st.integers(1, 4), min_size=n,
+                                             max_size=n))
+    w = weights or [1] * n
+    p = Poly(n, {key_from_alpha(a): 1 for a in alphas})
+    want = sorted(alphas, key=lambda a: (sum(map(mul, a, w)), a))
+    assert canonical_text(p, weights) == (" + ".join(
+        monomial_text(key_from_alpha(a)) or "1" for a in want) or "0")
 
 
 def test_diff_integrate_roundtrip():

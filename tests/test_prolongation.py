@@ -1,8 +1,10 @@
+import hashlib
 import tempfile
 from functools import lru_cache
 from fractions import Fraction
 from math import comb
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import sympy
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from carnotpoly import build_free
 from carnotpoly import io as cio
-from carnotpoly import linalg
+from carnotpoly import linalg, prolongation
 from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
                                 generation_columns, validate)
 from carnotpoly.cli import main
@@ -23,6 +25,7 @@ from carnotpoly.prolongation import (ProlongationStratum, ProlongedAlgebra,
                                      extend_structure_constants, prolong)
 
 from conftest import (ELEMENTARY_G0, dense_rref, heisenberg_algebra,
+                      recombined_free, reference_close_pairs,
                       reference_pair_action, reference_validate)
 
 
@@ -308,9 +311,9 @@ def unimodular(draw, size=4):
 @pytest.mark.parametrize("step", [3, 4])
 @settings(max_examples=15, deadline=None)
 @given(U=unimodular())
-def test_recombined_g0_basis_prolongs_alike(step, U):
-    A = build_free(2, step)[0]
-    canon = prolong(A, 3)
+def test_recombined_g0_basis_prolongs_alike(free2_depth3, step, U):
+    canon = free2_depth3[step]
+    A = canon.base
     g1 = A.stratum(1)
     blocks = canon.strata[0].g1_blocks
     maps = [[[sum((c * blk[q].get(t, 0) for c, blk in zip(row, blocks)),
@@ -647,13 +650,75 @@ def test_close_pairs_refuses_a_bracket_below_a_terminated_prolongation(
     P = prolong(free23, 5)
     by_degree = {st.degree: st for st in P.strata}
     e1, e2 = by_degree[-3].ids
-    assert _close_pairs(P.algebra, by_degree, {}, [(e1, e2)], True) == {}
+    assert _close_pairs(P.algebra, by_degree, [], [(e1, e2)], True) == []
     # a corrupted [E_-2, E_-3] gives [E_1, E_2] a nonzero Jacobi action
     (low,) = by_degree[-2].ids
     P.algebra.set_bracket(low, e2, {1: 1})
     with pytest.raises(StructureError,
                        match="bracket escapes a terminated prolongation"):
-        _close_pairs(P.algebra, by_degree, {}, [(e1, e2)], True)
+        _close_pairs(P.algebra, by_degree, [], [(e1, e2)], True)
+
+
+def _writes(algebra, close, *args):
+    """Run ``close(algebra, *args)``; return its result and the
+    ``set_bracket`` calls it made, in order."""
+    calls, write = [], algebra.set_bracket
+    algebra.set_bracket = lambda *call: (calls.append(call), write(*call))
+    try:
+        return close(algebra, *args), calls
+    finally:
+        del algebra.set_bracket
+
+
+def _checked_close_pairs(ext, strata_by_deg, deferred, pending, terminated):
+    """``_close_pairs``, checked against the bucket reference run on a
+    twin of the extension: the same writes in the same order, and the
+    same undecided pairs, flattened by descending degree."""
+    degrees = ext.degrees
+    buckets = {}
+    for e1, e2 in deferred:
+        d = degrees[e1] + degrees[e2]
+        buckets[d] = buckets.get(d, ()) + ((e1, e2),)
+    assert deferred == [p for d in sorted(buckets, reverse=True)
+                        for p in buckets[d]]
+    twin = GradedLieAlgebra(degrees, ext.table)
+    want, want_calls = _writes(twin, reference_close_pairs, strata_by_deg,
+                               buckets, pending, terminated)
+    got, calls = _writes(ext, _close_pairs, strata_by_deg, deferred, pending,
+                         terminated)
+    assert calls == want_calls
+    assert got == [p for d in sorted(want, reverse=True) for p in want[d]]
+    return got
+
+
+def _prolong_checked(A, depth):
+    with mock.patch.object(prolongation, "_close_pairs",
+                           _checked_close_pairs):
+        return prolong(A, depth)
+
+
+@pytest.mark.parametrize("depth", range(1, 7))
+def test_pair_queue_decides_like_the_buckets_on_heisenberg(heisenberg, depth):
+    P = _prolong_checked(heisenberg, depth)
+    assert P.deferred and not P.complete
+    if depth == 6:
+        # the 3,117 pairs left undecided, in decision order, under any
+        # hash seed
+        assert len(P.deferred) == 3117
+        assert hashlib.sha256(repr(P.deferred).encode()).hexdigest()[:16] \
+            == "4ae20140908acbc0"
+
+
+def test_pair_queue_decides_like_the_buckets_past_a_zero_stratum(free23):
+    # G_2 ends at the zero stratum -4, where the pairs below it are
+    # decided as zero brackets
+    assert _prolong_checked(free23, 5).complete
+
+
+@settings(max_examples=10, deadline=None)
+@given(A=recombined_free(), depth=st.integers(1, 2))
+def test_pair_queue_decides_like_the_buckets_on_recombined_bases(A, depth):
+    _prolong_checked(A, depth)
 
 
 def test_match_refuses_a_nonzero_bracket_in_an_empty_stratum(
