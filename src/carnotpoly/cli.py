@@ -257,6 +257,7 @@ def _parse_vector(flag, text, n):
     return values
 
 
+MAX_CONTROL_CHARS = 1000  # longest --controls text parsed
 _CONTROL_FUNCS = {name: getattr(math, name)
                   for name in ("sin", "cos", "tan", "exp", "log", "sqrt")}
 _CONTROL_CONSTS = {"pi": math.pi, "e": math.e}
@@ -293,11 +294,15 @@ def _control_term(node):
             and not node.keywords):
         fn, arg = _CONTROL_FUNCS[node.func.id], _control_term(node.args[0])
         return lambda t: fn(arg(t))
-    raise ValueError(f"unsupported syntax {ast.unparse(node)!r}")
+    raise ValueError(f"unsupported syntax {ast.unparse(node)[:40]!r}")
 
 
 def _parse_controls(text, r):
-    """The ``--controls`` value as a callable ``t -> list of r floats``."""
+    """The ``--controls`` value as a callable ``t -> list of r floats``;
+    a text longer than MAX_CONTROL_CHARS is refused before parsing."""
+    if len(text) > MAX_CONTROL_CHARS:
+        raise InputError(f"--controls {text[:40]!r} is longer than the cap "
+                         f"of {MAX_CONTROL_CHARS} characters")
     exprs = [p.strip() for p in text.split(";")]
     if len(exprs) != r:
         raise InputError(f"expected {r} semicolon-separated control exprs")
@@ -306,7 +311,7 @@ def _parse_controls(text, r):
         try:
             terms.append(_control_term(ast.parse(expr, mode="eval").body))
         except (SyntaxError, ValueError, OverflowError, RecursionError) as exc:
-            raise InputError(f"control {expr!r}: {exc}") from None
+            raise InputError(f"control {expr[:40]!r}: {exc}") from None
 
     def func(t):
         try:
@@ -355,8 +360,7 @@ def cmd_integrate(args):
         raise InputError("integration overflowed: the report has "
                          "non-finite values")
     if args.emit:
-        with open(args.emit, "w") as fh:
-            fh.write(cio.curve_to_csv(curve, n))
+        cio.write_text(args.emit, cio.curve_to_csv(curve, n))
         report["emitted"] = args.emit
     return _emit(args, report)
 

@@ -16,10 +16,11 @@ A system driven by time-only controls is triangular in second-kind
 coordinates: the d/dx_l coefficient of a horizontal field has weighted
 degree d(l) - 1, and lambda_i' reads only the lambda_k with
 d(k) = d(i) + 1.  :func:`_rk4_levels` steps such a system one level of
-coordinates at a time over the whole grid, with NumPy, reading the field
-coefficients by the batch kernel :func:`poly.compile_polys` and the
-controls from one table of stage controls, which the curve keeps.
-:func:`integrate_horizontal` fills it with one read per distinct stage
+coordinates at a time over the whole grid, with NumPy, under one table
+of stage controls, which the curve keeps; :func:`_term_levels` builds
+both systems' levels, sums of control-weighted field coefficients, read
+by the batch kernel :func:`poly.compile_polys`, or of columns lambda_k.
+:func:`integrate_horizontal` fills the table with one read per distinct stage
 time of :func:`_stage_times`; :func:`integrate_adjoint` and
 :func:`iterated_integrals` read no control again.  :func:`spiral_example`
 reads its log-spiral once per stage time of one graded grid, for all four
@@ -192,53 +193,56 @@ def _levels(reads, order):
     return levels
 
 
-def _slots(coords, entries):
-    """Slot s holds the positions in ``coords`` of the coordinates that
-    have an s-th entry, and those entries: one slot adds one term to
-    each of its coordinates at once, and the slots add in entry order."""
-    out = []
-    for s in range(max((len(entries[l]) for l in coords), default=0)):
-        pos = [p for p, l in enumerate(coords) if len(entries[l]) > s]
-        out.append((pos, [entries[coords[p]][s] for p in pos]))
-    return out
+def _term_levels(entries, reads, order, reader):
+    """Levels for :func:`_rk4_levels` of a system whose coordinate l
+    starts from 0.0 and adds ``(h_j * c) * v(y)`` for each ``(j, c, v)``
+    in ``entries[l]``, in entry order, a zero control skipped.
+
+    ``reads`` and ``order`` go to :func:`_levels`; ``reader(items)`` maps
+    the v of a level to a function from M stage states to their M x
+    len(items) values.  Slot s adds the s-th term of each coordinate
+    that has one.
+    """
+    import numpy as np
+    levels = []
+    for coords in _levels(reads, order):
+        terms, slots = [], []
+        for s in range(max((len(entries[l]) for l in coords), default=0)):
+            pos = [p for p, l in enumerate(coords) if len(entries[l]) > s]
+            slots.append((pos, slice(len(terms), len(terms) + len(pos))))
+            terms += [entries[coords[p]][s] for p in pos]
+        js, cs, items = ([t[i] for t in terms] for i in range(3))
+
+        # terms run along rows, where a slot's terms are contiguous
+        def slope(U, X, run=reader(items), js=js, cs=np.array(cs)[:, None],
+                  slots=slots, width=len(coords)):
+            u = U.T[js]
+            T, live = u * cs * run(X).T, u != 0
+            acc = np.zeros((width, len(X)))
+            for pos, cols in slots:
+                old = acc[pos]
+                acc[pos] = np.where(live[cols], old + T[cols], old)
+            return acc.T
+
+        levels.append((coords, slope))
+    return levels
 
 
 def _field_levels(fields, size):
     """Levels of ``y' = sum_j h_j fields[j](y)`` on the coordinates
     1..size of the PolyVectorFields ``fields``, for :func:`_rk4_levels`.
 
-    Coordinate l starts from 0.0 and adds ``h_j * f_jl(y)`` over j
-    ascending, a zero control skipped; the f_jl of a level are read in
-    one :func:`compile_polys` call.  A coefficient that reads coordinate
-    l or a later one raises StructureError: in second-kind coordinates
-    f_jl has weighted degree d(l) - 1, so the system is triangular in
-    ascending order.
+    The terms of coordinate l are ``(j, 1.0, f_jl)``, j ascending, and a
+    level reads its f_jl in one :func:`compile_polys` call.  A
+    coefficient that reads coordinate l or a later one raises
+    StructureError: in second-kind coordinates f_jl has weighted degree
+    d(l) - 1, so the system is triangular in ascending order.
     """
-    import numpy as np
-    entries = [[(j, f.coeffs[l]) for j, f in enumerate(fields)
+    entries = [[(j, 1.0, f.coeffs[l]) for j, f in enumerate(fields)
                 if l in f.coeffs] for l in range(1, size + 1)]
-    reads = [{v - 1 for _, p in row for v in p.var_support()}
+    reads = [{v - 1 for _, _, p in row for v in p.var_support()}
              for row in entries]
-    levels = []
-    for coords in _levels(reads, range(size)):
-        polys, slots = [], []
-        for pos, terms in _slots(coords, entries):
-            cols = list(range(len(polys), len(polys) + len(terms)))
-            polys += [p for _, p in terms]
-            slots.append((pos, [j for j, _ in terms], cols))
-
-        def slope(U, X, run=compile_polys(polys), slots=slots,
-                  width=len(coords)):
-            F = run(X)
-            acc = np.zeros((len(X), width))
-            for pos, js, cols in slots:
-                u = U[:, js]
-                acc[:, pos] = np.where(u != 0, acc[:, pos] + u * F[:, cols],
-                                       acc[:, pos])
-            return acc
-
-        levels.append((coords, slope))
-    return levels
+    return _term_levels(entries, reads, range(size), compile_polys)
 
 
 def integrate_horizontal(algebra, controls, x0, grid):
@@ -277,37 +281,22 @@ def _adjoint_rhs(tables, h, lam):
 
 
 def _adjoint_levels(algebra):
-    """Levels of the adjoint system on lambda_1..lambda_n, for
-    :func:`_rk4_levels`.
+    """Levels of the adjoint system, for :func:`_rk4_levels`.
 
-    Coordinate i starts from 0.0 and subtracts ``h_j * c * lambda_k`` in
-    :func:`_adjoint_rhs`'s order, a zero control skipped.  lambda_i reads
-    only the lambda_k with d(k) = d(i) + 1, so the system is triangular
-    in descending order; a bracket that breaks this raises
-    StructureError.
+    The terms of lambda_i are ``(j, -c, k)`` in :func:`_adjoint_rhs`'s
+    order, read as the columns lambda_k of the stage states; adding
+    ``(h_j * -c) * lambda_k`` has the bits of subtracting
+    ``h_j * c * lambda_k``.  lambda_i reads only the lambda_k with
+    d(k) = d(i) + 1, so the system is triangular in descending order; a
+    bracket that breaks this raises StructureError.
     """
-    import numpy as np
     entries = [[] for _ in range(algebra.n)]
     for j, rows in enumerate(_adjoint_tables(algebra)):
         for i, k, c in rows:
-            entries[i].append((j, k, c))
-    reads = [{k for _, k, _ in row} for row in entries]
-    levels = []
-    for coords in _levels(reads, reversed(range(algebra.n))):
-        slots = [(pos, [j for j, _, _ in terms], [k for _, k, _ in terms],
-                  np.array([c for _, _, c in terms]))
-                 for pos, terms in _slots(coords, entries)]
-
-        def slope(U, X, slots=slots, width=len(coords)):
-            acc = np.zeros((len(X), width))
-            for pos, js, ks, cs in slots:
-                u = U[:, js]
-                acc[:, pos] = np.where(u != 0, acc[:, pos] - u * cs * X[:, ks],
-                                       acc[:, pos])
-            return acc
-
-        levels.append((coords, slope))
-    return levels
+            entries[i].append((j, -c, k))
+    reads = [{k for _, _, k in row} for row in entries]
+    return _term_levels(entries, reads, reversed(range(algebra.n)),
+                        lambda ks: lambda X: X[:, ks])
 
 
 def integrate_adjoint(algebra, curve, lambda0):
@@ -417,8 +406,6 @@ def iterated_integrals(family, curve, v):
 
     hits = []
     for p in A.stratum(0):
-        if p > 0:
-            continue
         images = {j: A.bracket_indices(j, p) for j in range(1, r + 1)}
         for (i, j) in pairs:
             if images[j] == {i: Fraction(1)} and \

@@ -220,9 +220,16 @@ def save_algebra(path, algebra, overrides=None):
              "maps": [[[format_rational(c) for c in row] for row in mat]
                       for mat in maps]}
             for deg, maps in sorted(overrides.items(), reverse=True)]
-    with open(path, "w") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+
+
+def write_text(path, text):
+    """Write ``text`` to ``path``; an unwritable path is unusable input."""
+    try:
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise InputError(f"cannot write {path}: {exc}") from None
 
 
 def curve_to_csv(curve, n):

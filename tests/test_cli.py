@@ -281,6 +281,26 @@ def test_integrate_turns_a_too_deep_control_into_an_input_error(tmp_path,
         assert code == 0 or (out == "" and err.startswith("error: ")), depth
 
 
+def test_integrate_refuses_a_control_text_past_the_cap(tmp_path, capsys):
+    # 100,000 minus signs would exhaust the parser's memory; the text is
+    # refused by length before parsing, and the message stays short
+    path = tmp_path / "a.json"
+    run(capsys, "free", "--rank", "2", "--step", "4", "--emit", str(path))
+    code, out, err = run(capsys, "integrate", str(path), "--mode",
+                         "horizontal", f"--controls={'-' * 100_000}t;0",
+                         "--step", "0.5")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert "cap of 1000 characters" in err and len(err) < 200
+    # an expression under the cap that fails to parse echoes 40 characters
+    code, out, err = run(capsys, "integrate", str(path), "--mode",
+                         "horizontal", f"--controls={'-' * 900}x;0",
+                         "--step", "0.5")
+    assert code == 2 and out == ""
+    assert f"control {'-' * 40!r}: unsupported syntax" in err
+    assert len(err) < 200
+
+
 def test_integrate_names_the_first_time_a_control_fails(tmp_path, capsys):
     # the controls fail halfway along the grid, after many good reads;
     # the error names the first stage time, in grid order, that fails
@@ -638,6 +658,24 @@ def test_unreadable_file_is_input_error(capsys):
     code, _, err = run(capsys, "verify", "/nonexistent/algebra.json")
     assert code == 2
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["free", "--rank", "2", "--step", "3", "--emit"],
+    ["integrate", "ALGEBRA", "--mode", "horizontal", "--controls", "1;0",
+     "--step", "0.5", "--emit"],
+    ["prolong", "ALGEBRA", "--emit-basis"]])
+def test_unwritable_emit_path_is_input_error(tmp_path, capsys, argv):
+    # a missing directory and a directory as the path: exit 2, as an
+    # unreadable input does, with nothing on stdout
+    path = tmp_path / "a.json"
+    cio.save_algebra(path, build_free(2, 4)[0])
+    argv = [str(path) if a == "ALGEBRA" else a for a in argv]
+    for target in (tmp_path / "missing" / "out", tmp_path):
+        code, out, err = run(capsys, *argv, str(target))
+        assert code == 2 and out == "", target
+        assert err.startswith(f"error: cannot write {target}: "), err
+        assert "Traceback" not in err
 
 
 def test_prolong_emit_basis_roundtrip(tmp_path, capsys):

@@ -432,6 +432,15 @@ def test_fields_that_are_not_triangular_raise():
         _field_levels(DENSE, 2)
 
 
+def test_adjoint_that_is_not_triangular_raises():
+    # [X_3, X_2] = X_1 breaks the grading: lambda_3 reads lambda_1, which
+    # comes after it in descending order
+    A = GradedLieAlgebra({1: 1, 2: 1, 3: 2}, {(3, 2): {1: 1}})
+    with pytest.raises(StructureError, match="not triangular: coordinate 3 "
+                       "reads coordinate 1"):
+        _adjoint_levels(A)
+
+
 def test_overflowing_run_leaks_no_numpy_warning(free24):
     # Python floats overflow to inf silently, and so must the array path
     with warnings.catch_warnings():
