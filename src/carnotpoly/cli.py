@@ -451,9 +451,14 @@ def main(argv=None):
 
     args = parser.parse_args(argv)
     try:
-        # digests come first: a command may overwrite its own input file
+        # before the command: digests (it may overwrite an input) and outputs
         paths = [getattr(args, name, None) for name in ("algebra", "curve")]
         args.inputs = {path: cio.file_digest(path) for path in paths if path}
+        for out in filter(None, map(vars(args).get, ("emit", "emit_basis"))):
+            if os.path.isdir(out):
+                raise InputError(f"cannot write {out}: is a directory")
+            if not os.path.isdir(os.path.dirname(out) or "."):
+                raise InputError(f"cannot write {out}: no such directory")
         status = args.func(args)
         # a closed stdout shows here, not at the interpreter's exit
         sys.stdout.flush()

@@ -10,7 +10,8 @@ degree at least 1.  Curve CSV has the header ``t,x1..xn`` with
 optional ``l1..ln`` dual columns; entries containing ``/`` or parsing as
 integers are read back exactly, anything with a decimal point as float.
 A curve with any float entry must have every entry finite as a float.
-Reports carry no timestamps, so identical inputs give identical bytes.
+Files are read as UTF-8, whatever the locale.  Reports carry no
+timestamps, so identical inputs give identical bytes.
 """
 
 import csv
@@ -164,8 +165,12 @@ def algebra_from_json(doc, max_dim=None):
     for entry in _list(doc.get("brackets", []), "brackets"):
         try:
             i, j = _integer(entry["i"], "i"), _integer(entry["j"], "j")
-            terms = {_integer(t["k"], "k"): parse_rational(t["c"])
-                     for t in _list(entry["terms"], "terms")}
+            terms = {}
+            for t in _list(entry["terms"], "terms"):
+                k = _integer(t["k"], "k")
+                if k in terms:
+                    raise InputError(f"k = {k} appears twice")
+                terms[k] = parse_rational(t["c"])
         except (KeyError, TypeError, InputError) as exc:
             raise InputError(f"bad bracket entry {entry!r}: {exc}") from None
         key = (i, j)
@@ -196,12 +201,19 @@ def algebra_from_json(doc, max_dim=None):
     return algebra, overrides
 
 
-def load_algebra(path, max_dim=None):
+def _read(path, mode):
+    """``path`` as UTF-8 text with universal newlines, or as bytes ("rb")."""
     try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except OSError as exc:
+        with open(path, mode, encoding="utf-8" if mode == "r" else None) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
         raise InputError(f"cannot read {path}: {exc}") from None
+
+
+def load_algebra(path, max_dim=None):
+    text = _read(path, "r")
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno} column {exc.colno}: "
                          f"{exc.msg}") from None
@@ -285,16 +297,8 @@ def samples_from_csv(text, n):
 
 
 def load_samples(path, n):
-    try:
-        with open(path) as fh:
-            return samples_from_csv(fh.read(), n)
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+    return samples_from_csv(_read(path, "r"), n)
 
 
 def file_digest(path):
-    try:
-        with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
-    except OSError as exc:
-        raise InputError(f"cannot read {path}: {exc}") from None
+    return hashlib.sha256(_read(path, "rb")).hexdigest()

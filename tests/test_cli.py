@@ -470,6 +470,12 @@ HEIS_DOC = cio.algebra_to_json(heisenberg_algebra())
     ("brackets", [{"i": 2, "j": 1, "terms": [{"k": 3, "c": "1"},
                                              {"k": k, "c": "1"}]}],
      f"bracket [X_2, X_1] names unknown index {k}") for k in (7, 0, -1)
+] + [
+    # [X_2, X_1] = X_3 + 2 X_3 is refused, not read as 2 X_3
+    ("brackets", [{"i": 2, "j": 1, "terms": [{"k": 3, "c": "1"},
+                                             {"k": 3, "c": "2"}]}],
+     "bad bracket entry {'i': 2, 'j': 1, 'terms': [{'k': 3, 'c': '1'}, "
+     "{'k': 3, 'c': '2'}]}: k = 3 appears twice"),
 ])
 def test_malformed_algebra_field_exits_2(tmp_path, capsys, field, value,
                                          message):
@@ -522,6 +528,40 @@ def test_curve_parser_raises_only_input_errors(text, n):
         cio.samples_from_csv(text, n)
     except cio.InputError:
         pass
+
+
+HEIS_BYTES = json.dumps(HEIS_DOC).encode()
+CURVE_BYTES = b"t,x1,x2,x3\n0,1/2,1,0\n1,0.5,2,1e3\n"
+
+
+def _replaced(data, edits):
+    """``data`` with the byte at each ``(position, value)`` edit replaced."""
+    data = bytearray(data)
+    for pos, value in edits:
+        data[pos % len(data)] = value
+    return bytes(data)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.binary(max_size=40) | st.builds(
+           _replaced, st.sampled_from([HEIS_BYTES, CURVE_BYTES]),
+           st.lists(st.tuples(st.integers(0, 999), st.integers(0, 255)),
+                    min_size=1, max_size=3)),
+       n=st.integers(1, 3))
+@example(data=b"t,x1\n0,\xff\n", n=1)
+@example(data=HEIS_BYTES.replace(b'"1"', b'"\xc3"'), n=3)
+def test_input_files_raise_only_input_errors(tmp_path_factory, data, n):
+    # random bytes, and a valid algebra or curve with a few bytes replaced,
+    # read from a file as every command reads its inputs
+    path = tmp_path_factory.mktemp("bytes") / "input"
+    path.write_bytes(data)
+    assert cio.file_digest(path) == hashlib.sha256(data).hexdigest()
+    for load in (lambda: cio.load_algebra(path, max_dim=256),
+                 lambda: cio.load_samples(path, n)):
+        try:
+            load()
+        except cio.InputError:
+            pass
 
 
 def _int_then_float(text):
@@ -675,6 +715,44 @@ def test_unwritable_emit_path_is_input_error(tmp_path, capsys, argv):
         code, out, err = run(capsys, *argv, str(target))
         assert code == 2 and out == "", target
         assert err.startswith(f"error: cannot write {target}: "), err
+        assert "Traceback" not in err
+
+
+def test_unwritable_emit_path_is_refused_before_the_run(tmp_path,
+                                                       monkeypatch, capsys):
+    # a long integration or prolongation is not run for an output path
+    # that cannot be written
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran")
+
+    monkeypatch.setattr("carnotpoly.cli.integrate_horizontal", never)
+    monkeypatch.setattr("carnotpoly.cli.prolong", never)
+    path = tmp_path / "a.json"
+    cio.save_algebra(path, build_free(2, 4)[0])
+    for argv in (["integrate", str(path), "--mode", "horizontal",
+                  "--controls", "1;0", "--step", "2e-6", "--emit"],
+                 ["prolong", str(path), "--emit-basis"]):
+        for target, why in ((tmp_path / "missing" / "x", "no such directory"),
+                            (tmp_path, "is a directory")):
+            code, out, err = run(capsys, *argv, str(target))
+            assert code == 2 and out == "", (argv, target)
+            assert err == f"error: cannot write {target}: {why}\n"
+
+
+def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
+    # one 0xff byte in the curve or in the algebra file
+    algebra = tmp_path / "a.json"
+    cio.save_algebra(algebra, build_free(2, 4)[0])
+    bad_curve = tmp_path / "bad.csv"
+    bad_curve.write_bytes(b"t,x1,x2,x3,x4,x5,x6,x7,x8\n0,\xff\n")
+    bad_algebra = tmp_path / "bad.json"
+    bad_algebra.write_bytes(algebra.read_bytes() + b"\xff")
+    for argv, bad in ((["detect", str(algebra), str(bad_curve)], bad_curve),
+                      (["verify", str(bad_algebra)], bad_algebra),
+                      (["polys", str(bad_algebra)], bad_algebra)):
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "", argv
+        assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
         assert "Traceback" not in err
 
 
