@@ -291,7 +291,7 @@ def _decompose_stratum(algebra, m):
         return None
     out = {}
     for j, t in enumerate(target):
-        sol = dict(zip(pivots, (row[npairs + j] for row in reduced)))
+        sol = dict(zip(pivots, (row.get(npairs + j) for row in reduced)))
         out[t] = [(sol[c], p, q) for c, (p, q) in enumerate(pairs)
                   if sol.get(c)]
     return out

@@ -9,6 +9,7 @@ content digest under ``"inputs"``).
 
 import argparse
 import ast
+import contextlib
 import json
 import math
 import operator
@@ -37,17 +38,18 @@ def _max_dim():
     except ValueError:
         cap = 0
     if cap < 1:
-        raise InputError(
-            f"CARNOT_MAX_DIM must be a positive integer, got {text!r}")
+        raise InputError("CARNOT_MAX_DIM must be a positive integer, got "
+                         + cio.excerpt(text))
     return cap
 
 
 def _depth(text):
     """A ``--max-depth`` value: a nonnegative integer."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(
-            f"must be a nonnegative integer, got {text!r}")
-    return int(text)
+    if text.isdecimal():
+        with contextlib.suppress(ValueError):   # past int()'s digit limit
+            return int(text)
+    raise argparse.ArgumentTypeError(
+        f"must be a nonnegative integer, got {cio.excerpt(text)}")
 
 
 def _tolerance(text):
@@ -58,7 +60,7 @@ def _tolerance(text):
         tol = math.nan
     if not (math.isfinite(tol) and tol >= 0):
         raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 0, got {text!r}")
+            f"must be a finite number >= 0, got {cio.excerpt(text)}")
     return tol
 
 
@@ -250,10 +252,11 @@ def _parse_vector(flag, text, n):
     parts = text.split(",")
     if len(parts) != n or not all(p.strip() for p in parts):
         raise InputError(f"{flag} needs {n} nonempty comma-separated "
-                         f"entries, got {text!r}")
+                         f"entries, got {cio.excerpt(text)}")
     values = [cio.parse_scalar(p) for p in parts]
     if not cio.finite(values):
-        raise InputError(f"{flag}: entries of {text!r} must be finite floats")
+        raise InputError(f"{flag}: entries of {cio.excerpt(text)} must be "
+                         "finite floats")
     return values
 
 
@@ -294,15 +297,15 @@ def _control_term(node):
             and not node.keywords):
         fn, arg = _CONTROL_FUNCS[node.func.id], _control_term(node.args[0])
         return lambda t: fn(arg(t))
-    raise ValueError(f"unsupported syntax {ast.unparse(node)[:40]!r}")
+    raise ValueError(f"unsupported syntax {cio.excerpt(ast.unparse(node))}")
 
 
 def _parse_controls(text, r):
     """The ``--controls`` value as a callable ``t -> list of r floats``;
     a text longer than MAX_CONTROL_CHARS is refused before parsing."""
     if len(text) > MAX_CONTROL_CHARS:
-        raise InputError(f"--controls {text[:40]!r} is longer than the cap "
-                         f"of {MAX_CONTROL_CHARS} characters")
+        raise InputError(f"--controls {cio.excerpt(text)} is longer than "
+                         f"the cap of {MAX_CONTROL_CHARS} characters")
     exprs = [p.strip() for p in text.split(";")]
     if len(exprs) != r:
         raise InputError(f"expected {r} semicolon-separated control exprs")
@@ -311,7 +314,7 @@ def _parse_controls(text, r):
         try:
             terms.append(_control_term(ast.parse(expr, mode="eval").body))
         except (SyntaxError, ValueError, OverflowError, RecursionError) as exc:
-            raise InputError(f"control {expr[:40]!r}: {exc}") from None
+            raise InputError(f"control {cio.excerpt(expr)}: {exc}") from None
 
     def func(t):
         try:

@@ -6,7 +6,7 @@ as written, would have more than ``MAX_DIGITS`` decimal digits, or whose
 text is longer than ``3 * MAX_DIGITS`` characters, is rejected before it
 is built.  Counts and indices (``dim``, ``rank``, ``step``,
 ``degrees``, bracket and basis indices) must be JSON integers, and every
-degree at least 1.  Curve CSV has the header ``t,x1..xn`` with
+degree from 1 to ``dim``.  Curve CSV has the header ``t,x1..xn`` with
 optional ``l1..ln`` dual columns; entries containing ``/`` or parsing as
 integers are read back exactly, anything with a decimal point as float.
 A curve with any float entry must have every entry finite as a float.
@@ -34,6 +34,11 @@ _DIGIT_CAP = 10 ** MAX_DIGITS
 _EXACT_TEXT = re.compile(r"\s*[-+]?(?P<int>[\d_]*)(?:\.(?P<frac>[\d_]*))?"
                          r"(?:[eE](?P<exp>[-+]?[\d_]+))?"
                          r"(?:\s*/\s*(?P<den>[\d_]+))?\s*")
+
+
+def excerpt(value):
+    """At most 40 characters of ``value``, for a message that refuses it."""
+    return repr(value[:40]) if isinstance(value, str) else repr(value)[:40]
 
 
 def _too_many_digits(text):
@@ -68,27 +73,29 @@ def parse_rational(text):
         return Fraction(text)
     text = str(text)
     if _too_many_digits(text):
-        raise InputError(f"rational {text[:40]!r} is too large: more than "
+        raise InputError(f"rational {excerpt(text)} is too large: more than "
                          f"{MAX_DIGITS} digits in its numerator or "
                          f"denominator, or {3 * MAX_DIGITS} characters")
     try:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
-        raise InputError(f"bad rational {text[:40]!r}: {exc}") from None
+        raise InputError(f"bad rational {excerpt(text)}: {exc}") from None
 
 
-def _integer(value, what, least=None):
-    """``value`` when it is a JSON integer (not a bool) of at least ``least``."""
+def _integer(value, what, least=None, most=None):
+    """``value`` when it is a JSON integer (not a bool) in [least, most]."""
     if type(value) is not int:
-        raise InputError(f"{what} must be an integer, not {value!r}")
+        raise InputError(f"{what} must be an integer, not {excerpt(value)}")
     if least is not None and value < least:
-        raise InputError(f"{what} must be at least {least}, not {value}")
+        raise InputError(f"{what} must be at least {least}")
+    if most is not None and value > most:
+        raise InputError(f"{what} must be at most {most}")
     return value
 
 
 def _list(value, what):
     if not isinstance(value, list):
-        raise InputError(f"{what} must be a list, not {value!r}")
+        raise InputError(f"{what} must be a list, not {excerpt(value)}")
     return value
 
 
@@ -120,7 +127,7 @@ def parse_scalar(text):
     try:
         return float(s)
     except ValueError:
-        raise InputError(f"bad number {text!r}") from None
+        raise InputError(f"bad number {excerpt(text)}") from None
 
 
 def algebra_to_json(algebra):
@@ -159,7 +166,7 @@ def algebra_from_json(doc, max_dim=None):
         raise InputError(f"dimension {n} exceeds cap {max_dim}")
     if len(degrees_list) != n:
         raise InputError("degrees list length differs from dim")
-    degrees = {i + 1: _integer(d, f"degree of index {i + 1}", 1)
+    degrees = {i + 1: _integer(d, f"degree of index {i + 1}", 1, n)
                for i, d in enumerate(degrees_list)}
     table = {}
     for entry in _list(doc.get("brackets", []), "brackets"):
@@ -172,7 +179,8 @@ def algebra_from_json(doc, max_dim=None):
                     raise InputError(f"k = {k} appears twice")
                 terms[k] = parse_rational(t["c"])
         except (KeyError, TypeError, InputError) as exc:
-            raise InputError(f"bad bracket entry {entry!r}: {exc}") from None
+            raise InputError(
+                f"bad bracket entry {excerpt(entry)}: {exc}") from None
         key = (i, j)
         if key in table:
             raise InputError(f"duplicate bracket entry for pair {key}")

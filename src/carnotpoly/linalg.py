@@ -7,11 +7,12 @@ builds the reduced row echelon form incrementally: each row in turn is
 cleared on the pivot columns found so far by cross multiplication, then
 becomes a new pivot row, which clears its pivot column from the earlier
 pivot rows, or is dropped as dependent; every cleared row is divided by
-its content, and only the dense reduced rows by their pivots.  Reading stops
-at full rank.  The reduced row echelon form is unique, so pivots,
+its content, and only the reduced rows it returns, each the sparse
+``{column: value}`` dict of its nonzero entries, by their pivots.  Reading
+stops at full rank.  The reduced row echelon form is unique, so pivots,
 null-space bases and particular solutions do not depend on this order or
-scaling.  Null-space bases set one free variable to 1 in ascending
-column order and are normalized to primitive integer form with the first
+scaling.  Null-space bases set one free variable to 1 in ascending column
+order and are normalized to primitive integer form with the first
 nonzero entry positive, so repeated runs produce byte-identical output.
 
 Exact scalars are integer-first: an integral value is an ``int`` and any
@@ -77,19 +78,15 @@ def _cross(row, p, f, other):
     _divide_content(row)
 
 
-def _width(row):
-    return max(row, default=-1) + 1 if isinstance(row, dict) else len(row)
-
-
 def rref(rows, ncols):
     """Reduced row echelon form, pivoting on the first ``ncols`` columns.
 
     Rows are sequences or sparse ``{column: value}`` dicts, from any
     iterable; columns past ``ncols`` (an augmented part) ride along
     unpivoted.  Returns ``(reduced_rows, pivot_columns)`` with pivots
-    ascending and each reduced row a dense list as wide as the widest
-    input row.  The input is not modified, and an iterator is read no
-    further than the row that completes the rank.
+    ascending and each reduced row the ``{column: value}`` dict of its
+    nonzero entries.  The input is not modified, and an iterable is read
+    no further than the row that completes the rank.
 
     A row that depends on the rows before it within the first ``ncols``
     columns is dropped, augmented part included, so the reduced rows are
@@ -97,10 +94,8 @@ def rref(rows, ncols):
     there, as for ``[B | I]`` with B of full row rank, this is the unique
     reduced form of the whole matrix.
     """
-    it, width = iter(rows), ncols
     pivot_rows = {}     # pivot column -> sparse integer row, content 1
-    for row in it:
-        width = max(width, _width(row))
+    for row in rows:
         items = row.items() if isinstance(row, dict) else enumerate(row)
         new = {c: scalar(x) for c, x in items if x}
         clear_denominators([new])
@@ -118,16 +113,12 @@ def rref(rows, ncols):
         pivot_rows[lead] = new
         if len(pivot_rows) == ncols:
             break
-    if it is not rows:      # a collection: its unread rows count for width
-        width = max([width] + [_width(row) for row in it])
     pivots = sorted(pivot_rows)
-    reduced = []
     for p in pivots:
-        d, dense = pivot_rows[p][p], [0] * width
-        for c, x in pivot_rows[p].items():
-            dense[c] = x // d if x % d == 0 else Fraction(x, d)
-        reduced.append(dense)
-    return reduced, pivots
+        row, d = pivot_rows[p], pivot_rows[p][p]
+        for c, x in row.items():
+            row[c] = x // d if x % d == 0 else Fraction(x, d)
+    return [pivot_rows[p] for p in pivots], pivots
 
 
 def rank(rows, ncols):
@@ -160,7 +151,7 @@ def kernel_basis(reduced, pivots, ncols):
         v = [0] * ncols
         v[fc] = 1
         for prow, pcol in zip(reduced, pivots):
-            v[pcol] = -prow[fc]
+            v[pcol] = -prow.get(fc, 0)
         basis.append(primitive(v))
     return basis
 
@@ -175,10 +166,8 @@ def solve(rows, rhs, ncols):
     reduced, pivots = rref(aug, ncols + 1)
     if ncols in pivots:
         return None
-    x = [0] * ncols
-    for prow, pcol in zip(reduced, pivots):
-        x[pcol] = prow[ncols]
-    return x
+    sol = dict(zip(pivots, (row.get(ncols, 0) for row in reduced)))
+    return [sol.get(c, 0) for c in range(ncols)]
 
 
 def solve_in_span(basis_vectors, target):

@@ -69,7 +69,7 @@ class ProlongationStratum:
         reduced, found = linalg.rref(rows, dim)
         if len(rows) != dim or len(found) != dim:
             raise StructureError("chosen basis does not span the stratum")
-        self.inverse = [[(i, x) for i, x in enumerate(row[dim:]) if x]
+        self.inverse = [[(c - dim, x) for c, x in row.items() if c >= dim]
                         for row in reduced]
 
     @property
@@ -205,11 +205,9 @@ def compute_stratum(P, k):
             f"prolongation reaches dimension {dim} > cap {cap} at depth {-k} "
             f"(stratum {k})")
     basis = linalg.kernel_basis(reduced, found, len(unknowns))
-
-    # kernel_basis leaves each vector's free unknown as its last nonzero
-    # entry, and that unknown is zero in every other basis vector
-    pivots = [unknowns[max(u for u, x in enumerate(vec) if x)]
-              for vec in basis]
+    # the pivots: the free unknowns, each nonzero in its basis vector only
+    pivoted = set(found)
+    pivots = [ut for u, ut in enumerate(unknowns) if u not in pivoted]
     maps = []
     for vec in basis:
         phi = {}

@@ -32,7 +32,8 @@ ELEMENTARY_G0 = [
 
 def dense_rref(rows, ncols):
     """Reference for ``linalg.rref``: column-by-column dense elimination
-    on Fraction rows."""
+    on Fraction rows, each reduced row returned as the dict of its nonzero
+    entries."""
     m = [[Fraction(x) for x in row] for row in rows]
     pivots = []
     lead = 0
@@ -51,15 +52,14 @@ def dense_rref(rows, ncols):
         lead += 1
         if lead == len(m):
             break
-    return m[:lead], pivots
+    reduced = [{c: x for c, x in enumerate(row) if x} for row in m[:lead]]
+    return reduced, pivots
 
 
 def reference_rref(rows, ncols):
     """Reference for ``linalg.rref``: the same incremental elimination on
     integer-first ``Fraction`` rows, each pivot row scaled to 1 as it is
-    found.  Reads every row of a list for the width."""
-    width = max([ncols] + [max(row, default=-1) + 1 if isinstance(row, dict)
-                           else len(row) for row in rows])
+    found."""
     pivot_rows = {}     # pivot column -> sparse row holding 1 there
     for row in rows:
         if len(pivot_rows) == ncols:
@@ -81,13 +81,7 @@ def reference_rref(rows, ncols):
                 linalg.add_multiple(prow, -f, new)
         pivot_rows[lead] = new
     pivots = sorted(pivot_rows)
-    reduced = []
-    for p in pivots:
-        dense = [0] * width
-        for c, x in pivot_rows[p].items():
-            dense[c] = x
-        reduced.append(dense)
-    return reduced, pivots
+    return [pivot_rows[p] for p in pivots], pivots
 
 
 def compile_field_sum(fields, size):
@@ -826,8 +820,8 @@ def recombined_free(draw):
                           for a, row in enumerate(U)], size)[0]
         for a, i in enumerate(idx):
             new_of[i] = {idx[b]: c for b, c in enumerate(U[a]) if c}
-            old_of[i] = {idx[b]: inv[a][size + b] for b in range(size)
-                         if inv[a][size + b]}
+            old_of[i] = {idx[c - size]: x for c, x in inv[a].items()
+                         if c >= size}
     table = {}
     for i in A.base_indices():
         for j in range(1, i):

@@ -474,8 +474,8 @@ HEIS_DOC = cio.algebra_to_json(heisenberg_algebra())
     # [X_2, X_1] = X_3 + 2 X_3 is refused, not read as 2 X_3
     ("brackets", [{"i": 2, "j": 1, "terms": [{"k": 3, "c": "1"},
                                              {"k": 3, "c": "2"}]}],
-     "bad bracket entry {'i': 2, 'j': 1, 'terms': [{'k': 3, 'c': '1'}, "
-     "{'k': 3, 'c': '2'}]}: k = 3 appears twice"),
+     "bad bracket entry {'i': 2, 'j': 1, 'terms': [{'k': 3, 'c':: "
+     "k = 3 appears twice"),
 ])
 def test_malformed_algebra_field_exits_2(tmp_path, capsys, field, value,
                                          message):
@@ -579,7 +579,7 @@ def _int_then_float(text):
     try:
         return float(s)
     except ValueError:
-        raise cio.InputError(f"bad number {text!r}") from None
+        raise cio.InputError(f"bad number {cio.excerpt(text)}") from None
 
 
 def _scalar_or_error(parse, text):
@@ -754,6 +754,53 @@ def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
         assert code == 2 and out == "", argv
         assert err.startswith(f"error: cannot read {bad}: 'utf-8' codec")
         assert "Traceback" not in err
+
+
+ZEROS = "0," * 7     # seven of the eight entries of a free(2,4) vector
+REFUSED = {
+    "lambda0-count": ["integrate", "{algebra}", "--mode", "normal",
+                      "--lambda0=" + "1," * 50_000],
+    "lambda0-number": ["integrate", "{algebra}", "--mode", "normal",
+                       f"--lambda0={ZEROS}{'x' * 100_000}"],
+    "lambda0-finite": ["integrate", "{algebra}", "--mode", "normal",
+                       f"--lambda0={ZEROS}{'1' * 100_000}.5"],
+    "curve-number": ["detect", "{algebra}", "{curve}"],
+    "max-dim": ["verify", "{algebra}"],
+    "repeated-k": ["verify", "{repeated}"],
+    "max-depth": ["prolong", "{algebra}", "--max-depth", "1" * 100_000],
+    "tol": ["detect", "{algebra}", "{curve}", f"--tol={'1' * 100_000}x"],
+    "huge-degree": ["verify", "{huge}"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(REFUSED))
+def test_refusals_echo_a_short_excerpt(tmp_path, monkeypatch, capsys, case):
+    # each input holds about 100,000 characters, or a degree of 2,000,000,
+    # which would list one empty stratum per degree below it; each is
+    # refused at once, and its message echoes at most 40 characters of it
+    files = {"algebra": tmp_path / "a.json", "curve": tmp_path / "c.csv",
+             "repeated": tmp_path / "k.json", "huge": tmp_path / "d.json"}
+    cio.save_algebra(files["algebra"], build_free(2, 4)[0])
+    files["curve"].write_text("t," + ",".join(f"x{i}" for i in range(1, 9))
+                              + f"\n0,{ZEROS}{'x' * 100_000}\n")
+    files["repeated"].write_text(json.dumps({**HEIS_DOC, "brackets": [
+        {"i": 2, "j": 1, "terms": [{"k": 3, "c": "1"}] * 2000}]}))
+    files["huge"].write_text(
+        '{"dim": 3, "degrees": [1, 1, 2000000], "brackets": []}')
+    if case == "max-dim":
+        monkeypatch.setenv("CARNOT_MAX_DIM", "9" * 100_000)
+    monkeypatch.setenv("COLUMNS", "80")     # argparse wraps its usage line
+    argv = [arg.format(**files) if arg.startswith("{") else arg
+            for arg in REFUSED[case]]
+    start = time.perf_counter()
+    try:
+        code = main(argv)
+    except SystemExit as exc:   # argparse refuses its own arguments
+        code = exc.code
+    assert time.perf_counter() - start < 1
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert "Traceback" not in err and len(err) < 300, err[:300]
 
 
 def test_prolong_emit_basis_roundtrip(tmp_path, capsys):

@@ -436,8 +436,8 @@ def quotient_by_top_stratum_subspace(algebra, kill):
                 out[k] = c
         for prow, pcol in zip(reduced, pivots):
             f = dense[pcol]
-            if f:
-                dense = [d - f * r for d, r in zip(dense, prow)]
+            for c, r in prow.items():
+                dense[c] -= f * r
         for idx, c in enumerate(dense):
             if c:
                 out[top[idx]] = c

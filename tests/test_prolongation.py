@@ -613,7 +613,7 @@ def test_decompositions_match_dense_reference(shape, data):
         reduced, pivots = dense_rref(aug, npairs)
         assert linalg.rref(aug, npairs) == (reduced, pivots)
         for j, m in enumerate(target):
-            sol = dict(zip(pivots, (row[npairs + j] for row in reduced)))
+            sol = dict(zip(pivots, (row.get(npairs + j) for row in reduced)))
             assert decomp[m] == [(sol[c], p, q) for c, (p, q) in
                                  enumerate(pairs) if sol.get(c)]
 
