@@ -31,37 +31,31 @@ from .poly import canonical_text
 from .prolongation import CutoffError, prolong
 
 
-def _max_dim():
-    text = os.environ.get("CARNOT_MAX_DIM", "256")
-    try:
-        cap = int(text)
-    except ValueError:
-        cap = 0
-    if cap < 1:
-        raise InputError("CARNOT_MAX_DIM must be a positive integer, got "
-                         + cio.excerpt(text))
-    return cap
-
-
-def _depth(text):
-    """A ``--max-depth`` value: a nonnegative integer."""
-    if text.isdecimal():
-        with contextlib.suppress(ValueError):   # past int()'s digit limit
-            return int(text)
-    raise argparse.ArgumentTypeError(
-        f"must be a nonnegative integer, got {cio.excerpt(text)}")
-
-
-def _tolerance(text):
-    """A ``--tol`` value: a finite number >= 0."""
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol >= 0):
+def _number(kind, what, ok=lambda value: True):
+    """An argparse type: ``kind(text)`` when it converts and passes ``ok``;
+    any other text is refused with a short excerpt of it."""
+    def read(text):
+        with contextlib.suppress(ValueError):   # int() past its digit limit
+            if ok(value := kind(text)):
+                return value
         raise argparse.ArgumentTypeError(
-            f"must be a finite number >= 0, got {cio.excerpt(text)}")
-    return tol
+            f"must be {what}, got {cio.excerpt(text)}")
+    return read
+
+
+_integer, _float = _number(int, "an integer"), _number(float, "a number")
+_depth = _number(lambda text: int(text) if text.isdecimal() else None,
+                 "a nonnegative integer", lambda depth: depth is not None)
+_tolerance = _number(float, "a finite number >= 0",
+                     lambda tol: math.isfinite(tol) and tol >= 0)
+
+
+def _max_dim():
+    try:
+        return _number(int, "a positive integer", lambda cap: cap >= 1)(
+            os.environ.get("CARNOT_MAX_DIM", "256"))
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"CARNOT_MAX_DIM {exc}") from None
 
 
 def _emit(args, report, status=0):
@@ -334,24 +328,22 @@ def cmd_integrate(args):
     except ValueError as exc:
         raise InputError(str(exc)) from None
     x0 = _parse_vector("--x0", args.x0, n) if args.x0 else [0.0] * n
+    # the flags of the mode, in the order they are parsed
+    flags = {"normal": ["lambda0"], "horizontal": ["controls"],
+             "adjoint": ["controls", "lambda0"]}[args.mode]
+    if not all(vars(args)[flag] for flag in flags):
+        raise InputError(" and ".join(f"--{flag}" for flag in flags)
+                         + (" is" if len(flags) == 1 else " are")
+                         + f" required for mode {args.mode}")
+    parse = {"controls": lambda text: _parse_controls(text, algebra.r),
+             "lambda0": lambda text: _parse_vector("--lambda0", text, n)}
+    given = {flag: parse[flag](vars(args)[flag]) for flag in flags}
     if args.mode == "normal":
-        if not args.lambda0:
-            raise InputError("--lambda0 is required for mode normal")
-        lam0 = _parse_vector("--lambda0", args.lambda0, n)
-        curve = integrate_normal(algebra, lam0, x0, grid)
-    elif args.mode == "horizontal":
-        if not args.controls:
-            raise InputError("--controls is required for mode horizontal")
-        controls = _parse_controls(args.controls, algebra.r)
-        curve = integrate_horizontal(algebra, controls, x0, grid)
+        curve = integrate_normal(algebra, given["lambda0"], x0, grid)
     else:
-        if not (args.controls and args.lambda0):
-            raise InputError(
-                "--controls and --lambda0 are required for mode adjoint")
-        controls = _parse_controls(args.controls, algebra.r)
-        curve = integrate_horizontal(algebra, controls, x0, grid)
-        lam0 = _parse_vector("--lambda0", args.lambda0, n)
-        curve = integrate_adjoint(algebra, curve, lam0)
+        curve = integrate_horizontal(algebra, given["controls"], x0, grid)
+    if args.mode == "adjoint":
+        curve = integrate_adjoint(algebra, curve, given["lambda0"])
     report = {
         "steps": len(grid) - 1,
         "endpoint": [float(c) for c in curve.gamma[-1]],
@@ -393,6 +385,8 @@ def _command(sub, name, func, summary, algebra=True, **depth):
     the ``default`` (and ``help``) in ``depth`` when given, and ``--json``.
     """
     p = sub.add_parser(name, help=summary)
+    # a refused argument is one line; --help prints the usage
+    p.error = lambda message: p.exit(2, f"{p.prog}: error: {message}\n")
     p.set_defaults(func=func)
     if algebra:
         p.add_argument("algebra")
@@ -411,8 +405,8 @@ def main(argv=None):
 
     p = _command(sub, "free", cmd_free, "build a free nilpotent algebra",
                  algebra=False)
-    p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--step", type=int, required=True)
+    p.add_argument("--rank", type=_integer, required=True)
+    p.add_argument("--step", type=_integer, required=True)
     p.add_argument("--emit", help="write the AlgebraFile JSON here")
 
     p = _command(sub, "prolong", cmd_prolong,
@@ -441,15 +435,15 @@ def main(argv=None):
     p.add_argument("--x0", help="comma-separated start point")
     p.add_argument("--controls",
                    help="semicolon-separated expressions in t, e.g. 'cos(t);sin(t)'")
-    p.add_argument("--t0", type=float, default=0.0)
-    p.add_argument("--t1", type=float, default=1.0)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--t0", type=_float, default=0.0)
+    p.add_argument("--t1", type=_float, default=1.0)
+    p.add_argument("--step", type=_float, default=1e-3)
     p.add_argument("--emit", help="write the curve CSV here")
 
     p = _command(sub, "spiral", cmd_spiral,
                  "the 64-dimensional spiral Goh example", algebra=False)
-    p.add_argument("--samples", type=int, default=2000)
-    p.add_argument("--puncture", type=float, default=1e-6)
+    p.add_argument("--samples", type=_integer, default=2000)
+    p.add_argument("--puncture", type=_float, default=1e-6)
     p.add_argument("--tol", type=_tolerance, default=1e-8)
 
     args = parser.parse_args(argv)
@@ -457,7 +451,10 @@ def main(argv=None):
         # before the command: digests (it may overwrite an input) and outputs
         paths = [getattr(args, name, None) for name in ("algebra", "curve")]
         args.inputs = {path: cio.file_digest(path) for path in paths if path}
-        for out in filter(None, map(vars(args).get, ("emit", "emit_basis"))):
+        outs = [vars(args).get(name) for name in ("emit", "emit_basis")]
+        for out in (out for out in outs if out is not None):
+            if not out:
+                raise InputError("cannot write an empty path")
             if os.path.isdir(out):
                 raise InputError(f"cannot write {out}: is a directory")
             if not os.path.isdir(os.path.dirname(out) or "."):

@@ -280,8 +280,10 @@ def samples_from_csv(text, n):
         raise InputError("empty curve file")
     header = lines[0][1]
     want = ["t"] + [f"x{i}" for i in range(1, n + 1)]
-    if [h.strip() for h in header[:n + 1]] != want:
-        raise InputError(f"curve header must start with {','.join(want)}")
+    if [h.strip() for h in header] not in (
+            want, want + [f"l{i}" for i in range(1, n + 1)]):
+        raise InputError(f"curve header {excerpt(','.join(header))} is not "
+                         f"t,x1..x{n} or t,x1..x{n},l1..l{n}")
     rows = []
     for lineno, row in lines[1:]:
         if not row:

@@ -196,10 +196,14 @@ def test_detect_rejects_bad_header(tmp_path, capsys):
     path = tmp_path / "a.json"
     run(capsys, "free", "--rank", "2", "--step", "2", "--emit", str(path))
     curve = tmp_path / "bad.csv"
-    curve.write_text("time,x1,x2,x3\n0,0,0,0\n")
-    code, _, err = run(capsys, "detect", str(path), str(curve))
-    assert code == 2
-    assert "header" in err
+    # a misnamed column, a stray column after the points, and misnamed
+    # dual columns
+    for header in ("time,x1,x2,x3", "t,x1,x2,x3,junk", "t,x1,x2,x3,a,b,c"):
+        zeros = ",".join("0" * len(header.split(",")))
+        curve.write_text(f"{header}\n{zeros}\n")
+        code, out, err = run(capsys, "detect", str(path), str(curve))
+        assert code == 2 and out == "", header
+        assert err.startswith(f"error: curve header {header!r} is not "), err
 
 
 def test_integrate_normal_and_emit(tmp_path, capsys):
@@ -727,16 +731,21 @@ def test_unwritable_emit_path_is_refused_before_the_run(tmp_path,
 
     monkeypatch.setattr("carnotpoly.cli.integrate_horizontal", never)
     monkeypatch.setattr("carnotpoly.cli.prolong", never)
+    monkeypatch.setattr("carnotpoly.cli.build_free", never)
     path = tmp_path / "a.json"
     cio.save_algebra(path, build_free(2, 4)[0])
+    missing = tmp_path / "missing" / "x"
     for argv in (["integrate", str(path), "--mode", "horizontal",
                   "--controls", "1;0", "--step", "2e-6", "--emit"],
-                 ["prolong", str(path), "--emit-basis"]):
-        for target, why in ((tmp_path / "missing" / "x", "no such directory"),
-                            (tmp_path, "is a directory")):
+                 ["prolong", str(path), "--emit-basis"],
+                 ["free", "--rank", "2", "--step", "4", "--emit"]):
+        for target, message in (
+                (missing, f"cannot write {missing}: no such directory"),
+                (tmp_path, f"cannot write {tmp_path}: is a directory"),
+                ("", "cannot write an empty path")):
             code, out, err = run(capsys, *argv, str(target))
             assert code == 2 and out == "", (argv, target)
-            assert err == f"error: cannot write {target}: {why}\n"
+            assert err == f"error: {message}\n"
 
 
 def test_input_that_is_not_utf8_exits_2(tmp_path, capsys):
@@ -770,13 +779,29 @@ REFUSED = {
     "max-depth": ["prolong", "{algebra}", "--max-depth", "1" * 100_000],
     "tol": ["detect", "{algebra}", "{curve}", f"--tol={'1' * 100_000}x"],
     "huge-degree": ["verify", "{huge}"],
+    # each number flag
+    "rank": ["free", "--rank", "x" * 100_000, "--step", "2"],
+    "free-step": ["free", "--rank", "2", "--step", "x" * 100_000],
+    "samples": ["spiral", "--samples", "x" * 100_000],
+    "puncture": ["spiral", "--puncture", "x" * 100_000],
+    "t0": ["integrate", "{algebra}", "--mode", "horizontal",
+           "--controls", "1;0", "--t0", "x" * 100_000],
+    "t1": ["integrate", "{algebra}", "--mode", "horizontal",
+           "--controls", "1;0", "--t1", "x" * 100_000],
+    "integrate-step": ["integrate", "{algebra}", "--mode", "horizontal",
+                       "--controls", "1;0", "--step", "x" * 100_000],
+    # refused before its million steps run
+    "adjoint-lambda0": ["integrate", "{algebra}", "--mode", "adjoint",
+                        "--controls", "1;0", "--step", "1e-6",
+                        "--lambda0=1,0"],
 }
 
 
 @pytest.mark.parametrize("case", sorted(REFUSED))
 def test_refusals_echo_a_short_excerpt(tmp_path, monkeypatch, capsys, case):
     # each input holds about 100,000 characters, or a degree of 2,000,000,
-    # which would list one empty stratum per degree below it; each is
+    # which would list one empty stratum per degree below it, or is a
+    # --lambda0 of the wrong length after a million-step --step; each is
     # refused at once, and its message echoes at most 40 characters of it
     files = {"algebra": tmp_path / "a.json", "curve": tmp_path / "c.csv",
              "repeated": tmp_path / "k.json", "huge": tmp_path / "d.json"}
