@@ -238,9 +238,12 @@ def test_rk4_reads_each_stage_time_once(free24, grid, reads):
 
 
 # grids whose steps t + h all land on the next time, and hand-built ones
-# where some miss it: each maps a drawn nonzero t_end in [-2, 2] to a grid
+# where some miss it: each maps a drawn nonzero t_end in [-2, 2] to a grid;
+# the uniform step is t_end / 37, or the least positive float where a
+# subnormal t_end makes that quotient underflow to 0
 STAGE_GRIDS = {
-    "uniform": lambda t1: uniform_grid(0.0, t1, abs(t1) / 37),
+    "uniform": lambda t1: uniform_grid(0.0, t1,
+                                       max(abs(t1) / 37, math.ulp(0.0))),
     "graded": lambda t1: graded_grid(0.02 * t1, include=(-0.003, 0.011)),
     # t + h misses on the steps from 0.7, 2.9 and -1.3, and on the last
     "misses": lambda t1: [0.7, 1e-17, 0.3, 0.1, 2.9, -1.3, 0.2, t1,
