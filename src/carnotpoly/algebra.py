@@ -45,7 +45,7 @@ from itertools import combinations
 from math import factorial
 
 from . import linalg
-from .poly import _add_terms, _key_mul
+from .poly import _key_mul
 
 
 class StructureError(ValueError):
@@ -163,9 +163,11 @@ def exp_ad(algebra, m, Z):
     """Replace ``Z``, a map ``index -> term dict``, by ``exp(x_m ad X_m) Z``.
 
     Each (ad X_m)^p Z times x_m^p / p! (keys gain ``(m, p)`` by
-    :func:`poly._key_mul`) adds into Z by :func:`poly._add_terms`, p
-    ascending, so Z has the term order and form of the Poly sums.  As ad
-    X_m raises degrees by d(m) >= 1 up to s, a graded table gives at most
+    :func:`poly._key_mul`) adds into Z, p ascending, term by term in plain
+    loops under the rule of :func:`poly._add_terms`: new keys go last, a
+    zero sum deletes its key and an integral Fraction is stored as an
+    int, so Z has the term order and form of the Poly sums.  As ad X_m
+    raises degrees by d(m) >= 1 up to s, a graded table gives at most
     ``s - d(min Z)`` terms; one more raises :class:`StructureError`.
     """
     row = algebra.ad[m]
@@ -176,9 +178,20 @@ def exp_ad(algebra, m, Z):
     for p in range(1, bound + 2):
         nxt = {}  # (ad X_m)^p Z, without the x_m^p / p!
         for j, terms in term.items():
-            for k, c in row.get(j, _EMPTY).items():
-                _add_terms(nxt.setdefault(k, {}),
-                           ((key, a * c) for key, a in terms.items()))
+            if j not in row:
+                continue
+            for k, c in row[j].items():
+                acc = nxt.setdefault(k, {})
+                for key, a in terms.items():
+                    a *= c
+                    cur = acc.get(key)
+                    if cur is not None:
+                        a = cur + a
+                    if a:
+                        acc[key] = a.numerator if type(a) is Fraction \
+                            and a.denominator == 1 else a
+                    elif cur is not None:
+                        del acc[key]
         term = {k: t for k, t in nxt.items() if t}
         if not term:
             break
@@ -186,8 +199,17 @@ def exp_ad(algebra, m, Z):
             raise StructureError(f"ad X_{m} outlasts the grading bound {bound}")
         tail, scale = ((m, p),), Fraction(1, factorial(p)) if p > 1 else 1
         for k, t in term.items():
-            _add_terms(Z.setdefault(k, {}), ((_key_mul(key, tail), a * scale)
-                                             for key, a in t.items()))
+            acc = Z.setdefault(k, {})
+            for key, a in t.items():
+                key, a = _key_mul(key, tail), a * scale
+                cur = acc.get(key)
+                if cur is not None:
+                    a = cur + a
+                if a:
+                    acc[key] = a.numerator if type(a) is Fraction \
+                        and a.denominator == 1 else a
+                elif cur is not None:
+                    del acc[key]
     for k in [k for k, t in Z.items() if not t]:
         del Z[k]
 

@@ -327,11 +327,11 @@ def cmd_integrate(args):
         grid = uniform_grid(args.t0, args.t1, args.step)
     except ValueError as exc:
         raise InputError(str(exc)) from None
-    x0 = _parse_vector("--x0", args.x0, n) if args.x0 else [0.0] * n
+    x0 = [0.0] * n if args.x0 is None else _parse_vector("--x0", args.x0, n)
     # the flags of the mode, in the order they are parsed
     flags = {"normal": ["lambda0"], "horizontal": ["controls"],
              "adjoint": ["controls", "lambda0"]}[args.mode]
-    if not all(vars(args)[flag] for flag in flags):
+    if any(vars(args)[flag] is None for flag in flags):
         raise InputError(" and ".join(f"--{flag}" for flag in flags)
                          + (" is" if len(flags) == 1 else " are")
                          + f" required for mode {args.mode}")

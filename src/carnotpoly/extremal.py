@@ -129,7 +129,8 @@ def verify_structure(family):
     each residual keeps the terms of the Fraction sums in their order.
     Monomials are :func:`poly.encode_terms` codes with room for the
     largest Q exponent plus the largest field exponent, so a product is
-    one addition and d/dx_l one subtraction on the code.
+    one addition and d/dx_l one subtraction on the code.  Only the slots
+    k holding a nonzero sum are decoded; a valid family decodes none.
     """
     A = family.algebra
     n = A.n
@@ -179,9 +180,8 @@ def verify_structure(family):
                     acc = res.setdefault(k, {})
                     for key, a in q_terms.items():
                         acc[key] = acc.get(key, 0) - a * c
-            for k in sorted(res):
+            for k in sorted(k for k, t in res.items() if any(t.values())):
                 terms = {decode_key(code, n, W): scalar(Fraction(c, L))
                          for code, c in res[k].items() if c}
-                if terms:
-                    report.append((i, j, k, _wrap(n, terms)))
+                report.append((i, j, k, _wrap(n, terms)))
     return report

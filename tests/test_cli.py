@@ -368,6 +368,26 @@ def test_integrate_rejects_non_finite_values(tmp_path, capsys):
             assert f"required for mode {extra[1]}" in err, extra
 
 
+@pytest.mark.parametrize("flag,extra,message", [
+    ("--x0", ["--mode", "horizontal", "--controls", "1;0"],
+     "--x0 needs 8 nonempty comma-separated entries, got ''"),
+    ("--lambda0", ["--mode", "normal"],
+     "--lambda0 needs 8 nonempty comma-separated entries, got ''"),
+    ("--controls", ["--mode", "horizontal"],
+     "expected 2 semicolon-separated control exprs"),
+], ids=["x0", "lambda0", "controls"])
+def test_integrate_refuses_an_empty_flag_value(tmp_path, capsys, flag, extra,
+                                               message):
+    # an empty value is given, not missing: its reader refuses it (an
+    # empty --x0 is not the origin, and no flag is reported as missing)
+    path = tmp_path / "a.json"
+    run(capsys, "free", "--rank", "2", "--step", "4", "--emit", str(path))
+    code, out, err = run(capsys, "integrate", str(path), *extra, f"{flag}=",
+                         "--step", "0.5", "--json")
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_negative_max_depth_rejected(tmp_path, capsys):
     path = tmp_path / "a.json"
     run(capsys, "free", "--rank", "2", "--step", "3", "--emit", str(path))

@@ -11,7 +11,9 @@ from carnotpoly.algebra import (GradedLieAlgebra, StructureError, exp_ad,
 from carnotpoly.extremal import build_family, verify_structure
 from carnotpoly.freelie import build_free
 from carnotpoly.group import left_invariant_fields
-from carnotpoly.poly import Poly, canonical_text, weighted_degree
+from carnotpoly.linalg import scalar
+from carnotpoly.poly import (Poly, _key_mul, _wrap, canonical_text,
+                             weighted_degree)
 from carnotpoly.prolongation import prolong
 
 from conftest import (degree_bound_report, generalized_structure_constants,
@@ -409,6 +411,25 @@ def test_verify_structure_makes_no_fraction_arithmetic(fraction_ops,
     assert not fraction_ops
 
 
+def test_verify_structure_decodes_only_nonzero_residuals(free34_prolonged,
+                                                        monkeypatch):
+    # a valid family leaves every residual slot zero and decodes no
+    # monomial; a damaged one decodes each reported term once
+    calls = []
+
+    def counting(code, n, width, decode=extremal.decode_key):
+        calls.append(code)
+        return decode(code, n, width)
+
+    monkeypatch.setattr(extremal, "decode_key", counting)
+    fam = build_family(free34_prolonged)
+    assert verify_structure(fam) == []
+    assert calls == []
+    _damage(fam, random.Random(0))
+    report = verify_structure(fam)
+    assert report and len(calls) == sum(len(r.terms) for *_, r in report)
+
+
 def quotient_by_top_stratum_subspace(algebra, kill):
     """Quotient of a stratified algebra by a subspace of its top stratum.
 
@@ -619,3 +640,76 @@ def test_exp_ad_multiplies_keys_that_already_read_x_m(free24):
         poly_exp_ad(free24, m, Poly.variable(n, m), want)
         assert {k: list(t.items()) for k, t in got.items()} \
             == {k: list(p.terms.items()) for k, p in want.items()}
+
+
+COEFFS = (1, -1, 2, Fraction(1, 2), Fraction(-2, 3))
+
+
+def _start_map(draw, A, m):
+    """A start map for ``exp_ad(A, m, .)`` over a pool of keys, one of
+    them reading x_m and one empty, with int and Fraction coefficients.
+    Rows that ad X_m sends to one index k come first, three where k has
+    three such rows: the first two carry terms at one key that cancel at
+    k, the first also a term at another key, and the third adds the key
+    back, after the other.  Last, one term of Z is set to cancel x_m
+    times a term of ad X_m Z, when the draw asks for it."""
+    n, row = A.n, A.ad[m]
+    key = st.dictionaries(st.integers(1, n), st.integers(1, 2),
+                          max_size=2).map(lambda d: tuple(sorted(d.items())))
+    keys = draw(st.lists(key, min_size=1, max_size=3, unique=True))
+    keys = list(dict.fromkeys(
+        keys + [tuple(sorted({**dict(keys[0]), m: 1}.items())), ()]))
+    Z = {}
+    sources = {}  # k -> rows j with k in ad X_m X_j
+    for j, img in row.items():
+        for k in img:
+            sources.setdefault(k, []).append(j)
+    meets = sorted((k, js) for k, js in sources.items() if len(js) >= 2)
+    meets = [kj for kj in meets if len(kj[1]) >= 3] or meets
+    if meets:
+        k, js = draw(st.sampled_from(meets))
+        j1, j2, *rest = draw(st.permutations(js))
+        K, a = draw(st.sampled_from(keys)), draw(st.sampled_from(COEFFS))
+        other = draw(st.sampled_from([K2 for K2 in keys if K2 != K]))
+        Z[j1] = {K: a, other: draw(st.sampled_from(COEFFS))}
+        Z[j2] = {K: scalar(-a * row[j1][k] / Fraction(row[j2][k]))}
+        if rest:
+            Z[rest[0]] = {K: draw(st.sampled_from(COEFFS))}
+    for j in draw(st.lists(st.sampled_from(sorted(A.degrees)), max_size=4,
+                           unique=True)):
+        t = Z.setdefault(j, {})
+        for K in draw(st.lists(st.sampled_from(keys), min_size=1,
+                               unique=True)):
+            t[K] = draw(st.sampled_from(COEFFS))
+    first = {}  # (k, key) -> coefficient of ad X_m Z
+    for j, t in Z.items():
+        for k, c in row.get(j, {}).items():
+            for K, a in t.items():
+                first[(k, K)] = first.get((k, K), 0) + a * c
+    hits = [kK for kK, c in first.items() if c]
+    if hits and draw(st.booleans()):
+        k, K = draw(st.sampled_from(hits))
+        Z.setdefault(k, {})[_key_mul(K, ((m, 1),))] = scalar(-first[(k, K)])
+    return Z
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=recombined_free(), prolonged=st.booleans(), data=st.data())
+def test_exp_ad_keeps_the_poly_term_order_on_random_start_maps(base,
+                                                               prolonged,
+                                                               data):
+    # exp_ad adds its terms in place under the rule of _add_terms: every
+    # term dict must list the terms of the Poly sums in their order and
+    # int/Fraction form, also where a sum cancels to zero, its key is
+    # deleted and a later term adds it back at the end
+    A = prolong(base, 2).algebra if prolonged else base
+    n = A.n
+    m = data.draw(st.sampled_from([m for m in range(1, n + 1) if A.ad[m]]))
+    start = _start_map(data.draw, A, m)
+    got = {k: dict(t) for k, t in start.items()}
+    exp_ad(A, m, got)
+    want = {k: Poly(n, t) for k, t in start.items()}
+    poly_exp_ad(A, m, Poly.variable(n, m), want)
+    assert list(got) == list(want)
+    assert all(typed_terms(_wrap(n, got[k])) == typed_terms(p)
+               for k, p in want.items())
