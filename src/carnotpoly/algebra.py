@@ -26,7 +26,9 @@ Every bracket reads the sparse adjoint rows ``ad[i] = {j: {k: c}}``,
 ``[X_i, X_j] = sum_k c X_k``, which hold the keyed ``table`` in both
 orientations: a stored ``(i, j)`` entry wins over the negated mirror of a
 stored ``(j, i)``, and ``[X_i, X_i]`` has no row entry.  The writes after
-construction, ``adjoin`` and ``set_bracket``, keep the two in step.
+construction, ``adjoin`` and ``set_bracket``, keep the two in step.  The
+flag ``graded``, true when every stored bracket lands in degree d(i) + d(j)
+or above, is read off the table once after each write.
 
 Structure constants are exact and integer-first: the constructor stores an
 integral constant as an ``int`` and any other as a ``Fraction``
@@ -84,6 +86,7 @@ class GradedLieAlgebra:
                                  "nonpositive indices degree <= 0")
         self.table = {}
         self.ad = {i: {} for i in self.degrees}
+        self._graded = None
         for (i, j), terms in table.items():
             unknown = {i, j, *terms} - self.degrees.keys()
             if unknown:
@@ -126,9 +129,21 @@ class GradedLieAlgebra:
 
     # -- brackets ----------------------------------------------------------
 
+    @property
+    def graded(self):
+        """True when every stored bracket lands in degree d(i) + d(j) or
+        above; the group model truncates BCH by degree only then."""
+        if self._graded is None:
+            d = self.degrees
+            self._graded = all(d[k] >= d[i] + d[j]
+                               for (i, j), terms in self.table.items()
+                               for k in terms)
+        return self._graded
+
     def set_bracket(self, i, j, terms):
         """Store ``[X_i, X_j] = terms`` in the table and the adjoint rows."""
         self.table[(i, j)] = terms
+        self._graded = None
         if i != j:
             self.ad[i][j] = terms
             if (j, i) not in self.table:

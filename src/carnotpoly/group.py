@@ -3,23 +3,35 @@
 A point ``x = (x_1, ..., x_n)`` stands for ``exp(x_n X_n) ... exp(x_1 X_1)``,
 so the group law, conversions between first- and second-kind coordinates
 and flows of basis fields reduce to the Baker-Campbell-Hausdorff series,
-which terminates at bracket word length s by nilpotency.  BCH is
-evaluated through Dynkin's formula with exact rational coefficients; the
-scalar entries of coefficient maps may be rationals, floats or
-polynomials (any ring elements), and the same code path serves all of
-them.  The left-invariant fields come from the adjoint recursion
-:func:`carnotpoly.algebra.exp_ad`, the one that builds the extremal family.
+which terminates at bracket word length s by nilpotency.  On a graded
+table (``algebra.graded``: every bracket lands in degree d(i) + d(j) or
+above) it is truncated by weighted degree as well: a word with p letters
+from u and q from w lands in degree p d_min(u) + q d_min(w) or above, so
+a word whose bound passes s is zero and is not bracketed.  Any other
+table runs every word up to length s.
+
+BCH is evaluated through Dynkin's formula with exact rational
+coefficients, summed on integers: an argument of rationals is scaled to
+ints, each word gets an integer weight and each component is divided by
+one common denominator at the end.  The scalar entries of coefficient
+maps may be rationals, floats or polynomials (any ring elements); a map
+of another ring than the rationals keeps scale 1, so the same code path
+serves all of them.  The left-invariant fields come from the adjoint
+recursion :func:`carnotpoly.algebra.exp_ad`, the one that builds the
+extremal family.
 
 Second-kind coordinates are extracted by peeling: the X_j coefficient of
 ``log`` is unchanged by the BCH corrections of the factors still to the
 left of position j (their brackets land in strictly higher strata), so
 scanning j = 1..n and multiplying by ``exp(-x_j X_j)`` terminates with the
-identity.
+identity.  On a graded table a coordinate with 2 d(j) > s is peeled by
+dropping its component, as every bracket of two elements of degree
+>= d(j) vanishes.
 """
 
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 
 from .algebra import StructureError, exp_ad
 from .poly import PolyVectorField, _wrap
@@ -29,8 +41,9 @@ from .poly import PolyVectorField, _wrap
 def _dynkin_terms(depth):
     """Combined Dynkin words up to the given length.
 
-    Returns ``((word, coeff), ...)`` where ``word`` is a tuple over
-    {0, 1} (0 = left argument, 1 = right argument) and the bracket is
+    Returns ``((word, p, q, num, den), ...)`` where ``word`` is a tuple
+    over {0, 1} (0 = left argument, 1 = right argument) with p letters 0
+    and q letters 1, its coefficient is ``num / den`` and the bracket is
     right-nested: ``ad_{w1} ad_{w2} ... (w_N)``.
     """
     acc = {}
@@ -61,17 +74,51 @@ def _dynkin_terms(depth):
         for p, q in blocks:
             letters += (0,) * p + (1,) * q
         combined[letters] = combined.get(letters, Fraction(0)) + coeff
-    out = tuple(sorted((w, c) for w, c in combined.items() if c))
-    return out
+    return tuple((w, w.count(0), w.count(1), c.numerator, c.denominator)
+                 for w, c in sorted(combined.items()) if c)
+
+
+def _integral(coeffs):
+    """``(L, L * coeffs)`` with L the lcm of the denominators, which makes
+    every value an int, when the values are ints and Fractions; ``(1,
+    coeffs)`` when some value is of another ring."""
+    if any(type(c) is not int and type(c) is not Fraction
+           for c in coeffs.values()):
+        return 1, coeffs
+    L = lcm(*(c.denominator for c in coeffs.values()))
+    return L, {k: c.numerator * (L // c.denominator)
+               for k, c in coeffs.items()}
 
 
 def bch(algebra, u, w):
     """``log(exp(u) exp(w))`` truncated at the nilpotency step.
 
     ``u`` and ``w`` are coefficient maps over stored basis indices; the
-    result is exact whenever the scalars are.
+    result is exact whenever the scalars are.  On a graded table the words
+    whose degree bound p d_min(u) + q d_min(w) passes s are skipped.  An
+    argument of ints and Fractions is scaled by the lcm L of its
+    denominators, so its brackets run on ints; each word is then weighted
+    by the integer ``num * D / (den * L_u^p * L_w^q)`` and each component
+    is divided by the common denominator D once, at the end.  An argument
+    holding any other scalar (a float, a ``Poly``) keeps scale 1.
     """
-    args = (u, w)
+    Lu, su = _integral(u)
+    Lw, sw = _integral(w)
+    args = (su, sw)
+    s, graded = algebra.s, algebra.graded
+    if graded:
+        if not u.keys() | w.keys() <= algebra.degrees.keys():
+            raise StructureError("unknown basis index in a bracket")
+        du, dw = (min((algebra.degrees[k] for k in a), default=s + 1)
+                  for a in (u, w))
+    words = []
+    D = 1
+    for word, p, q, num, den in _dynkin_terms(s):
+        if graded and p * du + q * dw > s:
+            continue
+        scale = den * Lu ** p * Lw ** q
+        words.append((word, num, scale))
+        D = lcm(D, scale)
     memo = {}
 
     def suffix(word):
@@ -86,17 +133,14 @@ def bch(algebra, u, w):
         return val
 
     acc = {}
-    for word, coeff in _dynkin_terms(algebra.s):
-        val = suffix(word)
-        for k, c in val.items():
-            add = c * coeff
+    for word, num, scale in words:
+        weight = num * (D // scale)
+        for k, c in suffix(word).items():
             cur = acc.get(k)
-            tot = add if cur is None else cur + add
-            if tot:
-                acc[k] = tot
-            else:
-                acc.pop(k, None)
-    return acc
+            acc[k] = c * weight if cur is None else cur + c * weight
+    one = Fraction(1, D)
+    return {k: Fraction(c, D) if type(c) is int or type(c) is Fraction
+            else c * one for k, c in acc.items() if c}
 
 
 def from_second_kind(algebra, coords):
@@ -119,13 +163,17 @@ def to_second_kind(algebra, u):
             raise StructureError(f"first-kind support must lie in g, got {k}")
     current = dict(u)
     coords = []
+    graded, s = algebra.graded, algebra.s
     for j in algebra.base_indices():
         c = current.get(j)
         if c is None or not c:
             coords.append(Fraction(0))
             continue
         coords.append(c)
-        current = bch(algebra, current, {j: -c})
+        if graded and 2 * algebra.degrees[j] > s:
+            del current[j]
+        else:
+            current = bch(algebra, current, {j: -c})
     for k, c in current.items():
         if c:
             raise StructureError(f"peeling left a residual at index {k}")

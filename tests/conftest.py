@@ -13,7 +13,7 @@ from carnotpoly.algebra import (GradedLieAlgebra, StructureError,
 from carnotpoly.dynamics import (_field_levels, _rk4_levels, graded_grid,
                                  solve_goh_covector)
 from carnotpoly.extremal import ExtremalFamily, build_family
-from carnotpoly.group import left_invariant_fields
+from carnotpoly.group import _dynkin_terms, left_invariant_fields
 from carnotpoly.linalg import scalar
 from carnotpoly.poly import (Poly, _add_terms, _key_mul, _term_plan, _wrap,
                              key_from_alpha, weighted_degree)
@@ -315,6 +315,57 @@ def reference_bracket(A, u, w):
             for k, c in reference_bracket_indices(A, i, j).items():
                 out[k] = out.get(k, 0) + ci * cj * c
     return {k: c for k, c in out.items() if c}
+
+
+def reference_bch(algebra, u, w):
+    """Reference for :func:`group.bch`: every Dynkin word up to length s,
+    each added with its Fraction coefficient, with no degree skip and no
+    scaling."""
+    args = (u, w)
+    memo = {}
+
+    def suffix(word):
+        val = memo.get(word)
+        if val is not None:
+            return val
+        if len(word) == 1:
+            val = args[word[0]]
+        else:
+            val = algebra.bracket(args[word[0]], suffix(word[1:]))
+        memo[word] = val
+        return val
+
+    acc = {}
+    for word, _, _, num, den in _dynkin_terms(algebra.s):
+        coeff = Fraction(num, den)
+        val = suffix(word)
+        for k, c in val.items():
+            add = c * coeff
+            cur = acc.get(k)
+            tot = add if cur is None else cur + add
+            if tot:
+                acc[k] = tot
+            else:
+                acc.pop(k, None)
+    return acc
+
+
+def reference_second_kind(algebra, u):
+    """Reference for :func:`group.to_second_kind`: peel every coordinate
+    by :func:`reference_bch`, with no read-off."""
+    current = dict(u)
+    coords = []
+    for j in algebra.base_indices():
+        c = current.get(j)
+        if c is None or not c:
+            coords.append(Fraction(0))
+            continue
+        coords.append(c)
+        current = reference_bch(algebra, current, {j: -c})
+    for k, c in current.items():
+        if c:
+            raise StructureError(f"peeling left a residual at index {k}")
+    return coords
 
 
 def reference_pair_action(A, e1, e2):

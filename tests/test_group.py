@@ -1,7 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from carnotpoly import build_free
 from carnotpoly.algebra import GradedLieAlgebra, StructureError, validate
@@ -9,8 +11,10 @@ from carnotpoly.group import (bch, flow, from_second_kind, group_mul,
                               identity, inverse, left_invariant_fields,
                               to_second_kind)
 from carnotpoly.poly import Poly, PolyVectorField, weighted_degree
+from carnotpoly.prolongation import prolong
 
-from conftest import field_values, subs_zero
+from conftest import (field_values, heisenberg_algebra, recombined_free,
+                      reference_bch, reference_second_kind, subs_zero)
 
 
 class Jet:
@@ -363,3 +367,119 @@ def test_peeling_refuses_a_table_that_breaks_the_grading():
     with pytest.raises(StructureError,
                        match="peeling left a residual at index 1"):
         to_second_kind(A, {2: Fraction(1), 3: Fraction(1)})
+
+
+# -- the degree-truncated, integer-summed series against the full one ------
+
+RATIONALS = st.one_of(st.integers(-6, 6),
+                      st.builds(Fraction, st.integers(-6, 6),
+                                st.integers(1, 6)))
+
+
+@st.composite
+def coefficient_map(draw, A, indices, values=RATIONALS):
+    """A map over some of ``indices``, all of degree at least a drawn
+    least degree, so maps high in the grading skip most words."""
+    low = draw(st.sampled_from(sorted({A.degrees[k] for k in indices})))
+    keys = [k for k in indices if A.degrees[k] >= low]
+    return {k: draw(values) for k in draw(st.lists(
+        st.sampled_from(keys), max_size=8, unique=True))}
+
+
+@settings(max_examples=40, deadline=None)
+@given(base=recombined_free(), prolonged=st.booleans(), data=st.data())
+def test_bch_and_peeling_equal_the_full_series(base, prolonged, data):
+    A = prolong(base, 1).algebra if prolonged else base
+    assert A.graded
+    u, w = (data.draw(coefficient_map(A, sorted(A.degrees)))
+            for _ in range(2))
+    assert bch(A, u, w) == reference_bch(A, u, w)
+    x = data.draw(coefficient_map(A, list(A.base_indices())))
+    assert to_second_kind(A, x) == reference_second_kind(A, x)
+
+
+def _poly24(a, b, c):
+    return Poly(8, {(): a, ((1, 1),): b, ((2, 1), (3, 1)): c})
+
+
+@settings(max_examples=20, deadline=None)
+@given(ring=st.sampled_from(["float", "poly"]), data=st.data())
+def test_bch_serves_float_and_poly_maps(free24, ring, data):
+    # a map of floats or Polys keeps scale 1 and the integer word weights;
+    # the other argument may still be rational and scaled
+    values = (st.floats(-2, 2) if ring == "float" else
+              st.builds(_poly24, RATIONALS, RATIONALS, RATIONALS))
+    indices = list(free24.base_indices())
+    u = data.draw(coefficient_map(free24, indices, values))
+    w = data.draw(coefficient_map(free24, indices, st.one_of(values,
+                                                             RATIONALS)))
+    got, want = bch(free24, u, w), reference_bch(free24, u, w)
+    x, ref = to_second_kind(free24, u), reference_second_kind(free24, u)
+    if ring == "poly":
+        assert got == want
+        assert x == ref
+    else:
+        assert all(math.isclose(got.get(k, 0), want.get(k, 0),
+                                rel_tol=1e-12, abs_tol=1e-12)
+                   for k in got.keys() | want.keys())
+        assert all(math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+                   for a, b in zip(x, ref))
+
+
+def test_shortcuts_wait_for_a_graded_table():
+    # [X_4, X_3] = X_1 lands in degree 1, below d(4) + d(3) = 5, so this
+    # table runs every word: bch keeps the X_1 term, and peeling X_3
+    # brings back an X_1 component after X_1 was peeled
+    A = GradedLieAlgebra({1: 1, 2: 1, 3: 2, 4: 3},
+                         {(2, 1): {3: 1}, (3, 1): {4: 1}, (4, 3): {1: 1}})
+    assert not A.graded
+    assert bch(A, {4: Fraction(1)}, {3: Fraction(1)}) == \
+        {4: Fraction(11, 12), 1: Fraction(1, 2), 3: 1}
+    with pytest.raises(StructureError,
+                       match="peeling left a residual at index 1"):
+        to_second_kind(A, {3: Fraction(1), 4: Fraction(1)})
+    # the flag follows every later write to the table
+    B = heisenberg_algebra()
+    assert B.graded
+    B.set_bracket(3, 2, {1: 1})
+    assert not B.graded
+    assert bch(B, {2: 1}, {3: 1}) == reference_bch(B, {2: 1}, {3: 1})
+    B.set_bracket(3, 2, {})
+    assert B.graded
+
+
+def test_bch_makes_no_fraction_arithmetic(free24, fraction_ops):
+    # rational arguments are scaled to ints, the words are weighted by
+    # ints and each component is one Fraction(c, D) at the end
+    rng = random.Random(4)
+    u, w = ({i: Fraction(rng.randint(-6, 6), rng.randint(1, 6))
+             for i in range(1, 9)} for _ in range(2))
+    x, y = rand_point(rng, 8), rand_point(rng, 8)
+    want = reference_bch(free24, u, w)
+    product = group_mul(free24, x, y)
+    fraction_ops.clear()
+    assert bch(free24, u, w) == want
+    assert group_mul(free24, x, y) == product
+    assert not fraction_ops
+
+
+@settings(max_examples=15, deadline=None)
+@given(A=recombined_free(), data=st.data())
+def test_group_law_on_recombined_free(A, data):
+    x, y, z = (data.draw(st.lists(RATIONALS, min_size=A.n, max_size=A.n))
+               for _ in range(3))
+    assert group_mul(A, group_mul(A, x, y), z) == \
+        group_mul(A, x, group_mul(A, y, z))
+    assert group_mul(A, x, inverse(A, x)) == identity(A)
+    assert group_mul(A, inverse(A, x), x) == identity(A)
+
+
+@settings(max_examples=20, deadline=None)
+@given(A=recombined_free(), mu=RATIONALS, data=st.data())
+def test_second_kind_coordinates_commute_with_dilation(A, mu, data):
+    # delta_mu scales X_k by mu^d(k) and is an automorphism of the group
+    u = data.draw(coefficient_map(A, list(A.base_indices())))
+    x = to_second_kind(A, u)
+    dilated = {k: mu ** A.degrees[k] * c for k, c in u.items()}
+    assert to_second_kind(A, dilated) == \
+        [mu ** A.degrees[j] * c for j, c in zip(A.base_indices(), x)]
