@@ -321,6 +321,12 @@ def _parse_controls(text, r):
 
 
 def cmd_integrate(args):
+    # the flags of the mode, in the order they are parsed; another is refused
+    flags = {"normal": ["lambda0"], "horizontal": ["controls"],
+             "adjoint": ["controls", "lambda0"]}[args.mode]
+    for flag in ("controls", "lambda0"):
+        if flag not in flags and vars(args)[flag] is not None:
+            raise InputError(f"--{flag} is not read in mode {args.mode}")
     algebra, overrides = _load_valid(args)
     n = algebra.n
     try:
@@ -328,9 +334,6 @@ def cmd_integrate(args):
     except ValueError as exc:
         raise InputError(str(exc)) from None
     x0 = [0.0] * n if args.x0 is None else _parse_vector("--x0", args.x0, n)
-    # the flags of the mode, in the order they are parsed
-    flags = {"normal": ["lambda0"], "horizontal": ["controls"],
-             "adjoint": ["controls", "lambda0"]}[args.mode]
     if any(vars(args)[flag] is None for flag in flags):
         raise InputError(" and ".join(f"--{flag}" for flag in flags)
                          + (" is" if len(flags) == 1 else " are")

@@ -34,6 +34,7 @@ from functools import lru_cache
 from math import factorial, lcm
 
 from .algebra import StructureError, exp_ad
+from .linalg import clear_denominators
 from .poly import PolyVectorField, _wrap
 
 
@@ -79,15 +80,14 @@ def _dynkin_terms(depth):
 
 
 def _integral(coeffs):
-    """``(L, L * coeffs)`` with L the lcm of the denominators, which makes
-    every value an int, when the values are ints and Fractions; ``(1,
-    coeffs)`` when some value is of another ring."""
+    """``(L, L * coeffs)`` with L the lcm of the denominators
+    (:func:`linalg.clear_denominators`) when the values are ints and
+    Fractions; ``(1, coeffs)`` when some value is of another ring."""
     if any(type(c) is not int and type(c) is not Fraction
            for c in coeffs.values()):
         return 1, coeffs
-    L = lcm(*(c.denominator for c in coeffs.values()))
-    return L, {k: c.numerator * (L // c.denominator)
-               for k, c in coeffs.items()}
+    scaled = dict(coeffs)
+    return clear_denominators([scaled]), scaled
 
 
 def bch(algebra, u, w):

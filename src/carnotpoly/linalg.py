@@ -49,10 +49,9 @@ def clear_denominators(rows):
     by the lcm D of the denominators of all their values, which makes
     every value an int, and return D."""
     D = lcm(*(x.denominator for row in rows for x in row.values()))
-    if D != 1:
-        for row in rows:
-            for k, x in row.items():
-                row[k] = x.numerator * (D // x.denominator)
+    for row in rows:
+        for k, x in row.items():
+            row[k] = x.numerator * (D // x.denominator)
     return D
 
 
