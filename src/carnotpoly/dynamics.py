@@ -20,11 +20,11 @@ coordinates at a time over the whole grid, with NumPy, under one table
 of stage controls, which the curve keeps; :func:`_term_levels` builds
 both systems' levels, sums of control-weighted field coefficients, read
 by the batch kernel :func:`poly.compile_polys`, or of columns lambda_k.
-:func:`integrate_horizontal` fills the table with one read per distinct stage
-time of :func:`_stage_times`; :func:`integrate_adjoint` and
-:func:`iterated_integrals` read no control again.  :func:`spiral_example`
-reads its log-spiral once per stage time of one graded grid, for all four
-of its lifts.  The normal extremal's controls are -lambda, and lambda's
+:func:`_time_controls` fills the table with one read per distinct stage
+time of :func:`_stage_times`, for :func:`integrate_horizontal` and for
+the four lifts and the samples of :func:`spiral_example`;
+:func:`integrate_adjoint` and :func:`iterated_integrals` read no control
+again.  The normal extremal's controls are -lambda, and lambda's
 equation never reads gamma: :func:`integrate_normal` steps lambda alone,
 point by point, in :func:`_rk4`, recording the table, then gamma by
 levels.  Both paths do the float operations of the point-by-point loop,
@@ -422,22 +422,18 @@ def iterated_integrals(family, curve, v):
 
 # -- spiral Goh extremal ------------------------------------------------------
 
-def _spiral_sweep(ts):
-    """Arrays ``cos L``, ``sin L``, ``phi'`` and ``psi'`` over the
-    positive times ``ts``, where ``u = 1 - log|t|`` and ``L = log u``.
+def _spiral(t):
+    """``t``, ``cos L``, ``sin L``, ``phi'`` and ``psi'`` at the positive
+    time t, where ``u = 1 - log t`` and ``L = log u``.
 
     The spiral is ``phi(t) = t cos L`` and ``psi(t) = t sin L``, with
     ``phi' = cos L + sin L / u`` and ``psi' = sin L - cos L / u``; these
     read |t| only, and phi and psi at -t are the negations.
     """
-    import numpy as np
-    out = []
-    for t in ts:
-        u = 1.0 - math.log(t)
-        L = math.log(u)
-        c, s = math.cos(L), math.sin(L)
-        out.append((c, s, c + s / u, s - c / u))
-    return np.array(out).T
+    u = 1.0 - math.log(t)
+    L = math.log(u)
+    c, s = math.cos(L), math.sin(L)
+    return t, c, s, c + s / u, s - c / u
 
 
 GRID_BASE_STEP = 1e-3       # largest step of a graded grid
@@ -534,9 +530,9 @@ def spiral_example(samples_per_side=1000, puncture=1e-6, tol=1e-8):
     together with the control bound.
 
     The lifts run on :func:`graded_grid` of 1 and of -1, one the exact
-    negation of the other, so one :func:`_spiral_sweep` over the grid and
-    stage times of the positive grid gives every spiral value they and
-    the samples read.
+    negation of the other, so one :func:`_time_controls` table of
+    :func:`_spiral` on the positive grid gives every spiral value they
+    and the samples read.
     """
     import numpy as np
     factor, _ = build_free(3, 4)
@@ -562,39 +558,35 @@ def spiral_example(samples_per_side=1000, puncture=1e-6, tol=1e-8):
     sample_ts = [min(t, 1.0) for t in sample_ts]
 
     grid = graded_grid(1.0, sample_ts)
-    _, mid, end, _ = _stage_times(grid)
-    ts, at = np.unique(np.concatenate([grid, mid, end]), return_inverse=True)
-    cos_l, sin_l, dphi, dpsi = _spiral_sweep(ts.tolist())
-    at_grid, at_mid, at_end = np.split(at, [len(grid), len(grid) + len(mid)])
-    # positions in ts of each step's k1..k4 times; a step's start is the
-    # previous step's end wherever that is the next grid time, the same float
-    stages = np.stack([at_grid[:-1], at_mid, at_mid, at_end], axis=1)
+    S = _time_controls(_spiral, grid)
+    # at the grid times: each step's k1, then the last step's k4, whose
+    # t + h is 1.0, since 1 - t is exact for t >= 0.5 (Sterbenz)
+    at_grid = np.concatenate([S[:, 0], S[-1:, 3]])
     levels = _field_levels(factor_fields[:factor.r], cap)
 
     def lift(sign, trig, deriv):
-        # the third coordinate is t * trig, its control deriv
+        # t * S[..., trig] is the third coordinate, S[..., deriv] its control
         signed = sign * np.array(grid)
-        U = np.column_stack([2.0 * sign * ts, np.ones(len(ts)), deriv])
-        return spiral_lift(levels, signed, signed[0] * trig[at_grid[0]],
-                           U[stages], factor.n)[1]
+        H = np.stack([2.0 * sign * S[..., 0], np.ones(S.shape[:2]),
+                      S[..., deriv]], axis=-1)
+        return spiral_lift(levels, signed, signed[0] * at_grid[0, trig], H,
+                           factor.n)[1]
 
-    times = np.array(sample_ts)
     row_of = {t: m for m, t in enumerate(grid)}
     rows = np.array([row_of[t] for t in sample_ts])
-    at_samples = at_grid[rows]
-    bound = float(np.abs(np.concatenate([dphi[at_samples], dpsi[at_samples]]))
-                  .max(initial=0.0))
+    times, cos_l, sin_l, dphi, dpsi = at_grid[rows].T
+    bound = float(np.abs(np.concatenate([dphi, dpsi])).max(initial=0.0))
     kept = ~(times < puncture)
-    rows, at_kept, times = rows[kept], at_samples[kept], times[kept]
-    phi, psi = times * cos_l[at_kept], times * sin_l[at_kept]
+    rows, times = rows[kept], times[kept]
+    phi, psi = times * cos_l[kept], times * sin_l[kept]
     # a Goh sample is the product point of the two lifts, placed by column
     cols_a, cols_b = ([m[i] - 1 for i in range(1, factor.n + 1)]
                       for m in (product.map_a, product.map_b))
     blocks = []
     osc_err = 0.0
     for sign in (1.0, -1.0):
-        ly = lift(sign, cos_l, dphi)
-        lz = lift(sign, sin_l, dpsi)
+        ly = lift(sign, 1, 3)
+        lz = lift(sign, 2, 4)
         # accuracy witness on the oscillatory third coordinate
         osc_err = max(osc_err,
                       np.abs(ly[rows, 2] - sign * phi).max(initial=0.0),

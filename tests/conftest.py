@@ -163,7 +163,7 @@ def reference_time_controls(controls, times):
 
 
 # the spiral and its derivatives point by point: the references of
-# ``dynamics._spiral_sweep``
+# ``dynamics._spiral``
 
 def spiral_phi(t):
     if t == 0:

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from carnotpoly import dynamics
 from carnotpoly.algebra import GradedLieAlgebra, StructureError
 from carnotpoly.dynamics import (BLOCK_STEPS, CurvePath, _adjoint_levels,
                                  _adjoint_rhs, _adjoint_tables, _field_levels,
-                                 _rk4, _rk4_levels, _spiral_sweep,
-                                 _stage_times, _time_controls, duality_check,
+                                 _rk4, _rk4_levels, _spiral, _stage_times,
+                                 _time_controls, duality_check,
                                  graded_grid, integrate_adjoint,
                                  integrate_horizontal, integrate_normal,
                                  iterated_integrals, solve_goh_covector,
@@ -602,7 +603,8 @@ def test_spiral_sweep_has_the_bits_of_the_spiral_functions():
     grid = graded_grid(1.0, include=(1e-6, 0.05, 0.3))
     _, mid, end, _ = _stage_times(grid)
     ts = sorted(set(grid) | set(mid.tolist()) | set(end.tolist()))
-    for t, c, s, dphi, dpsi in zip(ts, *_spiral_sweep(ts).tolist()):
+    for t in ts:
+        _, c, s, dphi, dpsi = _spiral(t)
         for sign in (1.0, -1.0):
             signed = sign * t
             assert (signed * c).hex() == spiral_phi(signed).hex()
@@ -624,10 +626,13 @@ def test_solve_goh_covector_rows(free34):
     assert not polynomial(fam, 6, v)
 
 
-@pytest.mark.parametrize("k, puncture", [(50, 3e-5), (1000, 2e-7)])
+@pytest.mark.parametrize("k, puncture", [
+    (50, 3e-5), (1000, 2e-7), (2, 0.3), (1, 1e-9), (40, 0.5)])
 def test_spiral_example_has_the_reference_bits(k, puncture):
-    # one grid, one sweep and shared stage controls for the four lifts,
-    # against lifts that each build their grid and read point by point
+    # one grid and one table of _spiral read by _time_controls for the four
+    # lifts and the samples, against lifts that each build their grid and
+    # read point by point; a puncture past the 0.05 knee drops samples,
+    # 1e-9 is GRID_T_MIN, and k = 1 or 2 takes the floor of 4 samples
     got = spiral_example(samples_per_side=k, puncture=puncture)
     want = reference_spiral_example(samples_per_side=k, puncture=puncture)
     assert got.keys() == want.keys()
@@ -636,6 +641,27 @@ def test_spiral_example_has_the_reference_bits(k, puncture):
             assert got[key].hex() == value.hex(), key
         else:
             assert got[key] == value, key
+
+
+def test_spiral_example_reads_each_stage_time_once(monkeypatch):
+    # the four lifts and the samples share one read per distinct stage
+    # time of the positive grid: the reads of the step-by-step reader
+    grids, reads, want = [], [], []
+
+    def grid(*args):
+        grids.append(graded_grid(*args))
+        return grids[-1]
+
+    def counting(t, log=reads):
+        log.append(t)
+        return _spiral(t)
+
+    monkeypatch.setattr(dynamics, "graded_grid", grid)
+    monkeypatch.setattr(dynamics, "_spiral", counting)
+    spiral_example(samples_per_side=50, puncture=3e-5)
+    reference_time_controls(lambda t: counting(t, want), *grids)
+    assert reads == want
+    assert len(reads) == 3883
 
 
 @pytest.mark.slow
