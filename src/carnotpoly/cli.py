@@ -382,15 +382,15 @@ def cmd_spiral(args):
     return _emit(args, report, 0 if ok else 1)
 
 
-def _command(sub, name, func, summary, algebra=True, **depth):
-    """The subparser of command ``name`` with the shared arguments: the
-    algebra positional unless ``algebra`` is false, ``--max-depth`` with
-    the ``default`` (and ``help``) in ``depth`` when given, and ``--json``.
+def _command(sub, func, summary, algebra=True, **depth):
+    """The subparser of the command that ``func``, ``cmd_<name>``, runs,
+    with the shared arguments: the algebra positional unless ``algebra``
+    is false, ``--max-depth`` with the ``default`` (and ``help``) in
+    ``depth`` when given, and ``--json``.
     """
-    p = sub.add_parser(name, help=summary)
+    p = sub.add_parser(func.__name__.removeprefix("cmd_"), help=summary)
     # a refused argument is one line; --help prints the usage
     p.error = lambda message: p.exit(2, f"{p.prog}: error: {message}\n")
-    p.set_defaults(func=func)
     if algebra:
         p.add_argument("algebra")
     if depth:
@@ -399,39 +399,39 @@ def _command(sub, name, func, summary, algebra=True, **depth):
     return p
 
 
-def main(argv=None):
+def _build_parser():
+    """The command-line parser; :data:`_PARSER` is the one built."""
     parser = argparse.ArgumentParser(
         prog="carnotpoly",
         description="exact toolkit for stratified Lie groups, extremal "
                     "polynomials, and abnormal extremals")
     sub = parser.add_subparsers(dest="cmd", required=True)
 
-    p = _command(sub, "free", cmd_free, "build a free nilpotent algebra",
+    p = _command(sub, cmd_free, "build a free nilpotent algebra",
                  algebra=False)
     p.add_argument("--rank", type=_integer, required=True)
     p.add_argument("--step", type=_integer, required=True)
     p.add_argument("--emit", help="write the AlgebraFile JSON here")
 
-    p = _command(sub, "prolong", cmd_prolong,
-                 "compute the graded prolongation", default=8)
+    p = _command(sub, cmd_prolong, "compute the graded prolongation",
+                 default=8)
     p.add_argument("--emit-basis",
                    help="write the algebra plus the stratum bases "
                         "(prolongation_basis section) here")
 
-    _command(sub, "polys", cmd_polys, "print the extremal polynomial family",
+    _command(sub, cmd_polys, "print the extremal polynomial family",
              default=None,
              help="prolong to this depth first (default: base only)")
-    _command(sub, "verify", cmd_verify,
-             "check the structure formulas exactly", default=8)
-    _command(sub, "minors", cmd_minors, "minor determinants and certificates",
+    _command(sub, cmd_verify, "check the structure formulas exactly",
              default=8)
+    _command(sub, cmd_minors, "minor determinants and certificates", default=8)
 
-    p = _command(sub, "detect", cmd_detect,
-                 "abnormal detection on curve samples", default=8)
+    p = _command(sub, cmd_detect, "abnormal detection on curve samples",
+                 default=8)
     p.add_argument("curve", help="CSV with header t,x1..xn")
     p.add_argument("--tol", type=_tolerance, default=1e-9)
 
-    p = _command(sub, "integrate", cmd_integrate, "RK4 integrators")
+    p = _command(sub, cmd_integrate, "RK4 integrators")
     p.add_argument("--mode", choices=("normal", "horizontal", "adjoint"),
                    required=True)
     p.add_argument("--lambda0", help="comma-separated dual start")
@@ -443,13 +443,25 @@ def main(argv=None):
     p.add_argument("--step", type=_float, default=1e-3)
     p.add_argument("--emit", help="write the curve CSV here")
 
-    p = _command(sub, "spiral", cmd_spiral,
-                 "the 64-dimensional spiral Goh example", algebra=False)
+    p = _command(sub, cmd_spiral, "the 64-dimensional spiral Goh example",
+                 algebra=False)
     p.add_argument("--samples", type=_integer, default=2000)
     p.add_argument("--puncture", type=_float, default=1e-6)
     p.add_argument("--tol", type=_tolerance, default=1e-8)
+    return parser
 
-    args = parser.parse_args(argv)
+
+# built once, at import: every command line of the process only parses
+# with it, which leaves no state in it, and the package root does not
+# import this module, so only a process that runs commands pays for it
+_PARSER = _build_parser()
+
+
+def main(argv=None):
+    """Run the command line ``argv`` (default ``sys.argv[1:]``) and return
+    its exit code.  The command runs as the ``cmd_<name>`` this module
+    holds at call time, so a rebinding of it is what runs."""
+    args = _PARSER.parse_args(argv)
     try:
         # before the command: digests (it may overwrite an input) and outputs
         paths = [getattr(args, name, None) for name in ("algebra", "curve")]
@@ -462,7 +474,7 @@ def main(argv=None):
                 raise InputError(f"cannot write {out}: is a directory")
             if not os.path.isdir(os.path.dirname(out) or "."):
                 raise InputError(f"cannot write {out}: no such directory")
-        status = args.func(args)
+        status = globals()[f"cmd_{args.cmd}"](args)
         # a closed stdout shows here, not at the interpreter's exit
         sys.stdout.flush()
         return status

@@ -253,18 +253,20 @@ def write_text(path, text):
 
 
 def curve_to_csv(curve, n):
-    buf = _io.StringIO()
-    writer = csv.writer(buf)
+    """The curve as CSV text: the header ``t,x1..xn``, then ``l1..ln`` when
+    the curve carries a covector, and one line per time of the float reprs
+    of t, x and l, each line ended by CR LF.  These are the bytes
+    :func:`csv.writer` writes, since no float repr needs quoting."""
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)]
-    if curve.lam is not None:
+    lam = curve.lam
+    if lam is not None:
         header += [f"l{i}" for i in range(1, n + 1)]
-    writer.writerow(header)
-    for m, t in enumerate(curve.times):
-        row = [repr(float(t))] + [repr(float(c)) for c in curve.gamma[m]]
-        if curve.lam is not None:
-            row += [repr(float(c)) for c in curve.lam[m]]
-        writer.writerow(row)
-    return buf.getvalue()
+    else:
+        lam = [()] * len(curve.times)
+    lines = [",".join(header)]
+    for t, x, l in zip(curve.times, curve.gamma, lam):
+        lines.append(",".join(map(repr, map(float, [t, *x, *l]))))
+    return "\r\n".join(lines) + "\r\n"
 
 
 def samples_from_csv(text, n):

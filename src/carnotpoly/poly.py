@@ -16,7 +16,7 @@ arithmetic is otherwise generic: evaluation and scaling accept floats.
 """
 
 from fractions import Fraction
-from math import lcm, prod
+from math import gcd
 
 from .linalg import scalar
 
@@ -294,30 +294,52 @@ class PolyVectorField:
 
 
 def exact_values(polys, points):
-    """``[p.evaluate(x) for p in polys]`` for each exact point, in turn, in
-    integer arithmetic: each monomial once per point, as an unreduced
-    fraction, and each value over the least common denominator of its
-    terms, reduced once; a Fraction exactly when one enters a term.  A
-    point whose length is not the dimension raises ValueError."""
-    keys = {key for p in polys for key in p.terms}
+    """``[p.evaluate(x) for p in polys]`` for each exact point, in turn,
+    with the same values and types, in integer arithmetic.
+
+    Each monomial key is read once per point, into the products of its
+    coordinates' numerators and denominators.  A Poly with int
+    coefficients that reads no Fraction-typed coordinate sums ints; any
+    other one sums over the lcm of its terms' denominators and is reduced
+    once, by one Fraction, so a value is a Fraction exactly when one,
+    ``Fraction(k, 1)`` included, enters a term.  A point whose length is
+    not the dimension raises ValueError.
+    """
+    plans = [([(key, c.numerator, c.denominator)
+               for key, c in p.terms.items()],
+              any(type(c) is Fraction for c in p.terms.values()),
+              {v for key in p.terms for v, _ in key}) for p in polys]
+    keys = [(key, [(v - 1, e) for v, e in key])
+            for key in {key for p in polys for key in p.terms}]
     dims = {p.n for p in polys}
     for x in points:
         if dims - {len(x)}:
             raise ValueError("coordinate count must equal the dimension")
-        mono = {key: (prod(x[v - 1].numerator ** e for v, e in key),
-                      prod(x[v - 1].denominator ** e for v, e in key),
-                      any(type(x[v - 1]) is Fraction for v, _ in key))
-                for key in keys}
+        fracs = {v for v, c in enumerate(x, 1) if type(c) is Fraction}
+        nums = [c.numerator for c in x]
+        dens = [c.denominator for c in x]
+        mono = {}
+        for key, powers in keys:
+            num = den = 1
+            for i, e in powers:
+                num *= nums[i] ** e
+                den *= dens[i] ** e
+            mono[key] = num, den
         row = []
-        for p in polys:
-            terms = [(c.numerator * num, c.denominator * den,
-                      frac or type(c) is Fraction)
-                     for key, c in p.terms.items()
-                     for num, den, frac in (mono[key],)]
-            common = lcm(*(b for _, b, _ in terms))  # lcm() is 1
-            total = sum(a * (common // b) for a, b, _ in terms)
-            row.append(Fraction(total, common)
-                       if any(f for _, _, f in terms) else total)
+        for terms, frac, reads in plans:
+            if not frac and reads.isdisjoint(fracs):
+                row.append(sum(c * mono[key][0] for key, c, _ in terms))
+                continue
+            total, common = 0, 1
+            for key, c, d in terms:
+                num, den = mono[key]
+                den *= d
+                if common % den:    # common becomes lcm(common, den)
+                    scale = den // gcd(common, den)
+                    total *= scale
+                    common *= scale
+                total += c * num * (common // den)
+            row.append(Fraction(total, common))
         yield row
 
 

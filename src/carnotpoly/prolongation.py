@@ -52,7 +52,9 @@ class ProlongationStratum:
     inverse as sparse rows ``[(basis index, value), ...]``, one per pivot,
     from one :func:`linalg.rref` of ``[B_p | I]``.  For the canonical basis
     that matrix is diagonal; a chosen basis that makes it singular does
-    not span the stratum.
+    not span the stratum.  ``by_pivot`` holds the same rows indexed by
+    the pivot's g_1 index q, then its target, so a reader looks up only
+    the g_1 entries of a map that are pivots.
     """
     degree: int
     maps: list          # per basis element: {m (1..n) -> {target id -> scalar}}
@@ -60,6 +62,7 @@ class ProlongationStratum:
     pivots: list = field(default_factory=list)  # per basis element: (q, target)
     ids: list = field(default_factory=list)  # assigned when adjoined
     inverse: list = field(init=False, repr=False, compare=False)
+    by_pivot: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         dim = len(self.pivots)
@@ -71,25 +74,40 @@ class ProlongationStratum:
             raise StructureError("chosen basis does not span the stratum")
         self.inverse = [[(c - dim, x) for c, x in row.items() if c >= dim]
                         for row in reduced]
+        self.by_pivot = {}
+        for (q, t), row in zip(self.pivots, self.inverse):
+            self.by_pivot.setdefault(q, {})[t] = row
 
     @property
     def dim(self):
         return len(self.maps)
 
-    def coordinates(self, phi):
-        """Coordinates in the stratum basis of a map ``phi`` in its span.
+    def pivot_coordinates(self, phi):
+        """The nonzero coordinates of a map ``phi`` in the stratum basis,
+        as ``(basis index, scalar)`` pairs in ascending basis order.
 
-        ``phi`` maps indices to ``{target id -> scalar}``; only its values
-        at the pivots are read.  A map outside the span gets coordinates
-        too, so callers compare the recombined map with ``phi``.
+        ``phi`` maps indices to ``{target id -> scalar}``; only its g_1
+        entries at the pivots are read.  A map outside the span gets
+        coordinates too, so callers compare the recombined map with ``phi``.
         """
+        x = {}
+        for q, rows in self.by_pivot.items():
+            img = phi.get(q)
+            if img:
+                for t, y in img.items():
+                    row = rows.get(t)
+                    if row:
+                        for i, v in row:
+                            x[i] = x.get(i, 0) + y * v
+        return [(i, linalg.scalar(x[i])) for i in sorted(x) if x[i]]
+
+    def coordinates(self, phi):
+        """All coordinates of ``phi``, zeros included, as a list over the
+        basis; see :meth:`pivot_coordinates`."""
         x = [0] * self.dim
-        for (q, t), row in zip(self.pivots, self.inverse):
-            y = phi.get(q, _EMPTY).get(t)
-            if y:
-                for i, v in row:
-                    x[i] += y * v
-        return [linalg.scalar(v) for v in x]
+        for i, c in self.pivot_coordinates(phi):
+            x[i] = c
+        return x
 
 
 @dataclass
@@ -253,7 +271,8 @@ def _pair_action(A, e1, e2):
                 f = sign * cp
                 for k, c in ad[p].get(v, _EMPTY).items():
                     acc[k] = acc.get(k, 0) + f * c
-        img = {k: linalg.scalar(c) for k, c in acc.items() if c}
+        img = {k: c if type(c) is int else linalg.scalar(c)
+               for k, c in acc.items() if c}
         if img:
             out[m] = img
     return out
@@ -294,17 +313,22 @@ def _close_pairs(ext, strata_by_deg, deferred, pending, terminated):
 
 
 def _match_in_stratum(st, act, context):
-    """Coordinates of an action map in the basis of the stratum ``st``,
-    read at its pivots and checked against the whole recombined map."""
+    """The bracket ``{stratum id -> coordinate}`` of an action map in the
+    stratum ``st``, in ascending basis order.
+
+    The coordinates are read at the pivots the action touches, only the
+    maps of the nonzero ones are recombined, and the recombined map is
+    checked against the whole action.
+    """
     if st is None or st.dim == 0:
         if act:
             raise StructureError(
                 f"{context}: nonzero bracket lands in an empty stratum")
         return {}
-    sol = st.coordinates(act)
-    if _combine(sol, st.maps) != act:
+    sol = st.pivot_coordinates(act)
+    if _combine([c for _, c in sol], [st.maps[i] for i, _ in sol]) != act:
         raise StructureError(f"{context}: bracket outside the computed stratum")
-    return {st_id: c for st_id, c in zip(st.ids, sol) if c}
+    return {st.ids[i]: c for i, c in sol}
 
 
 def extend_structure_constants(P, stratum, chosen_basis=None):

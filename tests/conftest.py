@@ -1,3 +1,5 @@
+import csv
+import io
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import cos, factorial, log, log2, sin
@@ -630,6 +632,23 @@ def subs_zero(p, vars_to_zero):
     vz = set(vars_to_zero)
     return _wrap(p.n, {k: c for k, c in p.terms.items()
                        if not any(v in vz for v, _ in k)})
+
+
+def reference_curve_csv(curve, n):
+    """Reference for ``io.curve_to_csv``: the header and the float reprs
+    of each row written by :func:`csv.writer`."""
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    header = ["t"] + [f"x{i}" for i in range(1, n + 1)]
+    if curve.lam is not None:
+        header += [f"l{i}" for i in range(1, n + 1)]
+    writer.writerow(header)
+    for m, t in enumerate(curve.times):
+        row = [repr(float(t))] + [repr(float(c)) for c in curve.gamma[m]]
+        if curve.lam is not None:
+            row += [repr(float(c)) for c in curve.lam[m]]
+        writer.writerow(row)
+    return buf.getvalue()
 
 
 def reference_evaluate(family, j, v, x):

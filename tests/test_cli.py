@@ -1,3 +1,4 @@
+import argparse
 import bisect
 import hashlib
 import json
@@ -7,6 +8,7 @@ import subprocess
 import sys
 import time
 import warnings
+from fractions import Fraction
 from pathlib import Path
 from unittest.mock import Mock
 
@@ -17,9 +19,9 @@ from hypothesis import strategies as st
 from carnotpoly import io as cio
 from carnotpoly.algebra import GradedLieAlgebra
 from carnotpoly.cli import _parse_controls, main
-from carnotpoly.dynamics import _stage_times, uniform_grid
+from carnotpoly.dynamics import CurvePath, _stage_times, uniform_grid
 from carnotpoly.freelie import build_free
-from conftest import heisenberg_algebra
+from conftest import heisenberg_algebra, reference_curve_csv
 from refusals import CORRUPTED_TABLE, ROWS, problems, write_inputs
 
 
@@ -437,6 +439,27 @@ def test_curve_parser_raises_only_input_errors(text, n):
         pass
 
 
+EDGE_FLOATS = [-0.0, 5e-324, 1e300, float("inf"), float("nan"), 0.1, -2.5]
+
+
+@pytest.mark.parametrize("lam", [False, True])
+@pytest.mark.parametrize("steps", [1, 3])
+def test_curve_csv_writes_the_bytes_of_csv_writer(lam, steps):
+    # a one-step grid and a longer one, with and without covector columns,
+    # through signed zero, the smallest subnormal, huge, inf and nan values;
+    # exact and NumPy coordinates are written as their floats
+    import numpy as np
+    n, edge = 3, iter(EDGE_FLOATS * 4)
+    times = [i / steps for i in range(steps + 1)]
+    gamma = [[next(edge) for _ in range(n)] for _ in times]
+    gamma[0] = [Fraction(1, 3), 2, np.float64(0.25)]
+    covector = [[next(edge) for _ in range(n)] for _ in times] if lam else None
+    curve = CurvePath(times, gamma, covector)
+    text = cio.curve_to_csv(curve, n)
+    assert text == reference_curve_csv(curve, n)
+    assert text.count("\r\n") == len(times) + 1
+
+
 HEIS_BYTES = json.dumps(HEIS_DOC).encode()
 CURVE_BYTES = b"t,x1,x2,x3\n0,1/2,1,0\n1,0.5,2,1e3\n"
 
@@ -788,6 +811,32 @@ def test_cli_surface(command, tmp_path, monkeypatch, capsys):
         path.write_text("")
         assert main([command, *[str(path)] * len(positionals)]) == 0
         assert seen == [DEPTH_DEFAULTS[command]]
+
+
+def test_main_reuses_one_parser_and_keeps_no_state(tmp_path, capsys,
+                                                   monkeypatch):
+    # the parser is built at import and main only parses: --help leaves
+    # nothing behind, and a --lambda0 of an adjoint run does not reach the
+    # horizontal run after it, which would refuse it
+    heis = tmp_path / "heis.json"
+    cio.save_algebra(heis, heisenberg_algebra())
+    built, init = [], argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda self, *a, **kw: built.append(1) or init(
+                            self, *a, **kw))
+    verify = ["verify", str(heis), "--max-depth", "2", "--json"]
+    first = run(capsys, *verify)
+    assert first[0] == 0
+    with pytest.raises(SystemExit) as stop:
+        main(["verify", "--help"])
+    assert stop.value.code == 0 and "--max-depth" in capsys.readouterr().out
+    assert run(capsys, *verify) == first
+    integrate = ["integrate", str(heis), "--step", "0.25", "--controls", "1;t"]
+    assert run(capsys, *integrate, "--mode", "adjoint",
+               "--lambda0=1,0,2")[0] == 0
+    code, out, err = run(capsys, *integrate, "--mode", "horizontal")
+    assert (code, err) == (0, "") and "steps: 4" in out
+    assert built == []
 
 
 def test_basis_below_the_cutoff_names_the_way_out(tmp_path, capsys):

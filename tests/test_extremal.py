@@ -13,7 +13,7 @@ from carnotpoly.freelie import build_free
 from carnotpoly.group import left_invariant_fields
 from carnotpoly.linalg import scalar
 from carnotpoly.poly import (Poly, _key_mul, _wrap, canonical_text,
-                             weighted_degree)
+                             exact_values, weighted_degree)
 from carnotpoly.prolongation import prolong
 
 from conftest import (degree_bound_report, generalized_structure_constants,
@@ -192,6 +192,56 @@ def test_exact_evaluator_equals_the_reference(base, prolonged, data):
     pos = data.draw(st.integers(0, len(rows) - 1))
     got, want = fam.evaluate(rows[pos], v, points[-1]), want[-1][pos]
     assert (got, type(got)) == (want, type(want))
+
+
+# integral Fractions, which make a value a Fraction, and coprime
+# denominators up to 10^6, which the evaluator's second stage sums over
+_WIDE = st.one_of(_EXACT, st.integers(-3, 3).map(Fraction),
+                  st.builds(Fraction, st.integers(-10**6, 10**6),
+                            st.integers(1, 10**6)))
+
+
+def _typed(rows):
+    return [[(c, type(c)) for c in row] for row in rows]
+
+
+@settings(max_examples=25, deadline=None)
+@given(base=recombined_free(), prolonged=st.booleans(), data=st.data())
+def test_exact_evaluator_equals_the_reference_on_wide_points(base, prolonged,
+                                                             data):
+    # value and type of every row under Fraction(k, 1) and 6-digit
+    # denominators in the covector and the points, and at all-int points
+    fam = build_family(prolong(base, 2) if prolonged else base)
+    n, rows = fam.n, fam.rows()
+    v = data.draw(st.lists(_WIDE, min_size=n, max_size=n))
+    points = data.draw(st.lists(
+        st.lists(_WIDE, min_size=n, max_size=n)
+        | st.lists(st.integers(-3, 3), min_size=n, max_size=n),
+        min_size=1, max_size=3))
+    want = [[reference_evaluate(fam, j, v, x) for j in rows] for x in points]
+    assert _typed(fam.evaluator(rows, v, True)(points)) == _typed(want)
+
+
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_exact_evaluator_values_equal_evaluate(free24_family, data):
+    # exact_values on its own: Q entries, zero Polys and int-coefficient
+    # Polys, at points of ints, Fractions and integral Fractions
+    n = free24_family.n
+    entries = sorted(free24_family.Q.items())
+    polys = [q for _, q in data.draw(st.lists(st.sampled_from(entries),
+                                              max_size=6))]
+    polys += [Poly.zero(n), Poly(n, {(): 3, ((2, 1), (5, 2)): -2})]
+    polys = data.draw(st.permutations(polys))
+    points = data.draw(st.lists(st.lists(_WIDE, min_size=n, max_size=n)
+                                | st.lists(st.integers(-3, 3), min_size=n,
+                                           max_size=n), max_size=3))
+    want = [[p.evaluate(x) for p in polys] for x in points]
+    assert _typed(exact_values(polys, points)) == _typed(want)
+    assert list(exact_values([], points)) == [[] for _ in points]
+    for bad in ([1] * (n - 1), [Fraction(1, 2)] * (n + 1)):
+        with pytest.raises(ValueError, match="coordinate count"):
+            list(exact_values(polys, points + [bad]))
 
 
 def test_evaluator_reads_exact_points_under_a_float_covector_as_floats(

@@ -235,6 +235,17 @@ def test_match_checks_the_whole_action(free24_prolonged):
         _match_in_stratum(st, act, "E")
 
 
+def test_decided_brackets_keep_their_terms_in_basis_order(heisenberg):
+    # the family's term order follows the adjoint rows, so a bracket of
+    # two nonpositive elements lists its stratum ids ascending, whatever
+    # order the pivots of its action are read in
+    A = prolong(heisenberg, 6).algebra
+    decided = [terms for (e1, e2), terms in A.table.items()
+               if max(e1, e2) <= 0]
+    assert sum(len(terms) > 1 for terms in decided) > 100
+    assert all(list(terms) == sorted(terms) for terms in decided)
+
+
 def test_match_refuses_a_g1_block_outside_the_span(heisenberg,
                                                   free24_prolonged):
     # degree -1 of the Heisenberg prolongation spans 6 of the 8 dimensions
