@@ -21,9 +21,10 @@ from . import io as cio
 from .abnormal import (certificate_text, detect_abnormal, minor_system,
                        nonvanishing_certificate)
 from .algebra import StructureError, validate
-from .dynamics import (GRID_T_MIN, MAX_GRID_STEPS, duality_check,
-                       integrate_adjoint, integrate_horizontal,
-                       integrate_normal, spiral_example, uniform_grid)
+from .dynamics import (GRID_T_MIN, MAX_GRID_STEPS, ArrayControls,
+                       duality_check, integrate_adjoint,
+                       integrate_horizontal, integrate_normal,
+                       spiral_example, uniform_grid)
 from .extremal import build_family, verify_structure
 from .freelie import DimensionCapError, build_free
 from .io import InputError
@@ -259,65 +260,115 @@ _CONTROL_FUNCS = {name: getattr(math, name)
                   for name in ("sin", "cos", "tan", "exp", "log", "sqrt")}
 _CONTROL_CONSTS = {"pi": math.pi, "e": math.e}
 _CONTROL_UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos}
+
+
+def _divide(a, b):
+    """``a / b`` of floats or float64 arrays; a zero divisor raises the
+    ZeroDivisionError of Python floats, where NumPy would give inf."""
+    if not (b.all() if hasattr(b, "all") else b):
+        raise ZeroDivisionError("float division by zero")
+    return a / b
+
+
 _CONTROL_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
-                   ast.Mult: operator.mul, ast.Div: operator.truediv,
+                   ast.Mult: operator.mul, ast.Div: _divide,
                    ast.Pow: math.pow}
+# read element by element: NumPy's own may differ from math in the last bit
+_CONTROL_BY_ELEMENT = {math.pow, *_CONTROL_FUNCS.values()}
+_CONTROL_FAILURES = (ValueError, ZeroDivisionError, OverflowError,
+                     RecursionError)
 
 
-def _control_term(node):
-    """Closure ``t -> float`` for a node of a parsed control expression.
+def _control_program(node):
+    """A node of a parsed control expression, checked, as a program for
+    :func:`_control_value`: a float, ``"t"``, or ``(op, *operands)``.
 
     Accepts numbers (taken as floats), ``t``, ``pi``, ``e``, the binary
     operators ``+ - * / **``, unary ``-`` and ``+``, and one-argument
     calls of ``sin cos tan exp log sqrt``; anything else is a ValueError.
     """
     if isinstance(node, ast.Constant) and type(node.value) in (int, float):
-        value = float(node.value)
-        return lambda t: value
+        return float(node.value)
     if isinstance(node, ast.Name) and node.id == "t":
-        return lambda t: t
+        return "t"
     if isinstance(node, ast.Name) and node.id in _CONTROL_CONSTS:
-        value = _CONTROL_CONSTS[node.id]
-        return lambda t: value
+        return _CONTROL_CONSTS[node.id]
     if isinstance(node, ast.UnaryOp) and type(node.op) in _CONTROL_UNARY:
-        op, arg = _CONTROL_UNARY[type(node.op)], _control_term(node.operand)
-        return lambda t: op(arg(t))
+        return _CONTROL_UNARY[type(node.op)], _control_program(node.operand)
     if isinstance(node, ast.BinOp) and type(node.op) in _CONTROL_BINARY:
-        op = _CONTROL_BINARY[type(node.op)]
-        left, right = _control_term(node.left), _control_term(node.right)
-        return lambda t: op(left(t), right(t))
+        return (_CONTROL_BINARY[type(node.op)], _control_program(node.left),
+                _control_program(node.right))
     if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in _CONTROL_FUNCS and len(node.args) == 1
             and not node.keywords):
-        fn, arg = _CONTROL_FUNCS[node.func.id], _control_term(node.args[0])
-        return lambda t: fn(arg(t))
+        return _CONTROL_FUNCS[node.func.id], _control_program(node.args[0])
     raise ValueError(f"unsupported syntax {cio.excerpt(ast.unparse(node))}")
 
 
+def _control_value(program, t):
+    """The value of a control program at ``t``, a float or a float64
+    array of times, operands first, left to right.
+
+    ``+ - * /`` and the signs are NumPy array operations, IEEE-exact, so
+    they give the bits of Python floats; ``**`` and the functions run
+    through :mod:`math`, element by element.
+    """
+    if isinstance(program, float):
+        return program
+    if program == "t":
+        return t
+    op, *operands = program
+    args = list(map(_control_value, operands, (t, t)))
+    if op in _CONTROL_BY_ELEMENT and not all(
+            isinstance(arg, float) for arg in args):
+        import numpy as np
+        columns = (np.broadcast_to(arg, t.shape).tolist() for arg in args)
+        return np.fromiter(map(op, *columns), float, len(t))
+    return op(*args)
+
+
 def _parse_controls(text, r):
-    """The ``--controls`` value as a callable ``t -> list of r floats``;
-    a text longer than MAX_CONTROL_CHARS is refused before parsing."""
+    """The ``--controls`` value as :class:`ArrayControls` of r controls,
+    each expression checked here; a text longer than MAX_CONTROL_CHARS is
+    refused before parsing.
+
+    The reader runs each program once over the array of times.  If that
+    raises, it walks the times again one at a time, as Python floats, and
+    names the first that fails, as reading them in turn would."""
     if len(text) > MAX_CONTROL_CHARS:
         raise InputError(f"--controls {cio.excerpt(text)} is longer than "
                          f"the cap of {MAX_CONTROL_CHARS} characters")
     exprs = [p.strip() for p in text.split(";")]
     if len(exprs) != r:
         raise InputError(f"expected {r} semicolon-separated control exprs")
-    terms = []
+    programs = []
     for expr in exprs:
         try:
-            terms.append(_control_term(ast.parse(expr, mode="eval").body))
+            programs.append(
+                _control_program(ast.parse(expr, mode="eval").body))
         except (SyntaxError, ValueError, OverflowError, RecursionError) as exc:
             raise InputError(f"control {cio.excerpt(expr)}: {exc}") from None
 
-    def func(t):
+    def read(times):
+        import numpy as np
         try:
-            return [term(t) for term in terms]
-        except (ValueError, ZeroDivisionError, OverflowError,
-                RecursionError) as exc:
-            raise InputError(f"controls fail at t={t}: {exc}") from None
+            with np.errstate(all="ignore"):   # overflow to inf, as floats do
+                return np.stack([
+                    np.broadcast_to(_control_value(program, times),
+                                    times.shape) for program in programs], 1)
+        except _CONTROL_FAILURES as exc:
+            at = times.tolist()
+            for t in at:
+                try:
+                    for program in programs:
+                        _control_value(program, t)
+                except _CONTROL_FAILURES as failure:
+                    raise InputError(f"controls fail at t={t}: {failure}") \
+                        from None
+            # no time fails alone: the array walk ran out of stack
+            raise InputError(f"controls fail at t={at[0]}: {exc}") from None
 
-    return func
+    return ArrayControls(read)
 
 
 def cmd_integrate(args):
@@ -349,7 +400,7 @@ def cmd_integrate(args):
         curve = integrate_adjoint(algebra, curve, given["lambda0"])
     report = {
         "steps": len(grid) - 1,
-        "endpoint": [float(c) for c in curve.gamma[-1]],
+        "endpoint": curve.gamma[-1].tolist(),
     }
     if curve.lam is not None:
         drift = duality_check(_family(algebra, overrides, None), curve)

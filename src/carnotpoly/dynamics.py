@@ -20,17 +20,19 @@ coordinates at a time over the whole grid, with NumPy, under one table
 of stage controls, which the curve keeps; :func:`_term_levels` builds
 both systems' levels, sums of control-weighted field coefficients, read
 by the batch kernel :func:`poly.compile_polys`, or of columns lambda_k.
-:func:`_time_controls` fills the table with one read per distinct stage
-time of :func:`_stage_times`, for :func:`integrate_horizontal` and for
-the four lifts and the samples of :func:`spiral_example`;
-:func:`integrate_adjoint` and :func:`iterated_integrals` read no control
-again.  The normal extremal's controls are -lambda, and lambda's
-equation never reads gamma: :func:`integrate_normal` steps lambda alone,
-point by point, in :func:`_rk4`, recording the table, then gamma by
-levels.  Both paths do the float operations of the point-by-point loop,
-in the same order.  The family is read along a whole curve in one call
-of :func:`poly.compile_polys`.  Floating point lives here, in that
-kernel, and in the float branches of :mod:`abnormal`.
+:func:`_time_controls` fills the table from one read of the array of
+the distinct stage times of :func:`_stage_times`, for
+:func:`integrate_horizontal` and for the four lifts and the samples of
+:func:`spiral_example`; :func:`integrate_adjoint` and
+:func:`iterated_integrals` read no control again.  The normal
+extremal's controls are -lambda, and lambda's equation never reads
+gamma: :func:`integrate_normal` steps lambda alone, point by point, in
+:func:`_rk4`, recording the table, then gamma by levels.  Both paths do
+the float operations of the point-by-point loop, in the same order, and
+a float curve keeps the stepper's float64 arrays.  The family is read
+along a whole curve in one call of :func:`poly.compile_polys`.
+Floating point lives here, in that kernel, in the float branches of
+:mod:`abnormal`, and in the CLI's reader of control expressions.
 """
 
 import math
@@ -49,11 +51,24 @@ from .poly import compile_polys
 @dataclass
 class CurvePath:
     """A curve sampled on its time grid; ``stages`` is the steps x 4 x r
-    table of the stage controls that drove it, or None."""
+    table of the stage controls that drove it, or None.
+
+    ``gamma`` and ``lam`` hold one row of coordinates per time: the
+    integrators return the stepper's len(times) x n float64 arrays, and
+    an exact curve is a list of rows of ints and Fractions."""
     times: list
-    gamma: list                  # one coordinate list per time
-    lam: list = None             # optional dual coordinates per time
+    gamma: object
+    lam: object = None           # optional dual coordinates per time
     stages: object = None
+
+
+@dataclass(frozen=True)
+class ArrayControls:
+    """Time-only controls read over arrays: ``read(T)`` maps a float64
+    array T of times to the len(T) x r float64 array of their values,
+    with the bits, and the errors at the first failing time, of reading
+    them one time at a time."""
+    read: object
 
 
 MAX_GRID_STEPS = 10 ** 6
@@ -157,21 +172,33 @@ def _stage_times(times):
 
 
 def _time_controls(controls, times):
-    """The steps x 4 x r table of stage controls of the callable
-    ``t -> (h_1, ..., h_r)`` on the grid, for :func:`_rk4_levels`.
+    """The steps x 4 x r table of the stage controls of time-only
+    controls on the grid, for :func:`_rk4_levels`.
 
-    The controls are read once per distinct stage time, in grid order:
-    k2 and k3 share ``t + h/2``, and a step hands its read at ``t + h`` to
-    the next step where :func:`_stage_times` marks it as the next grid time.
+    The controls are read at T, the distinct stage times in grid order,
+    step by step: ``t`` unless the previous step's ``t + h`` is it by the
+    mask of :func:`_stage_times`, then ``t + h/2``, then ``t + h``.  k2
+    and k3 share the read at ``t + h/2``, and where the mask holds, k1
+    takes the previous step's read at ``t + h``.  :class:`ArrayControls`
+    read T in one call; a plain callable ``t -> (h_1, ..., h_r)`` is
+    called at each time of T in turn.
     """
     import numpy as np
-    rows, carry, u4 = [], None, ()  # carry: a step's end read, if shared
-    for a, b, c, j in zip(*(x.tolist() for x in _stage_times(times))):
-        u1 = controls(a) if carry is None else carry
-        u2, u4 = controls(b), controls(c)
-        rows.append((*u1, *u2, *u2, *u4))   # flat: floats are not GC-tracked
-        carry = u4 if j else None
-    return np.array(rows, float).reshape(len(rows), 4, len(u4))
+    t, mid, end, joined = _stage_times(times)
+    if not len(t):
+        return np.empty((0, 4, 0))
+    fresh = np.concatenate([[True], ~joined[:-1]])  # k1 reads its own t
+    count = fresh + 2
+    first = np.cumsum(count) - count                # a step's first read
+    at_mid = first + fresh
+    T = np.empty(at_mid[-1] + 2)
+    T[first[fresh]], T[at_mid], T[at_mid + 1] = t[fresh], mid, end
+    if isinstance(controls, ArrayControls):
+        U = controls.read(T)
+    else:
+        U = np.array([controls(x) for x in T.tolist()], float)
+    k1 = np.where(fresh, first, np.roll(at_mid + 1, 1))
+    return U[np.stack([k1, at_mid, at_mid, at_mid + 1], axis=1)]
 
 
 def _levels(reads, order):
@@ -247,13 +274,15 @@ def _field_levels(fields, size):
 
 def integrate_horizontal(algebra, controls, x0, grid):
     """RK4 solution of ``gamma' = sum_j h_j X_j(gamma)`` on the grid under
-    the callable ``t -> (h_1, ..., h_r)``, keeping the stage controls."""
+    time-only controls, :class:`ArrayControls` or a callable
+    ``t -> (h_1, ..., h_r)``, keeping the stage controls; ``gamma`` is
+    the stepper's float64 array."""
     levels = _field_levels(left_invariant_fields(algebra)[:algebra.r],
                            algebra.n)
     times = [float(t) for t in grid]
     H = _time_controls(controls, times)
     gamma = _rk4_levels(levels, [float(c) for c in x0], times, H)
-    return CurvePath(list(grid), gamma.tolist(), stages=H)
+    return CurvePath(list(grid), gamma, stages=H)
 
 
 def _adjoint_tables(algebra):
@@ -320,7 +349,8 @@ def integrate_normal(algebra, lambda0, x0, grid):
     point, and the controls of its four RK4 stages are recorded as they
     are read; gamma is then the horizontal system under that table,
     stepped by levels, and the curve keeps it.  Every float operation is
-    the one the combined point-by-point loop does, in the same order."""
+    the one the combined point-by-point loop does, in the same order.
+    ``gamma`` and ``lam`` are float64 arrays."""
     import numpy as np
     n, r = algebra.n, algebra.r
     tables = _adjoint_tables(algebra)
@@ -332,26 +362,26 @@ def integrate_normal(algebra, lambda0, x0, grid):
         return _adjoint_rhs(tables, h, lam)
 
     times = [float(t) for t in grid]
-    lam = _rk4(f, [float(c) for c in lambda0], times)
+    lam = np.array(_rk4(f, [float(c) for c in lambda0], times), float)
     H = np.array(stage_h, float).reshape(-1, 4, r)
     gamma = _rk4_levels(_field_levels(left_invariant_fields(algebra)[:r], n),
                         [float(c) for c in x0], times, H)
-    return CurvePath(list(grid), gamma.tolist(), lam=lam, stages=H)
+    return CurvePath(list(grid), gamma, lam=lam, stages=H)
 
 
 def duality_check(family, curve):
     """Max drift ``|lambda_i(t) - P_i^v(gamma(t))|`` per index, v = lambda(0).
 
-    Exact on a curve of rational points, float otherwise; a NaN drift
-    stays the maximum of its index, and an index whose drift is 0 reports
-    the int 0."""
+    Exact on a curve of rational points, float otherwise, where gamma
+    and lambda are read as float64 arrays, the integrators' own; a NaN
+    drift stays the maximum of its index, and an index whose drift is 0
+    reports the int 0."""
     if curve.lam is None:
         raise ValueError("curve carries no dual coordinates")
     n = family.n
-    exact = all_exact(curve.gamma)
-    values = family.evaluator(range(1, n + 1), list(curve.lam[0]),
-                              exact)(curve.gamma)
-    if exact:
+    if all_exact(curve.gamma):
+        values = family.evaluator(range(1, n + 1), list(curve.lam[0]),
+                                  True)(curve.gamma)
         worst = [0] * n
         for row, lam in zip(values, curve.lam):
             for i, val in enumerate(row):
@@ -360,8 +390,11 @@ def duality_check(family, curve):
                     worst[i] = err
     else:
         import numpy as np
+        lam = np.asarray(curve.lam, float)
+        values = family.evaluator(range(1, n + 1), lam[0].tolist(),
+                                  False)(curve.gamma)
         with np.errstate(all="ignore"):    # inf - inf is NaN silently
-            err = np.abs(np.asarray(curve.lam, float) - values)
+            err = np.abs(lam - values)
         # max propagates NaN, as the loop's keep-the-NaN rule does
         worst = [float(w) if w else 0 for w in err.max(axis=0)]
     return dict(enumerate(worst, start=1))
@@ -422,18 +455,27 @@ def iterated_integrals(family, curve, v):
 
 # -- spiral Goh extremal ------------------------------------------------------
 
-def _spiral(t):
-    """``t``, ``cos L``, ``sin L``, ``phi'`` and ``psi'`` at the positive
-    time t, where ``u = 1 - log t`` and ``L = log u``.
+def _spiral(T):
+    """The columns ``t``, ``cos L``, ``sin L``, ``phi'`` and ``psi'`` at
+    the float64 array T of positive times, where ``u = 1 - log t`` and
+    ``L = log u``: a len(T) x 5 float64 array.
 
     The spiral is ``phi(t) = t cos L`` and ``psi(t) = t sin L``, with
     ``phi' = cos L + sin L / u`` and ``psi' = sin L - cos L / u``; these
-    read |t| only, and phi and psi at -t are the negations.
+    read |t| only, and phi and psi at -t are the negations.  The
+    logarithms, the cosine and the sine are :mod:`math`'s, element by
+    element, and the rest are array operations, so every value has the
+    bits of the point-by-point formulas.
     """
-    u = 1.0 - math.log(t)
-    L = math.log(u)
-    c, s = math.cos(L), math.sin(L)
-    return t, c, s, c + s / u, s - c / u
+    import numpy as np
+
+    def each(f, x):
+        return np.fromiter(map(f, x.tolist()), float, len(x))
+
+    u = 1.0 - each(math.log, T)
+    L = each(math.log, u)
+    c, s = each(math.cos, L), each(math.sin, L)
+    return np.stack([T, c, s, c + s / u, s - c / u], axis=1)
 
 
 GRID_BASE_STEP = 1e-3       # largest step of a graded grid
@@ -531,8 +573,8 @@ def spiral_example(samples_per_side=1000, puncture=1e-6, tol=1e-8):
 
     The lifts run on :func:`graded_grid` of 1 and of -1, one the exact
     negation of the other, so one :func:`_time_controls` table of
-    :func:`_spiral` on the positive grid gives every spiral value they
-    and the samples read.
+    :func:`_spiral`, read over the array of the positive grid's stage
+    times, gives every spiral value they and the samples read.
     """
     import numpy as np
     factor, _ = build_free(3, 4)
@@ -558,7 +600,7 @@ def spiral_example(samples_per_side=1000, puncture=1e-6, tol=1e-8):
     sample_ts = [min(t, 1.0) for t in sample_ts]
 
     grid = graded_grid(1.0, sample_ts)
-    S = _time_controls(_spiral, grid)
+    S = _time_controls(ArrayControls(_spiral), grid)
     # at the grid times: each step's k1, then the last step's k4, whose
     # t + h is 1.0, since 1 - t is exact for t >= 0.5 (Sterbenz)
     at_grid = np.concatenate([S[:, 0], S[-1:, 3]])

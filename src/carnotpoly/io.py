@@ -256,16 +256,19 @@ def curve_to_csv(curve, n):
     """The curve as CSV text: the header ``t,x1..xn``, then ``l1..ln`` when
     the curve carries a covector, and one line per time of the float reprs
     of t, x and l, each line ended by CR LF.  These are the bytes
-    :func:`csv.writer` writes, since no float repr needs quoting."""
+    :func:`csv.writer` writes, since no float repr needs quoting.  The
+    columns are read as float64 arrays, the integrators' own, so exact
+    entries are written as their floats."""
+    import numpy as np
     header = ["t"] + [f"x{i}" for i in range(1, n + 1)]
-    lam = curve.lam
-    if lam is not None:
+    columns = [np.asarray(curve.times, float)[:, None],
+               np.asarray(curve.gamma, float)]
+    if curve.lam is not None:
         header += [f"l{i}" for i in range(1, n + 1)]
-    else:
-        lam = [()] * len(curve.times)
+        columns.append(np.asarray(curve.lam, float))
     lines = [",".join(header)]
-    for t, x, l in zip(curve.times, curve.gamma, lam):
-        lines.append(",".join(map(repr, map(float, [t, *x, *l]))))
+    lines += [",".join(map(repr, row))
+              for row in np.hstack(columns).tolist()]
     return "\r\n".join(lines) + "\r\n"
 
 

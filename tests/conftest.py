@@ -1,5 +1,8 @@
+import ast
 import csv
 import io
+import math
+import operator
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import cos, factorial, log, log2, sin
@@ -16,6 +19,7 @@ from carnotpoly.dynamics import (_field_levels, _rk4_levels, graded_grid,
                                  solve_goh_covector)
 from carnotpoly.extremal import ExtremalFamily, build_family
 from carnotpoly.group import _dynkin_terms, left_invariant_fields
+from carnotpoly.io import InputError, excerpt
 from carnotpoly.linalg import scalar
 from carnotpoly.poly import (Poly, _add_terms, _key_mul, _term_plan, _wrap,
                              key_from_alpha, weighted_degree)
@@ -162,6 +166,72 @@ def reference_time_controls(controls, times):
         if t + h != times[m + 1]:
             carry = None
     return np.array(rows, float) if rows else np.empty((0, 4, 0))
+
+
+MAX_CONTROL_CHARS = 1000
+_CONTROL_FUNCS = {name: getattr(math, name)
+                  for name in ("sin", "cos", "tan", "exp", "log", "sqrt")}
+_CONTROL_CONSTS = {"pi": math.pi, "e": math.e}
+_CONTROL_UNARY = {ast.USub: operator.neg, ast.UAdd: operator.pos}
+_CONTROL_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub,
+                   ast.Mult: operator.mul, ast.Div: operator.truediv,
+                   ast.Pow: math.pow}
+
+
+def _control_term(node):
+    """Closure ``t -> float`` for a node of a parsed control expression:
+    numbers (taken as floats), ``t``, ``pi``, ``e``, ``+ - * / **``,
+    unary ``-`` and ``+``, and one-argument calls of ``sin cos tan exp
+    log sqrt``; anything else is a ValueError."""
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        value = float(node.value)
+        return lambda t: value
+    if isinstance(node, ast.Name) and node.id == "t":
+        return lambda t: t
+    if isinstance(node, ast.Name) and node.id in _CONTROL_CONSTS:
+        value = _CONTROL_CONSTS[node.id]
+        return lambda t: value
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _CONTROL_UNARY:
+        op, arg = _CONTROL_UNARY[type(node.op)], _control_term(node.operand)
+        return lambda t: op(arg(t))
+    if isinstance(node, ast.BinOp) and type(node.op) in _CONTROL_BINARY:
+        op = _CONTROL_BINARY[type(node.op)]
+        left, right = _control_term(node.left), _control_term(node.right)
+        return lambda t: op(left(t), right(t))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _CONTROL_FUNCS and len(node.args) == 1
+            and not node.keywords):
+        fn, arg = _CONTROL_FUNCS[node.func.id], _control_term(node.args[0])
+        return lambda t: fn(arg(t))
+    raise ValueError(f"unsupported syntax {excerpt(ast.unparse(node))}")
+
+
+def reference_controls(text, r):
+    """Reference for ``cli._parse_controls``: the ``--controls`` text as a
+    callable ``t -> list of r floats``, each expression a tree of closures
+    of Python floats, read one time at a time; a time where one fails
+    raises the InputError that names it."""
+    if len(text) > MAX_CONTROL_CHARS:
+        raise InputError(f"--controls {excerpt(text)} is longer than "
+                         f"the cap of {MAX_CONTROL_CHARS} characters")
+    exprs = [p.strip() for p in text.split(";")]
+    if len(exprs) != r:
+        raise InputError(f"expected {r} semicolon-separated control exprs")
+    terms = []
+    for expr in exprs:
+        try:
+            terms.append(_control_term(ast.parse(expr, mode="eval").body))
+        except (SyntaxError, ValueError, OverflowError, RecursionError) as exc:
+            raise InputError(f"control {excerpt(expr)}: {exc}") from None
+
+    def func(t):
+        try:
+            return [term(t) for term in terms]
+        except (ValueError, ZeroDivisionError, OverflowError,
+                RecursionError) as exc:
+            raise InputError(f"controls fail at t={t}: {exc}") from None
+
+    return func
 
 
 # the spiral and its derivatives point by point: the references of

@@ -150,6 +150,18 @@ ROWS = [
           "log(t-5);1", "1/(t-t);1", "exp(1000*t);1", "9**9**9;1",
           "t if t else 1;1", "abs(t);1", "sin(t, t);1", "cos(t;1", ";1",
           "1")),
+    # controls that fail partway along the default grid: the whole message
+    # names the first stage time, in grid order, that fails; in the last
+    # row the second control fails first
+    *(Row("integrate_names_where_controls_fail",
+          sh("integrate free24.json --mode horizontal --controls", controls),
+          f"error: controls fail at t={at}: {why}\n")
+      for controls, at, why in (
+          ("1/(t-0.5);1", 0.5, "float division by zero"),
+          ("10**(400*t);1", 0.771, "math range error"),
+          ("exp(1000*t);1", 0.71, "math range error"),
+          ("sqrt(0.25-t);1", 0.2505, "math domain error"),
+          ("log(0.9-t);1/(t-0.3)", 0.3, "float division by zero"))),
     # 100,000 minus signs would exhaust the parser's memory; the text is
     # refused by length before parsing, and the message stays short; an
     # expression under the cap that fails to parse echoes 40 characters

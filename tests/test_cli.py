@@ -13,15 +13,17 @@ from pathlib import Path
 from unittest.mock import Mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from carnotpoly import io as cio
 from carnotpoly.algebra import GradedLieAlgebra
 from carnotpoly.cli import _parse_controls, main
-from carnotpoly.dynamics import CurvePath, _stage_times, uniform_grid
+from carnotpoly.dynamics import (CurvePath, _stage_times, _time_controls,
+                                 uniform_grid)
 from carnotpoly.freelie import build_free
-from conftest import heisenberg_algebra, reference_curve_csv
+from conftest import (heisenberg_algebra, reference_controls,
+                      reference_curve_csv, reference_time_controls)
 from refusals import CORRUPTED_TABLE, ROWS, problems, write_inputs
 
 
@@ -303,6 +305,58 @@ def test_integrate_names_the_first_time_a_control_fails(tmp_path, capsys):
                            "math domain error\n"), (controls, mode)
 
 
+# expressions of the README grammar: int, float and exponent literals, t,
+# pi and e, the binary operators, unary signs and the six functions,
+# nested a bounded number of times; the literals reach overflow, and
+# eighths meet the times of grids with ends on eighths
+EIGHTHS = st.integers(-24, 24).map(lambda k: k / 8)
+CONTROL_LEAVES = st.one_of(
+    st.integers(0, 10 ** 20).map(str),
+    EIGHTHS.map(abs).map(repr),
+    st.floats(0, 1e308, allow_infinity=False).map(repr),
+    st.builds("{}e{}".format, st.integers(0, 99), st.integers(-330, 330)),
+    st.sampled_from(["t", "pi", "e"]))
+CONTROL_EXPRS = st.recursive(CONTROL_LEAVES, lambda inner: st.one_of(
+    st.builds("({}){}({})".format, inner, st.sampled_from("+-*/"), inner),
+    st.builds("({})**({})".format, inner, inner),
+    st.builds("{}({})".format, st.sampled_from("-+"), inner),
+    st.builds("{}({})".format,
+              st.sampled_from(["sin", "cos", "tan", "exp", "log", "sqrt"]),
+              inner)), max_leaves=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(exprs=st.lists(CONTROL_EXPRS, min_size=1, max_size=3),
+       t0=st.floats(-3, 3) | EIGHTHS, t1=st.floats(-3, 3) | EIGHTHS,
+       steps=st.integers(1, 30))
+# a failure between a step's t + h/2 and its t + h, read in grid order; a
+# zero divisor; an infinite cosine argument; a one-step grid
+@example(exprs=["log(0.4-t)", "1"], t0=0.0, t1=1.0, steps=7)
+@example(exprs=["cos(t)", "1/(t-0.5)"], t0=1.0, t1=0.0, steps=4)
+@example(exprs=["cos(1e200*1e200*t)"], t0=0.0, t1=-1.0, steps=3)
+@example(exprs=["exp(t)*t**2", "log(2+t)/3"], t0=-0.5, t1=2.0, steps=1)
+def test_control_reader_has_the_bits_and_errors_of_the_closure_oracle(
+        exprs, t0, t1, steps):
+    # the stage table of the array reader against the closures read one
+    # stage time at a time: the same bits, or the same refusal
+    assume(t0 != t1)
+    grid = uniform_grid(t0, t1, abs(t1 - t0) / steps)
+    text = ";".join(exprs)
+
+    def table(read):
+        try:
+            H = read()
+        except cio.InputError as exc:
+            return str(exc)
+        return H.shape, [x.hex() for x in H.ravel().tolist()]
+
+    got = table(lambda: _time_controls(_parse_controls(text, len(exprs)),
+                                       grid))
+    want = table(lambda: reference_time_controls(
+        reference_controls(text, len(exprs)), grid))
+    assert got == want
+
+
 def test_tolerance_zero_is_accepted(tmp_path, capsys):
     path = tmp_path / "a.json"
     run(capsys, "free", "--rank", "2", "--step", "4", "--emit", str(path))
@@ -440,6 +494,25 @@ def test_curve_parser_raises_only_input_errors(text, n):
 
 
 EDGE_FLOATS = [-0.0, 5e-324, 1e300, float("inf"), float("nan"), 0.1, -2.5]
+
+
+@pytest.mark.parametrize("lam", [False, True])
+@pytest.mark.parametrize("steps", [1, 3])
+def test_curve_csv_of_array_curves_writes_the_bytes_of_csv_writer(lam,
+                                                                 steps):
+    # the integrators' float64 arrays, through signed zero, the smallest
+    # subnormal, huge, inf and nan values, on a one-step grid and a longer
+    # one, with and without covector columns
+    import numpy as np
+    n, edge = 3, iter(EDGE_FLOATS * 4)
+    times = [i / steps for i in range(steps + 1)]
+    gamma = np.array([[next(edge) for _ in range(n)] for _ in times])
+    covector = np.array([[next(edge) for _ in range(n)] for _ in times]) \
+        if lam else None
+    curve = CurvePath(times, gamma, covector)
+    text = cio.curve_to_csv(curve, n)
+    assert text == reference_curve_csv(curve, n)
+    assert text.count("\r\n") == len(times) + 1
 
 
 @pytest.mark.parametrize("lam", [False, True])

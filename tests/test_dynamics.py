@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 
 from carnotpoly import dynamics
 from carnotpoly.algebra import GradedLieAlgebra, StructureError
-from carnotpoly.dynamics import (BLOCK_STEPS, CurvePath, _adjoint_levels,
-                                 _adjoint_rhs, _adjoint_tables, _field_levels,
+from carnotpoly.dynamics import (BLOCK_STEPS, GRID_T_MIN, CurvePath,
+                                 _adjoint_levels, _adjoint_rhs,
+                                 _adjoint_tables, _field_levels,
                                  _rk4, _rk4_levels, _spiral, _stage_times,
                                  _time_controls, duality_check,
                                  graded_grid, integrate_adjoint,
@@ -322,11 +323,26 @@ def test_one_time_grid_returns_the_start_and_reads_no_controls(
 
     x0, lam0 = [0.1 * k for k in range(8)], [0.3 - 0.1 * k for k in range(8)]
     curve = integrate_horizontal(free24, controls, x0, [0.5])
-    assert curve.gamma == [x0]
+    assert curve.gamma.tolist() == [x0]
     lam = integrate_adjoint(free24, curve, lam0).lam
     assert lam.tolist() == [lam0]
     table, _ = iterated_integrals(free24_family, curve, lam0)
     assert all(vals == [0.0] for vals in table.values())
+
+
+def test_integrators_return_float64_curves(free24):
+    # gamma, and lam where the curve carries it, are the stepper's arrays
+    import numpy as np
+    grid, lam0 = uniform_grid(0.0, 1.0, 0.1), [0.1 * k for k in range(8)]
+    horizontal = integrate_horizontal(free24, lambda t: (1.0, t), [0.0] * 8,
+                                      grid)
+    for curve in (horizontal, integrate_adjoint(free24, horizontal, lam0),
+                  integrate_normal(free24, lam0, [0.0] * 8, grid)):
+        arrays = [curve.gamma] + ([] if curve.lam is None else [curve.lam])
+        for a in arrays:
+            assert isinstance(a, np.ndarray) and a.dtype == np.float64
+            assert a.shape == (len(grid), 8)
+    assert horizontal.lam is None
 
 
 FREE = [build_free(r, s)[0] for r, s in ((2, 4), (2, 5), (3, 3))]
@@ -598,13 +614,19 @@ def test_graded_grid_of_minus_t_is_the_negated_grid(T, include):
 
 
 def test_spiral_sweep_has_the_bits_of_the_spiral_functions():
-    # at every grid time and stage time of a graded grid, and at their
-    # negations: phi = t cos L, psi = t sin L, and phi', psi' read |t|
+    # one array read at every grid time and stage time of a graded grid,
+    # GRID_T_MIN and 1.0 among them, against the point-by-point functions
+    # at them and their negations: phi = t cos L, psi = t sin L, and
+    # phi', psi' read |t|
+    import numpy as np
     grid = graded_grid(1.0, include=(1e-6, 0.05, 0.3))
     _, mid, end, _ = _stage_times(grid)
     ts = sorted(set(grid) | set(mid.tolist()) | set(end.tolist()))
-    for t in ts:
-        _, c, s, dphi, dpsi = _spiral(t)
+    assert ts[0] == GRID_T_MIN and ts[-1] == 1.0
+    rows = _spiral(np.array(ts))
+    assert rows.shape == (len(ts), 5) and rows.dtype == np.float64
+    for t, (same, c, s, dphi, dpsi) in zip(ts, rows.tolist()):
+        assert same.hex() == t.hex()
         for sign in (1.0, -1.0):
             signed = sign * t
             assert (signed * c).hex() == spiral_phi(signed).hex()
@@ -645,21 +667,22 @@ def test_spiral_example_has_the_reference_bits(k, puncture):
 
 def test_spiral_example_reads_each_stage_time_once(monkeypatch):
     # the four lifts and the samples share one read per distinct stage
-    # time of the positive grid: the reads of the step-by-step reader
+    # time of the positive grid: the entries of the arrays _spiral is
+    # handed are the reads of the step-by-step reader, in order
     grids, reads, want = [], [], []
 
     def grid(*args):
         grids.append(graded_grid(*args))
         return grids[-1]
 
-    def counting(t, log=reads):
-        log.append(t)
-        return _spiral(t)
+    def counting(times):
+        reads.extend(times.tolist())
+        return _spiral(times)
 
     monkeypatch.setattr(dynamics, "graded_grid", grid)
     monkeypatch.setattr(dynamics, "_spiral", counting)
     spiral_example(samples_per_side=50, puncture=3e-5)
-    reference_time_controls(lambda t: counting(t, want), *grids)
+    reference_time_controls(lambda t: want.append(t) or (t,), *grids)
     assert reads == want
     assert len(reads) == 3883
 
